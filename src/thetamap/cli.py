@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -104,8 +105,7 @@ def _structure_job(t: int) -> dict:
         "vertices": len(g.succ),
         "components": len(g.components),
         "passed": rep.passed,
-        "checks": [{"name": c.name, "pass": c.passed, "detail": c.detail}
-                   for c in rep.checks],
+        "checks": rep.records(),
     }
 
 
@@ -119,7 +119,10 @@ def _dickson_job(args: tuple[int, int]) -> dict:
 
 
 def _map_jobs(fn, inputs, workers: int) -> list[dict]:
-    if workers <= 1 or len(inputs) <= 1:
+    # A fork-started pool forks all its workers at the first submit, so
+    # never ask for more than there are jobs or usable CPUs.
+    workers = min(workers, len(inputs), len(os.sched_getaffinity(0)))
+    if workers <= 1:
         return [fn(x) for x in inputs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, inputs))

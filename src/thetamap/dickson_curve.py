@@ -98,25 +98,20 @@ def dickson_eval_closed_form(spec: FieldSpec, m: int, x: FieldElement) -> FieldE
 
 
 def _root_bits(spec: FieldSpec, m: int) -> set[int]:
-    """All units where D_m vanishes, by direct evaluation over GF(q)*."""
-    try:
-        spec.ensure_tables()
-    except FieldError:
-        pass
+    """All units where D_m vanishes, by direct evaluation over GF(q)*.
+
+    The O(q*m) scan runs on the log/exp tables, so fields beyond
+    TABLE_MAX_T are refused with FieldError.
+    """
+    exp, log = spec.tables()
     roots: set[int] = set()
-    if spec._log is not None:
-        exp, log = spec._exp, spec._log
-        for x in range(1, spec.q):
-            lx = log[x]
-            d0, d1 = 0, x
-            for _ in range(m - 1):
-                d0, d1 = d1, (exp[lx + log[d1]] if d1 else 0) ^ d0
-            if d1 == 0:
-                roots.add(x)
-    else:
-        for x in range(1, spec.q):
-            if _dickson_bits(spec, m, x) == 0:
-                roots.add(x)
+    for x in range(1, spec.q):
+        lx = log[x]
+        d0, d1 = 0, x
+        for _ in range(m - 1):
+            d0, d1 = d1, (exp[lx + log[d1]] if d1 else 0) ^ d0
+        if d1 == 0:
+            roots.add(x)
     return roots
 
 
@@ -175,34 +170,26 @@ def _theta_image_of_small_subgroup(spec: FieldSpec, m: int) -> set[int]:
 
 def kloosterman(spec: FieldSpec) -> int:
     """K = sum over units of (-1)^Tr(x + 1/x), an exact signed integer."""
-    try:
-        spec.ensure_tables()
-    except FieldError:
-        pass
-    ones = 0
-    n_units = spec.q - 1
-    if spec._log is not None:
-        exp = spec._exp
-        for i in range(n_units):
-            x = exp[i]
-            ones += spec.trace(x ^ exp[n_units - i])
-    else:
-        fwd, bwd = 1, 1
-        g, ginv = spec.gen, spec.inv(spec.gen)
-        for _ in range(n_units):
-            ones += spec.trace(fwd ^ bwd)
-            fwd = spec.mul(fwd, g)
-            bwd = spec.mul(bwd, ginv)
-    k = (n_units - ones) - ones
-    if k * k > 4 * spec.q:
-        raise AssertionError(f"Weil bound violated: K={k}, q={spec.q}")
-    return k
+    ones = sum(spec.trace(x ^ xi) for x, xi in spec.unit_pairs())
+    return (spec.q - 1) - 2 * ones
+
+
+def _weil_bound_holds(q: int, k: int) -> bool:
+    """|K| <= 2 sqrt(q), exactly in integers."""
+    return k * k <= 4 * q
+
+
+def _hasse_bound_holds(q: int, count: int) -> bool:
+    """| |E| - (q + 1) | <= 2 sqrt(q), exactly in integers."""
+    return (count - (q + 1)) ** 2 <= 4 * q
 
 
 def count_N(spec: FieldSpec) -> tuple[int, bool]:
     """(q + 1 + K)/4, and whether it equals |S_(q+1)| by direct evaluation."""
     q = spec.q
     k = kloosterman(spec)
+    if not _weil_bound_holds(q, k):
+        raise AssertionError(f"Weil bound violated: K={k}, q={q}")
     if (q + 1 + k) % 4:
         raise AssertionError(f"4 does not divide q+1+K = {q + 1 + k}")
     n_pred = (q + 1 + k) // 4
@@ -214,22 +201,11 @@ def curve_point_count(spec: FieldSpec) -> int:
     """|E(GF(q))| for y^2 + xy = x^3 + 1 via the x-coordinate criterion.
 
     Two points per unit x with Tr(x) = Tr(1/x), one point (0, 1), one point
-    at infinity.  Checks the Hasse bound exactly in integers.
+    at infinity.
     """
-    admissible = 0
-    fwd, bwd = 1, 1
-    g, ginv = spec.gen, spec.inv(spec.gen)
-    for _ in range(spec.q - 1):
-        if spec.trace(fwd) == spec.trace(bwd):
-            admissible += 1
-        fwd = spec.mul(fwd, g)
-        bwd = spec.mul(bwd, ginv)
-    count = 2 * admissible + 2
-    if (count - (spec.q + 1)) ** 2 > 4 * spec.q:
-        raise AssertionError(f"Hasse bound violated: |E|={count}, q={spec.q}")
-    if admissible != (count - 2) // 2:
-        raise AssertionError("A-quadrant size identity failed")
-    return count
+    admissible = sum(spec.trace(x) == spec.trace(xi)
+                     for x, xi in spec.unit_pairs())
+    return 2 * admissible + 2
 
 
 def curve_point_count_naive(spec: FieldSpec) -> int:
@@ -253,10 +229,9 @@ def leaf_set_equalities(spec: FieldSpec, g: ThetaGraph) -> CheckReport:
     s, t = _split_roots(spec, roots)
     a_leaves: set[int] = set()
     b_leaves: set[int] = set()
-    for v in range(spec.q):              # infinity is never a leaf
-        if not g.pred[v]:
-            cls = g.components[g.comp_id[v]].trace_class
-            (a_leaves if cls == "A" else b_leaves).add(v)
+    for v in g.leaf_indices():
+        cls = g.components[g.comp_id[v]].trace_class
+        (a_leaves if cls == "A" else b_leaves).add(v)
     rep.add("s-equals-a-leaves", s == a_leaves,
             f"|S|={len(s)} |A-leaves|={len(a_leaves)}")
     rep.add("t-equals-b-leaves", t == b_leaves,
@@ -298,6 +273,8 @@ def root_set_report(spec: FieldSpec, m: int | None = None) -> RootSetReport:
     s = frozenset(e.bits for e in s_elems)
     t = frozenset(e.bits for e in t_elems)
     k = kloosterman(spec)
+    if not _weil_bound_holds(q, k):
+        raise AssertionError(f"Weil bound violated: K={k}, q={q}")
     n_pred = (q + 1 + k) // 4
     if (q + 1 + k) % 4:
         raise AssertionError(f"4 does not divide q+1+K = {q + 1 + k}")
@@ -307,7 +284,10 @@ def root_set_report(spec: FieldSpec, m: int | None = None) -> RootSetReport:
         raise AssertionError("S is not closed under inversion")
     if m == q + 1 and len(s) != n_pred:
         raise AssertionError(f"|S|={len(s)} but (q+1+K)/4={n_pred}")
-    return RootSetReport(q, m, s, t, k, n_pred, curve_point_count(spec))
+    e_count = curve_point_count(spec)
+    if not _hasse_bound_holds(q, e_count):
+        raise AssertionError(f"Hasse bound violated: |E|={e_count}, q={q}")
+    return RootSetReport(q, m, s, t, k, n_pred, e_count)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +313,7 @@ def dickson_report(spec: FieldSpec, seed: int = 0) -> dict:
     roots = _root_bits(spec, m)
     s, t = _split_roots(spec, roots)
     k = kloosterman(spec)
-    rep.add("weil-bound", k * k <= 4 * q, f"K={k}")
+    rep.add("weil-bound", _weil_bound_holds(q, k), f"K={k}")
     rep.add("count-divisibility", (q + 1 + k) % 4 == 0, f"q+1+K={q + 1 + k}")
     n_pred = (q + 1 + k) // 4
     rep.add("kloosterman-count", n_pred == len(s),
@@ -353,7 +333,7 @@ def dickson_report(spec: FieldSpec, seed: int = 0) -> dict:
             f"|roots|={len(roots)} |image|={len(image)}")
 
     e_count = curve_point_count(spec)
-    rep.add("hasse-bound", (e_count - (q + 1)) ** 2 <= 4 * q, f"|E|={e_count}")
+    rep.add("hasse-bound", _hasse_bound_holds(q, e_count), f"|E|={e_count}")
     if q <= 256:
         naive = curve_point_count_naive(spec)
         rep.add("curve-count-oracle", e_count == naive,
@@ -367,8 +347,7 @@ def dickson_report(spec: FieldSpec, seed: int = 0) -> dict:
     doc = RootSetReport(q, m, frozenset(s), frozenset(t), k, n_pred,
                         e_count).to_dict()
     doc["field"] = field_to_record(spec)
-    doc["checks"] = [{"name": c.name, "pass": c.passed, "detail": c.detail}
-                     for c in rep.checks]
+    doc["checks"] = rep.records()
     doc["passed"] = rep.passed
     return doc
 

@@ -13,7 +13,10 @@ t <= 16 (so generator labels are reproducible across tools), and to the
 numerically least irreducible polynomial beyond that.
 
 ``FieldSpec`` methods operate on raw packed ints; they are the kernels used
-by the graph and sweep code.  The module-level ``add``/``mul``/``inv``/
+by the graph and sweep code.  ``FieldSpec`` alone decides whether a field
+has log/exp tables: other modules reach them only through the unit walk
+``unit_pairs`` (every unit with its inverse, in generator order) and the
+table accessor ``tables``.  The module-level ``add``/``mul``/``inv``/
 ``trace``/``order``/``degree`` functions operate on ``FieldElement`` values
 and refuse to mix elements of different fields.
 """
@@ -285,7 +288,11 @@ def _least_irreducible(t: int) -> int:
 
 def max_t_cap() -> int:
     """The configured extension-degree ceiling (THETA_MAX_T, default 24)."""
-    return int(os.environ.get("THETA_MAX_T", DEFAULT_MAX_T))
+    raw = os.environ.get("THETA_MAX_T", str(DEFAULT_MAX_T))
+    try:
+        return int(raw)
+    except ValueError:
+        raise FieldError(f"THETA_MAX_T={raw!r} is not an integer") from None
 
 
 class FieldSpec:
@@ -464,6 +471,33 @@ class FieldSpec:
             exp[i] = exp[i - n]
         self._exp = exp
         self._log = log
+
+    def tables(self) -> tuple[list[int], list[int]]:
+        """The (exp, log) tables, built on first use.
+
+        exp is doubled (exp[i + q-1] = exp[i]), so exp[log[a] + log[b]] needs
+        no reduction.  Refused with FieldError beyond TABLE_MAX_T.
+        """
+        self.ensure_tables()
+        return self._exp, self._log
+
+    def unit_pairs(self):
+        """Every unit with its inverse, (gen^i, gen^-i) for i = 0..q-2.
+
+        Reads the tables up to TABLE_MAX_T and walks by shift-xor products beyond.
+        """
+        n = self.q - 1
+        if self.t <= TABLE_MAX_T:
+            exp, _ = self.tables()
+            for i in range(n):
+                yield exp[i], exp[n - i]
+            return
+        fwd, bwd = 1, 1
+        g, ginv = self.gen, self.inv(self.gen)
+        for _ in range(n):
+            yield fwd, bwd
+            fwd = self.mul(fwd, g)
+            bwd = self.mul(bwd, ginv)
 
     def exp_of(self, i: int) -> int:
         """gen^i as a packed int."""

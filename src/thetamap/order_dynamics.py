@@ -41,7 +41,12 @@ from thetamap.gf2_arith import (
     make_field,
 )
 from thetamap.report import CheckReport
-from thetamap.theta_graph import ProjPoint, build_graph, point_label
+from thetamap.theta_graph import (
+    ProjPoint,
+    build_graph,
+    point_label,
+    theta_index,
+)
 
 __all__ = [
     "TowerSpec",
@@ -197,13 +202,6 @@ class OrderProfile:
     case_id: int
 
 
-def _theta_index(field: FieldSpec, idx: int) -> int:
-    """The map on raw point encodings (index 2^t is infinity)."""
-    if idx == 0 or idx == field.q:
-        return field.q
-    return idx ^ field.inv(idx)
-
-
 def classify_H(tower: TowerSpec, gamma: FieldElement) -> OrderProfile:
     """Profile the l+5 iterates of a seed and assign its class.
 
@@ -242,7 +240,7 @@ def classify_H(tower: TowerSpec, gamma: FieldElement) -> OrderProfile:
             tr = ambient.subfield_trace(idx, sub)
             tr_inv = ambient.subfield_trace(ambient.inv(idx), sub)
             steps.append(ProfileStep(i, point, o, dp, ep, sub, tr, tr_inv))
-        idx = _theta_index(ambient, idx)
+        idx = theta_index(ambient, idx)
 
     if (q + 1) % steps[1].order == 0:
         h = HClass.H1
@@ -419,21 +417,15 @@ def _order_tag_holds(tag: str, order: int, q: int) -> bool:
 def case_table(profile: OrderProfile) -> CaseTable:
     """The level/order/trace table of the profile, checked row by row.
 
-    The case is chosen from the divisibility pattern (d_1 | q+1,
-    d_{l+2} | q+1) and always agrees with the assigned class; Case 3 is
-    further split by the middle-graph class of the first iterate.  Levels
-    refer to the graph over GF(q^4).
+    The case is the class `classify_H` assigned from the divisibility
+    pattern (d_1 | q+1, d_{l+2} | q+1); Case 3 is further split by the
+    middle-graph class of the first iterate.  Levels refer to the graph over
+    GF(q^4).
     """
     t = profile.tower
     n, l, q = t.n, t.l, t.q
     steps = profile.steps
-    if (q + 1) % steps[1].order == 0:
-        case_id = 1
-    elif (q + 1) % steps[l + 2].order == 0:
-        case_id = 2
-    else:
-        case_id = 3
-    assert case_id == profile.case_id
+    case_id = profile.case_id
     flavor = "B" if steps[1].tr != steps[1].tr_inv else "A"
     expected = _expected_rows(case_id, flavor, n, l)
     rows = []
@@ -504,10 +496,10 @@ def verify_cq1_inclusion(tower: TowerSpec) -> CheckReport:
     img1: set[int] = set()
     img2: set[int] = set()
     for e in subgroup(tower, q * q + 1):
-        idx = _theta_index(ambient, e.bits)
+        idx = theta_index(ambient, e.bits)
         img1.add(idx)
         for _ in range(l + 1):
-            idx = _theta_index(ambient, idx)
+            idx = theta_index(ambient, idx)
         img2.add(idx)
     missing = [b for b in cq1 if b not in img1 and b not in img2]
     rep.add("cq1-image-inclusion", not missing,
@@ -610,15 +602,15 @@ def trace_quadrants(spec_n: FieldSpec, tower: TowerSpec) -> QuadrantReport:
         orbit = [e.bits]
         idx = e.bits
         for _ in range(l + 4):
-            idx = _theta_index(ambient, idx)
+            idx = theta_index(ambient, idx)
             orbit.append(idx)
-        if (q + 1) % _point_order(ambient, orbit[1]) == 0:
+        if (q + 1) % ProjPoint(ambient, orbit[1]).order() == 0:
             if 0 < orbit[2] < unit_cap:
                 img_a11.add(orbit[2])
             for i in range(3, l + 5):
                 if 0 < orbit[i] < unit_cap:
                     img_a00.add(orbit[i])
-        if (q + 1) % _point_order(ambient, orbit[l + 2]) == 0:
+        if (q + 1) % ProjPoint(ambient, orbit[l + 2]).order() == 0:
             if 0 < orbit[l + 3] < unit_cap:
                 img_b01.add(orbit[l + 3])
             if 0 < orbit[l + 4] < unit_cap:
@@ -636,10 +628,6 @@ def trace_quadrants(spec_n: FieldSpec, tower: TowerSpec) -> QuadrantReport:
     return QuadrantReport(a11, a00, b01, b10, rep)
 
 
-def _point_order(field: FieldSpec, idx: int) -> int:
-    return 1 if idx == 0 or idx == field.q else field.order(idx)
-
-
 def verify_theta_permutation(tower: TowerSpec) -> CheckReport:
     """The map permutes the (l+4)-th image of the order-(q^2+1) subgroup."""
     ambient = tower.ambient
@@ -650,9 +638,9 @@ def verify_theta_permutation(tower: TowerSpec) -> CheckReport:
             continue
         idx = e.bits
         for _ in range(l + 4):
-            idx = _theta_index(ambient, idx)
+            idx = theta_index(ambient, idx)
         landing.add(idx)
-    image = {_theta_index(ambient, idx) for idx in landing}
+    image = {theta_index(ambient, idx) for idx in landing}
     rep = CheckReport(f"permutation on the landing set (n={tower.n})")
     rep.add("landing-set-closed", image == landing,
             f"|set|={len(landing)} |image|={len(image)}")
@@ -728,6 +716,5 @@ def orders_report(tower: TowerSpec) -> dict:
         "field": field_to_record(tower.ambient),
         "counts": counts,
         "profiles": profiles,
-        "checks": [{"name": c.name, "pass": c.passed, "detail": c.detail}
-                   for c in checks.checks],
+        "checks": checks.records(),
     }

@@ -37,15 +37,14 @@ class CheckReport:
     def failures(self) -> list[Check]:
         return [c for c in self.checks if not c.passed]
 
+    def records(self) -> list[dict]:
+        """The checks as JSON-ready {"name", "pass", "detail"} records."""
+        return [{"name": c.name, "pass": c.passed, "detail": c.detail}
+                for c in self.checks]
+
     def to_dict(self) -> dict:
-        return {
-            "title": self.title,
-            "passed": self.passed,
-            "checks": [
-                {"name": c.name, "pass": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
-        }
+        return {"title": self.title, "passed": self.passed,
+                "checks": self.records()}
 
     def __str__(self) -> str:
         lines = [f"== {self.title} =="]

@@ -27,6 +27,7 @@ __all__ = [
     "Component",
     "ThetaGraph",
     "theta",
+    "theta_index",
     "build_graph",
     "classify_AB",
     "is_periodic",
@@ -131,14 +132,18 @@ def point_label(p: ProjPoint) -> str:
         return f"x{p.index:x}"
 
 
+def theta_index(field: FieldSpec, idx: int) -> int:
+    """The map on raw point encodings (index 2^t is infinity)."""
+    if idx == 0 or idx == field.q:
+        return field.q
+    return idx ^ field.inv(idx)
+
+
 def theta(spec: FieldSpec, p: ProjPoint) -> ProjPoint:
     """One application of the map: 0 and inf go to inf, x goes to x + 1/x."""
     if not spec.compatible(p.field):
         raise FieldError("point does not belong to this field")
-    if not p.is_unit:
-        return ProjPoint.infinity(spec)
-    img = p.index ^ spec.inv(p.index)
-    return ProjPoint(spec, img)
+    return ProjPoint(spec, theta_index(spec, p.index))
 
 
 def classify_AB(spec: FieldSpec, p: ProjPoint) -> str:
@@ -209,6 +214,13 @@ class ThetaGraph:
     def point(self, index: int) -> ProjPoint:
         return ProjPoint(self.field, index)
 
+    def leaf_indices(self):
+        """Encodings of the in-degree-0 vertices, ascending.
+
+        Infinity is never among them: its self-loop is in its own pred list.
+        """
+        return (v for v, ps in enumerate(self.pred) if not ps)
+
     def successor(self, p: ProjPoint) -> ProjPoint:
         self._own(p)
         return ProjPoint(self.field, self.succ[p.index])
@@ -239,23 +251,8 @@ def build_graph(spec: FieldSpec) -> ThetaGraph:
     succ = [0] * nverts
     succ[0] = inf
     succ[inf] = inf
-    n = q - 1
-    try:
-        spec.ensure_tables()
-    except FieldError:
-        pass
-    if spec._log is not None:
-        exp = spec._exp
-        for i in range(n):
-            e = exp[i]
-            succ[e] = e ^ exp[n - i]
-    else:
-        fwd, bwd = 1, 1
-        g, ginv = spec.gen, spec.inv(spec.gen)
-        for _ in range(n):
-            succ[fwd] = fwd ^ bwd
-            fwd = spec.mul(fwd, g)
-            bwd = spec.mul(bwd, ginv)
+    for x, xi in spec.unit_pairs():
+        succ[x] = x ^ xi
 
     pred: list[list[int]] = [[] for _ in range(nverts)]
     for v in range(nverts):
@@ -331,18 +328,14 @@ def is_periodic(g: ThetaGraph, p: ProjPoint) -> bool:
 
 def leaves(g: ThetaGraph) -> set[ProjPoint]:
     """All vertices of in-degree 0."""
-    return {g.point(v) for v in range(len(g.succ)) if not g.pred[v]}
+    return {g.point(v) for v in g.leaf_indices()}
 
 
 def omega_sets(spec: FieldSpec) -> tuple[set[FieldElement], set[FieldElement]]:
     """Partition of the units by Tr(1/x): (Tr = 0, Tr = 1)."""
     om, om_bar = set(), set()
-    fwd, bwd = 1, 1
-    g, ginv = spec.gen, spec.inv(spec.gen)
-    for _ in range(spec.q - 1):
-        (om if spec.trace(bwd) == 0 else om_bar).add(FieldElement(spec, fwd))
-        fwd = spec.mul(fwd, g)
-        bwd = spec.mul(bwd, ginv)
+    for x, xi in spec.unit_pairs():
+        (om if spec.trace(xi) == 0 else om_bar).add(FieldElement(spec, x))
     return om, om_bar
 
 
@@ -444,12 +437,8 @@ def verify_structure(g: ThetaGraph) -> CheckReport:
 
     # (5) leaf traces: A-leaves have Tr(x) = Tr(1/x) = 1, B-leaves (0, 1)
     bad_msg = ""
-    for v in range(len(g.succ)):
-        if g.pred[v] or v == inf:
-            continue
-        x = v
-        xi = spec.inv(x)
-        pair = (spec.trace(x), spec.trace(xi))
+    for v in g.leaf_indices():
+        pair = (spec.trace(v), spec.trace(spec.inv(v)))
         cls = g.components[g.comp_id[v]].trace_class
         want = (1, 1) if cls == "A" else (0, 1)
         if pair != want:
@@ -459,9 +448,7 @@ def verify_structure(g: ThetaGraph) -> CheckReport:
 
     # (6) every leaf degree is 2^r * v with v odd dividing s
     bad_msg = ""
-    for v in range(len(g.succ)):
-        if g.pred[v] or v == inf:
-            continue
+    for v in g.leaf_indices():
         dv = spec.degree(v)
         vodd = dv >> spec.r
         if dv != (vodd << spec.r) or vodd % 2 == 0 or spec.s % vodd != 0:

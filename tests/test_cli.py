@@ -1,9 +1,11 @@
 """Exit codes, formats, determinism, and failure paths of the CLI."""
 
+import hashlib
 import json
 
 import pytest
 
+import thetamap.cli as cli
 import thetamap.dickson_curve as dickson_curve
 import thetamap.theta_graph as theta_graph
 from thetamap.cli import main
@@ -40,6 +42,12 @@ def test_degree_cap_honors_environment(monkeypatch, capsys):
     monkeypatch.setenv("THETA_MAX_T", "10")
     assert main(["verify-structure", "--t", "12"]) == 2
     capsys.readouterr()
+    monkeypatch.setenv("THETA_MAX_T", "abc")
+    for argv in (["graph", "--t", "3"], ["verify-orders", "--n", "1"],
+                 ["verify-dickson", "--n", "1"]):
+        assert main(argv) == 2
+        assert "error: THETA_MAX_T='abc' is not an integer" in (
+            capsys.readouterr().err)
 
 
 def test_verify_orders_text(capsys):
@@ -108,6 +116,82 @@ def test_dickson_failure_exits_one(monkeypatch, capsys):
     assert main(["verify-dickson", "--n", "4"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "kloosterman-count" in out
+
+
+def test_dickson_bound_failures_are_records(monkeypatch, capsys):
+    monkeypatch.setattr(FieldSpec, "trace", lambda self, a: 0)
+    assert main(["verify-dickson", "--n", "4"]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL [n=4] weil-bound" in captured.out
+    assert "FAIL [n=4] hasse-bound" in captured.out
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("workers, cpus, want", [
+    ("1000000", 4, [3]),       # capped by the three jobs
+    ("1000000", 2, [2]),       # capped by the usable CPUs
+    ("2", 4, [2]),
+    ("1000000", 1, []),        # one CPU: no pool at all
+])
+def test_pool_size_is_capped(monkeypatch, capsys, workers, cpus, want):
+    sizes = []
+
+    class RecordingPool:
+        """Records the requested size and maps in-process; forks nothing."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, inputs):
+            return map(fn, inputs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+    assert main(["verify-dickson", "--range", "1..3",
+                 "--workers", workers]) == 0
+    assert sizes == want
+    capsys.readouterr()
+
+
+# sha256 of stdout for every command and format at small sizes: a change to
+# any check name, verdict, label, number or key order shows here.
+OUTPUT_DIGESTS = [
+    (["graph", "--t", "6", "--format", "dot"],
+     "7841a215f9c011c57e2ef4dea905d07fd5c9639e348497ebf1aef1783f1dc394"),
+    (["graph", "--t", "6", "--format", "json"],
+     "f3be7d53856cb048317876076932e60f6f472ab4931dc9dccabaed24ae4a13bd"),
+    (["verify-structure", "--range", "1..10", "--format", "text"],
+     "7e975f43b61bacab724c2dd3e0b27e681608465049fe4483f4f2172a3e36e24d"),
+    (["verify-structure", "--range", "1..10", "--format", "json"],
+     "e09f9dc8cfbd871b6305aa1e4efea4922cd8229a1adaddf647f4ea6360099717"),
+    (["verify-orders", "--range", "1..3", "--format", "text"],
+     "b39479305aefc8e36fbff66c836dc075206ad0cba997c6ef2da0259f80c5da75"),
+    (["verify-orders", "--range", "1..3", "--format", "json"],
+     "46e81d1eddeb5e3d7e325c52fc6d0e8cebf9c5f9cf337ed036d38b59fe70067c"),
+    (["verify-dickson", "--range", "1..6", "--format", "text"],
+     "aad9dbd51175637fcacee254f441d9ddc941c9355a7237e6ae5f681261bafd5e"),
+    (["verify-dickson", "--range", "1..6", "--format", "json"],
+     "4f7a14f6c74b96344e10966c710d058a72c8ed53ce86f8e977d0d6b7d48ac685"),
+    (["sweep", "--range", "1..6", "--format", "csv"],
+     "b28ee51aefd4f81ed3c51df55a8118fcbabf7d03a455d50d2b1a16ffaac353c2"),
+    (["sweep", "--range", "1..6", "--format", "json"],
+     "4f7a14f6c74b96344e10966c710d058a72c8ed53ce86f8e977d0d6b7d48ac685"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", OUTPUT_DIGESTS,
+                         ids=["-".join(a[::2]) for a, _ in OUTPUT_DIGESTS])
+def test_output_bytes_are_pinned(capsys, argv, digest):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_worker_count_does_not_change_output(tmp_path):

@@ -126,6 +126,11 @@ def test_roots_are_subgroup_images(n):
         assert _root_bits(f, m) == _theta_image_of_small_subgroup(f, m)
 
 
+def test_root_scan_refuses_untabled_fields():
+    with pytest.raises(FieldError):
+        _root_bits(make_field(21), 3)
+
+
 # ---------------------------------------------------------------------------
 # Kloosterman sums and counts
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from thetamap import gf2_arith
 from thetamap.gf2_arith import (
     CONWAY_POLY,
     FieldElement,
@@ -244,6 +245,17 @@ def test_mul_table_and_shiftxor_paths_agree():
     plain = [f.mul(a, b) for a, b in pairs]       # before tables exist
     f.ensure_tables()
     assert plain == [f.mul(a, b) for a, b in pairs]
+
+
+def test_unit_walk_table_and_shiftxor_paths_agree(monkeypatch):
+    tabled = list(make_field(9).unit_pairs())
+    monkeypatch.setattr(gf2_arith, "TABLE_MAX_T", 0)
+    f = make_field(9)
+    assert list(f.unit_pairs()) == tabled
+    assert len(tabled) == f.q - 1
+    assert all(f.mul(x, xi) == 1 for x, xi in tabled)
+    with pytest.raises(FieldError):
+        f.tables()
 
 
 def test_inv():
