@@ -136,7 +136,9 @@ def root_sets(spec: FieldSpec, m: int) -> tuple[set[FieldElement], set[FieldElem
     roots = _root_bits(spec, m)
     s, t = _split_roots(spec, roots)
     if m == q + 1:
-        image = _theta_image_of_small_subgroup(spec, m)
+        image, stray = _theta_image_of_small_subgroup(spec, m)
+        if stray is not None:
+            raise AssertionError("subgroup image left the base subfield")
         if image != roots:
             raise AssertionError("root set disagrees with the subgroup image")
         s_img = {x for x in image if spec.inv(x) in image}
@@ -146,26 +148,31 @@ def root_sets(spec: FieldSpec, m: int) -> tuple[set[FieldElement], set[FieldElem
             {FieldElement(spec, x) for x in t})
 
 
-def _theta_image_of_small_subgroup(spec: FieldSpec, m: int) -> set[int]:
+def _theta_image_of_small_subgroup(spec: FieldSpec,
+                                   m: int) -> tuple[set[int], int | None]:
     """{ y + 1/y : y in GF(q^2)*, |y| divides m, y != 1 }, pulled back to GF(q).
 
     Enumerated through the ambient field GF(2^(2n)) and mapped back through
-    the explicit subfield embedding.
+    the explicit subfield embedding.  Returns the pulled-back image and the
+    first ambient value y + 1/y that the embedding does not reach (None when
+    every value lies in the base subfield, as the theory says it must).
     """
     ambient = make_field(2 * spec.t)
     emb = subfield_embedding(spec, ambient)
     back = {e: x for x, e in enumerate(emb)}
     h = ambient.pow(ambient.gen, (ambient.q - 1) // m)
     image: set[int] = set()
+    stray = None
     y = h
     for _ in range(m - 1):                # skips y = 1
         img = y ^ ambient.inv(y)
         back_img = back.get(img)
-        if back_img is None:
-            raise AssertionError("subgroup image left the base subfield")
-        image.add(back_img)
+        if back_img is not None:
+            image.add(back_img)
+        elif stray is None:
+            stray = img
         y = ambient.mul(y, h)
-    return image
+    return image, stray
 
 
 def kloosterman(spec: FieldSpec) -> int:
@@ -328,9 +335,13 @@ def dickson_report(spec: FieldSpec, seed: int = 0) -> dict:
     rep.add("t-emptiness", (len(t) == 0) == (q <= 4),
             f"q={q} |T|={len(t)}")
 
-    image = _theta_image_of_small_subgroup(spec, m)
-    rep.add("root-image-equality", image == roots,
-            f"|roots|={len(roots)} |image|={len(image)}")
+    image, stray = _theta_image_of_small_subgroup(spec, m)
+    detail = f"|roots|={len(roots)} |image|={len(image)}"
+    if stray is not None:
+        detail += f" witness {stray:#x} of GF(2^{2 * n}) outside GF(2^{n})"
+    elif image != roots:
+        detail += f" witness bits {min(image ^ roots):#x}"
+    rep.add("root-image-equality", stray is None and image == roots, detail)
 
     e_count = curve_point_count(spec)
     rep.add("hasse-bound", _hasse_bound_holds(q, e_count), f"|E|={e_count}")

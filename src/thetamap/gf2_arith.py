@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from dataclasses import dataclass
 
 __all__ = [
@@ -99,6 +100,16 @@ def _pgcd(a: int, b: int) -> int:
     while b:
         a, b = b, _pmod(a, b)
     return a
+
+
+def _span_table(basis: list[int]) -> list[int]:
+    """Entry j is the XOR of basis[i] over the set bits i of j."""
+    tab = [0] * (1 << len(basis))
+    for i, b in enumerate(basis):
+        bit = 1 << i
+        for j in range(bit):
+            tab[bit | j] = tab[j] ^ b
+    return tab
 
 
 def is_irreducible(f: int) -> bool:
@@ -306,7 +317,7 @@ class FieldSpec:
 
     __slots__ = (
         "t", "r", "s", "q", "modulus", "gen", "fact_minus", "fact_plus",
-        "_trace_mask", "_sub_masks", "_exp", "_log",
+        "_trace_mask", "_sub_masks", "_subfields", "_exp", "_log",
     )
 
     def __init__(self, t: int, modulus: int, generator: int | None = None):
@@ -333,6 +344,10 @@ class FieldSpec:
             raise FieldError("gcd(2^t+1, 2^(2t)+1) != 1")  # impossible
         self._trace_mask = None
         self._sub_masks = {}
+        # (d, (q-1)/(2^d-1)) for each d | t, ascending: a unit lies in
+        # GF(2^d) iff the step divides its discrete log.
+        self._subfields = tuple((d, (self.q - 1) // ((1 << d) - 1))
+                                for d in factorize(t).divisors())
         self._exp = None
         self._log = None
         if generator is None:
@@ -443,10 +458,21 @@ class FieldSpec:
             self.q - 1, self.fact_minus, lambda e: self.pow(a, e))
 
     def degree(self, a: int) -> int:
-        """Least d | t with a^(2^d) = a (degree of the minimal polynomial)."""
-        for d in sorted(factorize(self.t).divisors()):
-            if self.in_subfield(a, d):
-                return d
+        """Least d | t with a^(2^d) = a (degree of the minimal polynomial).
+
+        With tables, a unit's degree is the least d | t whose step
+        (q-1)/(2^d-1) divides log a; otherwise a is squared d times per d.
+        """
+        log = self._log
+        if log is not None and a:
+            la = log[a]
+            for d, step in self._subfields:
+                if la % step == 0:
+                    return d
+        else:
+            for d, _ in self._subfields:
+                if self.in_subfield(a, d):
+                    return d
         raise AssertionError("unreachable: degree(a) always divides t")
 
     # -- log/exp tables -------------------------------------------------------
@@ -457,18 +483,24 @@ class FieldSpec:
             return
         if self.t > TABLE_MAX_T:
             raise FieldError(f"log tables refused for t={self.t} > {TABLE_MAX_T}")
+        # v -> v*gen is GF(2)-linear, so it is the XOR of the images of v's
+        # low h bits and of its high t-h bits, each read from a table.
         n = self.q - 1
-        exp = [1] * (2 * n)
-        log = [0] * self.q
+        h = (self.t + 1) // 2
+        mask = (1 << h) - 1
+        cols = [_pmulmod(1 << i, self.gen, self.modulus) for i in range(self.t)]
+        lo = _span_table(cols[:h])
+        hi = _span_table(cols[h:])
+        exp = [0] * n
         v = 1
         for i in range(n):
             exp[i] = v
-            log[v] = i
-            v = _pmulmod(v, self.gen, self.modulus)
+            v = lo[v & mask] ^ hi[v >> h]
         if v != 1:
             raise FieldError("generator order mismatch while building tables")
-        for i in range(n, 2 * n):
-            exp[i] = exp[i - n]
+        log = [0] * self.q
+        deque(map(log.__setitem__, exp, range(n)), maxlen=0)
+        exp *= 2
         self._exp = exp
         self._log = log
 

@@ -17,6 +17,7 @@ Projective conventions live on ``ProjPoint`` and nowhere else:
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 
 from thetamap.gf2_arith import FieldElement, FieldError, FieldSpec
@@ -194,18 +195,23 @@ class ThetaGraph:
 
     Dense arrays indexed by point encoding: ``succ`` (the map itself),
     ``level`` (0 on cycle vertices, else distance to the cycle), ``comp_id``
-    (position in ``components``).
+    (position in ``components``), and the predecessors in two slots
+    ``pred1``/``pred2`` (-1 when empty).  x + 1/x = c is a quadratic in x,
+    so no vertex has a third predecessor unless the kernel is faulty; such
+    extras go to ``pred_extra`` (vertex -> list), which is normally empty.
     """
 
     def __init__(self, field: FieldSpec, succ: list[int], level: list[int],
                  comp_id: list[int], components: list[Component],
-                 pred: list[list[int]]):
+                 pred1: array, pred2: array, pred_extra: dict[int, list[int]]):
         self.field = field
         self.succ = succ
         self.level = level
         self.comp_id = comp_id
         self.components = components
-        self.pred = pred
+        self.pred1 = pred1
+        self.pred2 = pred2
+        self.pred_extra = pred_extra
 
     @property
     def infinity_index(self) -> int:
@@ -217,9 +223,14 @@ class ThetaGraph:
     def leaf_indices(self):
         """Encodings of the in-degree-0 vertices, ascending.
 
-        Infinity is never among them: its self-loop is in its own pred list.
+        Infinity is never among them: its self-loop fills one of its slots.
         """
-        return (v for v, ps in enumerate(self.pred) if not ps)
+        return (v for v, p in enumerate(self.pred1) if p < 0)
+
+    def predecessors(self, v: int) -> list[int]:
+        """Every vertex the map sends to v, the self-loop of inf included."""
+        return ([u for u in (self.pred1[v], self.pred2[v]) if u >= 0]
+                + self.pred_extra.get(v, []))
 
     def successor(self, p: ProjPoint) -> ProjPoint:
         self._own(p)
@@ -254,11 +265,17 @@ def build_graph(spec: FieldSpec) -> ThetaGraph:
     for x, xi in spec.unit_pairs():
         succ[x] = x ^ xi
 
-    pred: list[list[int]] = [[] for _ in range(nverts)]
-    for v in range(nverts):
-        pred[succ[v]].append(v)
-    # inf's self-loop is not a predecessor edge for tree purposes, but keep
-    # the raw list faithful; tree traversals skip cycle vertices anyway.
+    # Slot 2 fills only after slot 1, and pred_extra only after both.
+    pred1 = array("l", [-1]) * nverts
+    pred2 = array("l", [-1]) * nverts
+    pred_extra: dict[int, list[int]] = {}
+    for v, c in enumerate(succ):
+        if pred1[c] < 0:
+            pred1[c] = v
+        elif pred2[c] < 0:
+            pred2[c] = v
+        else:
+            pred_extra.setdefault(c, []).append(v)
 
     # Cycle detection: three-color walk over the out-degree-1 graph.
     color = bytearray(nverts)          # 0 new, 1 on current walk, 2 settled
@@ -291,13 +308,15 @@ def build_graph(spec: FieldSpec) -> ThetaGraph:
     level = [0] * nverts
     comp_id = [0] * nverts
     components: list[Component] = []
+    g = ThetaGraph(spec, succ, level, comp_id, components,
+                   pred1, pred2, pred_extra)     # the walk below fills it in
     for cid, cyc in enumerate(cycles):
         trees: dict[int, dict[int, list[int]]] = {}
         depth = 0
         for root in cyc:
             comp_id[root] = cid
             levels: dict[int, list[int]] = {}
-            frontier = [u for u in pred[root] if not on_cycle[u]]
+            frontier = [u for u in g.predecessors(root) if not on_cycle[u]]
             k = 0
             while frontier:
                 k += 1
@@ -307,7 +326,14 @@ def build_graph(spec: FieldSpec) -> ThetaGraph:
                 for u in frontier:
                     level[u] = k
                     comp_id[u] = cid
-                    nxt.extend(pred[u])
+                    a = pred1[u]    # g.predecessors(u), inlined: hot loop
+                    if a >= 0:
+                        nxt.append(a)
+                        b = pred2[u]
+                        if b >= 0:
+                            nxt.append(b)
+                            if u in pred_extra:
+                                nxt.extend(pred_extra[u])
                 frontier = nxt
             trees[root] = levels
             depth = max(depth, k)
@@ -318,7 +344,7 @@ def build_graph(spec: FieldSpec) -> ThetaGraph:
             tclass = "A" if spec.trace(head) == spec.trace(head ^ succ[head]) else "B"
         components.append(Component(cyc, trees, depth, tclass))
 
-    return ThetaGraph(spec, succ, level, comp_id, components, pred)
+    return g
 
 
 def is_periodic(g: ThetaGraph, p: ProjPoint) -> bool:
@@ -460,7 +486,7 @@ def verify_structure(g: ThetaGraph) -> CheckReport:
 
 
 def _tree_children(g: ThetaGraph, v: int) -> list[int]:
-    return [u for u in g.pred[v] if g.level[u] == g.level[v] + 1]
+    return [u for u in g.predecessors(v) if g.level[u] == g.level[v] + 1]
 
 
 def _children_profile_ok(g: ThetaGraph, root: int,

@@ -2,14 +2,20 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import thetamap
 import thetamap.cli as cli
 import thetamap.dickson_curve as dickson_curve
 import thetamap.theta_graph as theta_graph
 from thetamap.cli import main
-from thetamap.gf2_arith import FieldSpec
+from thetamap.gf2_arith import FieldSpec, make_field
 
 
 def test_graph_dot_stdout(capsys):
@@ -127,6 +133,62 @@ def test_dickson_bound_failures_are_records(monkeypatch, capsys):
     assert "Traceback" not in captured.err
 
 
+def _flip_embedded_root(monkeypatch):
+    true_embedding = dickson_curve.subfield_embedding
+    root = min(dickson_curve._root_bits(make_field(4), 17))
+
+    def flipped(sub, ambient):
+        table = true_embedding(sub, ambient)
+        table[root] ^= 1                 # one bit of one image element
+        return table
+
+    monkeypatch.setattr(dickson_curve, "subfield_embedding", flipped)
+
+
+def _drop_least_root(monkeypatch):
+    true_root_bits = dickson_curve._root_bits
+    monkeypatch.setattr(dickson_curve, "_root_bits",
+                        lambda spec, m: (r := true_root_bits(spec, m)) - {min(r)})
+
+
+@pytest.mark.parametrize("fault, witness", [
+    (_flip_embedded_root, "witness 0x98 of GF(2^8) outside GF(2^4)"),
+    (_drop_least_root, "witness bits 0x2"),
+])
+def test_root_image_fault_is_a_record(monkeypatch, capsys, fault, witness):
+    fault(monkeypatch)
+    assert main(["verify-dickson", "--n", "4"]) == 1
+    captured = capsys.readouterr()
+    line = next(ln for ln in captured.out.splitlines()
+                if "root-image-equality" in ln)
+    assert line.startswith("FAIL [n=4] root-image-equality")
+    assert line.endswith(witness)
+    assert "Traceback" not in captured.err
+
+
+def _pairs_with_third_predecessor(t: int) -> list[tuple[int, int]]:
+    """The unit walk of GF(2^t), with one leaf re-aimed at a vertex that
+    already has two predecessors (possible only for a faulty kernel)."""
+    pairs = list(make_field(t).unit_pairs())
+    succ = {x: x ^ xi for x, xi in pairs}
+    indegree = Counter(succ.values())
+    target = min(v for v, k in indegree.items() if k == 2)
+    leaf = min(x for x in succ if x not in indegree and succ[x] != target)
+    return [(x, x ^ target if x == leaf else xi) for x, xi in pairs]
+
+
+def test_third_predecessor_is_kept(monkeypatch, capsys):
+    bad_pairs = _pairs_with_third_predecessor(8)
+    monkeypatch.setattr(FieldSpec, "unit_pairs", lambda self: iter(bad_pairs))
+    g = theta_graph.build_graph(make_field(8))
+    assert sorted(v for comp in g.components
+                  for v in comp.vertices()) == list(range(g.field.q + 1))
+    assert main(["verify-structure", "--t", "8"]) == 1
+    captured = capsys.readouterr()
+    assert any(ln.startswith("FAIL [t=8]") for ln in captured.out.splitlines())
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("workers, cpus, want", [
     ("1000000", 4, [3]),       # capped by the three jobs
     ("1000000", 2, [2]),       # capped by the usable CPUs
@@ -192,6 +254,24 @@ def test_output_bytes_are_pinned(capsys, argv, digest):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# One small argv per command, run under `python -O`: no verdict may rest on
+# an `assert` statement, which -O removes.
+OPTIMIZED_DIGESTS = [OUTPUT_DIGESTS[i] for i in (0, 2, 4, 6, 8)]
+
+
+@pytest.mark.parametrize("argv, digest", OPTIMIZED_DIGESTS,
+                         ids=[a[0] for a, _ in OPTIMIZED_DIGESTS])
+def test_output_bytes_are_pinned_under_optimize(argv, digest):
+    src = str(Path(thetamap.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-m", "thetamap.cli", *argv],
+                          capture_output=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 def test_worker_count_does_not_change_output(tmp_path):

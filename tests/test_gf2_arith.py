@@ -258,6 +258,60 @@ def test_unit_walk_table_and_shiftxor_paths_agree(monkeypatch):
         f.tables()
 
 
+# ---------------------------------------------------------------------------
+# Kernel oracles: the split-table build and the log-based degree against the
+# one-step walk and the Frobenius search they replace
+
+# x^8 + x^4 + x^3 + x + 1 is irreducible but not primitive, so the generator
+# is not the class of x.
+NON_CONWAY_RECORD = "t=8 modulus=11b generator=3"
+
+
+def walked_tables(f):
+    """exp (doubled) and log by multiplying by the generator one step at a time."""
+    n = f.q - 1
+    exp, log = [], [0] * f.q
+    v = 1
+    for i in range(n):
+        exp.append(v)
+        log[v] = i
+        v = gf2_arith._pmulmod(v, f.gen, f.modulus)
+    return exp + exp, log
+
+
+def frobenius_degree(f, a):
+    return next(d for d in factorize(f.t).divisors() if f.in_subfield(a, d))
+
+
+@pytest.mark.parametrize("t", range(1, 19))
+def test_split_tables_match_the_generator_walk(t):
+    f = make_field(t)
+    assert f.tables() == walked_tables(f)
+
+
+def test_split_tables_match_the_walk_for_a_non_conway_modulus():
+    f = field_from_record(NON_CONWAY_RECORD)
+    assert f.gen != 2
+    assert f.tables() == walked_tables(f)
+
+
+DEGREE_FIELDS = {f"t={t}": (lambda t=t: make_field(t)) for t in (1, 4, 6, 8, 12)}
+DEGREE_FIELDS["non-conway"] = lambda: field_from_record(NON_CONWAY_RECORD)
+
+
+@pytest.mark.parametrize("name", DEGREE_FIELDS)
+def test_log_degree_matches_frobenius_search(monkeypatch, name):
+    f = DEGREE_FIELDS[name]()
+    f.ensure_tables()
+    want = [frobenius_degree(f, a) for a in range(f.q)]
+    assert [f.degree(a) for a in range(f.q)] == want
+    monkeypatch.setattr(gf2_arith, "TABLE_MAX_T", 0)
+    untabled = DEGREE_FIELDS[name]()
+    with pytest.raises(FieldError):
+        untabled.tables()
+    assert [untabled.degree(a) for a in range(f.q)] == want
+
+
 def test_inv():
     f = make_field(6)
     assert inv(f.one()) == f.one()

@@ -7,6 +7,7 @@ import pytest
 from thetamap.gf2_arith import FieldElement, FieldError, factorize, make_field
 from thetamap.order_dynamics import (
     HClass,
+    _expected_rows,
     case1_subcase,
     case_table,
     check_order_bound,
@@ -163,6 +164,13 @@ def test_case_three_flavors():
     assert flavors == {"B"}                   # no deep class-3 seeds at n=2
     assert all(case_table(p).flavor == "A"
                for p in PROFILES[2] if p.case_id in (1, 2))
+
+
+@pytest.mark.parametrize("case_id, flavor",
+                         [(c, f) for c in (1, 2, 3) for f in ("A", "B")])
+def test_expected_rows_cover_indices_0_to_l_plus_4(case_id, flavor):
+    for l in range(4):
+        assert len(_expected_rows(case_id, flavor, 3, l)) == l + 5
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
