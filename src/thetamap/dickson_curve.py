@@ -43,7 +43,6 @@ __all__ = [
     "dickson_eval_closed_form",
     "root_sets",
     "kloosterman",
-    "count_N",
     "curve_point_count",
     "curve_point_count_naive",
     "leaf_set_equalities",
@@ -121,29 +120,13 @@ def _split_roots(spec: FieldSpec, roots: set[int]) -> tuple[set[int], set[int]]:
 
 
 def root_sets(spec: FieldSpec, m: int) -> tuple[set[FieldElement], set[FieldElement]]:
-    """(S_m, T_m) by direct evaluation; requires m > 1 and m | q+1.
-
-    For m = q+1 the root set is independently recomputed as the image of
-    the nontrivial order-(q+1) subgroup of GF(q^2)* under x -> x + 1/x and
-    the two computations are asserted equal: the image is all of S union T,
-    and S is its inverse-closed part.
-    """
+    """(S_m, T_m) by direct evaluation; requires m > 1 and m | q+1."""
     q = spec.q
     if m <= 1:
         raise FieldError(f"m={m} must exceed 1")
     if (q + 1) % m != 0:
         raise FieldError(f"m={m} does not divide q+1={q + 1}")
-    roots = _root_bits(spec, m)
-    s, t = _split_roots(spec, roots)
-    if m == q + 1:
-        image, stray = _theta_image_of_small_subgroup(spec, m)
-        if stray is not None:
-            raise AssertionError("subgroup image left the base subfield")
-        if image != roots:
-            raise AssertionError("root set disagrees with the subgroup image")
-        s_img = {x for x in image if spec.inv(x) in image}
-        if s != s_img or t != image - s_img:
-            raise AssertionError("S/T split disagrees with the subgroup image")
+    s, t = _split_roots(spec, _root_bits(spec, m))
     return ({FieldElement(spec, x) for x in s},
             {FieldElement(spec, x) for x in t})
 
@@ -152,26 +135,32 @@ def _theta_image_of_small_subgroup(spec: FieldSpec,
                                    m: int) -> tuple[set[int], int | None]:
     """{ y + 1/y : y in GF(q^2)*, |y| divides m, y != 1 }, pulled back to GF(q).
 
-    Enumerated through the ambient field GF(2^(2n)) and mapped back through
-    the explicit subfield embedding.  Returns the pulled-back image and the
+    Enumerated through the ambient field GF(2^(2n)) as the powers h^k of an
+    element h of order m, with 1/h^k = h^(m-k), and mapped back through the
+    explicit subfield embedding.  Returns the pulled-back image and the
     first ambient value y + 1/y that the embedding does not reach (None when
-    every value lies in the base subfield, as the theory says it must).
+    every value lies in the base subfield, as the theory says it must).  If
+    h^m != 1, the powers do not close and h^m itself is returned as the
+    witness.
     """
     ambient = make_field(2 * spec.t)
     emb = subfield_embedding(spec, ambient)
     back = {e: x for x, e in enumerate(emb)}
     h = ambient.pow(ambient.gen, (ambient.q - 1) // m)
+    powers = [1]
+    for _ in range(m):
+        powers.append(ambient.mul(powers[-1], h))
+    if powers[m] != 1:
+        return set(), powers[m]
     image: set[int] = set()
     stray = None
-    y = h
-    for _ in range(m - 1):                # skips y = 1
-        img = y ^ ambient.inv(y)
+    for k in range(1, m):                 # skips y = 1
+        img = powers[k] ^ powers[m - k]
         back_img = back.get(img)
         if back_img is not None:
             image.add(back_img)
         elif stray is None:
             stray = img
-        y = ambient.mul(y, h)
     return image, stray
 
 
@@ -179,29 +168,6 @@ def kloosterman(spec: FieldSpec) -> int:
     """K = sum over units of (-1)^Tr(x + 1/x), an exact signed integer."""
     ones = sum(spec.trace(x ^ xi) for x, xi in spec.unit_pairs())
     return (spec.q - 1) - 2 * ones
-
-
-def _weil_bound_holds(q: int, k: int) -> bool:
-    """|K| <= 2 sqrt(q), exactly in integers."""
-    return k * k <= 4 * q
-
-
-def _hasse_bound_holds(q: int, count: int) -> bool:
-    """| |E| - (q + 1) | <= 2 sqrt(q), exactly in integers."""
-    return (count - (q + 1)) ** 2 <= 4 * q
-
-
-def count_N(spec: FieldSpec) -> tuple[int, bool]:
-    """(q + 1 + K)/4, and whether it equals |S_(q+1)| by direct evaluation."""
-    q = spec.q
-    k = kloosterman(spec)
-    if not _weil_bound_holds(q, k):
-        raise AssertionError(f"Weil bound violated: K={k}, q={q}")
-    if (q + 1 + k) % 4:
-        raise AssertionError(f"4 does not divide q+1+K = {q + 1 + k}")
-    n_pred = (q + 1 + k) // 4
-    s, _ = _split_roots(spec, _root_bits(spec, q + 1))
-    return n_pred, n_pred == len(s)
 
 
 def curve_point_count(spec: FieldSpec) -> int:
@@ -250,9 +216,16 @@ def leaf_set_equalities(spec: FieldSpec, g: ThetaGraph) -> CheckReport:
     return rep
 
 
+# ---------------------------------------------------------------------------
+# The whole verification battery over one field
+
+IDENTITY_EXHAUSTIVE_MAX_Q = 16
+IDENTITY_RANDOM_TRIALS = 40
+
+
 @dataclass
 class RootSetReport:
-    """Everything about D_(q+1) over one field, cross-validated."""
+    """Everything about D_(q+1) over one field, with the checks that tie it."""
 
     q: int
     m: int
@@ -261,6 +234,7 @@ class RootSetReport:
     K: int
     N_pred: int
     E_count: int
+    checks: CheckReport
 
     def to_dict(self) -> dict:
         return {
@@ -271,41 +245,8 @@ class RootSetReport:
         }
 
 
-def root_set_report(spec: FieldSpec, m: int | None = None) -> RootSetReport:
-    """Build the report for degree m (default q+1) and assert its invariants."""
-    q = spec.q
-    if m is None:
-        m = q + 1
-    s_elems, t_elems = root_sets(spec, m)
-    s = frozenset(e.bits for e in s_elems)
-    t = frozenset(e.bits for e in t_elems)
-    k = kloosterman(spec)
-    if not _weil_bound_holds(q, k):
-        raise AssertionError(f"Weil bound violated: K={k}, q={q}")
-    n_pred = (q + 1 + k) // 4
-    if (q + 1 + k) % 4:
-        raise AssertionError(f"4 does not divide q+1+K = {q + 1 + k}")
-    if s & t:
-        raise AssertionError("S and T intersect")
-    if any(spec.inv(x) not in s for x in s):
-        raise AssertionError("S is not closed under inversion")
-    if m == q + 1 and len(s) != n_pred:
-        raise AssertionError(f"|S|={len(s)} but (q+1+K)/4={n_pred}")
-    e_count = curve_point_count(spec)
-    if not _hasse_bound_holds(q, e_count):
-        raise AssertionError(f"Hasse bound violated: |E|={e_count}, q={q}")
-    return RootSetReport(q, m, s, t, k, n_pred, e_count)
-
-
-# ---------------------------------------------------------------------------
-# The whole verification battery over one field
-
-IDENTITY_EXHAUSTIVE_MAX_Q = 16
-IDENTITY_RANDOM_TRIALS = 40
-
-
-def dickson_report(spec: FieldSpec, seed: int = 0) -> dict:
-    """Every check battery over one field, as a JSON-ready dict.
+def root_set_report(spec: FieldSpec, seed: int = 0) -> RootSetReport:
+    """The D_(q+1) battery over one field; a violated identity is a failed check.
 
     Randomized spot checks (the functional identity in large fields, the
     closed-form comparison) draw from a generator seeded with `seed`, so
@@ -320,7 +261,7 @@ def dickson_report(spec: FieldSpec, seed: int = 0) -> dict:
     roots = _root_bits(spec, m)
     s, t = _split_roots(spec, roots)
     k = kloosterman(spec)
-    rep.add("weil-bound", _weil_bound_holds(q, k), f"K={k}")
+    rep.add("weil-bound", k * k <= 4 * q, f"K={k}")      # |K| <= 2 sqrt(q)
     rep.add("count-divisibility", (q + 1 + k) % 4 == 0, f"q+1+K={q + 1 + k}")
     n_pred = (q + 1 + k) // 4
     rep.add("kloosterman-count", n_pred == len(s),
@@ -344,7 +285,9 @@ def dickson_report(spec: FieldSpec, seed: int = 0) -> dict:
     rep.add("root-image-equality", stray is None and image == roots, detail)
 
     e_count = curve_point_count(spec)
-    rep.add("hasse-bound", _hasse_bound_holds(q, e_count), f"|E|={e_count}")
+    # | |E| - (q+1) | <= 2 sqrt(q), exactly in integers
+    rep.add("hasse-bound", (e_count - (q + 1)) ** 2 <= 4 * q,
+            f"|E|={e_count}")
     if q <= 256:
         naive = curve_point_count_naive(spec)
         rep.add("curve-count-oracle", e_count == naive,
@@ -354,12 +297,17 @@ def dickson_report(spec: FieldSpec, seed: int = 0) -> dict:
             "D_m(y+1/y) = y^m + y^(-m) over GF(q^2)*")
     rep.add("closed-form-equivalence", _closed_form_check(spec, rng),
             "recurrence matches the binomial form for m <= 10")
+    return RootSetReport(q, m, frozenset(s), frozenset(t), k, n_pred,
+                         e_count, rep)
 
-    doc = RootSetReport(q, m, frozenset(s), frozenset(t), k, n_pred,
-                        e_count).to_dict()
+
+def dickson_report(spec: FieldSpec, seed: int = 0) -> dict:
+    """`root_set_report` as a JSON-ready dict with the field and its checks."""
+    rep = root_set_report(spec, seed)
+    doc = rep.to_dict()
     doc["field"] = field_to_record(spec)
-    doc["checks"] = rep.records()
-    doc["passed"] = rep.passed
+    doc["checks"] = rep.checks.records()
+    doc["passed"] = rep.checks.passed
     return doc
 
 

@@ -16,9 +16,8 @@ numerically least irreducible polynomial beyond that.
 by the graph and sweep code.  ``FieldSpec`` alone decides whether a field
 has log/exp tables: other modules reach them only through the unit walk
 ``unit_pairs`` (every unit with its inverse, in generator order) and the
-table accessor ``tables``.  The module-level ``add``/``mul``/``inv``/
-``trace``/``order``/``degree`` functions operate on ``FieldElement`` values
-and refuse to mix elements of different fields.
+table accessor ``tables``.  ``FieldElement`` wraps a packed int with
+operators and methods that refuse to mix elements of different fields.
 """
 
 from __future__ import annotations
@@ -35,12 +34,6 @@ __all__ = [
     "FieldElement",
     "make_field",
     "max_t_cap",
-    "add",
-    "mul",
-    "inv",
-    "trace",
-    "order",
-    "degree",
     "factorize",
     "field_to_record",
     "field_from_record",
@@ -461,7 +454,8 @@ class FieldSpec:
         """Least d | t with a^(2^d) = a (degree of the minimal polynomial).
 
         With tables, a unit's degree is the least d | t whose step
-        (q-1)/(2^d-1) divides log a; otherwise a is squared d times per d.
+        (q-1)/(2^d-1) divides log a; otherwise a is squared until it returns,
+        d squarings in all.
         """
         log = self._log
         if log is not None and a:
@@ -470,8 +464,10 @@ class FieldSpec:
                 if la % step == 0:
                     return d
         else:
-            for d, _ in self._subfields:
-                if self.in_subfield(a, d):
+            v = a
+            for d in range(1, self.t + 1):
+                v = self.sqr(v)
+                if v == a:
                     return d
         raise AssertionError("unreachable: degree(a) always divides t")
 
@@ -650,39 +646,6 @@ def make_field(t: int, modulus: int | None = None, *, max_t: int | None = None) 
     if conway is not None:
         return FieldSpec(t, conway, generator=_pmod(2, conway))
     return FieldSpec(t, _least_irreducible(t))
-
-
-# ---------------------------------------------------------------------------
-# Operations on FieldElement values
-
-def add(a: FieldElement, b: FieldElement) -> FieldElement:
-    """Coordinate-wise XOR."""
-    return a + b
-
-
-def mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    """Polynomial product reduced by the modulus."""
-    return a * b
-
-
-def inv(a: FieldElement) -> FieldElement:
-    """Multiplicative inverse of a nonzero element."""
-    return a.inverse()
-
-
-def trace(a: FieldElement) -> int:
-    """Absolute trace: the sum of the t Frobenius conjugates, in {0, 1}."""
-    return a.trace()
-
-
-def order(a: FieldElement) -> int:
-    """Exact multiplicative order of a nonzero element."""
-    return a.order()
-
-
-def degree(a: FieldElement) -> int:
-    """Degree of the minimal polynomial over GF(2); a positive divisor of t."""
-    return a.degree()
 
 
 # ---------------------------------------------------------------------------

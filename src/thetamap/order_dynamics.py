@@ -95,10 +95,8 @@ class TowerSpec:
 
     def subfield_degree(self, bits: int) -> int:
         """Smallest of n, 2n, 4n whose subfield contains the element."""
-        for d in (self.n, 2 * self.n, 4 * self.n):
-            if self.ambient.in_subfield(bits, d):
-                return d
-        raise AssertionError("unreachable: 4n always contains the element")
+        d = self.ambient.degree(bits)
+        return next(k for k in (self.n, 2 * self.n, 4 * self.n) if k % d == 0)
 
 
 def make_tower(n: int) -> TowerSpec:

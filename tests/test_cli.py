@@ -124,6 +124,19 @@ def test_dickson_failure_exits_one(monkeypatch, capsys):
     assert "FAIL" in out and "kloosterman-count" in out
 
 
+def test_kloosterman_fault_is_a_record(monkeypatch, capsys):
+    # K+4 keeps q+1+K divisible by 4, so only the count against |S| fails
+    true_k = dickson_curve.kloosterman
+    monkeypatch.setattr(dickson_curve, "kloosterman",
+                        lambda spec: true_k(spec) + 4)
+    checks = dickson_curve.root_set_report(make_field(6)).checks
+    assert [c.name for c in checks.failures()] == ["kloosterman-count"]
+    assert main(["verify-dickson", "--n", "6"]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL [n=6] kloosterman-count" in captured.out
+    assert "Traceback" not in captured.err
+
+
 def test_dickson_bound_failures_are_records(monkeypatch, capsys):
     monkeypatch.setattr(FieldSpec, "trace", lambda self, a: 0)
     assert main(["verify-dickson", "--n", "4"]) == 1

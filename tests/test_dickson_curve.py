@@ -3,11 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thetamap.dickson_curve import (
     _root_bits,
     _theta_image_of_small_subgroup,
-    count_N,
     curve_point_count,
     curve_point_count_naive,
     dickson_coeff_bits,
@@ -19,8 +19,8 @@ from thetamap.dickson_curve import (
     root_set_report,
     root_sets,
 )
-from thetamap.gf2_arith import FieldError, make_field
-from thetamap.theta_graph import build_graph
+from thetamap.gf2_arith import FieldError, is_irreducible, make_field
+from thetamap.theta_graph import build_graph, verify_structure
 
 
 # ---------------------------------------------------------------------------
@@ -151,14 +151,15 @@ def test_kloosterman_equals_curve_excess(n):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_count_matches_prediction(n):
-    n_pred, matches = count_N(make_field(n))
-    assert matches
-    assert n_pred >= 1
+    rep = root_set_report(make_field(n))
+    assert rep.N_pred == len(rep.S)
+    assert rep.N_pred >= 1
 
 
 def test_count_small_values():
-    assert count_N(make_field(1)) == (1, True)
-    assert count_N(make_field(2)) == (2, True)
+    for n, n_pred in ((1, 1), (2, 2)):
+        rep = root_set_report(make_field(n))
+        assert rep.N_pred == len(rep.S) == n_pred
 
 
 def test_weil_bound():
@@ -242,3 +243,17 @@ def test_dickson_report_large_field_random_paths():
     doc = dickson_report(make_field(9), seed=11)
     assert doc["passed"]
     assert all(c["pass"] for c in doc["checks"])
+
+
+# Every irreducible modulus of degree <= 8 but x itself: its root 0 is not a
+# unit, so `subfield_embedding` cannot place GF(2)[x]/(x) by a unit power.
+IRREDUCIBLE_MODULI = [(t, f) for t in range(1, 9) for f in range(1 << t, 2 << t)
+                      if is_irreducible(f) and f != 0b10]
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.sampled_from(IRREDUCIBLE_MODULI))
+def test_batteries_pass_for_any_modulus(t_modulus):
+    spec = make_field(*t_modulus)
+    assert root_set_report(spec).checks.passed
+    assert verify_structure(build_graph(spec)).passed

@@ -47,6 +47,18 @@ def test_make_tower_parameters():
         make_tower(7)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_subfield_degree_matches_frobenius_search(n):
+    tower = make_tower(n)
+    ambient = tower.ambient
+    units = range(1, ambient.q)
+    want = [next(d for d in (n, 2 * n, 4 * n) if ambient.in_subfield(a, d))
+            for a in units]
+    assert [tower.subfield_degree(a) for a in units] == want   # squaring walk
+    ambient.ensure_tables()
+    assert [tower.subfield_degree(a) for a in units] == want   # log table
+
+
 def test_subgroup_trivial_and_sizes():
     tw = TOWERS[2]
     assert [e.bits for e in subgroup(tw, 1)] == [1]
