@@ -60,6 +60,21 @@ def _dickson_bits(spec: FieldSpec, m: int, x: int) -> int:
     return d1
 
 
+def _dickson_values(spec: FieldSpec, m: int, x: int):
+    """D_1(x), ..., D_m(x) by the linear recurrence, as `_dickson_bits`.
+
+    x is fixed along the recurrence, so every product x*v reads the split
+    tables of v -> x*v (`FieldSpec.mul_tables`), with or without log tables.
+    """
+    lo, hi, shift = spec.mul_tables(x)
+    mask = len(lo) - 1
+    d0, d1 = 0, x
+    yield d1
+    for _ in range(m - 1):
+        d0, d1 = d1, lo[d1 & mask] ^ hi[d1 >> shift] ^ d0
+        yield d1
+
+
 def dickson_eval(spec: FieldSpec, m: int, x: FieldElement) -> FieldElement:
     """Value of the degree-m Dickson polynomial of the first kind, parameter 1."""
     if not spec.compatible(x.field):
@@ -97,19 +112,26 @@ def dickson_eval_closed_form(spec: FieldSpec, m: int, x: FieldElement) -> FieldE
 
 
 def _root_bits(spec: FieldSpec, m: int) -> set[int]:
-    """All units where D_m vanishes, by direct evaluation over GF(q)*.
+    """All units where D_m vanishes, by evaluating D_m at every x in GF(q)*.
 
-    The O(q*m) scan runs on the log/exp tables, so fields beyond
+    Each value comes from the doubling ladder over the bits of m, which
+    carries (D_k, D_(k+1)) with D_(2k) = D_k^2 and D_(2k+1) = D_k*D_(k+1) + x
+    (characteristic 2, parameter 1): about 2*log2(m) products per x instead
+    of m.  The products read the log/exp tables, so fields beyond
     TABLE_MAX_T are refused with FieldError.
     """
     exp, log = spec.tables()
+    ladder = bin(m)[3:]                   # the bits of m below the leading one
     roots: set[int] = set()
     for x in range(1, spec.q):
-        lx = log[x]
-        d0, d1 = 0, x
-        for _ in range(m - 1):
-            d0, d1 = d1, (exp[lx + log[d1]] if d1 else 0) ^ d0
-        if d1 == 0:
+        a, b = x, exp[2 * log[x]]         # (D_1, D_2)
+        for bit in ladder:
+            odd = exp[log[a] + log[b]] ^ x if a and b else x
+            if bit == "1":
+                a, b = odd, exp[2 * log[b]] if b else 0
+            else:
+                a, b = exp[2 * log[a]] if a else 0, odd
+        if a == 0:
             roots.add(x)
     return roots
 
@@ -147,9 +169,12 @@ def _theta_image_of_small_subgroup(spec: FieldSpec,
     emb = subfield_embedding(spec, ambient)
     back = {e: x for x, e in enumerate(emb)}
     h = ambient.pow(ambient.gen, (ambient.q - 1) // m)
+    lo, hi, shift = ambient.mul_tables(h)
+    mask = len(lo) - 1
     powers = [1]
     for _ in range(m):
-        powers.append(ambient.mul(powers[-1], h))
+        v = powers[-1]
+        powers.append(lo[v & mask] ^ hi[v >> shift])
     if powers[m] != 1:
         return set(), powers[m]
     image: set[int] = set()
@@ -314,20 +339,29 @@ def dickson_report(spec: FieldSpec, seed: int = 0) -> dict:
 def _identity_check(spec: FieldSpec, rng) -> bool:
     """D_m(y + 1/y) = y^m + y^(-m) over GF(q^2)*.
 
-    Exhaustive in y and in m | q+1 for q <= 16, seeded random pairs beyond.
+    Exhaustive in y and in m = 1..q+1 for q <= 16, seeded random pairs
+    beyond.  The left side is the linear recurrence (`_dickson_values`); in
+    the exhaustive case one recurrence per y gives every m, and y^m, y^(-m)
+    are running products.
     """
     double = make_field(2 * spec.t)
     q = spec.q
     if q <= IDENTITY_EXHAUSTIVE_MAX_Q:
-        pairs = [(m, y) for y in range(1, double.q) for m in range(1, q + 2)]
-    else:
-        pairs = [(rng.randrange(1, q + 2), rng.randrange(1, double.q))
-                 for _ in range(IDENTITY_RANDOM_TRIALS)]
+        for y in range(1, double.q):
+            yi = double.inv(y)
+            pos, neg = y, yi
+            for lhs in _dickson_values(double, q + 1, y ^ yi):
+                if lhs != pos ^ neg:
+                    return False
+                pos, neg = double.mul(pos, y), double.mul(neg, yi)
+        return True
+    pairs = [(rng.randrange(1, q + 2), rng.randrange(1, double.q))
+             for _ in range(IDENTITY_RANDOM_TRIALS)]
     for m, y in pairs:
-        x = y ^ double.inv(y)
-        lhs = _dickson_bits(double, m, x)
-        rhs = double.pow(y, m) ^ double.pow(double.inv(y), m)
-        if lhs != rhs:
+        yi = double.inv(y)
+        for lhs in _dickson_values(double, m, y ^ yi):
+            pass
+        if lhs != double.pow(y, m) ^ double.pow(yi, m):
             return False
     return True
 

@@ -97,11 +97,9 @@ def _pgcd(a: int, b: int) -> int:
 
 def _span_table(basis: list[int]) -> list[int]:
     """Entry j is the XOR of basis[i] over the set bits i of j."""
-    tab = [0] * (1 << len(basis))
-    for i, b in enumerate(basis):
-        bit = 1 << i
-        for j in range(bit):
-            tab[bit | j] = tab[j] ^ b
+    tab = [0]
+    for b in basis:
+        tab += [v ^ b for v in tab]
     return tab
 
 
@@ -479,14 +477,9 @@ class FieldSpec:
             return
         if self.t > TABLE_MAX_T:
             raise FieldError(f"log tables refused for t={self.t} > {TABLE_MAX_T}")
-        # v -> v*gen is GF(2)-linear, so it is the XOR of the images of v's
-        # low h bits and of its high t-h bits, each read from a table.
         n = self.q - 1
-        h = (self.t + 1) // 2
-        mask = (1 << h) - 1
-        cols = [_pmulmod(1 << i, self.gen, self.modulus) for i in range(self.t)]
-        lo = _span_table(cols[:h])
-        hi = _span_table(cols[h:])
+        lo, hi, h = self.mul_tables(self.gen)
+        mask = len(lo) - 1
         exp = [0] * n
         v = 1
         for i in range(n):
@@ -499,6 +492,17 @@ class FieldSpec:
         exp *= 2
         self._exp = exp
         self._log = log
+
+    def mul_tables(self, c: int) -> tuple[list[int], list[int], int]:
+        """Split tables (lo, hi, h) of v -> v*c: v*c == lo[v & mask] ^ hi[v >> h].
+
+        v -> v*c is GF(2)-linear, so it is the XOR of the images of v's low h
+        bits and of its high t-h bits; mask = len(lo) - 1, and each table
+        has at most 2^ceil(t/2) entries.  Works without log/exp tables.
+        """
+        h = (self.t + 1) // 2
+        cols = [_pmulmod(1 << i, c, self.modulus) for i in range(self.t)]
+        return _span_table(cols[:h]), _span_table(cols[h:]), h
 
     def tables(self) -> tuple[list[int], list[int]]:
         """The (exp, log) tables, built on first use.

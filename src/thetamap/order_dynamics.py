@@ -143,30 +143,32 @@ def subfield_embedding(sub: FieldSpec, ambient: FieldSpec) -> list[int]:
     Finds the least power of the canonical order-(2^d-1) generator of the
     ambient subfield that is a root of `sub`'s modulus (with compatible
     Conway moduli that is the generator itself) and evaluates coordinates
-    there.
+    there.  GF(2) needs no root: its one basis power is 1, whatever the
+    modulus (the root of x is 0, which no unit power reaches).
     """
     d = sub.t
     if ambient.t % d != 0:
         raise FieldError(f"GF(2^{d}) does not embed in GF(2^{ambient.t})")
     sub_units = (1 << d) - 1
-    ghat = ambient.pow(ambient.gen, (ambient.q - 1) // sub_units)
-    root = None
-    cand = ghat
-    for _ in range(sub_units):
-        acc = 0
-        for i in range(d, -1, -1):
-            acc = ambient.mul(acc, cand)
-            if (sub.modulus >> i) & 1:
-                acc ^= 1
-        if acc == 0:
-            root = cand
-            break
-        cand = ambient.mul(cand, ghat)
-    if root is None:
-        raise AssertionError("modulus has no root in the ambient subfield")
     rho_pow = [1] * d
-    for j in range(1, d):
-        rho_pow[j] = ambient.mul(rho_pow[j - 1], root)
+    if d > 1:
+        ghat = ambient.pow(ambient.gen, (ambient.q - 1) // sub_units)
+        root = None
+        cand = ghat
+        for _ in range(sub_units):
+            acc = 0
+            for i in range(d, -1, -1):
+                acc = ambient.mul(acc, cand)
+                if (sub.modulus >> i) & 1:
+                    acc ^= 1
+            if acc == 0:
+                root = cand
+                break
+            cand = ambient.mul(cand, ghat)
+        if root is None:
+            raise AssertionError("modulus has no root in the ambient subfield")
+        for j in range(1, d):
+            rho_pow[j] = ambient.mul(rho_pow[j - 1], root)
     table = [0] * (1 << d)
     for bits in range(1, 1 << d):
         low = bits & -bits

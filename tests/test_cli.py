@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -176,6 +177,32 @@ def test_root_image_fault_is_a_record(monkeypatch, capsys, fault, witness):
                 if "root-image-equality" in ln)
     assert line.startswith("FAIL [n=4] root-image-equality")
     assert line.endswith(witness)
+    assert "Traceback" not in captured.err
+
+
+class _WrongInverse(FieldSpec):
+    """A field whose inverse is off by one bit (a faulty kernel)."""
+
+    def inv(self, a):
+        return super().inv(a) ^ 1
+
+
+@pytest.mark.parametrize("n", [3, 9])     # exhaustive and random pairs
+def test_identity_fault_is_a_record(monkeypatch, capsys, n):
+    true_make_field = dickson_curve.make_field
+
+    def wrong_inverse_field(t):
+        f = true_make_field(t)
+        return _WrongInverse(f.t, f.modulus, f.gen)
+
+    # dickson_curve builds only the double field GF(2^(2n)) itself
+    monkeypatch.setattr(dickson_curve, "make_field", wrong_inverse_field)
+    assert not dickson_curve._identity_check(make_field(n), random.Random(0))
+    checks = dickson_curve.root_set_report(make_field(n)).checks
+    assert [c.name for c in checks.failures()] == ["identity-on-double-field"]
+    assert main(["verify-dickson", "--n", str(n)]) == 1
+    captured = capsys.readouterr()
+    assert f"FAIL [n={n}] identity-on-double-field" in captured.out
     assert "Traceback" not in captured.err
 
 

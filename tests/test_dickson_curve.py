@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thetamap.dickson_curve import (
+    _dickson_bits,
+    _dickson_values,
     _root_bits,
     _theta_image_of_small_subgroup,
     curve_point_count,
@@ -19,7 +21,12 @@ from thetamap.dickson_curve import (
     root_set_report,
     root_sets,
 )
-from thetamap.gf2_arith import FieldError, is_irreducible, make_field
+from thetamap.gf2_arith import (
+    FieldError,
+    field_from_record,
+    is_irreducible,
+    make_field,
+)
 from thetamap.theta_graph import build_graph, verify_structure
 
 
@@ -75,6 +82,18 @@ def test_closed_form_matches_recurrence(t):
             assert dickson_eval(f, m, e) == dickson_eval_closed_form(f, m, e)
 
 
+@pytest.mark.parametrize("t", [6, 24])
+def test_table_recurrence_matches_dickson_bits(t):
+    # the split-table recurrence of the identity check, with log tables
+    # (GF(2^6)) and on the shift-xor path (GF(2^24), beyond TABLE_MAX_T)
+    f = make_field(t)
+    rng = random.Random(t)
+    for x in [0, 1] + [rng.randrange(2, f.q) for _ in range(20)]:
+        m = rng.randrange(1, 40)
+        assert list(_dickson_values(f, m, x)) == [
+            _dickson_bits(f, k, x) for k in range(1, m + 1)]
+
+
 def test_eval_rejects_foreign_elements():
     with pytest.raises(FieldError):
         dickson_eval(make_field(3), 2, make_field(4).one())
@@ -126,6 +145,25 @@ def test_roots_are_subgroup_images(n):
         assert _theta_image_of_small_subgroup(f, m) == (_root_bits(f, m), None)
 
 
+def _roots_by_recurrence(f, m):
+    """The O(q*m) scan: D_m by the linear recurrence at every unit."""
+    return {x for x in range(1, f.q) if _dickson_bits(f, m, x) == 0}
+
+
+@pytest.mark.parametrize("field", [*range(1, 9), "t=8 modulus=11b generator=3"])
+def test_ladder_matches_recurrence(field):
+    # every m, not only divisors of q+1; the non-Conway field included
+    f = make_field(field) if isinstance(field, int) else field_from_record(field)
+    for m in range(1, 81):
+        assert _root_bits(f, m) == _roots_by_recurrence(f, m), m
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_ladder_matches_recurrence_at_q_plus_1(n):
+    f = make_field(n)
+    assert _root_bits(f, f.q + 1) == _roots_by_recurrence(f, f.q + 1)
+
+
 def test_root_scan_refuses_untabled_fields():
     with pytest.raises(FieldError):
         _root_bits(make_field(21), 3)
@@ -160,6 +198,18 @@ def test_count_small_values():
     for n, n_pred in ((1, 1), (2, 2)):
         rep = root_set_report(make_field(n))
         assert rep.N_pred == len(rep.S) == n_pred
+
+
+def test_kloosterman_and_curve_closed_form():
+    # y^2 + xy = x^3 + 1 has 4 points over GF(2), so its Frobenius trace is
+    # s_1 = -1 and s_n = -s_(n-1) - 2 s_(n-2); then K(2^n) = -s_n and
+    # |E(GF(2^n))| = 2^n + 1 - s_n (Lachaud-Wolfmann 1990)
+    s_prev, s_n = 2, -1
+    for n in range(1, 15):
+        f = make_field(n)
+        assert kloosterman(f) == -s_n, n
+        assert curve_point_count(f) == f.q + 1 - s_n, n
+        s_prev, s_n = s_n, -s_n - 2 * s_prev
 
 
 def test_weil_bound():
@@ -245,10 +295,8 @@ def test_dickson_report_large_field_random_paths():
     assert all(c["pass"] for c in doc["checks"])
 
 
-# Every irreducible modulus of degree <= 8 but x itself: its root 0 is not a
-# unit, so `subfield_embedding` cannot place GF(2)[x]/(x) by a unit power.
 IRREDUCIBLE_MODULI = [(t, f) for t in range(1, 9) for f in range(1 << t, 2 << t)
-                      if is_irreducible(f) and f != 0b10]
+                      if is_irreducible(f)]
 
 
 @settings(derandomize=True, deadline=None)

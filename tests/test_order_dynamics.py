@@ -328,8 +328,9 @@ def test_least_prime_congruence():
 
 def test_embedding_preserves_structure():
     amb = TOWERS[3].ambient                       # GF(2^12)
-    for d in (1, 2, 3, 6):
-        sub = make_field(d)
+    # GF(2) also modulo x, whose root 0 is no power of a unit
+    for sub in (make_field(1, 0b10), *(make_field(d) for d in (1, 2, 3, 6))):
+        d = sub.t
         emb = subfield_embedding(sub, amb)
         assert emb[0] == 0 and emb[1] == 1
         for a in range(sub.q):
