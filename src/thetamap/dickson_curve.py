@@ -153,11 +153,11 @@ def root_sets(spec: FieldSpec, m: int) -> tuple[set[FieldElement], set[FieldElem
             {FieldElement(spec, x) for x in t})
 
 
-def _theta_image_of_small_subgroup(spec: FieldSpec,
+def _theta_image_of_small_subgroup(spec: FieldSpec, ambient: FieldSpec,
                                    m: int) -> tuple[set[int], int | None]:
     """{ y + 1/y : y in GF(q^2)*, |y| divides m, y != 1 }, pulled back to GF(q).
 
-    Enumerated through the ambient field GF(2^(2n)) as the powers h^k of an
+    Enumerated through ``ambient`` = GF(2^(2n)) as the powers h^k of an
     element h of order m, with 1/h^k = h^(m-k), and mapped back through the
     explicit subfield embedding.  Returns the pulled-back image and the
     first ambient value y + 1/y that the embedding does not reach (None when
@@ -165,7 +165,6 @@ def _theta_image_of_small_subgroup(spec: FieldSpec,
     h^m != 1, the powers do not close and h^m itself is returned as the
     witness.
     """
-    ambient = make_field(2 * spec.t)
     emb = subfield_embedding(spec, ambient)
     back = {e: x for x, e in enumerate(emb)}
     h = ambient.pow(ambient.gen, (ambient.q - 1) // m)
@@ -301,7 +300,8 @@ def root_set_report(spec: FieldSpec, seed: int = 0) -> RootSetReport:
     rep.add("t-emptiness", (len(t) == 0) == (q <= 4),
             f"q={q} |T|={len(t)}")
 
-    image, stray = _theta_image_of_small_subgroup(spec, m)
+    double = make_field(2 * n)        # GF(q^2), shared by the next two stages
+    image, stray = _theta_image_of_small_subgroup(spec, double, m)
     detail = f"|roots|={len(roots)} |image|={len(image)}"
     if stray is not None:
         detail += f" witness {stray:#x} of GF(2^{2 * n}) outside GF(2^{n})"
@@ -318,7 +318,7 @@ def root_set_report(spec: FieldSpec, seed: int = 0) -> RootSetReport:
         rep.add("curve-count-oracle", e_count == naive,
                 f"criterion {e_count} vs enumeration {naive}")
 
-    rep.add("identity-on-double-field", _identity_check(spec, rng),
+    rep.add("identity-on-double-field", _identity_check(spec, double, rng),
             "D_m(y+1/y) = y^m + y^(-m) over GF(q^2)*")
     rep.add("closed-form-equivalence", _closed_form_check(spec, rng),
             "recurrence matches the binomial form for m <= 10")
@@ -336,15 +336,14 @@ def dickson_report(spec: FieldSpec, seed: int = 0) -> dict:
     return doc
 
 
-def _identity_check(spec: FieldSpec, rng) -> bool:
-    """D_m(y + 1/y) = y^m + y^(-m) over GF(q^2)*.
+def _identity_check(spec: FieldSpec, double: FieldSpec, rng) -> bool:
+    """D_m(y + 1/y) = y^m + y^(-m) over GF(q^2)* = ``double``.
 
     Exhaustive in y and in m = 1..q+1 for q <= 16, seeded random pairs
     beyond.  The left side is the linear recurrence (`_dickson_values`); in
     the exhaustive case one recurrence per y gives every m, and y^m, y^(-m)
     are running products.
     """
-    double = make_field(2 * spec.t)
     q = spec.q
     if q <= IDENTITY_EXHAUSTIVE_MAX_Q:
         for y in range(1, double.q):

@@ -509,6 +509,9 @@ def verify_cq1_inclusion(tower: TowerSpec) -> CheckReport:
     f2n = make_field(2 * n)
     g2n = build_graph(f2n)
     h = f2n.pow(f2n.gen, (f2n.q - 1) // (q + 1))
+    mates: dict[tuple[int, int], list[int]] = {}   # (component, level) -> vertices
+    for u, key in enumerate(zip(g2n.comp_id, g2n.level)):
+        mates.setdefault(key, []).append(u)
     v = h
     bad_level = []
     bad_order = []
@@ -517,8 +520,7 @@ def verify_cq1_inclusion(tower: TowerSpec) -> CheckReport:
         if lev not in (l + 3, 2):
             bad_level.append(v)
         else:
-            comp = g2n.components[g2n.comp_id[v]]
-            for lvl_vertex in comp.level_sets().get(lev, []):
+            for lvl_vertex in mates[g2n.comp_id[v], lev]:
                 if (q + 1) % f2n.order(lvl_vertex) != 0:
                     bad_order.append((v, lvl_vertex))
         v = f2n.mul(v, h)

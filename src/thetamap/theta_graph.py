@@ -4,11 +4,11 @@ Every point of P^1(F_q) = F_q + {inf} has exactly one outgoing edge, so the
 graph splits into connected components, each a single cycle whose vertices
 root in-trees of non-periodic predecessors.  This module builds the graph
 densely (arrays indexed by the packed-element encoding, with the extra index
-q for the point at infinity), decomposes it into components with per-level
-vertex lists, classifies components by the trace condition
-Tr(x) = Tr(1/x), and verifies the structural facts the decomposition obeys:
-tree depths r+2 versus 1, the per-level counts, leaf traces, and leaf
-degrees.
+q for the point at infinity), decomposes it into components recorded in the
+same arrays (level and component of every vertex), classifies components by
+the trace condition Tr(x) = Tr(1/x), and verifies the structural facts the
+decomposition obeys: tree depths r+2 versus 1, the per-level counts, leaf
+traces, and leaf degrees.
 
 Projective conventions live on ``ProjPoint`` and nowhere else:
 1/0 = 0, 1/inf = inf, |0| = |inf| = 1, Tr(0) = Tr(inf) = 0.
@@ -159,43 +159,27 @@ def classify_AB(spec: FieldSpec, p: ProjPoint) -> str:
 
 @dataclass
 class Component:
-    """One connected component: a cycle plus the in-tree of every cycle vertex.
+    """One connected component: its cycle, tree depth and trace class.
 
     ``cycle`` follows the successor direction and is rotated to start at the
-    vertex with the least encoding (infinity encodes greatest).  ``trees``
-    maps each cycle vertex to its per-level vertex lists (level 1 up to the
-    tree's depth, encodings ascending); roots with no tree map to {}.
+    vertex with the least encoding (infinity encodes greatest).  ``depth`` is
+    the deepest level of any in-tree (0 when no cycle vertex roots a tree).
+    The tree vertices live in the graph's ``level`` and ``comp_id`` arrays;
+    ``ThetaGraph.tree_levels`` lists them root by root.
     """
 
     cycle: list[int]
-    trees: dict[int, dict[int, list[int]]]
     depth: int
     trace_class: str
-
-    def vertices(self) -> list[int]:
-        out = list(self.cycle)
-        for levels in self.trees.values():
-            for vs in levels.values():
-                out.extend(vs)
-        return out
-
-    def level_sets(self) -> dict[int, list[int]]:
-        """Vertices of the whole component grouped by level (cycle = level 0)."""
-        sets: dict[int, list[int]] = {0: sorted(self.cycle)}
-        for levels in self.trees.values():
-            for k, vs in levels.items():
-                sets.setdefault(k, []).extend(vs)
-        for k in sets:
-            sets[k] = sorted(sets[k])
-        return sets
 
 
 class ThetaGraph:
     """The full graph over P^1(F_q), decomposed.
 
     Dense arrays indexed by point encoding: ``succ`` (the map itself),
-    ``level`` (0 on cycle vertices, else distance to the cycle), ``comp_id``
-    (position in ``components``), and the predecessors in two slots
+    ``level`` (0 on cycle vertices, else distance to the cycle; -1 only
+    while ``build_graph`` runs), ``comp_id`` (position in ``components``),
+    and the predecessors in two slots
     ``pred1``/``pred2`` (-1 when empty).  x + 1/x = c is a quadratic in x,
     so no vertex has a third predecessor unless the kernel is faulty; such
     extras go to ``pred_extra`` (vertex -> list), which is normally empty.
@@ -231,6 +215,31 @@ class ThetaGraph:
         """Every vertex the map sends to v, the self-loop of inf included."""
         return ([u for u in (self.pred1[v], self.pred2[v]) if u >= 0]
                 + self.pred_extra.get(v, []))
+
+    def tree_levels(self, root: int):
+        """The in-tree of the cycle vertex ``root``, level by level.
+
+        Yields the vertices of level 1, 2, ... as lists, encodings ascending;
+        a root with no tree yields nothing.  A cycle vertex's children are
+        its predecessors except its cycle predecessor; a tree vertex's
+        children are all of its predecessors.
+        """
+        pred1, pred2, pred_extra = self.pred1, self.pred2, self.pred_extra
+        frontier = [u for u in self.predecessors(root) if self.level[u] != 0]
+        while frontier:
+            frontier.sort()
+            yield frontier
+            nxt = []
+            for u in frontier:
+                a = pred1[u]        # self.predecessors(u), inlined: hot loop
+                if a >= 0:
+                    nxt.append(a)
+                    b = pred2[u]
+                    if b >= 0:
+                        nxt.append(b)
+                        if u in pred_extra:
+                            nxt.extend(pred_extra[u])
+            frontier = nxt
 
     def successor(self, p: ProjPoint) -> ProjPoint:
         self._own(p)
@@ -279,7 +288,7 @@ def build_graph(spec: FieldSpec) -> ThetaGraph:
 
     # Cycle detection: three-color walk over the out-degree-1 graph.
     color = bytearray(nverts)          # 0 new, 1 on current walk, 2 settled
-    on_cycle = bytearray(nverts)
+    level = [-1] * nverts
     raw_cycles: list[list[int]] = []
     for v0 in range(nverts):
         if color[v0]:
@@ -293,7 +302,7 @@ def build_graph(spec: FieldSpec) -> ThetaGraph:
         if color[v] == 1:              # ran into our own walk: new cycle
             cyc = path[path.index(v):]
             for u in cyc:
-                on_cycle[u] = 1
+                level[u] = 0
             raw_cycles.append(cyc)
         for u in path:
             color[u] = 2
@@ -305,44 +314,25 @@ def build_graph(spec: FieldSpec) -> ThetaGraph:
         cycles.append(cyc[k:] + cyc[:k])
     cycles.sort(key=lambda c: c[0])
 
-    level = [0] * nverts
     comp_id = [0] * nverts
     components: list[Component] = []
     g = ThetaGraph(spec, succ, level, comp_id, components,
                    pred1, pred2, pred_extra)     # the walk below fills it in
     for cid, cyc in enumerate(cycles):
-        trees: dict[int, dict[int, list[int]]] = {}
         depth = 0
         for root in cyc:
             comp_id[root] = cid
-            levels: dict[int, list[int]] = {}
-            frontier = [u for u in g.predecessors(root) if not on_cycle[u]]
-            k = 0
-            while frontier:
-                k += 1
-                frontier.sort()
-                levels[k] = frontier
-                nxt = []
-                for u in frontier:
+            for k, vs in enumerate(g.tree_levels(root), 1):
+                for u in vs:
                     level[u] = k
                     comp_id[u] = cid
-                    a = pred1[u]    # g.predecessors(u), inlined: hot loop
-                    if a >= 0:
-                        nxt.append(a)
-                        b = pred2[u]
-                        if b >= 0:
-                            nxt.append(b)
-                            if u in pred_extra:
-                                nxt.extend(pred_extra[u])
-                frontier = nxt
-            trees[root] = levels
-            depth = max(depth, k)
+                depth = max(depth, k)
         head = cyc[0]
         if head == inf:
             tclass = "A"
         else:
             tclass = "A" if spec.trace(head) == spec.trace(head ^ succ[head]) else "B"
-        components.append(Component(cyc, trees, depth, tclass))
+        components.append(Component(cyc, depth, tclass))
 
     return g
 
@@ -368,98 +358,80 @@ def omega_sets(spec: FieldSpec) -> tuple[set[FieldElement], set[FieldElement]]:
 # ---------------------------------------------------------------------------
 # Structural verification
 
-def _expected_a_count(k: int) -> int:
-    return 1 if k <= 1 else 1 << (k - 1)        # ceil(2^(k-1))
-
-
-def _expected_inf_count(k: int) -> int:
-    return 1 if k <= 2 else 1 << (k - 2)        # ceil(2^(k-2))
-
-
 def verify_structure(g: ThetaGraph) -> CheckReport:
-    """Run the six structural checks; failures become report entries."""
+    """Run the six structural checks; failures become report entries.
+
+    The three tree-shape checks are one pass of per-vertex rules on the
+    number of children, read from ``level``, the component's class and the
+    in-degree: a tree vertex's children are all of its predecessors, a cycle
+    vertex's are all but its cycle predecessor.  With d = r+2:
+
+    - A-tree (root != inf): the root has 1 child, levels 1..d-1 have 2
+      each, level d has none, and nothing lies deeper;
+    - B-tree: the root has at least 1 child, and level 1 has none;
+    - infinity tree (``cycle == [inf]``): inf and level 1 have 1 child
+      each, levels 2..d-1 have 2, level d has none.
+
+    The rules say the same as the per-level counts: an A-tree of depth
+    exactly d with 2^(k-1) vertices on level k, an infinity tree of depth d
+    with ceil(2^(k-2)), and B-trees of depth exactly 1.  Level k+1 holds
+    exactly the children of level k.  So one child of the root and two under
+    each vertex of levels 1..d-1 put 2^(k-1) vertices on level k, and level
+    d, non-empty and childless, ends the tree at depth d; infinity's tree
+    gets 1, 1, 2, ..., 2^(d-2) vertices the same way.  Conversely, x + 1/x
+    = c is a quadratic, so no vertex has more than two predecessors: 2^k
+    vertices on level k+1 below 2^(k-1) on level k force two children
+    each, one vertex on level 1 means one child of the root, and depth d
+    means no child below level d.
+    """
     spec = g.field
     inf = g.infinity_index
+    q = spec.q
     d = spec.r + 2
     rep = CheckReport(f"structure of the map graph over GF(2^{spec.t})")
 
     def lab(v: int) -> str:
         return point_label(g.point(v))
 
-    # (1) the trace class is preserved along every edge
+    # (1) the trace class is preserved along every edge.  1/x is read from
+    #     the field, not as x ^ succ[x], so a faulty edge cannot hide here.
+    trace, inv = spec.trace, spec.inv
+    classes = [comp.trace_class for comp in g.components]
     bad = None
-    for comp in g.components:
-        cls = comp.trace_class
-        for v in comp.vertices():
-            if classify_AB(spec, g.point(v)) != cls:
-                bad = v
-                break
-        if bad is not None:
+    for v, cid in enumerate(g.comp_id):
+        cls = "B" if 0 < v < q and trace(v) != trace(inv(v)) else "A"
+        if cls != classes[cid]:
+            bad = v
             break
     rep.add("class-preservation", bad is None,
             "" if bad is None else f"witness {lab(bad)}")
 
-    # (2) periodic A-vertices other than inf root trees of depth r+2 with
-    #     2^(k-1) vertices at level k; the root has one child, inner two
-    bad_msg = ""
-    for comp in g.components:
-        if comp.trace_class != "A":
-            continue
-        for root in comp.cycle:
-            if root == inf:
-                continue
-            levels = comp.trees[root]
-            depth = max(levels) if levels else 0
-            if depth != d:
-                bad_msg = f"root {lab(root)} tree depth {depth} != {d}"
-                break
-            for k in range(1, d + 1):
-                if len(levels.get(k, [])) != _expected_a_count(k):
-                    bad_msg = (f"root {lab(root)} level {k} has "
-                               f"{len(levels.get(k, []))} vertices")
-                    break
-            if bad_msg:
-                break
-            if not _children_profile_ok(g, root, levels, root_children=1):
-                bad_msg = f"root {lab(root)} child profile"
-                break
-        if bad_msg:
-            break
-    rep.add("a-tree-shape", not bad_msg, bad_msg)
-
-    # (3) periodic B-vertices root trees of depth exactly 1
-    bad_msg = ""
-    for comp in g.components:
-        if comp.trace_class != "B":
-            continue
-        for root in comp.cycle:
-            levels = comp.trees[root]
-            depth = max(levels) if levels else 0
-            if depth != 1:
-                bad_msg = f"root {lab(root)} tree depth {depth} != 1"
-                break
-        if bad_msg:
-            break
-    rep.add("b-tree-depth", not bad_msg, bad_msg)
-
-    # (4) the infinity tree: ceil(2^(k-2)) vertices per level; infinity and
-    #     the level-1 vertex have one child, deeper inner vertices two
-    bad_msg = ""
-    inf_comp = g.components[g.comp_id[inf]]
-    levels = inf_comp.trees[inf]
-    depth = max(levels) if levels else 0
-    if inf_comp.cycle != [inf]:
-        bad_msg = "infinity is not a fixed point"
-    elif depth != d:
-        bad_msg = f"infinity tree depth {depth} != {d}"
-    else:
-        for k in range(1, d + 1):
-            if len(levels.get(k, [])) != _expected_inf_count(k):
-                bad_msg = f"level {k} has {len(levels.get(k, []))} vertices"
-                break
-        if not bad_msg and not _inf_children_ok(g, levels, d):
-            bad_msg = "child profile of the infinity tree"
-    rep.add("inf-tree-shape", not bad_msg, bad_msg)
+    # (2)-(4) the tree shapes: the child counts allowed on levels 0, 1, ...
+    inf_cid = g.comp_id[inf]
+    one, two, none, some = (1,), (2,), (0,), range(1, q + 2)
+    shapes = {"A": [one] + [two] * (d - 1) + [none],
+              "B": [some, none],
+              "inf": [one, one] + [two] * (d - 2) + [none]}
+    kinds = classes[:]
+    kinds[inf_cid] = "inf"
+    rules = [shapes[kind] for kind in kinds]
+    extra = g.pred_extra
+    first_bad: dict[str, tuple[int, int, int]] = {}
+    for v, (k, cid, a, b) in enumerate(zip(g.level, g.comp_id,
+                                           g.pred1, g.pred2)):
+        children = (a >= 0) + (b >= 0) - (k == 0)
+        if extra:
+            children += len(extra.get(v, ()))
+        rule = rules[cid]
+        if k >= len(rule) or children not in rule[k]:
+            first_bad.setdefault(kinds[cid], (v, k, children))
+    details = {kind: f"vertex {lab(v)} on level {k} has {children} children"
+               for kind, (v, k, children) in first_bad.items()}
+    if g.components[inf_cid].cycle != [inf]:
+        details["inf"] = "infinity is not a fixed point"
+    for kind, name in (("A", "a-tree-shape"), ("B", "b-tree-depth"),
+                       ("inf", "inf-tree-shape")):
+        rep.add(name, kind not in details, details.get(kind, ""))
 
     # (5) leaf traces: A-leaves have Tr(x) = Tr(1/x) = 1, B-leaves (0, 1)
     bad_msg = ""
@@ -485,34 +457,6 @@ def verify_structure(g: ThetaGraph) -> CheckReport:
     return rep
 
 
-def _tree_children(g: ThetaGraph, v: int) -> list[int]:
-    return [u for u in g.predecessors(v) if g.level[u] == g.level[v] + 1]
-
-
-def _children_profile_ok(g: ThetaGraph, root: int,
-                         levels: dict[int, list[int]], root_children: int) -> bool:
-    depth = max(levels) if levels else 0
-    if len(_tree_children(g, root)) != root_children:
-        return False
-    for k in range(1, depth):
-        for v in levels[k]:
-            if len(_tree_children(g, v)) != 2:
-                return False
-    return True
-
-
-def _inf_children_ok(g: ThetaGraph, levels: dict[int, list[int]], d: int) -> bool:
-    inf = g.infinity_index
-    if len(_tree_children(g, inf)) != 1:
-        return False
-    for k in range(1, d):
-        want = 1 if k == 1 else 2
-        for v in levels[k]:
-            if len(_tree_children(g, v)) != want:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Exports (labels are discrete logs, so they need the log table)
 
@@ -521,15 +465,10 @@ def to_dot(g: ThetaGraph) -> str:
     out = []
     for cid, comp in enumerate(g.components):
         out.append(f"digraph component_{cid} {{")
-        for v in comp.cycle:
+        tree = [v for root in comp.cycle for vs in g.tree_levels(root) for v in vs]
+        for v in comp.cycle + tree:
             out.append(f'    "{point_label(g.point(v))}" -> '
                        f'"{point_label(g.point(g.succ[v]))}";')
-        for root in comp.cycle:
-            levels = comp.trees[root]
-            for k in sorted(levels):
-                for v in levels[k]:
-                    out.append(f'    "{point_label(g.point(v))}" -> '
-                               f'"{point_label(g.point(g.succ[v]))}";')
         out.append("}")
     return "\n".join(out) + "\n"
 
@@ -537,14 +476,17 @@ def to_dot(g: ThetaGraph) -> str:
 def to_json(g: ThetaGraph) -> str:
     comps = []
     for comp in g.components:
-        levels = comp.level_sets()
+        levels: dict[int, list[int]] = {}
+        for root in comp.cycle:
+            for k, vs in enumerate(g.tree_levels(root), 1):
+                levels.setdefault(k, []).extend(vs)
         comps.append({
             "cycle": [point_label(g.point(v)) for v in comp.cycle],
             "depth": comp.depth,
             "class": comp.trace_class,
             "levels": {
-                str(k): [point_label(g.point(v)) for v in levels[k]]
-                for k in sorted(levels) if k > 0
+                str(k): [point_label(g.point(v)) for v in sorted(levels[k])]
+                for k in sorted(levels)
             },
         })
     doc = {"t": g.field.t, "modulus": f"{g.field.modulus:x}", "components": comps}

@@ -98,11 +98,59 @@ def test_unwritable_output_path(capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
+def _reaimed_pairs(t: int, pick) -> list[tuple[int, int]]:
+    """The unit walk of GF(2^t) with one pair (x, 1/x) turned into
+    (x, x ^ target), so the map sends the leaf x to target (a faulty kernel).
+
+    pick(a_leaves, b_leaves) -> (leaf, target) chooses from the correct
+    graph's leaves, ascending; a_leaves leaves out the infinity tree.
+    """
+    f = make_field(t)
+    g = theta_graph.build_graph(f)
+    inf_cid = g.comp_id[f.q]
+    a_leaves = [v for v in g.leaf_indices() if g.comp_id[v] != inf_cid
+                and g.components[g.comp_id[v]].trace_class == "A"]
+    b_leaves = [v for v in g.leaf_indices()
+                if g.components[g.comp_id[v]].trace_class == "B"]
+    leaf, target = pick(a_leaves, b_leaves)
+    return [(x, x ^ target if x == leaf else xi) for x, xi in f.unit_pairs()]
+
+
+def _failed_checks(out: str) -> set[str]:
+    return {ln.split()[2] for ln in out.splitlines() if ln.startswith("FAIL")}
+
+
 def test_structure_failure_exits_one(monkeypatch, capsys):
-    monkeypatch.setattr(theta_graph, "_expected_inf_count", lambda k: 99)
+    # the least B-leaf of GF(2^3) aimed at the unit 1, inside infinity's tree
+    bad_pairs = _reaimed_pairs(3, lambda a, b: (b[0], 1))
+    monkeypatch.setattr(FieldSpec, "unit_pairs", lambda self: iter(bad_pairs))
     assert main(["verify-structure", "--t", "3"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "inf-tree-shape" in out
+
+
+LEAF_TO_ONE = {"class-preservation", "b-tree-depth", "inf-tree-shape",
+               "leaf-traces"}
+
+
+# Each fault with the checks it fails, as recorded from the per-level tree
+# checks that the per-vertex rules replaced.
+@pytest.mark.parametrize("t, pick, want", [
+    (8, lambda a, b: (a[0], a[1]), {"a-tree-shape"}),
+    (8, lambda a, b: (b[0], b[1]), {"b-tree-depth"}),
+    (3, lambda a, b: (b[0], 1), LEAF_TO_ONE),
+    (8, lambda a, b: (b[0], 1), LEAF_TO_ONE),
+    (8, lambda a, b: (b[0], a[0]), {"class-preservation", "a-tree-shape",
+                                    "b-tree-depth", "leaf-traces"}),
+], ids=["a-leaf-to-a-leaf", "b-leaf-to-b-leaf", "b-leaf-to-one-t3",
+        "b-leaf-to-one-t8", "b-leaf-to-a-leaf"])
+def test_structure_fault_matrix(monkeypatch, capsys, t, pick, want):
+    bad_pairs = _reaimed_pairs(t, pick)
+    monkeypatch.setattr(FieldSpec, "unit_pairs", lambda self: iter(bad_pairs))
+    assert main(["verify-structure", "--t", str(t)]) == 1
+    captured = capsys.readouterr()
+    assert _failed_checks(captured.out) == want
+    assert "Traceback" not in captured.err
 
 
 def test_orders_failure_exits_one(monkeypatch, capsys):
@@ -197,7 +245,8 @@ def test_identity_fault_is_a_record(monkeypatch, capsys, n):
 
     # dickson_curve builds only the double field GF(2^(2n)) itself
     monkeypatch.setattr(dickson_curve, "make_field", wrong_inverse_field)
-    assert not dickson_curve._identity_check(make_field(n), random.Random(0))
+    assert not dickson_curve._identity_check(
+        make_field(n), dickson_curve.make_field(2 * n), random.Random(0))
     checks = dickson_curve.root_set_report(make_field(n)).checks
     assert [c.name for c in checks.failures()] == ["identity-on-double-field"]
     assert main(["verify-dickson", "--n", str(n)]) == 1
@@ -221,8 +270,9 @@ def test_third_predecessor_is_kept(monkeypatch, capsys):
     bad_pairs = _pairs_with_third_predecessor(8)
     monkeypatch.setattr(FieldSpec, "unit_pairs", lambda self: iter(bad_pairs))
     g = theta_graph.build_graph(make_field(8))
-    assert sorted(v for comp in g.components
-                  for v in comp.vertices()) == list(range(g.field.q + 1))
+    assert sorted(v for comp in g.components for v in comp.cycle + [
+        u for root in comp.cycle for vs in g.tree_levels(root) for u in vs]
+    ) == list(range(g.field.q + 1))
     assert main(["verify-structure", "--t", "8"]) == 1
     captured = capsys.readouterr()
     assert any(ln.startswith("FAIL [t=8]") for ln in captured.out.splitlines())
@@ -285,6 +335,15 @@ OUTPUT_DIGESTS = [
      "b28ee51aefd4f81ed3c51df55a8118fcbabf7d03a455d50d2b1a16ffaac353c2"),
     (["sweep", "--range", "1..6", "--format", "json"],
      "4f7a14f6c74b96344e10966c710d058a72c8ed53ce86f8e977d0d6b7d48ac685"),
+    # export order with many roots per cycle (depths 5 and 4)
+    (["graph", "--t", "8", "--format", "dot"],
+     "b3617a97820302ff86b13394da7880f985c34e78edb50715b9b64e4ef75e74d0"),
+    (["graph", "--t", "8", "--format", "json"],
+     "e57ac955f9317a62d6b94850c5ea9093708c8cadc6db64414431f9f1774030fa"),
+    (["graph", "--t", "12", "--format", "dot"],
+     "2ac30a74468b0a7048f978ca99ca76ba04feb5b2ab5f02ae30659e670d0b5c8b"),
+    (["graph", "--t", "12", "--format", "json"],
+     "64c01a14216ecb0a3305b1f99899111adc7e11d94fc2a3659ccba76846d81b12"),
 ]
 
 

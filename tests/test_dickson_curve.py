@@ -138,11 +138,13 @@ def test_root_sets_preconditions():
 def test_roots_are_subgroup_images(n):
     # every root of D_m in GF(q)* is the image of an order-dividing-m point
     f = make_field(n)
+    double = make_field(2 * n)
     q = f.q
     for m in range(2, q + 2):
         if (q + 1) % m:
             continue
-        assert _theta_image_of_small_subgroup(f, m) == (_root_bits(f, m), None)
+        assert (_theta_image_of_small_subgroup(f, double, m)
+                == (_root_bits(f, m), None))
 
 
 def _roots_by_recurrence(f, m):

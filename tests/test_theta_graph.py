@@ -5,7 +5,7 @@ import json
 import pytest
 
 from thetamap.dickson_curve import _theta_image_of_small_subgroup
-from thetamap.gf2_arith import FieldError, make_field
+from thetamap.gf2_arith import FieldError, field_from_record, make_field
 from thetamap.theta_graph import (
     ProjPoint,
     build_graph,
@@ -71,7 +71,7 @@ def test_graph_t1():
     comp = g.components[0]
     assert comp.cycle == [2]                      # the infinity index
     assert comp.depth == 2
-    assert comp.trees[2] == {1: [0], 2: [1]}
+    assert dict(enumerate(g.tree_levels(2), 1)) == {1: [0], 2: [1]}
     assert sorted(p.index for p in leaves(g)) == [1]
     assert verify_structure(g).passed
 
@@ -112,7 +112,7 @@ def test_golden_six_a_component():
     for e_from, e_to in zip(CYCLE_A, CYCLE_A[1:] + CYCLE_A[:1]):
         assert G6.succ[F6.exp_of(e_from)] == F6.exp_of(e_to)
     for root_exp, levels in TREES_A.items():
-        tree = comp.trees[F6.exp_of(root_exp)]
+        tree = dict(enumerate(G6.tree_levels(F6.exp_of(root_exp)), 1))
         assert {k: exps(vs) for k, vs in tree.items()} == {
             k: sorted(vs) for k, vs in levels.items()}
     assert idx  # silence linters
@@ -123,7 +123,8 @@ def test_golden_six_b_components():
         comp = find_component(G6, cyc)
         assert comp.trace_class == "B"
         assert comp.depth == 1
-        assert sum(len(vs[1]) for vs in comp.trees.values()) == 9
+        trees = [list(G6.tree_levels(root)) for root in comp.cycle]
+        assert sum(len(levels[0]) for levels in trees) == 9
         for leaf_exp, root_exp in leaf_map.items():
             assert G6.succ[F6.exp_of(leaf_exp)] == F6.exp_of(root_exp)
         for e_from, e_to in zip(cyc, cyc[1:] + cyc[:1]):
@@ -134,7 +135,7 @@ def test_golden_six_infinity_component():
     inf = G6.infinity_index
     comp = G6.components[G6.comp_id[inf]]
     assert comp.cycle == [inf]
-    levels = comp.trees[inf]
+    levels = dict(enumerate(G6.tree_levels(inf), 1))
     assert levels[1] == [0]                        # the zero element
     assert levels[2] == [1]                        # the unit 1
     assert sorted(levels[3]) == sorted([F6.exp_of(21), F6.exp_of(42)])
@@ -155,6 +156,24 @@ def test_golden_six_leaves():
                                 21, 42)]
         + [F6.exp_of(e) for e in LEAVES_B1] + [F6.exp_of(e) for e in LEAVES_B2])
     assert sorted(p.index for p in leaves(G6)) == want
+
+
+@pytest.mark.parametrize("record", [str(t) for t in range(1, 15)]
+                         + ["t=8 modulus=11b generator=3"])
+def test_in_degree_oracle(record):
+    """y + 1/y = x means (y/x)^2 + y/x = 1/x^2, which has two roots iff
+    Tr(1/x^2) = Tr(1/x) = 0 and none otherwise (Lidl-Niederreiter,
+    Thm. 2.25); 0 has the one predecessor 1, and inf the two 0 and inf."""
+    f = make_field(int(record)) if record.isdigit() else field_from_record(record)
+    g = build_graph(f)
+    inf = f.q
+    assert g.pred_extra == {}
+    for x in range(1, f.q):
+        preds = g.predecessors(x)
+        assert len(preds) == (2 if f.trace(f.inv(x)) == 0 else 0)
+        assert all(g.succ[u] == x for u in preds)
+    assert g.predecessors(0) == [1]
+    assert sorted(g.predecessors(inf)) == [0, inf]
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +236,7 @@ def test_omega_sizes(t):
 def test_omega_bar_is_image_of_small_subgroup(t):
     f = make_field(t)
     _, om_bar = omega_sets(f)
-    image, stray = _theta_image_of_small_subgroup(f, f.q + 1)
+    image, stray = _theta_image_of_small_subgroup(f, make_field(2 * t), f.q + 1)
     assert stray is None
     assert {e.bits for e in om_bar} == image
 
