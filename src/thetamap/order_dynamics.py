@@ -1,9 +1,10 @@
 """Order and trace dynamics of the subgroup of order q^2+1 inside GF(q^4)*.
 
 Fix n = 2^l * m with m odd and q = 2^n.  All computation happens in one
-ambient field GF(2^(4n)); the subfields GF(2^n) and GF(2^(2n)) are carved
-out by the Frobenius fixed-point test rather than by separate constructions,
-so every element lives in a single polynomial basis.
+ambient field GF(2^(4n)); an element's place among the subfields GF(2^n),
+GF(2^(2n)) and GF(2^(4n)) is read from its degree (`FieldSpec.degree`)
+rather than from separate constructions, so every element lives in a single
+polynomial basis.
 
 For a seed g in the order-(q^2+1) subgroup (g != 1) the l+5 iterates
 g, f(g), f^2(g), ..., f^(l+4)(g) of the map f: x -> x + 1/x are profiled:
@@ -18,6 +19,8 @@ subfield levels containing it.  The seed is then classified:
 
 The three classes partition the subgroup minus 1, and each forces a rigid
 level/order/trace table that `case_table` renders and checks row by row.
+`orders_report` walks the subgroup once: the whole-subgroup set checks read
+their iterates and orders from the profiles of that walk.
 
 Projective conventions (1/0 = 0, |0| = |inf| = 1, Tr = 0 on 0 and inf)
 make the degenerate tails of class-1 profiles (... -> 1 -> 0 -> inf, which
@@ -221,14 +224,15 @@ def classify_H(tower: TowerSpec, gamma: FieldElement) -> OrderProfile:
     steps: list[ProfileStep] = []
     idx = gamma.bits
     for i in range(l + 5):
+        point = ProjPoint(ambient, idx)
         if idx == 0 or idx == ambient.q:   # projective special points
             if i <= l + 2:
                 raise FieldError(
                     f"iterate {i} of a subgroup seed reached a special point")
-            point = ProjPoint(ambient, idx)
             steps.append(ProfileStep(i, point, 1, 1, 1, n, 0, 0))
+            idx = ambient.q                # 0 and inf both map to inf
         else:
-            point = ProjPoint(ambient, idx)
+            inv = ambient.inv(idx)
             o = ambient.order(idx)
             dp = math.gcd(o, q + 1)
             ep = math.gcd(o, q - 1)
@@ -238,9 +242,9 @@ def classify_H(tower: TowerSpec, gamma: FieldElement) -> OrderProfile:
                 raise AssertionError("order did not split as d_part*e_part")
             sub = tower.subfield_degree(idx)
             tr = ambient.subfield_trace(idx, sub)
-            tr_inv = ambient.subfield_trace(ambient.inv(idx), sub)
+            tr_inv = ambient.subfield_trace(inv, sub)
             steps.append(ProfileStep(i, point, o, dp, ep, sub, tr, tr_inv))
-        idx = theta_index(ambient, idx)
+            idx ^= inv                     # x + 1/x, from the same inverse
 
     if (q + 1) % steps[1].order == 0:
         h = HClass.H1
@@ -480,26 +484,22 @@ def case1_subcase(tower: TowerSpec, profile: OrderProfile) -> SubcaseReport:
 # ---------------------------------------------------------------------------
 # Whole-subgroup set checks
 
-def verify_cq1_inclusion(tower: TowerSpec) -> CheckReport:
+def verify_cq1_inclusion(tower: TowerSpec,
+                         profiles: list[OrderProfile]) -> CheckReport:
     """C_{q+1} inside theta(C_{q^2+1}) union theta^(l+2)(C_{q^2+1}).
 
+    The two images are read from the seed profiles at indices 1 and l+2
+    (seed 1 is left out: it maps to 0 and then inf, neither in C_{q+1}).
     Also places every nontrivial element of C_{q+1} on level l+3 or 2 of the
     graph over GF(q^2) and checks that every vertex sharing that level of
     the same component has order dividing q+1.
     """
-    ambient = tower.ambient
     q, l, n = tower.q, tower.l, tower.n
     rep = CheckReport(f"order-(q+1) subgroup coverage (n={n})")
 
     cq1 = [e.bits for e in subgroup(tower, q + 1)]
-    img1: set[int] = set()
-    img2: set[int] = set()
-    for e in subgroup(tower, q * q + 1):
-        idx = theta_index(ambient, e.bits)
-        img1.add(idx)
-        for _ in range(l + 1):
-            idx = theta_index(ambient, idx)
-        img2.add(idx)
+    img1 = {p.steps[1].point.index for p in profiles}
+    img2 = {p.steps[l + 2].point.index for p in profiles}
     missing = [b for b in cq1 if b not in img1 and b not in img2]
     rep.add("cq1-image-inclusion", not missing,
             "" if not missing
@@ -572,11 +572,12 @@ class QuadrantReport:
         return self.checks.passed
 
 
-def trace_quadrants(spec_n: FieldSpec, tower: TowerSpec) -> QuadrantReport:
+def trace_quadrants(spec_n: FieldSpec, tower: TowerSpec,
+                    profiles: list[OrderProfile]) -> QuadrantReport:
     """Quadrants by trace pairs versus their image-set characterizations.
 
-    The image sets are computed over the ambient field by iterating the map
-    on the order-(q^2+1) subgroup and keeping unit points; the trace-defined
+    The image sets are read over the ambient field from the seed profiles
+    of the order-(q^2+1) subgroup, keeping unit points; the trace-defined
     quadrants are carried into the ambient field through the explicit
     subfield embedding before comparison.
     """
@@ -597,21 +598,16 @@ def trace_quadrants(spec_n: FieldSpec, tower: TowerSpec) -> QuadrantReport:
     img_a00: set[int] = set()
     img_b01: set[int] = set()
     img_b10: set[int] = set()
-    for e in subgroup(tower, q * q + 1):
-        if e.bits == 1:
-            continue
-        orbit = [e.bits]
-        idx = e.bits
-        for _ in range(l + 4):
-            idx = theta_index(ambient, idx)
-            orbit.append(idx)
-        if (q + 1) % ProjPoint(ambient, orbit[1]).order() == 0:
+    for prof in profiles:
+        steps = prof.steps
+        orbit = [s.point.index for s in steps]
+        if (q + 1) % steps[1].order == 0:
             if 0 < orbit[2] < unit_cap:
                 img_a11.add(orbit[2])
             for i in range(3, l + 5):
                 if 0 < orbit[i] < unit_cap:
                     img_a00.add(orbit[i])
-        if (q + 1) % ProjPoint(ambient, orbit[l + 2]).order() == 0:
+        if (q + 1) % steps[l + 2].order == 0:
             if 0 < orbit[l + 3] < unit_cap:
                 img_b01.add(orbit[l + 3])
             if 0 < orbit[l + 4] < unit_cap:
@@ -629,18 +625,14 @@ def trace_quadrants(spec_n: FieldSpec, tower: TowerSpec) -> QuadrantReport:
     return QuadrantReport(a11, a00, b01, b10, rep)
 
 
-def verify_theta_permutation(tower: TowerSpec) -> CheckReport:
-    """The map permutes the (l+4)-th image of the order-(q^2+1) subgroup."""
+def verify_theta_permutation(tower: TowerSpec,
+                             profiles: list[OrderProfile]) -> CheckReport:
+    """The map permutes the (l+4)-th image of the order-(q^2+1) subgroup.
+
+    The landing set is read from the seed profiles at index l+4.
+    """
     ambient = tower.ambient
-    q, l = tower.q, tower.l
-    landing: set[int] = set()
-    for e in subgroup(tower, q * q + 1):
-        if e.bits == 1:
-            continue
-        idx = e.bits
-        for _ in range(l + 4):
-            idx = theta_index(ambient, idx)
-        landing.add(idx)
+    landing = {p.steps[tower.l + 4].point.index for p in profiles}
     image = {theta_index(ambient, idx) for idx in landing}
     rep = CheckReport(f"permutation on the landing set (n={tower.n})")
     rep.add("landing-set-closed", image == landing,
@@ -656,6 +648,7 @@ def orders_report(tower: TowerSpec) -> dict:
     """Classification counts, all profiles, and every set-level check."""
     q, l, n = tower.q, tower.l, tower.n
     counts = {"H1": 0, "H2": 0, "H3": 0}
+    seed_profiles = []
     profiles = []
     checks = CheckReport(f"order dynamics over GF(2^{4 * n})")
 
@@ -666,6 +659,7 @@ def orders_report(tower: TowerSpec) -> dict:
     bound_bad = []
     for exp, gamma in enumerate_H(tower):
         prof = classify_H(tower, gamma)
+        seed_profiles.append(prof)
         counts[prof.h_class.name] += 1
         flags = h_longform_flags(prof)
         if sum(flags) != 1 or not flags[prof.case_id - 1]:
@@ -707,9 +701,9 @@ def orders_report(tower: TowerSpec) -> dict:
     summarize("case1-subcases", subcase_bad)
     summarize("order-bound", bound_bad)
 
-    for sub in (verify_cq1_inclusion(tower),
-                trace_quadrants(make_field(n), tower).checks,
-                verify_theta_permutation(tower)):
+    for sub in (verify_cq1_inclusion(tower, seed_profiles),
+                trace_quadrants(make_field(n), tower, seed_profiles).checks,
+                verify_theta_permutation(tower, seed_profiles)):
         checks.checks.extend(sub.checks)
 
     return {

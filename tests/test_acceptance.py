@@ -174,8 +174,8 @@ def test_criterion_07_leaf_set_equalities():
 def test_criterion_08_inclusion_and_permutation():
     ok = True
     for n in (1, 2, 3, 4):
-        ok = ok and verify_cq1_inclusion(TOWERS[n]).passed
-        ok = ok and verify_theta_permutation(TOWERS[n]).passed
+        ok = ok and verify_cq1_inclusion(TOWERS[n], PROFILES[n]).passed
+        ok = ok and verify_theta_permutation(TOWERS[n], PROFILES[n]).passed
     verdict(8, ok, "subgroup image inclusion and the landing-set "
                    "permutation hold elementwise for n=1..4")
 

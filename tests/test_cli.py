@@ -102,17 +102,24 @@ def _reaimed_pairs(t: int, pick) -> list[tuple[int, int]]:
     """The unit walk of GF(2^t) with one pair (x, 1/x) turned into
     (x, x ^ target), so the map sends the leaf x to target (a faulty kernel).
 
-    pick(a_leaves, b_leaves) -> (leaf, target) chooses from the correct
-    graph's leaves, ascending; a_leaves leaves out the infinity tree.
+    pick(a_leaves, b_leaves, a_forks) -> (leaf, target) chooses from the
+    correct graph's vertices, ascending: a_leaves and a_forks (the vertices
+    with two children, on levels 1..d-1) leave out the infinity tree.
     """
     f = make_field(t)
     g = theta_graph.build_graph(f)
     inf_cid = g.comp_id[f.q]
-    a_leaves = [v for v in g.leaf_indices() if g.comp_id[v] != inf_cid
-                and g.components[g.comp_id[v]].trace_class == "A"]
+
+    def in_a_tree(v):
+        return (g.comp_id[v] != inf_cid
+                and g.components[g.comp_id[v]].trace_class == "A")
+
+    a_leaves = [v for v in g.leaf_indices() if in_a_tree(v)]
     b_leaves = [v for v in g.leaf_indices()
                 if g.components[g.comp_id[v]].trace_class == "B"]
-    leaf, target = pick(a_leaves, b_leaves)
+    a_forks = [v for v in range(f.q) if in_a_tree(v)
+               and 1 <= g.level[v] <= f.r + 1 and g.pred2[v] >= 0]
+    leaf, target = pick(a_leaves, b_leaves, a_forks)
     return [(x, x ^ target if x == leaf else xi) for x, xi in f.unit_pairs()]
 
 
@@ -122,7 +129,7 @@ def _failed_checks(out: str) -> set[str]:
 
 def test_structure_failure_exits_one(monkeypatch, capsys):
     # the least B-leaf of GF(2^3) aimed at the unit 1, inside infinity's tree
-    bad_pairs = _reaimed_pairs(3, lambda a, b: (b[0], 1))
+    bad_pairs = _reaimed_pairs(3, lambda a, b, f: (b[0], 1))
     monkeypatch.setattr(FieldSpec, "unit_pairs", lambda self: iter(bad_pairs))
     assert main(["verify-structure", "--t", "3"]) == 1
     out = capsys.readouterr().out
@@ -135,15 +142,19 @@ LEAF_TO_ONE = {"class-preservation", "b-tree-depth", "inf-tree-shape",
 
 # Each fault with the checks it fails, as recorded from the per-level tree
 # checks that the per-vertex rules replaced.
+# The last fault gives an A-tree vertex a third child through pred_extra;
+# only the count of that extra child makes it an a-tree-shape failure.
 @pytest.mark.parametrize("t, pick, want", [
-    (8, lambda a, b: (a[0], a[1]), {"a-tree-shape"}),
-    (8, lambda a, b: (b[0], b[1]), {"b-tree-depth"}),
-    (3, lambda a, b: (b[0], 1), LEAF_TO_ONE),
-    (8, lambda a, b: (b[0], 1), LEAF_TO_ONE),
-    (8, lambda a, b: (b[0], a[0]), {"class-preservation", "a-tree-shape",
-                                    "b-tree-depth", "leaf-traces"}),
+    (8, lambda a, b, f: (a[0], a[1]), {"a-tree-shape"}),
+    (8, lambda a, b, f: (b[0], b[1]), {"b-tree-depth"}),
+    (3, lambda a, b, f: (b[0], 1), LEAF_TO_ONE),
+    (8, lambda a, b, f: (b[0], 1), LEAF_TO_ONE),
+    (8, lambda a, b, f: (b[0], a[0]), {"class-preservation", "a-tree-shape",
+                                       "b-tree-depth", "leaf-traces"}),
+    (8, lambda a, b, f: (b[0], f[0]), {"class-preservation", "a-tree-shape",
+                                       "b-tree-depth", "leaf-traces"}),
 ], ids=["a-leaf-to-a-leaf", "b-leaf-to-b-leaf", "b-leaf-to-one-t3",
-        "b-leaf-to-one-t8", "b-leaf-to-a-leaf"])
+        "b-leaf-to-one-t8", "b-leaf-to-a-leaf", "b-leaf-to-a-fork"])
 def test_structure_fault_matrix(monkeypatch, capsys, t, pick, want):
     bad_pairs = _reaimed_pairs(t, pick)
     monkeypatch.setattr(FieldSpec, "unit_pairs", lambda self: iter(bad_pairs))
@@ -344,6 +355,11 @@ OUTPUT_DIGESTS = [
      "2ac30a74468b0a7048f978ca99ca76ba04feb5b2ab5f02ae30659e670d0b5c8b"),
     (["graph", "--t", "12", "--format", "json"],
      "64c01a14216ecb0a3305b1f99899111adc7e11d94fc2a3659ccba76846d81b12"),
+    # order battery at l = 2, and the perfbench orders-n5 output
+    (["verify-orders", "--n", "4", "--format", "text"],
+     "92e36a0063a849c30932383ec8bb2960edd86ec54351dd8b33de760448c3c811"),
+    (["verify-orders", "--n", "5", "--format", "json"],
+     "2151b698c14e7a4c9de42453fd74567fd690105f1bae8b2c947928be8dd7270e"),
 ]
 
 

@@ -1,9 +1,11 @@
 """Classification of the order-(q^2+1) subgroup and the set-level facts."""
 
+import dataclasses
 import math
 
 import pytest
 
+from thetamap import order_dynamics
 from thetamap.gf2_arith import FieldElement, FieldError, factorize, make_field
 from thetamap.order_dynamics import (
     HClass,
@@ -23,7 +25,7 @@ from thetamap.order_dynamics import (
     verify_cq1_inclusion,
     verify_theta_permutation,
 )
-from thetamap.theta_graph import build_graph
+from thetamap.theta_graph import ProjPoint, build_graph, theta_index
 
 TOWERS = {n: make_tower(n) for n in (1, 2, 3, 4)}
 PROFILES = {
@@ -247,13 +249,13 @@ def test_case1_subcase_forced_at_small_sizes():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_cq1_inclusion(n):
-    rep = verify_cq1_inclusion(TOWERS[n])
+    rep = verify_cq1_inclusion(TOWERS[n], PROFILES[n])
     assert rep.passed, str(rep)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_quadrants(n):
-    rep = trace_quadrants(make_field(n), TOWERS[n])
+    rep = trace_quadrants(make_field(n), TOWERS[n], PROFILES[n])
     assert rep.passed, str(rep.checks)
     total = len(rep.a11) + len(rep.a00) + len(rep.b01) + len(rep.b10)
     assert total == (1 << n) - 1
@@ -261,13 +263,85 @@ def test_quadrants(n):
 
 def test_quadrants_rejects_wrong_field():
     with pytest.raises(FieldError):
-        trace_quadrants(make_field(3), TOWERS[2])
+        trace_quadrants(make_field(3), TOWERS[2], PROFILES[2])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_theta_permutation(n):
-    rep = verify_theta_permutation(TOWERS[n])
+    rep = verify_theta_permutation(TOWERS[n], PROFILES[n])
     assert rep.passed, str(rep)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_profile_walk_is_the_map(n):
+    ambient = TOWERS[n].ambient
+    for p in PROFILES[n]:
+        idx = [s.point.index for s in p.steps]
+        assert idx[0] == p.gamma.bits
+        for a, b in zip(idx, idx[1:]):
+            assert b == theta_index(ambient, a)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_orders_report_enumerates_subgroup_once(monkeypatch, n):
+    true_subgroup = order_dynamics.subgroup
+    ks = []
+
+    def recording(tower, k):
+        ks.append(k)
+        return true_subgroup(tower, k)
+
+    monkeypatch.setattr(order_dynamics, "subgroup", recording)
+    tw = make_tower(n)
+    rep = orders_report(tw)
+    assert ks.count(tw.q ** 2 + 1) == 1
+    assert all(c["pass"] for c in rep["checks"])
+
+
+def _with_step(profile, i, point):
+    """A copy of the profile whose step i is moved to another point."""
+    steps = list(profile.steps)
+    steps[i] = dataclasses.replace(steps[i], point=point)
+    return dataclasses.replace(profile, steps=steps)
+
+
+def _failures(rep):
+    return [c.name for c in rep.failures()]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cq1_fault_is_a_record(n):
+    # every iterate that lands on one element of C_(q+1) moved to its seed
+    tw = TOWERS[n]
+    l = tw.l
+    target = subgroup(tw, tw.q + 1)[1].bits
+    profs = PROFILES[n]
+    for i in (1, l + 2):
+        profs = [_with_step(p, i, ProjPoint.of(p.gamma))
+                 if p.steps[i].point.index == target else p for p in profs]
+    assert _failures(verify_cq1_inclusion(tw, profs)) == [
+        "cq1-image-inclusion"]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_quadrant_fault_is_a_record(n):
+    # the first class-1 seed's index-2 iterate moved to the seed itself
+    tw = TOWERS[n]
+    k = next(k for k, p in enumerate(PROFILES[n]) if p.case_id == 1)
+    profs = list(PROFILES[n])
+    profs[k] = _with_step(profs[k], 2, ProjPoint.of(profs[k].gamma))
+    rep = trace_quadrants(make_field(n), tw, profs)
+    assert _failures(rep.checks) == ["a11-image"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_permutation_fault_is_a_record(n):
+    # one seed's landing point replaced by the seed itself
+    tw = TOWERS[n]
+    profs = list(PROFILES[n])
+    profs[0] = _with_step(profs[0], tw.l + 4, ProjPoint.of(profs[0].gamma))
+    rep = verify_theta_permutation(tw, profs)
+    assert _failures(rep) == ["landing-set-closed"]
 
 
 def test_permutation_landing_set_n1_is_infinity():
