@@ -66,8 +66,9 @@ def _values(args, flag: str) -> list[int]:
 
 
 def _bounds(command: str) -> tuple[int, str]:
+    cap = max_t_cap()          # every command refuses a malformed THETA_MAX_T
     if command == "verify-structure" or command == "graph":
-        return max_t_cap(), "t"
+        return cap, "t"
     if command == "verify-orders":
         return MAX_TOWER_N, "n"
     return MAX_DICKSON_N, "n"
@@ -134,18 +135,16 @@ def _checks_passed(doc: dict) -> bool:
     return all(c["pass"] for c in doc.get("checks", []))
 
 
-def _text_lines(docs: list[dict], scope_key: str) -> tuple[list[str], bool]:
+def _text_lines(docs: list[dict], scope_key: str, ok: bool) -> list[str]:
     lines = []
-    ok = True
     for doc in docs:
         scope = f"{scope_key}={doc[scope_key]}"
         for c in doc["checks"]:
             mark = "PASS" if c["pass"] else "FAIL"
-            ok = ok and c["pass"]
             detail = f"  {c['detail']}" if c["detail"] else ""
             lines.append(f"{mark} [{scope}] {c['name']}{detail}")
     lines.append(f"result: {'all checks passed' if ok else 'FAILURES present'}")
-    return lines, ok
+    return lines
 
 
 def run(config: RunConfig) -> int:
@@ -179,8 +178,7 @@ def run(config: RunConfig) -> int:
                                  else str(d[c]) for c in cols))
         text = "\n".join(rows) + "\n"
     else:
-        lines, _ = _text_lines(docs, scope)
-        text = "\n".join(lines) + "\n"
+        text = "\n".join(_text_lines(docs, scope, ok)) + "\n"
     return _emit(text, config.out, 0 if ok else 1)
 
 

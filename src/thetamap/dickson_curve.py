@@ -31,8 +31,8 @@ from thetamap.gf2_arith import (
     FieldSpec,
     field_to_record,
     make_field,
+    subfield_embedding,
 )
-from thetamap.order_dynamics import subfield_embedding
 from thetamap.report import CheckReport
 from thetamap.theta_graph import ThetaGraph
 
@@ -167,13 +167,7 @@ def _theta_image_of_small_subgroup(spec: FieldSpec, ambient: FieldSpec,
     """
     emb = subfield_embedding(spec, ambient)
     back = {e: x for x, e in enumerate(emb)}
-    h = ambient.pow(ambient.gen, (ambient.q - 1) // m)
-    lo, hi, shift = ambient.mul_tables(h)
-    mask = len(lo) - 1
-    powers = [1]
-    for _ in range(m):
-        v = powers[-1]
-        powers.append(lo[v & mask] ^ hi[v >> shift])
+    powers = ambient.powers(ambient.pow(ambient.gen, (ambient.q - 1) // m), m)
     if powers[m] != 1:
         return set(), powers[m]
     image: set[int] = set()
@@ -300,7 +294,8 @@ def root_set_report(spec: FieldSpec, seed: int = 0) -> RootSetReport:
     rep.add("t-emptiness", (len(t) == 0) == (q <= 4),
             f"q={q} |T|={len(t)}")
 
-    double = make_field(2 * n)        # GF(q^2), shared by the next two stages
+    # GF(q^2), shared by the next two stages; internal, so not user-capped
+    double = make_field(2 * n, max_t=2 * n)
     image, stray = _theta_image_of_small_subgroup(spec, double, m)
     detail = f"|roots|={len(roots)} |image|={len(image)}"
     if stray is not None:

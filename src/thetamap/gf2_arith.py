@@ -16,8 +16,10 @@ numerically least irreducible polynomial beyond that.
 by the graph and sweep code.  ``FieldSpec`` alone decides whether a field
 has log/exp tables: other modules reach them only through the unit walk
 ``unit_pairs`` (every unit with its inverse, in generator order) and the
-table accessor ``tables``.  ``FieldElement`` wraps a packed int with
-operators and methods that refuse to mix elements of different fields.
+table accessor ``tables``; one element's powers come from ``powers`` and
+traces at every subfield level from ``trace_mask``.  ``FieldElement`` wraps
+a packed int with operators and methods that refuse to mix elements of
+different fields.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "FieldElement",
     "make_field",
     "max_t_cap",
+    "subfield_embedding",
     "factorize",
     "field_to_record",
     "field_from_record",
@@ -308,7 +311,7 @@ class FieldSpec:
 
     __slots__ = (
         "t", "r", "s", "q", "modulus", "gen", "fact_minus", "fact_plus",
-        "_trace_mask", "_sub_masks", "_subfields", "_exp", "_log",
+        "_trace_masks", "_subfields", "_exp", "_log",
     )
 
     def __init__(self, t: int, modulus: int, generator: int | None = None):
@@ -333,8 +336,7 @@ class FieldSpec:
             raise FieldError("gcd(2^t-1, 2^t+1) != 1")  # impossible
         if math.gcd(self.q + 1, (1 << (2 * t)) + 1) != 1:
             raise FieldError("gcd(2^t+1, 2^(2t)+1) != 1")  # impossible
-        self._trace_mask = None
-        self._sub_masks = {}
+        self._trace_masks = {}
         # (d, (q-1)/(2^d-1)) for each d | t, ascending: a unit lies in
         # GF(2^d) iff the step divides its discrete log.
         self._subfields = tuple((d, (self.q - 1) // ((1 << d) - 1))
@@ -401,9 +403,12 @@ class FieldSpec:
 
     def trace(self, a: int) -> int:
         """Absolute trace Tr_t(a), always 0 or 1."""
-        if self._trace_mask is None:
-            self._trace_mask = self._linear_form_mask(self.t)
-        return (a & self._trace_mask).bit_count() & 1
+        # trace_mask(t), inlined: the graph checks call this per vertex
+        try:
+            mask = self._trace_masks[self.t]
+        except KeyError:
+            mask = self.trace_mask(self.t)
+        return (a & mask).bit_count() & 1
 
     def subfield_trace(self, a: int, d: int) -> int:
         """Absolute trace Tr_d(a) of an element of the subfield GF(2^d).
@@ -411,27 +416,31 @@ class FieldSpec:
         Raises unless d | t and a actually lies in GF(2^d); the trace at the
         wrong level is a contract violation, never a silent coercion.
         """
-        if self.t % d != 0:
-            raise FieldError(f"degree {d} is not a subfield of GF(2^{self.t})")
+        mask = self.trace_mask(d)
         if not self.in_subfield(a, d):
             raise FieldError(f"{a:#x} not in GF(2^{d})")
-        mask = self._sub_masks.get(d)
-        if mask is None:
-            mask = self._sub_masks[d] = self._linear_form_mask(d)
         return (a & mask).bit_count() & 1
 
-    def _linear_form_mask(self, d: int) -> int:
-        # Bit j of the mask is bit 0 of sum_{i<d} (x^j)^(2^i); for arguments
-        # inside GF(2^d) the full sum is 0 or 1, so the parity of
-        # (a & mask) recovers it.
-        mask = 0
-        for j in range(self.t):
-            acc = 0
-            v = 1 << j
-            for _ in range(d):
-                acc ^= v
-                v = self.sqr(v)
-            mask |= (acc & 1) << j
+    def trace_mask(self, d: int) -> int:
+        """Tr_d(a) = parity(a & mask) for a in GF(2^d), d | t; built once per d.
+
+        Bit j is bit 0 of sum_{i<d} (x^j)^(2^i): inside GF(2^d) that sum is 0
+        or 1.  Only ``subfield_trace`` checks that a lies in GF(2^d).
+        """
+        mask = self._trace_masks.get(d)
+        if mask is None:
+            if self.t % d != 0:
+                raise FieldError(
+                    f"degree {d} is not a subfield of GF(2^{self.t})")
+            mask = 0
+            for j in range(self.t):
+                acc = 0
+                v = 1 << j
+                for _ in range(d):
+                    acc ^= v
+                    v = self.sqr(v)
+                mask |= (acc & 1) << j
+            self._trace_masks[d] = mask
         return mask
 
     def in_subfield(self, a: int, d: int) -> bool:
@@ -478,14 +487,8 @@ class FieldSpec:
         if self.t > TABLE_MAX_T:
             raise FieldError(f"log tables refused for t={self.t} > {TABLE_MAX_T}")
         n = self.q - 1
-        lo, hi, h = self.mul_tables(self.gen)
-        mask = len(lo) - 1
-        exp = [0] * n
-        v = 1
-        for i in range(n):
-            exp[i] = v
-            v = lo[v & mask] ^ hi[v >> h]
-        if v != 1:
+        exp = self.powers(self.gen, n)
+        if exp.pop() != 1:
             raise FieldError("generator order mismatch while building tables")
         log = [0] * self.q
         deque(map(log.__setitem__, exp, range(n)), maxlen=0)
@@ -503,6 +506,18 @@ class FieldSpec:
         h = (self.t + 1) // 2
         cols = [_pmulmod(1 << i, c, self.modulus) for i in range(self.t)]
         return _span_table(cols[:h]), _span_table(cols[h:]), h
+
+    def powers(self, c: int, k: int) -> list[int]:
+        """[c^0, ..., c^k], each from the one before by the split tables of
+        v -> v*c (``mul_tables``); a caller expecting c^k = 1 checks it."""
+        lo, hi, h = self.mul_tables(c)
+        mask = len(lo) - 1
+        out = [1] * (k + 1)
+        v = 1
+        for i in range(1, k + 1):
+            v = lo[v & mask] ^ hi[v >> h]
+            out[i] = v
+        return out
 
     def tables(self) -> tuple[list[int], list[int]]:
         """The (exp, log) tables, built on first use.
@@ -650,6 +665,50 @@ def make_field(t: int, modulus: int | None = None, *, max_t: int | None = None) 
     if conway is not None:
         return FieldSpec(t, conway, generator=_pmod(2, conway))
     return FieldSpec(t, _least_irreducible(t))
+
+
+# ---------------------------------------------------------------------------
+# Explicit subfield embeddings (never implicit coercions)
+
+def subfield_embedding(sub: FieldSpec, ambient: FieldSpec) -> list[int]:
+    """Dense table mapping packed elements of `sub` into `ambient`.
+
+    Finds the least power of the canonical order-(2^d-1) generator of the
+    ambient subfield that is a root of `sub`'s modulus (with compatible
+    Conway moduli that is the generator itself) and evaluates coordinates
+    there.  GF(2) needs no root: its one basis power is 1, whatever the
+    modulus (the root of x is 0, which no unit power reaches).
+    """
+    d = sub.t
+    if ambient.t % d != 0:
+        raise FieldError(f"GF(2^{d}) does not embed in GF(2^{ambient.t})")
+    sub_units = (1 << d) - 1
+    rho_pow = [1] * d
+    if d > 1:
+        ghat = ambient.pow(ambient.gen, (ambient.q - 1) // sub_units)
+        root = None
+        cand = ghat
+        for _ in range(sub_units):
+            acc = 0
+            for i in range(d, -1, -1):
+                acc = ambient.mul(acc, cand)
+                if (sub.modulus >> i) & 1:
+                    acc ^= 1
+            if acc == 0:
+                root = cand
+                break
+            cand = ambient.mul(cand, ghat)
+        if root is None:
+            raise AssertionError("modulus has no root in the ambient subfield")
+        for j in range(1, d):
+            rho_pow[j] = ambient.mul(rho_pow[j - 1], root)
+    table = [0] * (1 << d)
+    for bits in range(1, 1 << d):
+        low = bits & -bits
+        table[bits] = table[bits ^ low] ^ rho_pow[low.bit_length() - 1]
+    if ambient.order(table[sub.gen]) != sub_units:
+        raise AssertionError("embedding does not preserve the generator order")
+    return table
 
 
 # ---------------------------------------------------------------------------

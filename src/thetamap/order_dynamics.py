@@ -1,10 +1,10 @@
 """Order and trace dynamics of the subgroup of order q^2+1 inside GF(q^4)*.
 
-Fix n = 2^l * m with m odd and q = 2^n.  All computation happens in one
-ambient field GF(2^(4n)); an element's place among the subfields GF(2^n),
-GF(2^(2n)) and GF(2^(4n)) is read from its degree (`FieldSpec.degree`)
-rather than from separate constructions, so every element lives in a single
-polynomial basis.
+Fix n = 2^l * m with m odd and q = 2^n.  `TowerSpec` owns the three fields
+GF(2^n), GF(2^(2n)) and GF(2^(4n)), built once; every stage reads them from
+it.  The iterates are computed in the ambient GF(2^(4n)) alone: an iterate's
+place among the three levels is read from its degree (`FieldSpec.degree`),
+so every iterate lives in a single polynomial basis.
 
 For a seed g in the order-(q^2+1) subgroup (g != 1) the l+5 iterates
 g, f(g), f^2(g), ..., f^(l+4)(g) of the map f: x -> x + 1/x are profiled:
@@ -25,7 +25,7 @@ their iterates and orders from the profiles of that walk.
 Projective conventions (1/0 = 0, |0| = |inf| = 1, Tr = 0 on 0 and inf)
 make the degenerate tails of class-1 profiles (... -> 1 -> 0 -> inf, which
 occur whenever 3 | q+1 or 3 | q-1 lets an iterate reach 1) satisfy the same
-tables uniformly.
+tables uniformly; at indices 1..l+2 a special point fails its case table.
 """
 
 from __future__ import annotations
@@ -35,13 +35,12 @@ from dataclasses import dataclass, field as dfield
 from enum import Enum
 
 from thetamap.gf2_arith import (
-    Factorization,
     FieldElement,
     FieldError,
     FieldSpec,
-    factorize,
     field_to_record,
     make_field,
+    subfield_embedding,
 )
 from thetamap.report import CheckReport
 from thetamap.theta_graph import (
@@ -61,7 +60,6 @@ __all__ = [
     "QuadrantReport",
     "make_tower",
     "subgroup",
-    "subfield_embedding",
     "enumerate_H",
     "classify_H",
     "h_longform_flags",
@@ -92,9 +90,9 @@ class TowerSpec:
     l: int
     m: int
     q: int
+    base: FieldSpec
+    double: FieldSpec
     ambient: FieldSpec
-    fact_q_minus: Factorization
-    fact_q_plus: Factorization
 
     def subfield_degree(self, bits: int) -> int:
         """Smallest of n, 2n, 4n whose subfield contains the element."""
@@ -103,6 +101,7 @@ class TowerSpec:
 
 
 def make_tower(n: int) -> TowerSpec:
+    """The tower over GF(2^n); only the base obeys the user's degree cap."""
     if not 1 <= n <= MAX_TOWER_N:
         raise FieldError(f"tower degree n={n} outside [1, {MAX_TOWER_N}]")
     l, m = 0, n
@@ -110,8 +109,9 @@ def make_tower(n: int) -> TowerSpec:
         l += 1
         m //= 2
     q = 1 << n
-    return TowerSpec(n, l, m, q, make_field(4 * n),
-                     factorize(q - 1), factorize(q + 1))
+    return TowerSpec(n, l, m, q, make_field(n),
+                     make_field(2 * n, max_t=2 * n),
+                     make_field(4 * n, max_t=4 * n))
 
 
 def subgroup(tower: TowerSpec, k: int) -> list[FieldElement]:
@@ -120,65 +120,16 @@ def subgroup(tower: TowerSpec, k: int) -> list[FieldElement]:
     n_units = ambient.q - 1
     if k < 1 or n_units % k != 0:
         raise FieldError(f"{k} does not divide 2^{ambient.t}-1")
-    h = ambient.pow(ambient.gen, n_units // k)
-    out = []
-    v = 1
-    for _ in range(k):
-        out.append(FieldElement(ambient, v))
-        v = ambient.mul(v, h)
-    if v != 1:
+    powers = ambient.powers(ambient.pow(ambient.gen, n_units // k), k)
+    if powers[k] != 1:
         raise AssertionError("subgroup enumeration did not close")
-    return out
+    return [FieldElement(ambient, v) for v in powers[:k]]
 
 
 def enumerate_H(tower: TowerSpec) -> list[tuple[int, FieldElement]]:
     """(exponent, seed) pairs for the whole subgroup minus 1, exponent order."""
     elems = subgroup(tower, tower.q ** 2 + 1)
     return [(j, e) for j, e in enumerate(elems) if j > 0]
-
-
-# ---------------------------------------------------------------------------
-# Explicit subfield embeddings (never implicit coercions)
-
-def subfield_embedding(sub: FieldSpec, ambient: FieldSpec) -> list[int]:
-    """Dense table mapping packed elements of `sub` into `ambient`.
-
-    Finds the least power of the canonical order-(2^d-1) generator of the
-    ambient subfield that is a root of `sub`'s modulus (with compatible
-    Conway moduli that is the generator itself) and evaluates coordinates
-    there.  GF(2) needs no root: its one basis power is 1, whatever the
-    modulus (the root of x is 0, which no unit power reaches).
-    """
-    d = sub.t
-    if ambient.t % d != 0:
-        raise FieldError(f"GF(2^{d}) does not embed in GF(2^{ambient.t})")
-    sub_units = (1 << d) - 1
-    rho_pow = [1] * d
-    if d > 1:
-        ghat = ambient.pow(ambient.gen, (ambient.q - 1) // sub_units)
-        root = None
-        cand = ghat
-        for _ in range(sub_units):
-            acc = 0
-            for i in range(d, -1, -1):
-                acc = ambient.mul(acc, cand)
-                if (sub.modulus >> i) & 1:
-                    acc ^= 1
-            if acc == 0:
-                root = cand
-                break
-            cand = ambient.mul(cand, ghat)
-        if root is None:
-            raise AssertionError("modulus has no root in the ambient subfield")
-        for j in range(1, d):
-            rho_pow[j] = ambient.mul(rho_pow[j - 1], root)
-    table = [0] * (1 << d)
-    for bits in range(1, 1 << d):
-        low = bits & -bits
-        table[bits] = table[bits ^ low] ^ rho_pow[low.bit_length() - 1]
-    if ambient.order(table[sub.gen]) != sub_units:
-        raise AssertionError("embedding does not preserve the generator order")
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +160,8 @@ def classify_H(tower: TowerSpec, gamma: FieldElement) -> OrderProfile:
     """Profile the l+5 iterates of a seed and assign its class.
 
     The seed must be a nontrivial element of the order-(q^2+1) subgroup.
-    Iterates at indices 1..l+2 are provably units; hitting 0 or infinity
-    there signals a broken precondition and raises.
+    Iterates at indices 1..l+2 are provably units; a 0 or infinity there
+    is recorded like a later one, and `case_table` flags it.
     """
     ambient = tower.ambient
     if not ambient.compatible(gamma.field):
@@ -226,24 +177,16 @@ def classify_H(tower: TowerSpec, gamma: FieldElement) -> OrderProfile:
     for i in range(l + 5):
         point = ProjPoint(ambient, idx)
         if idx == 0 or idx == ambient.q:   # projective special points
-            if i <= l + 2:
-                raise FieldError(
-                    f"iterate {i} of a subgroup seed reached a special point")
             steps.append(ProfileStep(i, point, 1, 1, 1, n, 0, 0))
             idx = ambient.q                # 0 and inf both map to inf
         else:
             inv = ambient.inv(idx)
             o = ambient.order(idx)
-            dp = math.gcd(o, q + 1)
-            ep = math.gcd(o, q - 1)
-            # gcd(q+1, q-1) = 1 forces the unique coprime split of any
-            # order dividing q^2-1
-            if (q * q - 1) % o == 0 and dp * ep != o:
-                raise AssertionError("order did not split as d_part*e_part")
             sub = tower.subfield_degree(idx)
-            tr = ambient.subfield_trace(idx, sub)
-            tr_inv = ambient.subfield_trace(inv, sub)
-            steps.append(ProfileStep(i, point, o, dp, ep, sub, tr, tr_inv))
+            mask = ambient.trace_mask(sub)     # 1/x lies in x's subfield
+            steps.append(ProfileStep(
+                i, point, o, math.gcd(o, q + 1), math.gcd(o, q - 1), sub,
+                (idx & mask).bit_count() & 1, (inv & mask).bit_count() & 1))
             idx ^= inv                     # x + 1/x, from the same inverse
 
     if (q + 1) % steps[1].order == 0:
@@ -435,8 +378,10 @@ def case_table(profile: OrderProfile) -> CaseTable:
     for i, (level, tag, sub_exp, pair_exp) in enumerate(expected):
         s = steps[i]
         # Special points carry order 1, subfield n and zero traces, which is
-        # exactly what the degenerate class-1 tails must satisfy.
-        ok = (_order_tag_holds(tag, s.order, q)
+        # exactly what the degenerate class-1 tails must satisfy; before
+        # index l+3 they are a mismatch even where a class-1 row fits them.
+        ok = ((s.point.is_unit or i > l + 2)
+              and _order_tag_holds(tag, s.order, q)
               and s.subfield == sub_exp
               and (s.tr, s.tr_inv) == pair_exp)
         rows.append(CaseRow(level, i, s.order, tag, s.subfield,
@@ -505,25 +450,23 @@ def verify_cq1_inclusion(tower: TowerSpec,
             "" if not missing
             else f"{len(missing)} elements uncovered, first bits {missing[0]:#x}")
 
-    # Levels in the graph over GF(q^2), built on its own field.
-    f2n = make_field(2 * n)
-    g2n = build_graph(f2n)
-    h = f2n.pow(f2n.gen, (f2n.q - 1) // (q + 1))
+    # Levels in the graph over the tower's GF(q^2).
+    double = tower.double
+    g2n = build_graph(double)
+    h = double.pow(double.gen, (double.q - 1) // (q + 1))
     mates: dict[tuple[int, int], list[int]] = {}   # (component, level) -> vertices
     for u, key in enumerate(zip(g2n.comp_id, g2n.level)):
         mates.setdefault(key, []).append(u)
-    v = h
     bad_level = []
     bad_order = []
-    for _ in range(q):                 # the q nontrivial elements of C_{q+1}
+    for v in double.powers(h, q)[1:]:  # the q nontrivial elements of C_{q+1}
         lev = g2n.level[v]
         if lev not in (l + 3, 2):
             bad_level.append(v)
         else:
             for lvl_vertex in mates[g2n.comp_id[v], lev]:
-                if (q + 1) % f2n.order(lvl_vertex) != 0:
+                if (q + 1) % double.order(lvl_vertex) != 0:
                     bad_order.append((v, lvl_vertex))
-        v = f2n.mul(v, h)
     rep.add("cq1-levels", not bad_level,
             "" if not bad_level else f"bad level for bits {bad_level[0]:#x}")
     rep.add("cq1-level-orders", not bad_order,
@@ -542,8 +485,8 @@ def check_order_bound(tower: TowerSpec, profile: OrderProfile) -> CheckReport:
         return rep
     if profile.case_id == 1:
         raise FieldError("bound applies when |f(seed)| does not divide q+-1")
-    p1 = tower.fact_q_plus.least_prime()
-    p2 = tower.fact_q_minus.least_prime()
+    p1 = tower.base.fact_plus.least_prime()
+    p2 = tower.base.fact_minus.least_prime()
     rep.add("least-prime-congruence", p1 >= 1 + (1 << (l + 1)),
             f"p1={p1} vs 1+2^(l+1)={1 + (1 << (l + 1))}")
     bound = p1 * p2
@@ -572,17 +515,17 @@ class QuadrantReport:
         return self.checks.passed
 
 
-def trace_quadrants(spec_n: FieldSpec, tower: TowerSpec,
+def trace_quadrants(tower: TowerSpec,
                     profiles: list[OrderProfile]) -> QuadrantReport:
     """Quadrants by trace pairs versus their image-set characterizations.
 
-    The image sets are read over the ambient field from the seed profiles
-    of the order-(q^2+1) subgroup, keeping unit points; the trace-defined
-    quadrants are carried into the ambient field through the explicit
-    subfield embedding before comparison.
+    The quadrants split the tower's GF(q)* by trace pair.  The image sets
+    are read over the ambient field from the seed profiles of the
+    order-(q^2+1) subgroup, keeping unit points; the trace-defined quadrants
+    are carried into the ambient field through the explicit subfield
+    embedding before comparison.
     """
-    if spec_n.t != tower.n:
-        raise FieldError(f"first argument must be GF(2^{tower.n})")
+    spec_n = tower.base
     ambient = tower.ambient
     q, l = tower.q, tower.l
 
@@ -702,7 +645,7 @@ def orders_report(tower: TowerSpec) -> dict:
     summarize("order-bound", bound_bad)
 
     for sub in (verify_cq1_inclusion(tower, seed_profiles),
-                trace_quadrants(make_field(n), tower, seed_profiles).checks,
+                trace_quadrants(tower, seed_profiles).checks,
                 verify_theta_permutation(tower, seed_profiles)):
         checks.checks.extend(sub.checks)
 

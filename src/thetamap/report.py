@@ -42,10 +42,6 @@ class CheckReport:
         return [{"name": c.name, "pass": c.passed, "detail": c.detail}
                 for c in self.checks]
 
-    def to_dict(self) -> dict:
-        return {"title": self.title, "passed": self.passed,
-                "checks": self.records()}
-
     def __str__(self) -> str:
         lines = [f"== {self.title} =="]
         lines += [str(c) for c in self.checks]

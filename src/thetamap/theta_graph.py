@@ -10,8 +10,10 @@ the trace condition Tr(x) = Tr(1/x), and verifies the structural facts the
 decomposition obeys: tree depths r+2 versus 1, the per-level counts, leaf
 traces, and leaf degrees.
 
-Projective conventions live on ``ProjPoint`` and nowhere else:
-1/0 = 0, 1/inf = inf, |0| = |inf| = 1, Tr(0) = Tr(inf) = 0.
+Projective conventions (1/0 = 0, 1/inf = inf, |0| = |inf| = 1, Tr(0) =
+Tr(inf) = 0) are ``ProjPoint`` methods; ``theta_index``, ``build_graph``,
+``verify_structure`` and order_dynamics' ``classify_H`` and
+``trace_quadrants`` apply them inline to raw indices.
 """
 
 from __future__ import annotations
@@ -248,10 +250,6 @@ class ThetaGraph:
     def level_of(self, p: ProjPoint) -> int:
         self._own(p)
         return self.level[p.index]
-
-    def component_of(self, p: ProjPoint) -> Component:
-        self._own(p)
-        return self.components[self.comp_id[p.index]]
 
     def _own(self, p: ProjPoint) -> None:
         if not self.field.compatible(p.field):

@@ -17,6 +17,7 @@ import thetamap.dickson_curve as dickson_curve
 import thetamap.theta_graph as theta_graph
 from thetamap.cli import main
 from thetamap.gf2_arith import FieldSpec, make_field
+from thetamap.order_dynamics import enumerate_H, make_tower
 
 
 def test_graph_dot_stdout(capsys):
@@ -165,14 +166,38 @@ def test_structure_fault_matrix(monkeypatch, capsys, t, pick, want):
 
 
 def test_orders_failure_exits_one(monkeypatch, capsys):
-    true_trace = FieldSpec.subfield_trace
-
-    def corrupted(self, a, d):
-        return 1 - true_trace(self, a, d)
-
-    monkeypatch.setattr(FieldSpec, "subfield_trace", corrupted)
+    # every trace mask empty: every trace, at every level, reads 0
+    monkeypatch.setattr(FieldSpec, "trace_mask", lambda self, d: 0)
     assert main(["verify-orders", "--n", "2"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_special_point_before_l_plus_3_is_a_record(monkeypatch, capsys):
+    # a faulty inverse sends one seed to itself, so its first iterate is
+    # x + x = 0: the theory puts only units at indices 1..l+2
+    seed = enumerate_H(make_tower(2))[0][1].bits
+    true_inv = FieldSpec.inv
+    monkeypatch.setattr(FieldSpec, "inv", lambda self, a: (
+        a if self.t == 8 and a == seed else true_inv(self, a)))
+    assert main(["verify-orders", "--n", "2"]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL [n=2] case-tables" in captured.out
+    assert "Traceback" not in captured.err
+
+
+def test_degree_cap_applies_to_the_named_field_only(monkeypatch, capsys):
+    # GF(2^5) and GF(2^9) are within the cap; the internal GF(2^20) and
+    # GF(2^18) are not, and must not be refused
+    monkeypatch.setenv("THETA_MAX_T", "16")
+    for argv, digest in [
+        (["verify-orders", "--n", "5", "--format", "json"],
+         "2151b698c14e7a4c9de42453fd74567fd690105f1bae8b2c947928be8dd7270e"),
+        (["verify-dickson", "--n", "9"],
+         "451fc0f110d1e0719e87c836253520614622570c18fd4122aad08acfdcfdc6d8"),
+    ]:
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_dickson_failure_exits_one(monkeypatch, capsys):
@@ -250,8 +275,8 @@ class _WrongInverse(FieldSpec):
 def test_identity_fault_is_a_record(monkeypatch, capsys, n):
     true_make_field = dickson_curve.make_field
 
-    def wrong_inverse_field(t):
-        f = true_make_field(t)
+    def wrong_inverse_field(t, **kwargs):
+        f = true_make_field(t, **kwargs)
         return _WrongInverse(f.t, f.modulus, f.gen)
 
     # dickson_curve builds only the double field GF(2^(2n)) itself

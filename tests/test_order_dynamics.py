@@ -6,7 +6,15 @@ import math
 import pytest
 
 from thetamap import order_dynamics
-from thetamap.gf2_arith import FieldElement, FieldError, factorize, make_field
+from thetamap.gf2_arith import (
+    FieldElement,
+    FieldError,
+    factorize,
+    field_from_record,
+    field_to_record,
+    make_field,
+    subfield_embedding,
+)
 from thetamap.order_dynamics import (
     HClass,
     _expected_rows,
@@ -18,7 +26,6 @@ from thetamap.order_dynamics import (
     h_longform_flags,
     make_tower,
     orders_report,
-    subfield_embedding,
     subgroup,
     trace_profile_check,
     trace_quadrants,
@@ -196,6 +203,19 @@ def test_case_table_levels_match_graph(n):
                 n, p.gamma.bits, s.index)
 
 
+def test_special_point_before_l_plus_3_is_a_mismatch():
+    # a special point at index 3 = l+2 of a class-1 profile (n=2) carries
+    # order 1, subfield n and traces (0, 0), all of which its row accepts
+    tw = TOWERS[2]
+    p = next(p for p in PROFILES[2] if p.case_id == 1)
+    steps = list(p.steps)
+    steps[3] = dataclasses.replace(
+        steps[3], point=ProjPoint.zero(tw.ambient), order=1, d_part=1,
+        e_part=1, subfield=tw.n, tr=0, tr_inv=0)
+    tab = case_table(dataclasses.replace(p, steps=steps))
+    assert [r.index for r in tab.rows if not r.ok] == [3]
+
+
 def test_case_table_render_shape():
     tab = case_table(PROFILES[2][0])
     text = tab.render()
@@ -255,15 +275,10 @@ def test_cq1_inclusion(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_quadrants(n):
-    rep = trace_quadrants(make_field(n), TOWERS[n], PROFILES[n])
+    rep = trace_quadrants(TOWERS[n], PROFILES[n])
     assert rep.passed, str(rep.checks)
     total = len(rep.a11) + len(rep.a00) + len(rep.b01) + len(rep.b10)
     assert total == (1 << n) - 1
-
-
-def test_quadrants_rejects_wrong_field():
-    with pytest.raises(FieldError):
-        trace_quadrants(make_field(3), TOWERS[2], PROFILES[2])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -330,7 +345,7 @@ def test_quadrant_fault_is_a_record(n):
     k = next(k for k, p in enumerate(PROFILES[n]) if p.case_id == 1)
     profs = list(PROFILES[n])
     profs[k] = _with_step(profs[k], 2, ProjPoint.of(profs[k].gamma))
-    rep = trace_quadrants(make_field(n), tw, profs)
+    rep = trace_quadrants(tw, profs)
     assert _failures(rep.checks) == ["a11-image"]
 
 
@@ -355,16 +370,16 @@ def test_permutation_landing_set_n1_is_infinity():
 
 
 def test_order_bound_parameters():
-    assert TOWERS[2].fact_q_plus.least_prime() == 5
-    assert TOWERS[2].fact_q_minus.least_prime() == 3
-    assert TOWERS[3].fact_q_plus.least_prime() == 3
-    assert TOWERS[3].fact_q_minus.least_prime() == 7
+    assert TOWERS[2].base.fact_plus.least_prime() == 5
+    assert TOWERS[2].base.fact_minus.least_prime() == 3
+    assert TOWERS[3].base.fact_plus.least_prime() == 3
+    assert TOWERS[3].base.fact_minus.least_prime() == 7
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_order_bound_holds(n):
     tw = TOWERS[n]
-    bound = tw.fact_q_plus.least_prime() * tw.fact_q_minus.least_prime()
+    bound = tw.base.fact_plus.least_prime() * tw.base.fact_minus.least_prime()
     count = 0
     for p in PROFILES[n]:
         if p.case_id == 1:
@@ -444,3 +459,18 @@ def test_orders_report_schema_and_determinism():
     assert set(steps[0]) == {"index", "point", "order", "d_part", "e_part",
                              "subfield", "tr", "tr_inv"}
     assert rep == orders_report(make_tower(2))
+
+
+@pytest.mark.parametrize("n, ambient, counts", [
+    (2, field_from_record("t=8 modulus=11b generator=3"),
+     {"H1": 8, "H2": 0, "H3": 8}),
+    (3, make_field(12, 0x1009), {"H1": 4, "H2": 24, "H3": 36}),
+])
+def test_orders_report_non_default_ambient(n, ambient, counts):
+    # the theorems do not depend on the modulus: every check passes, and the
+    # class counts are those of the default tower
+    tw = dataclasses.replace(make_tower(n), ambient=ambient)
+    rep = orders_report(tw)
+    assert rep["field"] == field_to_record(ambient)
+    assert rep["counts"] == counts
+    assert [c["name"] for c in rep["checks"] if not c["pass"]] == []
