@@ -66,12 +66,14 @@ def _values(args, flag: str) -> list[int]:
 
 
 def _bounds(command: str) -> tuple[int, str]:
+    """The largest admitted degree and its flag.  The field a command names
+    obeys THETA_MAX_T, so a low cap is refused here, before any job runs."""
     cap = max_t_cap()          # every command refuses a malformed THETA_MAX_T
     if command == "verify-structure" or command == "graph":
         return cap, "t"
     if command == "verify-orders":
-        return MAX_TOWER_N, "n"
-    return MAX_DICKSON_N, "n"
+        return min(MAX_TOWER_N, cap), "n"
+    return min(MAX_DICKSON_N, cap), "n"
 
 
 def build_config(args) -> RunConfig:

@@ -2,9 +2,7 @@
 
 Fix n = 2^l * m with m odd and q = 2^n.  `TowerSpec` owns the three fields
 GF(2^n), GF(2^(2n)) and GF(2^(4n)), built once; every stage reads them from
-it.  The iterates are computed in the ambient GF(2^(4n)) alone: an iterate's
-place among the three levels is read from its degree (`FieldSpec.degree`),
-so every iterate lives in a single polynomial basis.
+it.
 
 For a seed g in the order-(q^2+1) subgroup (g != 1) the l+5 iterates
 g, f(g), f^2(g), ..., f^(l+4)(g) of the map f: x -> x + 1/x are profiled:
@@ -19,8 +17,25 @@ subfield levels containing it.  The seed is then classified:
 
 The three classes partition the subgroup minus 1, and each forces a rigid
 level/order/trace table that `case_table` renders and checks row by row.
-`orders_report` walks the subgroup once: the whole-subgroup set checks read
-their iterates and orders from the profiles of that walk.
+
+The reduction to GF(q^2).  Only the seeds are enumerated in the ambient
+GF(2^(4n)), as the powers h^j of h = gen^(q^2-1).  Since 1/g = g^(q^2),
+f(g) = g + g^(q^2) is the relative trace of g into GF(q^2): read as
+h^j + h^(q^2+1-j) from the one list of powers, it is pulled back once
+through the inverse of the embedding of GF(q^2), and every later iterate is
+profiled from GF(q^2)'s log tables.  The seed's own row has a closed form:
+order (q^2+1)/gcd(j, q^2+1), trivial gcd-split, subfield 4n (a seed inside
+GF(q^2) would have order dividing q^2-1 and q^2+1, so it would be 1), and
+Tr_4n(g) = Tr_4n(1/g) = Tr_2n(f(g)).  The seeds j and q^2+1-j have the
+same f(g), so each such pair shares one profiled tail.
+
+Labels are those of the ambient field: a seed is labelled j*(q^2-1), an
+iterate x of GF(q^2) by (q^2+1)*(k0 * log x mod q^2-1), where k0 inverts
+log(emb^-1(gen^(q^2+1))) modulo q^2-1; both read no ambient log table.
+Beyond TABLE_MAX_T the label is the hex of the ambient coordinates, as in
+the graph exports.  `orders_report` walks the seeds once: the
+whole-subgroup set checks read their iterates, as GF(q^2) points, and their
+orders from the profiles of that walk.
 
 Projective conventions (1/0 = 0, |0| = |inf| = 1, Tr = 0 on 0 and inf)
 make the degenerate tails of class-1 profiles (... -> 1 -> 0 -> inf, which
@@ -35,6 +50,7 @@ from dataclasses import dataclass, field as dfield
 from enum import Enum
 
 from thetamap.gf2_arith import (
+    TABLE_MAX_T,
     FieldElement,
     FieldError,
     FieldSpec,
@@ -46,12 +62,12 @@ from thetamap.report import CheckReport
 from thetamap.theta_graph import (
     ProjPoint,
     build_graph,
-    point_label,
     theta_index,
 )
 
 __all__ = [
     "TowerSpec",
+    "SeedWalk",
     "HClass",
     "ProfileStep",
     "OrderProfile",
@@ -60,8 +76,10 @@ __all__ = [
     "QuadrantReport",
     "make_tower",
     "subgroup",
-    "enumerate_H",
+    "seed_walk",
+    "profile_tail",
     "classify_H",
+    "seed_profiles",
     "h_longform_flags",
     "trace_profile_check",
     "case_table",
@@ -73,7 +91,7 @@ __all__ = [
     "orders_report",
 ]
 
-MAX_TOWER_N = 6
+MAX_TOWER_N = 8
 
 
 class HClass(Enum):
@@ -94,11 +112,6 @@ class TowerSpec:
     double: FieldSpec
     ambient: FieldSpec
 
-    def subfield_degree(self, bits: int) -> int:
-        """Smallest of n, 2n, 4n whose subfield contains the element."""
-        d = self.ambient.degree(bits)
-        return next(k for k in (self.n, 2 * self.n, 4 * self.n) if k % d == 0)
-
 
 def make_tower(n: int) -> TowerSpec:
     """The tower over GF(2^n); only the base obeys the user's degree cap."""
@@ -114,22 +127,61 @@ def make_tower(n: int) -> TowerSpec:
                      make_field(4 * n, max_t=4 * n))
 
 
-def subgroup(tower: TowerSpec, k: int) -> list[FieldElement]:
-    """The k elements of order dividing k, as consecutive powers of g^(N/k)."""
+def subgroup(tower: TowerSpec, k: int) -> list[int]:
+    """[h^0, ..., h^k] in the ambient for h = gen^(N/k), N = 2^(4n) - 1.
+
+    The first k entries are the elements of order dividing k; the last
+    closes the walk, and is 1 unless the kernel is at fault (the caller
+    checks it).
+    """
     ambient = tower.ambient
     n_units = ambient.q - 1
     if k < 1 or n_units % k != 0:
         raise FieldError(f"{k} does not divide 2^{ambient.t}-1")
-    powers = ambient.powers(ambient.pow(ambient.gen, n_units // k), k)
-    if powers[k] != 1:
-        raise AssertionError("subgroup enumeration did not close")
-    return [FieldElement(ambient, v) for v in powers[:k]]
+    return ambient.powers(ambient.pow(ambient.gen, n_units // k), k)
 
 
-def enumerate_H(tower: TowerSpec) -> list[tuple[int, FieldElement]]:
-    """(exponent, seed) pairs for the whole subgroup minus 1, exponent order."""
-    elems = subgroup(tower, tower.q ** 2 + 1)
-    return [(j, e) for j, e in enumerate(elems) if j > 0]
+@dataclass(frozen=True)
+class SeedWalk:
+    """The seeds h^j, h = gen^(q^2-1), with what reads them through GF(q^2).
+
+    ``powers`` is ``subgroup(tower, q^2+1)``; ``emb`` embeds GF(q^2) into
+    the ambient and ``back`` inverts it; ``k0`` turns a log of GF(q^2) into
+    an ambient one (see ``label``).
+    """
+
+    tower: TowerSpec
+    powers: list[int]
+    emb: list[int]
+    back: dict[int, int]
+    k0: int
+
+    def label(self, x: int) -> str:
+        """The ambient export label of a point of GF(q^2) (index q^2 is inf).
+
+        emb(gen_2n) = gen^((q^2+1) * k0), so a unit x has the ambient log
+        (q^2+1) * (k0 * log x mod q^2-1).
+        """
+        double = self.tower.double
+        if x == 0:
+            return "'0'"
+        if x == double.q:
+            return "inf"
+        if self.tower.ambient.t > TABLE_MAX_T:
+            return f"x{self.emb[x]:x}"
+        n2 = double.q - 1
+        return str((n2 + 2) * (self.k0 * double.dlog(x) % n2))
+
+
+def seed_walk(tower: TowerSpec) -> SeedWalk:
+    """Enumerate the seeds once and set up the pull-back into GF(q^2)."""
+    ambient, double = tower.ambient, tower.double
+    emb = subfield_embedding(double, ambient)
+    back = {v: x for x, v in enumerate(emb)}
+    # gen^(q^2+1) generates the ambient's copy of GF(q^2)*
+    a = double.dlog(back[ambient.pow(ambient.gen, double.q + 1)])
+    return SeedWalk(tower, subgroup(tower, double.q + 1), emb, back,
+                    pow(a, -1, double.q - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +190,8 @@ def enumerate_H(tower: TowerSpec) -> list[tuple[int, FieldElement]]:
 @dataclass
 class ProfileStep:
     index: int
-    point: ProjPoint
+    point: ProjPoint     # in the ambient at index 0, in GF(q^2) after it
+    label: str           # the ambient export label of the point
     order: int
     d_part: int          # gcd(order, q+1)
     e_part: int          # gcd(order, q-1)
@@ -156,38 +209,58 @@ class OrderProfile:
     case_id: int
 
 
-def classify_H(tower: TowerSpec, gamma: FieldElement) -> OrderProfile:
-    """Profile the l+5 iterates of a seed and assign its class.
+def profile_tail(walk: SeedWalk, j: int) -> list[ProfileStep]:
+    """The iterates at indices 1..l+4 of seed h^j, profiled in GF(q^2).
 
-    The seed must be a nontrivial element of the order-(q^2+1) subgroup.
-    Iterates at indices 1..l+2 are provably units; a 0 or infinity there
-    is recorded like a later one, and `case_table` flags it.
+    f(h^j) = h^j + h^(q^2+1-j), pulled back through the embedding; from
+    there each step reads GF(q^2)'s log table.  Iterates at indices 1..l+2
+    are provably units; a 0 or infinity there is recorded like a later one,
+    and `case_table` flags it.
     """
-    ambient = tower.ambient
-    if not ambient.compatible(gamma.field):
-        raise FieldError("seed does not belong to the tower's ambient field")
-    if gamma.bits == 1:
-        raise FieldError("seed 1 is excluded")
-    if gamma.bits == 0 or ambient.pow(gamma.bits, tower.q ** 2 + 1) != 1:
-        raise FieldError("seed is outside the order-(q^2+1) subgroup")
-
+    tower = walk.tower
+    double = tower.double
     q, l, n = tower.q, tower.l, tower.n
+    _, log = double.tables()
+    n2 = double.q - 1
+    e = walk.powers
+    x = walk.back[e[j] ^ e[q * q + 1 - j]]
     steps: list[ProfileStep] = []
-    idx = gamma.bits
-    for i in range(l + 5):
-        point = ProjPoint(ambient, idx)
-        if idx == 0 or idx == ambient.q:   # projective special points
-            steps.append(ProfileStep(i, point, 1, 1, 1, n, 0, 0))
-            idx = ambient.q                # 0 and inf both map to inf
+    for i in range(1, l + 5):
+        point = ProjPoint(double, x)
+        if x == 0 or x == double.q:        # projective special points
+            steps.append(ProfileStep(i, point, walk.label(x), 1, 1, 1, n, 0, 0))
+            x = double.q                   # 0 and inf both map to inf
         else:
-            inv = ambient.inv(idx)
-            o = ambient.order(idx)
-            sub = tower.subfield_degree(idx)
-            mask = ambient.trace_mask(sub)     # 1/x lies in x's subfield
+            inv = double.inv(x)
+            lx = log[x]
+            o = n2 // math.gcd(lx, n2)
+            sub = n if lx % (q + 1) == 0 else 2 * n   # GF(q)* = <gen^(q+1)>
+            mask = double.trace_mask(sub)             # 1/x lies in x's subfield
             steps.append(ProfileStep(
-                i, point, o, math.gcd(o, q + 1), math.gcd(o, q - 1), sub,
-                (idx & mask).bit_count() & 1, (inv & mask).bit_count() & 1))
-            idx ^= inv                     # x + 1/x, from the same inverse
+                i, point, walk.label(x), o, math.gcd(o, q + 1),
+                math.gcd(o, q - 1), sub,
+                (x & mask).bit_count() & 1, (inv & mask).bit_count() & 1))
+            x ^= inv                       # x + 1/x, from the same inverse
+    return steps
+
+
+def classify_H(walk: SeedWalk, j: int, tail: list[ProfileStep]) -> OrderProfile:
+    """The profile of seed h^j from its tail (`profile_tail`), and its class.
+
+    The seed's own row is the closed form of the module docstring.
+    """
+    tower = walk.tower
+    ambient = tower.ambient
+    q, l, n = tower.q, tower.l, tower.n
+    big = q * q + 1
+    if not 0 < j < big:
+        raise FieldError(f"seed exponent {j} outside [1, {big - 1}]")
+    seed = walk.powers[j]
+    label = (str(j * (q * q - 1)) if ambient.t <= TABLE_MAX_T
+             else f"x{seed:x}")
+    tr = tower.double.trace(tail[0].point.index)   # Tr_2n(f(g))
+    steps = [ProfileStep(0, ProjPoint(ambient, seed), label,
+                         big // math.gcd(j, big), 1, 1, 4 * n, tr, tr), *tail]
 
     if (q + 1) % steps[1].order == 0:
         h = HClass.H1
@@ -195,7 +268,22 @@ def classify_H(tower: TowerSpec, gamma: FieldElement) -> OrderProfile:
         h = HClass.H2
     else:
         h = HClass.H3
-    return OrderProfile(tower, gamma, steps, h, h.value)
+    return OrderProfile(tower, FieldElement(ambient, seed), steps, h, h.value)
+
+
+def seed_profiles(walk: SeedWalk) -> list[OrderProfile]:
+    """Every seed's profile, in exponent order j = 1..q^2.
+
+    The seeds j and q^2+1-j share their iterates from index 1 on, so each
+    pair's tail is profiled once.
+    """
+    big = walk.tower.q ** 2 + 1
+    profiles: list[OrderProfile] = [None] * (big - 1)
+    for j in range(1, big // 2 + 1):      # j < q^2+1-j: big is odd
+        tail = profile_tail(walk, j)
+        profiles[j - 1] = classify_H(walk, j, tail)
+        profiles[big - j - 1] = classify_H(walk, big - j, tail)
+    return profiles
 
 
 def h_longform_flags(profile: OrderProfile) -> tuple[bool, bool, bool]:
@@ -433,16 +521,18 @@ def verify_cq1_inclusion(tower: TowerSpec,
                          profiles: list[OrderProfile]) -> CheckReport:
     """C_{q+1} inside theta(C_{q^2+1}) union theta^(l+2)(C_{q^2+1}).
 
-    The two images are read from the seed profiles at indices 1 and l+2
-    (seed 1 is left out: it maps to 0 and then inf, neither in C_{q+1}).
+    The two images are read, as points of GF(q^2), from the seed profiles at
+    indices 1 and l+2 (seed 1 is left out: it maps to 0 and then inf,
+    neither in C_{q+1}).
     Also places every nontrivial element of C_{q+1} on level l+3 or 2 of the
     graph over GF(q^2) and checks that every vertex sharing that level of
     the same component has order dividing q+1.
     """
     q, l, n = tower.q, tower.l, tower.n
+    double = tower.double
     rep = CheckReport(f"order-(q+1) subgroup coverage (n={n})")
 
-    cq1 = [e.bits for e in subgroup(tower, q + 1)]
+    cq1 = double.powers(double.pow(double.gen, q - 1), q)   # C_{q+1} in GF(q^2)
     img1 = {p.steps[1].point.index for p in profiles}
     img2 = {p.steps[l + 2].point.index for p in profiles}
     missing = [b for b in cq1 if b not in img1 and b not in img2]
@@ -451,15 +541,13 @@ def verify_cq1_inclusion(tower: TowerSpec,
             else f"{len(missing)} elements uncovered, first bits {missing[0]:#x}")
 
     # Levels in the graph over the tower's GF(q^2).
-    double = tower.double
     g2n = build_graph(double)
-    h = double.pow(double.gen, (double.q - 1) // (q + 1))
     mates: dict[tuple[int, int], list[int]] = {}   # (component, level) -> vertices
     for u, key in enumerate(zip(g2n.comp_id, g2n.level)):
         mates.setdefault(key, []).append(u)
     bad_level = []
     bad_order = []
-    for v in double.powers(h, q)[1:]:  # the q nontrivial elements of C_{q+1}
+    for v in cq1[1:]:                  # the q nontrivial elements of C_{q+1}
         lev = g2n.level[v]
         if lev not in (l + 3, 2):
             bad_level.append(v)
@@ -520,13 +608,12 @@ def trace_quadrants(tower: TowerSpec,
     """Quadrants by trace pairs versus their image-set characterizations.
 
     The quadrants split the tower's GF(q)* by trace pair.  The image sets
-    are read over the ambient field from the seed profiles of the
-    order-(q^2+1) subgroup, keeping unit points; the trace-defined quadrants
-    are carried into the ambient field through the explicit subfield
-    embedding before comparison.
+    are read over GF(q^2) from the seed profiles of the order-(q^2+1)
+    subgroup, keeping unit points; the trace-defined quadrants are carried
+    into GF(q^2) through the explicit subfield embedding before comparison.
     """
     spec_n = tower.base
-    ambient = tower.ambient
+    double = tower.double
     q, l = tower.q, tower.l
 
     a11, a00, b01, b10 = set(), set(), set(), set()
@@ -534,8 +621,8 @@ def trace_quadrants(tower: TowerSpec,
         pair = (spec_n.trace(x), spec_n.trace(spec_n.inv(x)))
         {(1, 1): a11, (0, 0): a00, (0, 1): b01, (1, 0): b10}[pair].add(x)
 
-    emb = subfield_embedding(spec_n, ambient)
-    unit_cap = ambient.q          # indexes below this and nonzero are units
+    emb = subfield_embedding(spec_n, double)
+    unit_cap = double.q           # indexes below this and nonzero are units
 
     img_a11: set[int] = set()
     img_a00: set[int] = set()
@@ -572,11 +659,11 @@ def verify_theta_permutation(tower: TowerSpec,
                              profiles: list[OrderProfile]) -> CheckReport:
     """The map permutes the (l+4)-th image of the order-(q^2+1) subgroup.
 
-    The landing set is read from the seed profiles at index l+4.
+    The landing set is read, as points of GF(q^2), from the seed profiles
+    at index l+4.
     """
-    ambient = tower.ambient
     landing = {p.steps[tower.l + 4].point.index for p in profiles}
-    image = {theta_index(ambient, idx) for idx in landing}
+    image = {theta_index(tower.double, idx) for idx in landing}
     rep = CheckReport(f"permutation on the landing set (n={tower.n})")
     rep.add("landing-set-closed", image == landing,
             f"|set|={len(landing)} |image|={len(image)}")
@@ -588,21 +675,46 @@ def verify_theta_permutation(tower: TowerSpec,
 # Aggregate JSON report
 
 def orders_report(tower: TowerSpec) -> dict:
-    """Classification counts, all profiles, and every set-level check."""
+    """Classification counts, all profiles, and every set-level check.
+
+    If the seed walk does not close (h^(q^2+1) != 1), or a first iterate
+    h^j + h^(q^2+1-j) misses the embedded GF(q^2), the kernel is at fault
+    and no profile can be trusted: the report carries that one failed check,
+    with the stray value as its witness.
+    """
     q, l, n = tower.q, tower.l, tower.n
     counts = {"H1": 0, "H2": 0, "H3": 0}
-    seed_profiles = []
     profiles = []
     checks = CheckReport(f"order dynamics over GF(2^{4 * n})")
+    doc = {
+        "n": n, "l": l, "m": tower.m, "q": q,
+        "field": field_to_record(tower.ambient),
+        "counts": counts,
+        "profiles": profiles,
+    }
+    walk = seed_walk(tower)
+    e = walk.powers
+    big = q * q + 1
+    if e[big] != 1:
+        checks.add("subgroup-closure", False, f"h^{big} = {e[big]:#x}, not 1")
+    else:
+        firsts = (e[j] ^ e[big - j] for j in range(1, big))
+        stray = next((v for v in firsts if v not in walk.back), None)
+        if stray is not None:
+            checks.add("first-iterate-pullback", False,
+                       f"witness {stray:#x} of GF(2^{4 * n}) "
+                       f"outside GF(2^{2 * n})")
+    if checks.checks:
+        doc["checks"] = checks.records()
+        return doc
+    seed_profs = seed_profiles(walk)
 
     partition_bad = []
     table_bad = []
     traces_bad = []
     subcase_bad = []
     bound_bad = []
-    for exp, gamma in enumerate_H(tower):
-        prof = classify_H(tower, gamma)
-        seed_profiles.append(prof)
+    for exp, prof in enumerate(seed_profs, 1):
         counts[prof.h_class.name] += 1
         flags = h_longform_flags(prof)
         if sum(flags) != 1 or not flags[prof.case_id - 1]:
@@ -624,7 +736,7 @@ def orders_report(tower: TowerSpec) -> dict:
             "case": prof.case_id,
             "steps": [{
                 "index": s.index,
-                "point": point_label(s.point),
+                "point": s.label,
                 "order": s.order,
                 "d_part": s.d_part,
                 "e_part": s.e_part,
@@ -644,15 +756,10 @@ def orders_report(tower: TowerSpec) -> dict:
     summarize("case1-subcases", subcase_bad)
     summarize("order-bound", bound_bad)
 
-    for sub in (verify_cq1_inclusion(tower, seed_profiles),
-                trace_quadrants(tower, seed_profiles).checks,
-                verify_theta_permutation(tower, seed_profiles)):
+    for sub in (verify_cq1_inclusion(tower, seed_profs),
+                trace_quadrants(tower, seed_profs).checks,
+                verify_theta_permutation(tower, seed_profs)):
         checks.checks.extend(sub.checks)
 
-    return {
-        "n": n, "l": l, "m": tower.m, "q": q,
-        "field": field_to_record(tower.ambient),
-        "counts": counts,
-        "profiles": profiles,
-        "checks": checks.records(),
-    }
+    doc["checks"] = checks.records()
+    return doc

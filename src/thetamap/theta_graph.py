@@ -12,7 +12,7 @@ traces, and leaf degrees.
 
 Projective conventions (1/0 = 0, 1/inf = inf, |0| = |inf| = 1, Tr(0) =
 Tr(inf) = 0) are ``ProjPoint`` methods; ``theta_index``, ``build_graph``,
-``verify_structure`` and order_dynamics' ``classify_H`` and
+``verify_structure`` and order_dynamics' ``profile_tail`` and
 ``trace_quadrants`` apply them inline to raw indices.
 """
 

@@ -21,10 +21,10 @@ from thetamap.dickson_curve import (
 from thetamap.gf2_arith import factorize, make_field
 from thetamap.order_dynamics import (
     case_table,
-    classify_H,
-    enumerate_H,
     h_longform_flags,
     make_tower,
+    seed_profiles,
+    seed_walk,
     trace_profile_check,
     verify_cq1_inclusion,
     verify_theta_permutation,
@@ -32,8 +32,7 @@ from thetamap.order_dynamics import (
 from thetamap.theta_graph import build_graph, leaves, verify_structure
 
 TOWERS = {n: make_tower(n) for n in (1, 2, 3, 4)}
-PROFILES = {n: [classify_H(tw, g) for _, g in enumerate_H(tw)]
-            for n, tw in TOWERS.items()}
+PROFILES = {n: seed_profiles(seed_walk(tw)) for n, tw in TOWERS.items()}
 
 _ROOT_CACHE: dict[int, tuple[set, set, set, int]] = {}
 

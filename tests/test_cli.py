@@ -14,10 +14,11 @@ import pytest
 import thetamap
 import thetamap.cli as cli
 import thetamap.dickson_curve as dickson_curve
+import thetamap.order_dynamics as order_dynamics
 import thetamap.theta_graph as theta_graph
 from thetamap.cli import main
 from thetamap.gf2_arith import FieldSpec, make_field
-from thetamap.order_dynamics import enumerate_H, make_tower
+from thetamap.order_dynamics import make_tower, profile_tail, seed_walk
 
 
 def test_graph_dot_stdout(capsys):
@@ -173,16 +174,67 @@ def test_orders_failure_exits_one(monkeypatch, capsys):
 
 
 def test_special_point_before_l_plus_3_is_a_record(monkeypatch, capsys):
-    # a faulty inverse sends one seed to itself, so its first iterate is
-    # x + x = 0: the theory puts only units at indices 1..l+2
-    seed = enumerate_H(make_tower(2))[0][1].bits
+    # a faulty inverse in GF(q^2) sends one first iterate to itself, so its
+    # second iterate is x + x = 0: the theory puts only units at indices
+    # 1..l+2
+    first = profile_tail(seed_walk(make_tower(2)), 1)[0].point.index
     true_inv = FieldSpec.inv
     monkeypatch.setattr(FieldSpec, "inv", lambda self, a: (
-        a if self.t == 8 and a == seed else true_inv(self, a)))
+        a if self.t == 4 and a == first else true_inv(self, a)))
     assert main(["verify-orders", "--n", "2"]) == 1
     captured = capsys.readouterr()
     assert "FAIL [n=2] case-tables" in captured.out
     assert "Traceback" not in captured.err
+
+
+def test_subgroup_closure_fault_is_a_record(monkeypatch, capsys):
+    # the ambient walk h^0, ..., h^17 of n=2 ends one bit away from 1
+    true_powers = FieldSpec.powers
+
+    def unclosed(self, c, k):
+        out = true_powers(self, c, k)
+        if self.t == 8:
+            out[k] ^= 2
+        return out
+
+    monkeypatch.setattr(FieldSpec, "powers", unclosed)
+    assert main(["verify-orders", "--n", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ("FAIL [n=2] subgroup-closure  h^17 = 0x3, not 1\n"
+                            "result: FAILURES present\n")
+    assert "Traceback" not in captured.err
+
+
+def test_first_iterate_pullback_fault_is_a_record(monkeypatch, capsys):
+    # one bit flipped in the embedding of GF(q^2), at the first iterate of
+    # the seed h^1: that iterate no longer pulls back
+    true_embedding = order_dynamics.subfield_embedding
+    first = profile_tail(seed_walk(make_tower(2)), 1)[0].point.index
+
+    def flipped(sub, ambient):
+        table = true_embedding(sub, ambient)
+        if (sub.t, ambient.t) == (4, 8):
+            table[first] ^= 1
+        return table
+
+    monkeypatch.setattr(order_dynamics, "subfield_embedding", flipped)
+    assert main(["verify-orders", "--n", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ("FAIL [n=2] first-iterate-pullback  witness 0xa "
+                            "of GF(2^8) outside GF(2^4)\n"
+                            "result: FAILURES present\n")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["verify-orders", "verify-dickson"])
+def test_low_degree_cap_is_refused_before_any_job(monkeypatch, capsys,
+                                                    command):
+    # GF(2^n) obeys THETA_MAX_T, so n=4 is refused before n=1..3 run
+    monkeypatch.setenv("THETA_MAX_T", "3")
+    assert main([command, "--range", "1..5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n=4 outside [1, 3]\n"
 
 
 def test_degree_cap_applies_to_the_named_field_only(monkeypatch, capsys):
@@ -385,6 +437,11 @@ OUTPUT_DIGESTS = [
      "92e36a0063a849c30932383ec8bb2960edd86ec54351dd8b33de760448c3c811"),
     (["verify-orders", "--n", "5", "--format", "json"],
      "2151b698c14e7a4c9de42453fd74567fd690105f1bae8b2c947928be8dd7270e"),
+    # the hex labels beyond the ambient log-table range (GF(2^24))
+    (["verify-orders", "--n", "6", "--format", "json"],
+     "aad646ad6651fa410af039646a6b084d1dd843abbfb618ed4a30810298324e89"),
+    (["verify-orders", "--n", "6", "--format", "text"],
+     "4330a38642f7239146c346429225cf3bf71d23a54e1797ea5723df49357196ac"),
 ]
 
 

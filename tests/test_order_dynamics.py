@@ -7,8 +7,8 @@ import pytest
 
 from thetamap import order_dynamics
 from thetamap.gf2_arith import (
-    FieldElement,
     FieldError,
+    FieldSpec,
     factorize,
     field_from_record,
     field_to_record,
@@ -16,29 +16,73 @@ from thetamap.gf2_arith import (
     subfield_embedding,
 )
 from thetamap.order_dynamics import (
+    MAX_TOWER_N,
     HClass,
     _expected_rows,
     case1_subcase,
     case_table,
     check_order_bound,
     classify_H,
-    enumerate_H,
     h_longform_flags,
     make_tower,
     orders_report,
+    profile_tail,
+    seed_profiles,
+    seed_walk,
     subgroup,
     trace_profile_check,
     trace_quadrants,
     verify_cq1_inclusion,
     verify_theta_permutation,
 )
-from thetamap.theta_graph import ProjPoint, build_graph, theta_index
+from thetamap.theta_graph import ProjPoint, build_graph, point_label, theta_index
 
 TOWERS = {n: make_tower(n) for n in (1, 2, 3, 4)}
-PROFILES = {
-    n: [classify_H(tw, g) for _, g in enumerate_H(tw)]
-    for n, tw in TOWERS.items()
-}
+WALKS = {n: seed_walk(tw) for n, tw in TOWERS.items()}
+PROFILES = {n: seed_profiles(walk) for n, walk in WALKS.items()}
+
+# Towers whose ambient is not the default field: the double is still the
+# default GF(2^(2n)), so the embedding between them is no Conway shortcut.
+NON_DEFAULT = [
+    (2, field_from_record("t=8 modulus=11b generator=3"),
+     {"H1": 8, "H2": 0, "H3": 8}),
+    (3, make_field(12, 0x1009), {"H1": 4, "H2": 24, "H3": 36}),
+]
+
+
+def _ambient_indices(walk, profile):
+    """The profile's points as ambient indices (infinity is ambient.q)."""
+    double, ambient = walk.tower.double, walk.tower.ambient
+    idx = [profile.steps[0].point.index]
+    for s in profile.steps[1:]:
+        x = s.point.index
+        idx.append(ambient.q if x == double.q else walk.emb[x])
+    return idx
+
+
+def _ambient_profile(tower, bits):
+    """Every field of one seed's profile, computed iterate by iterate in the
+    ambient GF(2^(4n)): the independent oracle for the GF(q^2) reduction."""
+    ambient = tower.ambient
+    q, n = tower.q, tower.n
+    rows = []
+    idx = bits
+    for _ in range(tower.l + 5):
+        label = point_label(ProjPoint(ambient, idx))
+        if idx == 0 or idx == ambient.q:
+            rows.append((idx, label, 1, 1, 1, n, 0, 0))
+            idx = ambient.q
+        else:
+            inv = ambient.inv(idx)
+            o = ambient.order(idx)
+            d = ambient.degree(idx)
+            sub = next(k for k in (n, 2 * n, 4 * n) if k % d == 0)
+            mask = ambient.trace_mask(sub)
+            rows.append((idx, label, o, math.gcd(o, q + 1), math.gcd(o, q - 1),
+                         sub, (idx & mask).bit_count() & 1,
+                         (inv & mask).bit_count() & 1))
+            idx ^= inv
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -50,41 +94,43 @@ def test_make_tower_parameters():
     assert (TOWERS[2].l, TOWERS[2].m, TOWERS[2].ambient.t) == (1, 1, 8)
     tw6 = make_tower(6)
     assert (tw6.l, tw6.m, tw6.ambient.t) == (1, 3, 24)
+    tw8 = make_tower(MAX_TOWER_N)
+    assert (MAX_TOWER_N, tw8.l, tw8.m, tw8.ambient.t) == (8, 3, 1, 32)
     with pytest.raises(FieldError):
         make_tower(0)
     with pytest.raises(FieldError):
-        make_tower(7)
+        make_tower(MAX_TOWER_N + 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_subfield_degree_matches_frobenius_search(n):
-    tower = make_tower(n)
-    ambient = tower.ambient
-    units = range(1, ambient.q)
-    want = [next(d for d in (n, 2 * n, 4 * n) if ambient.in_subfield(a, d))
-            for a in units]
-    assert [tower.subfield_degree(a) for a in units] == want   # squaring walk
-    ambient.ensure_tables()
-    assert [tower.subfield_degree(a) for a in units] == want   # log table
+    # the least of n, 2n, 4n whose Frobenius power fixes the point: in the
+    # ambient for the seed, in GF(q^2) after it
+    for p in PROFILES[n]:
+        for s in p.steps:
+            if s.point.is_unit:
+                f, a = s.point.field, s.point.index
+                want = next(d for d in (n, 2 * n, 4 * n)
+                            if f.t % d == 0 and f.in_subfield(a, d))
+                assert s.subfield == want, (p.gamma.bits, s.index)
 
 
 def test_subgroup_trivial_and_sizes():
     tw = TOWERS[2]
-    assert [e.bits for e in subgroup(tw, 1)] == [1]
+    assert subgroup(tw, 1) == [1, 1]
     for k in (3, 5, 15, 17, 255):
-        elems = subgroup(tw, k)
-        assert len(elems) == k
-        assert len({e.bits for e in elems}) == k
-        for e in elems:
-            assert tw.ambient.pow(e.bits, k) == 1
+        powers = subgroup(tw, k)
+        assert len(powers) == k + 1 and powers[k] == 1   # the walk closes
+        assert len(set(powers[:k])) == k
+        for e in powers:
+            assert tw.ambient.pow(e, k) == 1
 
 
 def test_subgroup_of_order_five_in_small_tower():
     tw = TOWERS[1]
-    elems = subgroup(tw, 5)
     step = (tw.ambient.q - 1) // 5            # powers of g^3 in GF(2^4)
-    assert [e.bits for e in elems] == [
-        tw.ambient.pow(tw.ambient.gen, step * j) for j in range(5)]
+    assert subgroup(tw, 5) == [
+        tw.ambient.pow(tw.ambient.gen, step * j) for j in range(6)]
 
 
 def test_subgroup_rejects_non_divisor():
@@ -150,15 +196,78 @@ def test_order_splits_as_coprime_parts():
 
 
 def test_classify_rejects_bad_seeds():
-    tw = TOWERS[2]
-    amb = tw.ambient
-    with pytest.raises(FieldError):
-        classify_H(tw, FieldElement(amb, 1))
-    outside = amb.pow(amb.gen, (amb.q - 1) // 3)   # order 3, not dividing 17
-    with pytest.raises(FieldError):
-        classify_H(tw, FieldElement(amb, outside))
-    with pytest.raises(FieldError):
-        classify_H(tw, make_field(4).generator())
+    # seeds are named by exponent: 0 and q^2+1 both name the seed 1
+    walk = WALKS[2]
+    tail = profile_tail(walk, 1)
+    for j in (0, 17, -1, 18):
+        with pytest.raises(FieldError):
+            classify_H(walk, j, tail)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_seed_row_closed_form(n):
+    # order (q^2+1)/gcd(j, q^2+1), trivial split, subfield 4n and
+    # Tr_4n(g) = Tr_4n(1/g) = Tr_2n(f(g)), against the ambient kernel
+    tw = TOWERS[n]
+    ambient, q = tw.ambient, tw.q
+    for j, p in enumerate(PROFILES[n], 1):
+        s, g = p.steps[0], p.gamma.bits
+        assert s.point.index == g == WALKS[n].powers[j]
+        assert s.order == ambient.order(g)
+        assert (s.d_part, s.e_part) == (
+            math.gcd(s.order, q + 1), math.gcd(s.order, q - 1)) == (1, 1)
+        d = ambient.degree(g)
+        assert s.subfield == next(k for k in (n, 2 * n, 4 * n) if k % d == 0)
+        assert s.subfield == 4 * n
+        assert (s.tr, s.tr_inv) == (ambient.trace(g),
+                                    ambient.trace(ambient.inv(g)))
+
+
+@pytest.mark.parametrize("tower", [
+    *(make_tower(n) for n in range(1, 6)),
+    *(dataclasses.replace(make_tower(n), ambient=amb)
+      for n, amb, _ in NON_DEFAULT),
+], ids=[f"n{n}" for n in range(1, 6)] + [
+    f"n{n}-{field_to_record(amb).split()[1]}" for n, amb, _ in NON_DEFAULT])
+def test_profiles_match_the_ambient_oracle(tower):
+    # the reduction first, so that the ambient builds no table before it
+    walk = seed_walk(tower)
+    profiles = seed_profiles(walk)
+    assert len(profiles) == tower.q ** 2
+    for p in profiles:
+        got = [(i, s.label, s.order, s.d_part, s.e_part, s.subfield, s.tr,
+                s.tr_inv)
+               for i, s in zip(_ambient_indices(walk, p), p.steps)]
+        assert got == _ambient_profile(tower, p.gamma.bits), p.gamma.bits
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_seed_pairs_share_one_tail(monkeypatch, n):
+    tails = []
+    true_tail = order_dynamics.profile_tail
+    monkeypatch.setattr(order_dynamics, "profile_tail",
+                        lambda walk, j: tails.append(j) or true_tail(walk, j))
+    profs = seed_profiles(seed_walk(TOWERS[n]))
+    big = TOWERS[n].q ** 2 + 1
+    assert sorted(tails) == list(range(1, big // 2 + 1))
+    for j in range(1, big):
+        mine, mate = profs[j - 1].steps, profs[big - j - 1].steps
+        assert mine[0] is not mate[0]
+        assert all(a is b for a, b in zip(mine[1:], mate[1:]))
+
+
+def test_orders_report_builds_no_ambient_table(monkeypatch):
+    tabled = set()
+    true_ensure = FieldSpec.ensure_tables
+
+    def recording(self):
+        tabled.add(self.t)
+        true_ensure(self)
+
+    monkeypatch.setattr(FieldSpec, "ensure_tables", recording)
+    tw = make_tower(5)
+    assert orders_report(tw)["counts"] == {"H1": 44, "H2": 40, "H3": 940}
+    assert 10 in tabled and 20 not in tabled
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +307,8 @@ def test_expected_rows_cover_indices_0_to_l_plus_4(case_id, flavor):
 def test_case_table_levels_match_graph(n):
     g = build_graph(TOWERS[n].ambient)
     for p in PROFILES[n]:
-        for row, s in zip(case_table(p).rows, p.steps):
-            assert g.level[s.point.index] == row.level, (
-                n, p.gamma.bits, s.index)
+        for row, idx in zip(case_table(p).rows, _ambient_indices(WALKS[n], p)):
+            assert g.level[idx] == row.level, (n, p.gamma.bits, row.index)
 
 
 def test_special_point_before_l_plus_3_is_a_mismatch():
@@ -210,7 +318,7 @@ def test_special_point_before_l_plus_3_is_a_mismatch():
     p = next(p for p in PROFILES[2] if p.case_id == 1)
     steps = list(p.steps)
     steps[3] = dataclasses.replace(
-        steps[3], point=ProjPoint.zero(tw.ambient), order=1, d_part=1,
+        steps[3], point=ProjPoint.zero(tw.double), order=1, d_part=1,
         e_part=1, subfield=tw.n, tr=0, tr_inv=0)
     tab = case_table(dataclasses.replace(p, steps=steps))
     assert [r.index for r in tab.rows if not r.ok] == [3]
@@ -289,9 +397,10 @@ def test_theta_permutation(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_profile_walk_is_the_map(n):
+    # the iterates, carried into the ambient, follow the map there
     ambient = TOWERS[n].ambient
     for p in PROFILES[n]:
-        idx = [s.point.index for s in p.steps]
+        idx = _ambient_indices(WALKS[n], p)
         assert idx[0] == p.gamma.bits
         for a, b in zip(idx, idx[1:]):
             assert b == theta_index(ambient, a)
@@ -326,13 +435,13 @@ def _failures(rep):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_cq1_fault_is_a_record(n):
-    # every iterate that lands on one element of C_(q+1) moved to its seed
+    # every iterate that lands on one element of C_(q+1) moved to 0
     tw = TOWERS[n]
     l = tw.l
-    target = subgroup(tw, tw.q + 1)[1].bits
+    target = tw.double.pow(tw.double.gen, tw.q - 1)
     profs = PROFILES[n]
     for i in (1, l + 2):
-        profs = [_with_step(p, i, ProjPoint.of(p.gamma))
+        profs = [_with_step(p, i, ProjPoint.zero(tw.double))
                  if p.steps[i].point.index == target else p for p in profs]
     assert _failures(verify_cq1_inclusion(tw, profs)) == [
         "cq1-image-inclusion"]
@@ -340,21 +449,24 @@ def test_cq1_fault_is_a_record(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_quadrant_fault_is_a_record(n):
-    # the first class-1 seed's index-2 iterate moved to the seed itself
+    # the first class-1 seed's index-2 iterate moved back to index 1,
+    # which lies in C_(q+1) and not in GF(q)
     tw = TOWERS[n]
     k = next(k for k, p in enumerate(PROFILES[n]) if p.case_id == 1)
     profs = list(PROFILES[n])
-    profs[k] = _with_step(profs[k], 2, ProjPoint.of(profs[k].gamma))
+    profs[k] = _with_step(profs[k], 2, profs[k].steps[1].point)
     rep = trace_quadrants(tw, profs)
     assert _failures(rep.checks) == ["a11-image"]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_permutation_fault_is_a_record(n):
-    # one seed's landing point replaced by the seed itself
+    # one seed's landing point replaced by its first iterate, on level
+    # l+3 >= 3 of a deep tree, so neither it nor its image is periodic
     tw = TOWERS[n]
     profs = list(PROFILES[n])
-    profs[0] = _with_step(profs[0], tw.l + 4, ProjPoint.of(profs[0].gamma))
+    k = next(k for k, p in enumerate(profs) if case_table(p).flavor == "A")
+    profs[k] = _with_step(profs[k], tw.l + 4, profs[k].steps[1].point)
     rep = verify_theta_permutation(tw, profs)
     assert _failures(rep) == ["landing-set-closed"]
 
@@ -362,7 +474,7 @@ def test_permutation_fault_is_a_record(n):
 def test_permutation_landing_set_n1_is_infinity():
     tw = TOWERS[1]
     landing = {p.steps[tw.l + 4].point.index for p in PROFILES[1]}
-    assert landing == {tw.ambient.q}
+    assert landing == {tw.double.q}
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +573,7 @@ def test_orders_report_schema_and_determinism():
     assert rep == orders_report(make_tower(2))
 
 
-@pytest.mark.parametrize("n, ambient, counts", [
-    (2, field_from_record("t=8 modulus=11b generator=3"),
-     {"H1": 8, "H2": 0, "H3": 8}),
-    (3, make_field(12, 0x1009), {"H1": 4, "H2": 24, "H3": 36}),
-])
+@pytest.mark.parametrize("n, ambient, counts", NON_DEFAULT)
 def test_orders_report_non_default_ambient(n, ambient, counts):
     # the theorems do not depend on the modulus: every check passes, and the
     # class counts are those of the default tower
