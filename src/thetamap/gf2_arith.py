@@ -16,8 +16,9 @@ numerically least irreducible polynomial beyond that.
 by the graph and sweep code.  ``FieldSpec`` alone decides whether a field
 has log/exp tables: other modules reach them only through the unit walk
 ``unit_pairs`` (every unit with its inverse, in generator order) and the
-table accessor ``tables``; one element's powers come from ``powers`` and
-traces at every subfield level from ``trace_mask``.  ``FieldElement`` wraps
+table accessor ``tables``; one element's powers come from ``powers``,
+traces at every subfield level from ``trace_mask``, and Tr(a), Tr(1/a) for
+every a at once from ``trace_tables``.  ``FieldElement`` wraps
 a packed int with operators and methods that refuse to mix elements of
 different fields.
 """
@@ -96,6 +97,10 @@ def _pgcd(a: int, b: int) -> int:
     while b:
         a, b = b, _pmod(a, b)
     return a
+
+
+# bytes.translate table swapping the bytes 0 and 1
+_FLIP = bytes((1, 0)) + bytes(range(2, 256))
 
 
 def _span_table(basis: list[int]) -> list[int]:
@@ -403,7 +408,7 @@ class FieldSpec:
 
     def trace(self, a: int) -> int:
         """Absolute trace Tr_t(a), always 0 or 1."""
-        # trace_mask(t), inlined: the graph checks call this per vertex
+        # trace_mask(t), inlined: the Dickson sums call this per unit
         try:
             mask = self._trace_masks[self.t]
         except KeyError:
@@ -442,6 +447,35 @@ class FieldSpec:
                 mask |= (acc & 1) << j
             self._trace_masks[d] = mask
         return mask
+
+    def trace_tables(self) -> tuple[bytes, bytes]:
+        """(Tr(a), Tr(1/a)) for every packed a, one byte each, Tr(1/0) = 0.
+
+        Tr is GF(2)-linear, so its table over the low k+1 bits is its table
+        over the low k bits followed by the same bytes, flipped where bit k
+        of ``trace_mask(t)`` is set: t doublings in all.  Tr(1/a) comes from
+        two walks of gen^i by the split tables of v -> v*gen, the first
+        recording Tr(gen^i), the second storing Tr(gen^(q-1-i)) = Tr(1/gen^i)
+        at gen^i.  Neither reads the exp table or ``unit_pairs``, the source
+        of the graph's edges, so a fault there shows against these tables.
+        """
+        mask = self.trace_mask(self.t)
+        tr = b"\0"
+        for k in range(self.t):
+            tr += tr.translate(_FLIP) if mask >> k & 1 else tr
+        lo, hi, h = self.mul_tables(self.gen)
+        low = len(lo) - 1
+        walk = bytearray(self.q - 1)     # Tr(gen^i), i = 0..q-2
+        v = 1
+        for i in range(self.q - 1):
+            walk[i] = tr[v]
+            v = lo[v & low] ^ hi[v >> h]
+        tr_inv = bytearray(self.q)
+        v = 1
+        for b in reversed(walk):         # at gen^i, i = 1..q-1: Tr(gen^(q-1-i))
+            v = lo[v & low] ^ hi[v >> h]
+            tr_inv[v] = b
+        return tr, bytes(tr_inv)
 
     def in_subfield(self, a: int, d: int) -> bool:
         """True iff a is fixed by the d-th Frobenius power: a^(2^d) = a."""

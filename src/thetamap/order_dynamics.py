@@ -588,6 +588,20 @@ def check_order_bound(tower: TowerSpec, profile: OrderProfile) -> CheckReport:
     return rep
 
 
+def _seed_verdicts(tower: TowerSpec, prof: OrderProfile) -> dict[str, bool]:
+    """Whether one profile passes each per-seed check, by check name."""
+    flags = h_longform_flags(prof)
+    return {
+        "h-partition": sum(flags) == 1 and flags[prof.case_id - 1],
+        "case-tables": case_table(prof).passed,
+        "forced-traces": trace_profile_check(prof).passed,
+        "case1-subcases": (prof.case_id != 1 or tower.l < 1
+                           or case1_subcase(tower, prof).passed),
+        "order-bound": (prof.case_id == 1
+                        or check_order_bound(tower, prof).passed),
+    }
+
+
 @dataclass
 class QuadrantReport:
     """The four trace quadrants of GF(q)* and their image characterizations."""
@@ -708,28 +722,8 @@ def orders_report(tower: TowerSpec) -> dict:
         doc["checks"] = checks.records()
         return doc
     seed_profs = seed_profiles(walk)
-
-    partition_bad = []
-    table_bad = []
-    traces_bad = []
-    subcase_bad = []
-    bound_bad = []
     for exp, prof in enumerate(seed_profs, 1):
         counts[prof.h_class.name] += 1
-        flags = h_longform_flags(prof)
-        if sum(flags) != 1 or not flags[prof.case_id - 1]:
-            partition_bad.append(exp)
-        tab = case_table(prof)
-        if not tab.passed:
-            table_bad.append(exp)
-        if not trace_profile_check(prof).passed:
-            traces_bad.append(exp)
-        if prof.case_id == 1 and tower.l >= 1:
-            if not case1_subcase(tower, prof).passed:
-                subcase_bad.append(exp)
-        if prof.case_id != 1:
-            if not check_order_bound(tower, prof).passed:
-                bound_bad.append(exp)
         profiles.append({
             "exponent": exp,
             "class": prof.h_class.name,
@@ -746,16 +740,19 @@ def orders_report(tower: TowerSpec) -> dict:
             } for s in prof.steps],
         })
 
-    def summarize(name, bad):
+    # The mates j and q^2+1-j share every step from index 1 on, and their
+    # seed rows differ only in point and label, which no per-seed check
+    # reads beyond the point being a unit: one verdict serves both.
+    failing: dict[str, list[int]] = {}
+    for j in range(1, big // 2 + 1):
+        for name, ok in _seed_verdicts(tower, seed_profs[j - 1]).items():
+            bad = failing.setdefault(name, [])
+            if not ok:
+                bad += (j, big - j)
+    for name, bad in failing.items():
+        bad.sort()
         checks.add(name, not bad,
                    "" if not bad else f"failing seed exponents {bad[:5]}")
-
-    summarize("h-partition", partition_bad)
-    summarize("case-tables", table_bad)
-    summarize("forced-traces", traces_bad)
-    summarize("case1-subcases", subcase_bad)
-    summarize("order-bound", bound_bad)
-
     for sub in (verify_cq1_inclusion(tower, seed_profs),
                 trace_quadrants(tower, seed_profs).checks,
                 verify_theta_permutation(tower, seed_profs)):

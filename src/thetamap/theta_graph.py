@@ -5,15 +5,20 @@ graph splits into connected components, each a single cycle whose vertices
 root in-trees of non-periodic predecessors.  This module builds the graph
 densely (arrays indexed by the packed-element encoding, with the extra index
 q for the point at infinity), decomposes it into components recorded in the
-same arrays (level and component of every vertex), classifies components by
-the trace condition Tr(x) = Tr(1/x), and verifies the structural facts the
-decomposition obeys: tree depths r+2 versus 1, the per-level counts, leaf
-traces, and leaf degrees.
+same arrays (level and component of every vertex, from one level sweep out
+of all cycles at once), classifies components by the trace condition
+Tr(x) = Tr(1/x), and verifies the structural facts the decomposition obeys:
+tree depths r+2 versus 1, the per-level counts, leaf traces, and leaf
+degrees.
 
 Projective conventions (1/0 = 0, 1/inf = inf, |0| = |inf| = 1, Tr(0) =
-Tr(inf) = 0) are ``ProjPoint`` methods; ``theta_index``, ``build_graph``,
-``verify_structure`` and order_dynamics' ``profile_tail`` and
-``trace_quadrants`` apply them inline to raw indices.
+Tr(inf) = 0) are ``ProjPoint`` methods; ``theta_index``, ``build_graph``
+and order_dynamics' ``profile_tail`` and ``trace_quadrants`` apply them
+inline to raw indices.  ``verify_structure`` makes no per-vertex field call:
+its class-preservation and leaf-trace checks read Tr(x) and Tr(1/x) of every
+vertex from ``FieldSpec.trace_tables``, where Tr(1/0) = 0 is stored, and
+inf, the index past both tables, counts as class A; its leaf-degree check
+walks the subfield GF(2^(t/2)) instead of every leaf.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ __all__ = [
     "theta",
     "theta_index",
     "build_graph",
-    "classify_AB",
     "is_periodic",
     "leaves",
     "omega_sets",
@@ -149,16 +153,6 @@ def theta(spec: FieldSpec, p: ProjPoint) -> ProjPoint:
     return ProjPoint(spec, theta_index(spec, p.index))
 
 
-def classify_AB(spec: FieldSpec, p: ProjPoint) -> str:
-    """'A' iff p is 0 or inf or Tr(x) = Tr(1/x); 'B' otherwise."""
-    if not spec.compatible(p.field):
-        raise FieldError("point does not belong to this field")
-    if not p.is_unit:
-        return "A"
-    x = p.index
-    return "A" if spec.trace(x) == spec.trace(spec.inv(x)) else "B"
-
-
 @dataclass
 class Component:
     """One connected component: its cycle, tree depth and trace class.
@@ -180,14 +174,15 @@ class ThetaGraph:
 
     Dense arrays indexed by point encoding: ``succ`` (the map itself),
     ``level`` (0 on cycle vertices, else distance to the cycle; -1 only
-    while ``build_graph`` runs), ``comp_id`` (position in ``components``),
-    and the predecessors in two slots
-    ``pred1``/``pred2`` (-1 when empty).  x + 1/x = c is a quadratic in x,
-    so no vertex has a third predecessor unless the kernel is faulty; such
-    extras go to ``pred_extra`` (vertex -> list), which is normally empty.
+    while ``build_graph`` runs; one signed byte per vertex unless a tree
+    grows deeper than 127 levels, which only a faulty kernel makes),
+    ``comp_id`` (position in ``components``), and the predecessors in two
+    slots ``pred1``/``pred2`` (-1 when empty).  x + 1/x = c is a quadratic
+    in x, so no vertex has a third predecessor unless the kernel is faulty;
+    such extras go to ``pred_extra`` (vertex -> list), normally empty.
     """
 
-    def __init__(self, field: FieldSpec, succ: list[int], level: list[int],
+    def __init__(self, field: FieldSpec, succ: array, level: array,
                  comp_id: list[int], components: list[Component],
                  pred1: array, pred2: array, pred_extra: dict[int, list[int]]):
         self.field = field
@@ -266,9 +261,7 @@ def build_graph(spec: FieldSpec) -> ThetaGraph:
     inf = q
     nverts = q + 1
 
-    succ = [0] * nverts
-    succ[0] = inf
-    succ[inf] = inf
+    succ = array("l", [inf]) * nverts        # 0 and inf go to inf
     for x, xi in spec.unit_pairs():
         succ[x] = x ^ xi
 
@@ -286,7 +279,7 @@ def build_graph(spec: FieldSpec) -> ThetaGraph:
 
     # Cycle detection: three-color walk over the out-degree-1 graph.
     color = bytearray(nverts)          # 0 new, 1 on current walk, 2 settled
-    level = [-1] * nverts
+    level = array("b", [-1]) * nverts
     raw_cycles: list[list[int]] = []
     for v0 in range(nverts):
         if color[v0]:
@@ -304,6 +297,7 @@ def build_graph(spec: FieldSpec) -> ThetaGraph:
             raw_cycles.append(cyc)
         for u in path:
             color[u] = 2
+    del color
 
     # Canonical rotation and component order: least encoding first.
     cycles = []
@@ -312,27 +306,58 @@ def build_graph(spec: FieldSpec) -> ThetaGraph:
         cycles.append(cyc[k:] + cyc[:k])
     cycles.sort(key=lambda c: c[0])
 
+    # One level sweep from every cycle vertex at once: a vertex's children
+    # are its predecessors not yet placed (all of them below a tree vertex,
+    # all but the cycle predecessor below a cycle vertex), one level out,
+    # in the parent's component.
     comp_id = [0] * nverts
-    components: list[Component] = []
-    g = ThetaGraph(spec, succ, level, comp_id, components,
-                   pred1, pred2, pred_extra)     # the walk below fills it in
+    frontier = array("l")
     for cid, cyc in enumerate(cycles):
-        depth = 0
-        for root in cyc:
-            comp_id[root] = cid
-            for k, vs in enumerate(g.tree_levels(root), 1):
-                for u in vs:
-                    level[u] = k
-                    comp_id[u] = cid
-                depth = max(depth, k)
+        for v in cyc:
+            comp_id[v] = cid
+        frontier.extend(cyc)
+    depth = [0] * len(cycles)
+    k = 0
+    while frontier:
+        k += 1
+        if k == 128:                   # only a faulty kernel grows this deep
+            level = array("l", level)
+        nxt = array("l")
+        for u in frontier:
+            a = pred1[u]
+            if a < 0:
+                continue
+            cid = comp_id[u]
+            if level[a] < 0:
+                level[a] = k
+                comp_id[a] = cid
+                nxt.append(a)
+            b = pred2[u]
+            if b >= 0:
+                if level[b] < 0:
+                    level[b] = k
+                    comp_id[b] = cid
+                    nxt.append(b)
+                for c in pred_extra.get(u, ()):
+                    if level[c] < 0:
+                        level[c] = k
+                        comp_id[c] = cid
+                        nxt.append(c)
+        for cid in set(map(comp_id.__getitem__, nxt)):
+            depth[cid] = k
+        frontier = nxt
+
+    components: list[Component] = []
+    for cid, cyc in enumerate(cycles):
         head = cyc[0]
         if head == inf:
             tclass = "A"
         else:
             tclass = "A" if spec.trace(head) == spec.trace(head ^ succ[head]) else "B"
-        components.append(Component(cyc, depth, tclass))
+        components.append(Component(cyc, depth[cid], tclass))
 
-    return g
+    return ThetaGraph(spec, succ, level, comp_id, components,
+                      pred1, pred2, pred_extra)
 
 
 def is_periodic(g: ThetaGraph, p: ProjPoint) -> bool:
@@ -355,6 +380,21 @@ def omega_sets(spec: FieldSpec) -> tuple[set[FieldElement], set[FieldElement]]:
 
 # ---------------------------------------------------------------------------
 # Structural verification
+
+def _bits(table: bytes) -> int:
+    """A byte table as one int, byte v at bits 8v..8v+7."""
+    return int.from_bytes(table, "little")
+
+
+def _byte(x: int, v: int) -> int:
+    """Byte v of ``_bits`` form."""
+    return x >> 8 * v & 0xFF
+
+
+def _least_set_byte(x: int) -> int | None:
+    """The least v whose byte is nonzero in ``_bits`` form; None for 0."""
+    return ((x & -x).bit_length() - 1) >> 3 if x else None
+
 
 def verify_structure(g: ThetaGraph) -> CheckReport:
     """Run the six structural checks; failures become report entries.
@@ -391,16 +431,16 @@ def verify_structure(g: ThetaGraph) -> CheckReport:
     def lab(v: int) -> str:
         return point_label(g.point(v))
 
-    # (1) the trace class is preserved along every edge.  1/x is read from
-    #     the field, not as x ^ succ[x], so a faulty edge cannot hide here.
-    trace, inv = spec.trace, spec.inv
+    # (1) the trace class is preserved along every edge: each vertex's
+    #     class byte Tr(x) ^ Tr(1/x) (1 for B) equals its component's, in_b.
+    #     Tr(1/x) comes from the trace tables' own walk of the generator,
+    #     not from succ or the unit walk that gave it, so a wrong edge shows
+    #     here unless its fault also reaches that walk.
+    tr, tr_inv = map(_bits, spec.trace_tables())
     classes = [comp.trace_class for comp in g.components]
-    bad = None
-    for v, cid in enumerate(g.comp_id):
-        cls = "B" if 0 < v < q and trace(v) != trace(inv(v)) else "A"
-        if cls != classes[cid]:
-            bad = v
-            break
+    comp_b = bytes(cls == "B" for cls in classes)
+    in_b = _bits(bytes(map(comp_b.__getitem__, g.comp_id)))
+    bad = _least_set_byte(tr ^ tr_inv ^ in_b)
     rep.add("class-preservation", bad is None,
             "" if bad is None else f"witness {lab(bad)}")
 
@@ -431,26 +471,26 @@ def verify_structure(g: ThetaGraph) -> CheckReport:
                        ("inf", "inf-tree-shape")):
         rep.add(name, kind not in details, details.get(kind, ""))
 
-    # (5) leaf traces: A-leaves have Tr(x) = Tr(1/x) = 1, B-leaves (0, 1)
-    bad_msg = ""
-    for v in g.leaf_indices():
-        pair = (spec.trace(v), spec.trace(spec.inv(v)))
-        cls = g.components[g.comp_id[v]].trace_class
-        want = (1, 1) if cls == "A" else (0, 1)
-        if pair != want:
-            bad_msg = f"{cls}-leaf {lab(v)} has traces {pair}"
-            break
-    rep.add("leaf-traces", not bad_msg, bad_msg)
+    # (5) leaf traces: A-leaves have Tr(x) = Tr(1/x) = 1, B-leaves (0, 1);
+    #     a leaf passes where Tr(1/x) = 1 and Tr(x) = 1 exactly off B
+    is_leaf = _bits(bytes(map((0).__gt__, g.pred1)))
+    bad = _least_set_byte(is_leaf & ~(tr_inv & (tr ^ in_b)))
+    rep.add("leaf-traces", bad is None, "" if bad is None else
+            f"{classes[g.comp_id[bad]]}-leaf {lab(bad)} has traces "
+            f"{(_byte(tr, bad), _byte(tr_inv, bad))}")
 
-    # (6) every leaf degree is 2^r * v with v odd dividing s
-    bad_msg = ""
-    for v in g.leaf_indices():
-        dv = spec.degree(v)
-        vodd = dv >> spec.r
-        if dv != (vodd << spec.r) or vodd % 2 == 0 or spec.s % vodd != 0:
-            bad_msg = f"leaf {lab(v)} has degree {dv}"
-            break
-    rep.add("leaf-degree", not bad_msg, bad_msg)
+    # (6) every leaf degree is 2^r * v with v odd dividing s.  Every degree
+    #     divides t = 2^r * s, so only the degrees dividing t/2 break the
+    #     law, and only when r >= 1: the law holds iff no element of
+    #     GF(2^(t/2)) is a leaf.
+    bad = None
+    if spec.r:
+        sub_units = (1 << (spec.t // 2)) - 1
+        c = spec.pow(spec.gen, (q - 1) // sub_units)    # generates GF(2^(t/2))*
+        sub = spec.powers(c, sub_units - 1) + [0]
+        bad = min((v for v in sub if g.pred1[v] < 0), default=None)
+    rep.add("leaf-degree", bad is None, "" if bad is None else
+            f"leaf {lab(bad)} has degree {spec.degree(bad)}")
 
     return rep
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import graph_oracle
 import thetamap
 import thetamap.cli as cli
 import thetamap.dickson_curve as dickson_curve
@@ -164,6 +165,85 @@ def test_structure_fault_matrix(monkeypatch, capsys, t, pick, want):
     captured = capsys.readouterr()
     assert _failed_checks(captured.out) == want
     assert "Traceback" not in captured.err
+
+
+def _fault_runs(monkeypatch, capsys, fault: str, args: tuple,
+                argv: list[str]):
+    """(exit, stdout, stderr) of argv under the graph_oracle fault
+    ``fault(*args)``, in-process and in a child under `python -O`."""
+    getattr(graph_oracle, fault)(*args)(monkeypatch.setattr)
+    code = main(argv)
+    captured = capsys.readouterr()
+    runs = [(code, captured.out, captured.err)]
+    monkeypatch.undo()
+    paths = [str(Path(thetamap.__file__).resolve().parents[1]),
+             str(Path(__file__).resolve().parent)]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (*paths, env.get("PYTHONPATH")) if p)
+    child = ("import sys, graph_oracle\n"
+             "from thetamap.cli import main\n"
+             f"graph_oracle.{fault}(*{args!r})(setattr)\n"
+             f"sys.exit(main({argv!r}))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", child],
+                          capture_output=True, text=True, env=env, timeout=300)
+    runs.append((proc.returncode, proc.stdout, proc.stderr))
+    return runs
+
+
+def test_zero_trace_mask_fails_shape_and_leaf_traces(monkeypatch, capsys):
+    # every trace reads 0: every component is class A and every vertex
+    # agrees, but the B-trees then break the A shape and the A leaf traces
+    for code, out, err in _fault_runs(monkeypatch, capsys, "zero_trace_mask",
+                                      (), ["verify-structure", "--t", "8"]):
+        assert code == 1
+        assert "PASS [t=8] class-preservation" in out.splitlines()
+        assert [ln for ln in out.splitlines() if ln.startswith("FAIL")] == [
+            "FAIL [t=8] a-tree-shape  vertex 25 on level 1 has 0 children",
+            "FAIL [t=8] leaf-traces  A-leaf 25 has traces (0, 0)"]
+        assert "Traceback" not in err
+
+
+def test_inverse_trace_fault_names_the_oracle_witness(monkeypatch, capsys):
+    # Tr(1/x) of one vertex flipped: class-preservation names that vertex,
+    # as the per-vertex oracle does, and every table check agrees with it
+    args = (make_field(8).exp_of(100), 8)
+    graph_oracle.wrong_inverse_at(*args)(monkeypatch.setattr)
+    g = theta_graph.build_graph(make_field(8))
+    want = graph_oracle.oracle_checks(g)
+    assert want[0] == {"name": "class-preservation", "pass": False,
+                       "detail": "witness 100"}
+    assert graph_oracle.table_records(g) == want
+    monkeypatch.undo()
+    for code, out, err in _fault_runs(monkeypatch, capsys, "wrong_inverse_at",
+                                      args, ["verify-structure", "--t", "8"]):
+        assert code == 1
+        assert "FAIL [t=8] class-preservation  witness 100" in out.splitlines()
+        assert "Traceback" not in err
+
+
+def test_subfield_leaf_fails_leaf_degree(monkeypatch, capsys):
+    # two units of GF(2^4) lose their predecessors: the one the subfield
+    # walk gen^17, gen^34, ... meets first, and the least one; the least is
+    # named, with its degree, as the per-leaf oracle names it
+    f = make_field(8)
+    sub = f.powers(f.pow(f.gen, 17), 14)[1:]
+    targets = [sub[0], min(sub)]
+    assert targets[0] != targets[1]
+    detail = f"leaf {f.dlog(targets[1])} has degree {f.degree(targets[1])}"
+    graph_oracle.subfield_leaves(8, targets)(monkeypatch.setattr)
+    g = theta_graph.build_graph(make_field(8))
+    assert [g.pred1[y] for y in targets] == [-1, -1]
+    want = graph_oracle.oracle_checks(g)
+    assert want[2] == {"name": "leaf-degree", "pass": False, "detail": detail}
+    assert graph_oracle.table_records(g) == want
+    monkeypatch.undo()
+    for code, out, err in _fault_runs(monkeypatch, capsys, "subfield_leaves",
+                                      (8, targets),
+                                      ["verify-structure", "--t", "8"]):
+        assert code == 1
+        assert f"FAIL [t=8] leaf-degree  {detail}" in out.splitlines()
+        assert "Traceback" not in err
 
 
 def test_orders_failure_exits_one(monkeypatch, capsys):

@@ -332,6 +332,18 @@ def test_trace():
             assert e.trace() == frob
 
 
+@pytest.mark.parametrize("t, modulus", [(t, None) for t in range(1, 11)]
+                         + [(8, 0x11B), (10, 0x409)])
+def test_trace_tables_match_conjugate_sums(t, modulus):
+    f = make_field(t, modulus)
+    tr, tr_inv = f.trace_tables()
+    assert list(tr) == [sum_of_conjugates(f, a, t) for a in range(f.q)]
+    assert tr_inv[0] == 0
+    for a in range(1, f.q):
+        assert tr_inv[a] == tr[f.inv(a)]
+        assert schoolbook_mulmod(a, f.inv(a), f.modulus) == 1
+
+
 def sum_of_conjugates(f, a, d):
     acc, v = 0, a
     for _ in range(d):

@@ -256,6 +256,69 @@ def test_seed_pairs_share_one_tail(monkeypatch, n):
         assert all(a is b for a, b in zip(mine[1:], mate[1:]))
 
 
+SEED_CHECKS = ("h-partition", "case-tables", "forced-traces",
+               "case1-subcases", "order-bound")
+
+
+def _per_seed_records(tower, profiles):
+    """The per-seed check records with every seed checked on its own: the
+    oracle for the once-per-pair evaluation in ``orders_report``."""
+    out = {name: [] for name in SEED_CHECKS}
+    for exp, prof in enumerate(profiles, 1):
+        flags = h_longform_flags(prof)
+        if sum(flags) != 1 or not flags[prof.case_id - 1]:
+            out["h-partition"].append(exp)
+        if not case_table(prof).passed:
+            out["case-tables"].append(exp)
+        if not trace_profile_check(prof).passed:
+            out["forced-traces"].append(exp)
+        if (prof.case_id == 1 and tower.l >= 1
+                and not case1_subcase(tower, prof).passed):
+            out["case1-subcases"].append(exp)
+        if prof.case_id != 1 and not check_order_bound(tower, prof).passed:
+            out["order-bound"].append(exp)
+    return [{"name": name, "pass": not bad,
+             "detail": "" if not bad else f"failing seed exponents {bad[:5]}"}
+            for name, bad in out.items()]
+
+
+def _seed_records(tower):
+    return [c for c in orders_report(tower)["checks"]
+            if c["name"] in SEED_CHECKS]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_pair_verdicts_match_per_seed_evaluation(n):
+    tower = TOWERS[n] if n in TOWERS else make_tower(n)
+    profiles = PROFILES[n] if n in PROFILES else seed_profiles(seed_walk(tower))
+    want = _per_seed_records(tower, profiles)
+    assert all(r["pass"] for r in want)
+    assert _seed_records(tower) == want
+
+
+def test_pair_verdicts_under_broken_pairs(monkeypatch):
+    # a wrong trace at index 2 of the tails shared by seeds 5, 60 and by
+    # 3, 62 (n = 3, q^2+1 = 65): all four fail under their own exponents,
+    # ascending, as seed-by-seed evaluation finds
+    tower = make_tower(3)
+    true_profiles = order_dynamics.seed_profiles
+
+    def broken(walk):
+        profiles = true_profiles(walk)
+        profiles[5 - 1].steps[2].tr ^= 1
+        profiles[62 - 1].steps[2].tr ^= 1
+        return profiles
+
+    monkeypatch.setattr(order_dynamics, "seed_profiles", broken)
+    profiles = broken(seed_walk(tower))
+    assert profiles[60 - 1].steps[2].tr != PROFILES[3][60 - 1].steps[2].tr
+    assert profiles[3 - 1].steps[2].tr != PROFILES[3][3 - 1].steps[2].tr
+    got = _seed_records(tower)
+    assert got == _per_seed_records(tower, profiles)
+    assert {"name": "case-tables", "pass": False,
+            "detail": "failing seed exponents [3, 5, 60, 62]"} in got
+
+
 def test_orders_report_builds_no_ambient_table(monkeypatch):
     tabled = set()
     true_ensure = FieldSpec.ensure_tables

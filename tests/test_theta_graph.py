@@ -4,17 +4,19 @@ import json
 
 import pytest
 
+import thetamap.gf2_arith as gf2_arith
+from graph_oracle import classify_AB, oracle_checks, oracle_graph, table_records
 from thetamap.dickson_curve import _theta_image_of_small_subgroup
-from thetamap.gf2_arith import FieldError, field_from_record, make_field
+from thetamap.gf2_arith import FieldError, FieldSpec, field_from_record, make_field
 from thetamap.theta_graph import (
     ProjPoint,
     build_graph,
-    classify_AB,
     is_periodic,
     leaves,
     omega_sets,
     point_label,
     theta,
+    theta_index,
     to_dot,
     to_json,
     verify_structure,
@@ -174,6 +176,117 @@ def test_in_degree_oracle(record):
         assert all(g.succ[u] == x for u in preds)
     assert g.predecessors(0) == [1]
     assert sorted(g.predecessors(inf)) == [0, inf]
+
+
+# ---------------------------------------------------------------------------
+# the sweep and the table checks against the per-vertex oracle
+
+ORACLE_FIELDS = [(t, None) for t in range(1, 15)] + [(8, 0x11B), (10, 0x409)]
+ORACLE_IDS = [f"t{t}" if m is None else f"t{t}-modulus{m:x}"
+              for t, m in ORACLE_FIELDS]
+
+
+def _assert_matches_oracle(f):
+    g, want = build_graph(f), oracle_graph(f)
+    assert list(g.succ) == want.succ
+    assert (g.pred1, g.pred2, g.pred_extra) == (
+        want.pred1, want.pred2, want.pred_extra)
+    assert list(g.level) == want.level
+    assert g.comp_id == want.comp_id
+    assert g.components == want.components
+    assert verify_structure(g).passed
+    assert table_records(g) == oracle_checks(g)
+
+
+@pytest.mark.parametrize("t, modulus", ORACLE_FIELDS, ids=ORACLE_IDS)
+def test_graph_layer_matches_oracle(t, modulus):
+    _assert_matches_oracle(make_field(t, modulus))
+
+
+@pytest.mark.parametrize("t, modulus", ORACLE_FIELDS, ids=ORACLE_IDS)
+def test_graph_layer_matches_oracle_without_tables(monkeypatch, t, modulus):
+    # shift-xor products in the unit walk, hex labels
+    monkeypatch.setattr(gf2_arith, "TABLE_MAX_T", 0)
+    _assert_matches_oracle(make_field(t, modulus))
+
+
+@pytest.mark.parametrize("tables", [True, False], ids=["log", "shiftxor"])
+def test_unit_walk_fault_shows_against_the_trace_tables(monkeypatch, tables):
+    # the unit walk pairs gen^100 with a wrong inverse, off by the least
+    # element of trace 1; the trace tables walk the generator on their own
+    # and keep the true Tr(1/x), so class-preservation names gen^100, as the
+    # per-vertex oracle does from spec.inv
+    if not tables:
+        monkeypatch.setattr(gf2_arith, "TABLE_MAX_T", 0)
+    f = make_field(8)
+    x0 = f.exp_of(100)
+    e = next(e for e in range(1, f.q) if f.trace(e))
+    pairs = [(x, xi ^ e if x == x0 else xi) for x, xi in f.unit_pairs()]
+    monkeypatch.setattr(FieldSpec, "unit_pairs", lambda self: iter(pairs))
+    g = build_graph(f)
+    assert g.succ[x0] != theta_index(f, x0)
+    assert f.trace_tables() == make_field(8).trace_tables()
+    records = table_records(g)
+    assert records == oracle_checks(g)
+    assert records[0] == {"name": "class-preservation", "pass": False,
+                          "detail": f"witness {point_label(g.point(x0))}"}
+
+
+def test_exp_table_fault_shows_against_the_trace_tables():
+    # gen^100 and gen^150 trade places in the exp table, so the unit walk
+    # pairs four units with wrong inverses; the trace tables do not read the
+    # exp table for Tr(1/x), and class-preservation names gen^100, as the
+    # per-vertex oracle does
+    f = make_field(8)
+    exp, _ = f.tables()
+    n = f.q - 1
+    for k in (0, n):
+        exp[100 + k], exp[150 + k] = exp[150 + k], exp[100 + k]
+    g = build_graph(f)
+    assert f.trace_tables() == make_field(8).trace_tables()
+    records = table_records(g)
+    assert records == oracle_checks(g)
+    assert records[0] == {"name": "class-preservation", "pass": False,
+                          "detail": "witness 100"}
+
+
+def test_deep_faulty_tree_keeps_its_levels(monkeypatch):
+    # a faulty kernel sending each unit x to x - 1 hangs all of GF(2^8) on
+    # one path into infinity, 256 levels deep: past one signed byte
+    f = make_field(8)
+    pairs = [(x, x ^ (x - 1)) for x in range(1, f.q)]
+    monkeypatch.setattr(FieldSpec, "unit_pairs", lambda self: iter(pairs))
+    g = build_graph(f)
+    assert list(g.level) == list(range(1, f.q + 1)) + [0]
+    assert [(c.cycle, c.depth) for c in g.components] == [([f.q], f.q)]
+    assert "inf-tree-shape" in {c.name for c in verify_structure(g).failures()}
+    assert table_records(g) == oracle_checks(g)
+
+
+def test_zero_leaf_is_named_by_the_table_checks(monkeypatch):
+    # a faulty kernel fixing the unit 1 leaves 0 without predecessor: 0 lies
+    # in GF(2^4) and has degree 1, and its traces are (0, 0) by convention
+    f = make_field(8)
+    pairs = [(x, 0 if x == 1 else xi) for x, xi in f.unit_pairs()]
+    monkeypatch.setattr(FieldSpec, "unit_pairs", lambda self: iter(pairs))
+    g = build_graph(f)
+    records = table_records(g)
+    assert records == oracle_checks(g)
+    assert [r["detail"] for r in records] == [
+        "", "A-leaf '0' has traces (0, 0)", "leaf '0' has degree 1"]
+
+
+@pytest.mark.parametrize("t", range(1, 17))
+def test_leaf_degree_law_breaks_exactly_on_the_half_field(t):
+    """A unit's degree breaks the 2^r * v law iff r >= 1 and the unit lies
+    in GF(2^(t/2)): the rule verify_structure's leaf-degree check rests on."""
+    f = make_field(t)
+    f.ensure_tables()
+    for x in range(1, f.q):
+        d = f.degree(x)
+        v = d >> f.r
+        breaks = d != (v << f.r) or v % 2 == 0 or f.s % v != 0
+        assert breaks == (f.r >= 1 and f.in_subfield(x, t // 2)), x
 
 
 # ---------------------------------------------------------------------------
