@@ -27,7 +27,13 @@ from dataclasses import dataclass
 from thetamap.dickson_curve import dickson_report
 from thetamap.gf2_arith import FieldError, field_to_record, make_field, max_t_cap
 from thetamap.order_dynamics import MAX_TOWER_N, make_tower, orders_report
-from thetamap.theta_graph import build_graph, to_dot, to_json, verify_structure
+from thetamap.theta_graph import (
+    GRAPH_MAX_T,
+    build_graph,
+    to_dot,
+    to_json,
+    verify_structure,
+)
 
 MAX_DICKSON_N = 12
 
@@ -67,10 +73,11 @@ def _values(args, flag: str) -> list[int]:
 
 def _bounds(command: str) -> tuple[int, str]:
     """The largest admitted degree and its flag.  The field a command names
-    obeys THETA_MAX_T, so a low cap is refused here, before any job runs."""
+    obeys THETA_MAX_T, and a graph also GRAPH_MAX_T, so a degree above
+    either is refused here, before any job runs."""
     cap = max_t_cap()          # every command refuses a malformed THETA_MAX_T
     if command == "verify-structure" or command == "graph":
-        return cap, "t"
+        return min(GRAPH_MAX_T, cap), "t"
     if command == "verify-orders":
         return min(MAX_TOWER_N, cap), "n"
     return min(MAX_DICKSON_N, cap), "n"

@@ -14,13 +14,14 @@ numerically least irreducible polynomial beyond that.
 
 ``FieldSpec`` methods operate on raw packed ints; they are the kernels used
 by the graph and sweep code.  ``FieldSpec`` alone decides whether a field
-has log/exp tables: other modules reach them only through the unit walk
-``unit_pairs`` (every unit with its inverse, in generator order) and the
-table accessor ``tables``; one element's powers come from ``powers``,
-traces at every subfield level from ``trace_mask``, and Tr(a), Tr(1/a) for
-every a at once from ``trace_tables``.  ``FieldElement`` wraps
-a packed int with operators and methods that refuse to mix elements of
-different fields.
+has log/exp tables, and builds them only for a caller of ``tables`` or
+``dlog``; without them products go by shift-xor.  The whole-field walks
+need no log table: every unit with its inverse, in generator order, comes
+from ``unit_pairs``, one element's powers from ``powers``, and Tr(a),
+Tr(1/a) for every a at once from ``trace_tables``, each stepping by the
+split tables of ``mul_tables``; traces at every subfield level come from
+``trace_mask``.  ``FieldElement`` wraps a packed int with operators and
+methods that refuse to mix elements of different fields.
 """
 
 from __future__ import annotations
@@ -46,8 +47,9 @@ __all__ = [
 
 DEFAULT_MAX_T = 24
 
-# Log/exp tables are built lazily for fields up to this degree; beyond it
-# multiplication stays on the shift-xor path and discrete logs are refused.
+# Log/exp tables are built on first use (``tables``, ``dlog``) for fields up
+# to this degree; beyond it discrete logs are refused, so labels fall back
+# to hex, and multiplication stays on the shift-xor path.
 TABLE_MAX_T = 20
 
 
@@ -456,8 +458,20 @@ class FieldSpec:
         of ``trace_mask(t)`` is set: t doublings in all.  Tr(1/a) comes from
         two walks of gen^i by the split tables of v -> v*gen, the first
         recording Tr(gen^i), the second storing Tr(gen^(q-1-i)) = Tr(1/gen^i)
-        at gen^i.  Neither reads the exp table or ``unit_pairs``, the source
-        of the graph's edges, so a fault there shows against these tables.
+        at gen^i.
+
+        ``unit_pairs``, the source of the graph's edges, walks the same
+        ``mul_tables(gen)``, and the tables of gen^-1 besides; a fault in
+        either still shows against Tr(1/a) here.  The value stored at the
+        i-th element of this walk is Tr of the element q-1-i steps further,
+        which is its true inverse for any multiplier c of order q-1, since
+        c^(q-1-i) = 1/c^i: split tables of a wrong generator leave these
+        tables right, while the edges pair c^i with gen^-i.  A wrong table of
+        gen^-1 is not read here at all.  In place of gen's, the tables of a
+        unit of smaller order leave units off the unit walk, whose edges stay
+        at inf and break the infinity tree; tables of no product at all
+        almost never bring the walk back to 1 after exactly q-1 steps, and
+        ``unit_pairs`` then raises FieldError.
         """
         mask = self.trace_mask(self.t)
         tr = b"\0"
@@ -523,7 +537,7 @@ class FieldSpec:
         n = self.q - 1
         exp = self.powers(self.gen, n)
         if exp.pop() != 1:
-            raise FieldError("generator order mismatch while building tables")
+            raise FieldError("generator order mismatch")
         log = [0] * self.q
         deque(map(log.__setitem__, exp, range(n)), maxlen=0)
         exp *= 2
@@ -565,20 +579,21 @@ class FieldSpec:
     def unit_pairs(self):
         """Every unit with its inverse, (gen^i, gen^-i) for i = 0..q-2.
 
-        Reads the tables up to TABLE_MAX_T and walks by shift-xor products beyond.
+        Walks gen^i and gen^-i by the split tables (``mul_tables``) of gen
+        and of gen^-1 at every t; reads no log/exp table.  Both walks must be
+        back at 1 after q-1 steps, or FieldError is raised once the last
+        pair has been yielded.
         """
-        n = self.q - 1
-        if self.t <= TABLE_MAX_T:
-            exp, _ = self.tables()
-            for i in range(n):
-                yield exp[i], exp[n - i]
-            return
-        fwd, bwd = 1, 1
-        g, ginv = self.gen, self.inv(self.gen)
-        for _ in range(n):
+        lo, hi, h = self.mul_tables(self.gen)
+        ilo, ihi, _ = self.mul_tables(self.inv(self.gen))
+        mask = len(lo) - 1
+        fwd = bwd = 1
+        for _ in range(self.q - 1):
             yield fwd, bwd
-            fwd = self.mul(fwd, g)
-            bwd = self.mul(bwd, ginv)
+            fwd = lo[fwd & mask] ^ hi[fwd >> h]
+            bwd = ilo[bwd & mask] ^ ihi[bwd >> h]
+        if fwd != 1 or bwd != 1:
+            raise FieldError("generator order mismatch")
 
     def exp_of(self, i: int) -> int:
         """gen^i as a packed int."""

@@ -31,6 +31,7 @@ from thetamap.gf2_arith import FieldElement, FieldError, FieldSpec
 from thetamap.report import CheckReport
 
 __all__ = [
+    "GRAPH_MAX_T",
     "ProjPoint",
     "Component",
     "ThetaGraph",
@@ -45,6 +46,10 @@ __all__ = [
     "to_dot",
     "to_json",
 ]
+
+# The graph's index arrays are array('i'), 4 bytes per entry: they hold the
+# vertex encodings 0..2^t for t up to 30.
+GRAPH_MAX_T = 30
 
 
 class ProjPoint:
@@ -157,14 +162,15 @@ def theta(spec: FieldSpec, p: ProjPoint) -> ProjPoint:
 class Component:
     """One connected component: its cycle, tree depth and trace class.
 
-    ``cycle`` follows the successor direction and is rotated to start at the
-    vertex with the least encoding (infinity encodes greatest).  ``depth`` is
-    the deepest level of any in-tree (0 when no cycle vertex roots a tree).
+    ``cycle`` is an ``array('i')`` of encodings that follows the successor
+    direction, rotated to start at the vertex with the least encoding
+    (infinity encodes greatest).  ``depth`` is the deepest level of any
+    in-tree (0 when no cycle vertex roots a tree).
     The tree vertices live in the graph's ``level`` and ``comp_id`` arrays;
     ``ThetaGraph.tree_levels`` lists them root by root.
     """
 
-    cycle: list[int]
+    cycle: array
     depth: int
     trace_class: str
 
@@ -177,13 +183,15 @@ class ThetaGraph:
     while ``build_graph`` runs; one signed byte per vertex unless a tree
     grows deeper than 127 levels, which only a faulty kernel makes),
     ``comp_id`` (position in ``components``), and the predecessors in two
-    slots ``pred1``/``pred2`` (-1 when empty).  x + 1/x = c is a quadratic
-    in x, so no vertex has a third predecessor unless the kernel is faulty;
-    such extras go to ``pred_extra`` (vertex -> list), normally empty.
+    slots ``pred1``/``pred2`` (-1 when empty).  ``succ``, ``comp_id``,
+    ``pred1`` and ``pred2`` are ``array('i')``, 4 bytes per vertex, which
+    bounds t by GRAPH_MAX_T.  x + 1/x = c is a quadratic in x, so no vertex
+    has a third predecessor unless the kernel is faulty; such extras go to
+    ``pred_extra`` (vertex -> list), normally empty.
     """
 
     def __init__(self, field: FieldSpec, succ: array, level: array,
-                 comp_id: list[int], components: list[Component],
+                 comp_id: array, components: list[Component],
                  pred1: array, pred2: array, pred_extra: dict[int, list[int]]):
         self.field = field
         self.succ = succ
@@ -256,18 +264,24 @@ class ThetaGraph:
 
 
 def build_graph(spec: FieldSpec) -> ThetaGraph:
-    """Build and decompose the graph; deterministic component ordering."""
+    """Build and decompose the graph; deterministic component ordering.
+
+    Refused with FieldError beyond GRAPH_MAX_T, before anything is allocated.
+    """
+    if spec.t > GRAPH_MAX_T:
+        raise FieldError(f"graph refused for t={spec.t} > {GRAPH_MAX_T}: "
+                         f"vertex indices overflow array('i')")
     q = spec.q
     inf = q
     nverts = q + 1
 
-    succ = array("l", [inf]) * nverts        # 0 and inf go to inf
+    succ = array("i", [inf]) * nverts        # 0 and inf go to inf
     for x, xi in spec.unit_pairs():
         succ[x] = x ^ xi
 
     # Slot 2 fills only after slot 1, and pred_extra only after both.
-    pred1 = array("l", [-1]) * nverts
-    pred2 = array("l", [-1]) * nverts
+    pred1 = array("i", [-1]) * nverts
+    pred2 = array("i", [-1]) * nverts
     pred_extra: dict[int, list[int]] = {}
     for v, c in enumerate(succ):
         if pred1[c] < 0:
@@ -277,14 +291,17 @@ def build_graph(spec: FieldSpec) -> ThetaGraph:
         else:
             pred_extra.setdefault(c, []).append(v)
 
-    # Cycle detection: three-color walk over the out-degree-1 graph.
+    # Cycle detection: three-color walk over the out-degree-1 graph.  Each
+    # cycle is rotated as it is found; the canonical rotation and component
+    # order put the least encoding first.
     color = bytearray(nverts)          # 0 new, 1 on current walk, 2 settled
     level = array("b", [-1]) * nverts
-    raw_cycles: list[list[int]] = []
+    cycles: list[array] = []
+    path = array("i")
     for v0 in range(nverts):
         if color[v0]:
             continue
-        path = []
+        del path[:]
         v = v0
         while color[v] == 0:
             color[v] = 1
@@ -294,24 +311,19 @@ def build_graph(spec: FieldSpec) -> ThetaGraph:
             cyc = path[path.index(v):]
             for u in cyc:
                 level[u] = 0
-            raw_cycles.append(cyc)
+            k = cyc.index(min(cyc))
+            cycles.append(cyc[k:] + cyc[:k])
         for u in path:
             color[u] = 2
-    del color
-
-    # Canonical rotation and component order: least encoding first.
-    cycles = []
-    for cyc in raw_cycles:
-        k = cyc.index(min(cyc))
-        cycles.append(cyc[k:] + cyc[:k])
+    del color, path
     cycles.sort(key=lambda c: c[0])
 
     # One level sweep from every cycle vertex at once: a vertex's children
     # are its predecessors not yet placed (all of them below a tree vertex,
     # all but the cycle predecessor below a cycle vertex), one level out,
     # in the parent's component.
-    comp_id = [0] * nverts
-    frontier = array("l")
+    comp_id = array("i", [0]) * nverts
+    frontier = array("i")
     for cid, cyc in enumerate(cycles):
         for v in cyc:
             comp_id[v] = cid
@@ -321,8 +333,8 @@ def build_graph(spec: FieldSpec) -> ThetaGraph:
     while frontier:
         k += 1
         if k == 128:                   # only a faulty kernel grows this deep
-            level = array("l", level)
-        nxt = array("l")
+            level = array("i", level)
+        nxt = array("i")
         for u in frontier:
             a = pred1[u]
             if a < 0:
@@ -434,8 +446,9 @@ def verify_structure(g: ThetaGraph) -> CheckReport:
     # (1) the trace class is preserved along every edge: each vertex's
     #     class byte Tr(x) ^ Tr(1/x) (1 for B) equals its component's, in_b.
     #     Tr(1/x) comes from the trace tables' own walk of the generator,
-    #     not from succ or the unit walk that gave it, so a wrong edge shows
-    #     here unless its fault also reaches that walk.
+    #     not from succ: that walk shares gen's split tables with the unit
+    #     walk that gave succ, but its Tr(1/x) stays true under a wrong
+    #     generator (``FieldSpec.trace_tables``), so a wrong edge shows here.
     tr, tr_inv = map(_bits, spec.trace_tables())
     classes = [comp.trace_class for comp in g.components]
     comp_b = bytes(cls == "B" for cls in classes)
@@ -465,7 +478,7 @@ def verify_structure(g: ThetaGraph) -> CheckReport:
             first_bad.setdefault(kinds[cid], (v, k, children))
     details = {kind: f"vertex {lab(v)} on level {k} has {children} children"
                for kind, (v, k, children) in first_bad.items()}
-    if g.components[inf_cid].cycle != [inf]:
+    if list(g.components[inf_cid].cycle) != [inf]:
         details["inf"] = "infinity is not a fixed point"
     for kind, name in (("A", "a-tree-shape"), ("B", "b-tree-depth"),
                        ("inf", "inf-tree-shape")):
@@ -504,7 +517,7 @@ def to_dot(g: ThetaGraph) -> str:
     for cid, comp in enumerate(g.components):
         out.append(f"digraph component_{cid} {{")
         tree = [v for root in comp.cycle for vs in g.tree_levels(root) for v in vs]
-        for v in comp.cycle + tree:
+        for v in (*comp.cycle, *tree):
             out.append(f'    "{point_label(g.point(v))}" -> '
                        f'"{point_label(g.point(g.succ[v]))}";')
         out.append("}")

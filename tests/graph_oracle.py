@@ -66,13 +66,13 @@ def oracle_graph(spec: FieldSpec) -> ThetaGraph:
     for v in sorted(periodic):
         if any(v in cyc for cyc in cycles):
             continue
-        cyc = [v]                      # v is the least vertex of its cycle
+        cyc = array("i", [v])          # v is the least vertex of its cycle
         while succ[cyc[-1]] != v:
             cyc.append(succ[cyc[-1]])
         cycles.append(cyc)
 
     level = [0 if v in periodic else -1 for v in range(nverts)]
-    comp_id = [0] * nverts
+    comp_id = array("i", [0]) * nverts
     g = ThetaGraph(spec, succ, level, comp_id, [], pred1, pred2, pred_extra)
     for cid, cyc in enumerate(cycles):
         depth = 0

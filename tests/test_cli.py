@@ -139,6 +139,44 @@ def test_structure_failure_exits_one(monkeypatch, capsys):
     assert "FAIL" in out and "inf-tree-shape" in out
 
 
+@pytest.mark.parametrize("faulty", ["gen", "gen-inverse"])
+def test_broken_split_table_exits_two(monkeypatch, capsys, faulty):
+    # one entry of the split tables of gen (or of 1/gen) is off by 1, so the
+    # unit walk does not return to 1 after q-1 steps: a configuration error
+    f = make_field(8)
+    target = f.gen if faulty == "gen" else f.inv(f.gen)
+    true_tables = FieldSpec.mul_tables
+
+    def mul_tables(self, c):
+        lo, hi, h = true_tables(self, c)
+        if self.t == 8 and c == target:
+            lo = lo[:]
+            lo[5] ^= 1
+        return lo, hi, h
+
+    monkeypatch.setattr(FieldSpec, "mul_tables", mul_tables)
+    assert main(["verify-structure", "--t", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: generator order mismatch\n"
+
+
+@pytest.mark.parametrize("command", ["graph", "verify-structure"])
+def test_graph_beyond_the_index_arrays_is_refused_up_front(monkeypatch, capsys,
+                                                          command):
+    # array('i') holds the vertex encodings up to t = 30, so t = 31 is
+    # refused even under a cap of 31, before any field is made
+    def no_field(*args, **kwargs):
+        raise AssertionError("make_field called")
+
+    monkeypatch.setattr(cli, "make_field", no_field)
+    monkeypatch.setenv("THETA_MAX_T", "31")
+    assert main([command, "--t", "31"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: t=31 outside [1, 30]\n"
+
+
 LEAF_TO_ONE = {"class-preservation", "b-tree-depth", "inf-tree-shape",
                "leaf-traces"}
 
@@ -438,7 +476,7 @@ def test_third_predecessor_is_kept(monkeypatch, capsys):
     bad_pairs = _pairs_with_third_predecessor(8)
     monkeypatch.setattr(FieldSpec, "unit_pairs", lambda self: iter(bad_pairs))
     g = theta_graph.build_graph(make_field(8))
-    assert sorted(v for comp in g.components for v in comp.cycle + [
+    assert sorted(v for comp in g.components for v in list(comp.cycle) + [
         u for root in comp.cycle for vs in g.tree_levels(root) for u in vs]
     ) == list(range(g.field.q + 1))
     assert main(["verify-structure", "--t", "8"]) == 1

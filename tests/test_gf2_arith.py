@@ -241,17 +241,6 @@ def test_mul_table_and_shiftxor_paths_agree():
     assert plain == [f.mul(a, b) for a, b in pairs]
 
 
-def test_unit_walk_table_and_shiftxor_paths_agree(monkeypatch):
-    tabled = list(make_field(9).unit_pairs())
-    monkeypatch.setattr(gf2_arith, "TABLE_MAX_T", 0)
-    f = make_field(9)
-    assert list(f.unit_pairs()) == tabled
-    assert len(tabled) == f.q - 1
-    assert all(f.mul(x, xi) == 1 for x, xi in tabled)
-    with pytest.raises(FieldError):
-        f.tables()
-
-
 # ---------------------------------------------------------------------------
 # Kernel oracles: the split-table build and the log-based degree against the
 # one-step walk and the Frobenius search they replace
@@ -287,6 +276,20 @@ def test_split_tables_match_the_walk_for_a_non_conway_modulus():
     f = field_from_record(NON_CONWAY_RECORD)
     assert f.gen != 2
     assert f.tables() == walked_tables(f)
+
+
+def test_unit_walk_matches_the_generator_walk_and_the_tables():
+    fields = [make_field(t) for t in range(1, 13)]
+    fields.append(field_from_record(NON_CONWAY_RECORD))
+    for f in fields:
+        n = f.q - 1
+        pairs = list(f.unit_pairs())             # before tables exist
+        exp, _ = walked_tables(f)
+        assert pairs == [(exp[i], exp[n - i]) for i in range(n)], f
+        assert all(f.mul(x, xi) == 1 for x, xi in pairs), f
+        tabled, _ = f.tables()
+        assert pairs == [(tabled[i], tabled[n - i]) for i in range(n)], f
+        assert list(f.unit_pairs()) == pairs, f
 
 
 DEGREE_FIELDS = {f"t={t}": (lambda t=t: make_field(t)) for t in (1, 4, 6, 8, 12)}

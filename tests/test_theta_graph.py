@@ -1,6 +1,7 @@
 """Graph construction, decomposition, classification, and the leaf laws."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,6 +10,7 @@ from graph_oracle import classify_AB, oracle_checks, oracle_graph, table_records
 from thetamap.dickson_curve import _theta_image_of_small_subgroup
 from thetamap.gf2_arith import FieldError, FieldSpec, field_from_record, make_field
 from thetamap.theta_graph import (
+    GRAPH_MAX_T,
     ProjPoint,
     build_graph,
     is_periodic,
@@ -71,7 +73,7 @@ def test_graph_t1():
     g = build_graph(f)
     assert len(g.components) == 1
     comp = g.components[0]
-    assert comp.cycle == [2]                      # the infinity index
+    assert list(comp.cycle) == [2]                # the infinity index
     assert comp.depth == 2
     assert dict(enumerate(g.tree_levels(2), 1)) == {1: [0], 2: [1]}
     assert sorted(p.index for p in leaves(g)) == [1]
@@ -136,7 +138,7 @@ def test_golden_six_b_components():
 def test_golden_six_infinity_component():
     inf = G6.infinity_index
     comp = G6.components[G6.comp_id[inf]]
-    assert comp.cycle == [inf]
+    assert list(comp.cycle) == [inf]
     levels = dict(enumerate(G6.tree_levels(inf), 1))
     assert levels[1] == [0]                        # the zero element
     assert levels[2] == [1]                        # the unit 1
@@ -149,7 +151,7 @@ def test_golden_six_component_count_and_order():
     # deterministic order: least cycle encoding first, infinity last
     mins = [min(c.cycle) for c in G6.components]
     assert mins == sorted(mins)
-    assert G6.components[-1].cycle == [G6.infinity_index]
+    assert list(G6.components[-1].cycle) == [G6.infinity_index]
 
 
 def test_golden_six_leaves():
@@ -205,7 +207,7 @@ def test_graph_layer_matches_oracle(t, modulus):
 
 @pytest.mark.parametrize("t, modulus", ORACLE_FIELDS, ids=ORACLE_IDS)
 def test_graph_layer_matches_oracle_without_tables(monkeypatch, t, modulus):
-    # shift-xor products in the unit walk, hex labels
+    # hex labels: no log table for point_label to read
     monkeypatch.setattr(gf2_arith, "TABLE_MAX_T", 0)
     _assert_matches_oracle(make_field(t, modulus))
 
@@ -215,7 +217,8 @@ def test_unit_walk_fault_shows_against_the_trace_tables(monkeypatch, tables):
     # the unit walk pairs gen^100 with a wrong inverse, off by the least
     # element of trace 1; the trace tables walk the generator on their own
     # and keep the true Tr(1/x), so class-preservation names gen^100, as the
-    # per-vertex oracle does from spec.inv
+    # per-vertex oracle does from spec.inv (in dlog labels, or in hex
+    # labels when no log table may be built)
     if not tables:
         monkeypatch.setattr(gf2_arith, "TABLE_MAX_T", 0)
     f = make_field(8)
@@ -232,22 +235,38 @@ def test_unit_walk_fault_shows_against_the_trace_tables(monkeypatch, tables):
                           "detail": f"witness {point_label(g.point(x0))}"}
 
 
-def test_exp_table_fault_shows_against_the_trace_tables():
-    # gen^100 and gen^150 trade places in the exp table, so the unit walk
-    # pairs four units with wrong inverses; the trace tables do not read the
-    # exp table for Tr(1/x), and class-preservation names gen^100, as the
-    # per-vertex oracle does
+@pytest.mark.parametrize("faulty", ["gen", "gen-inverse"])
+def test_split_table_fault_shows_against_the_trace_tables(monkeypatch, faulty):
+    # the split tables of gen (or of 1/gen) are those of g' = gen^7 (or of
+    # 1/g'); gcd(7, 255) = 1, so both walks still close, but the edges pair
+    # g'^i with gen^-i (or gen^i with g'^-i).  The trace tables store, at
+    # the i-th element of their walk, Tr of the element q-1-i steps further:
+    # the true Tr(1/x) whichever generator they walk, so class-preservation
+    # fails, on the same witness as the per-vertex oracle (a dlog label, in
+    # the log table of the generator the faulty tables walk)
     f = make_field(8)
-    exp, _ = f.tables()
-    n = f.q - 1
-    for k in (0, n):
-        exp[100 + k], exp[150 + k] = exp[150 + k], exp[100 + k]
+    want_traces = f.trace_tables()
+    g7 = f.pow(f.gen, 7)
+    swap = {f.gen: g7} if faulty == "gen" else {f.inv(f.gen): f.inv(g7)}
+    true_tables = FieldSpec.mul_tables
+    monkeypatch.setattr(FieldSpec, "mul_tables",
+                        lambda self, c: true_tables(self, swap.get(c, c)))
     g = build_graph(f)
-    assert f.trace_tables() == make_field(8).trace_tables()
+    assert sum(g.succ[x] != theta_index(f, x) for x in range(f.q)) > f.q // 2
+    assert f.trace_tables() == want_traces
     records = table_records(g)
     assert records == oracle_checks(g)
+    witness = {"gen": "73", "gen-inverse": "25"}[faulty]
     assert records[0] == {"name": "class-preservation", "pass": False,
-                          "detail": "witness 100"}
+                          "detail": f"witness {witness}"}
+
+
+def test_build_graph_refuses_beyond_the_index_arrays():
+    # array('i') holds the encodings 0..2^t only up to GRAPH_MAX_T = 30; the
+    # refusal reads nothing but t, so it comes before any allocation
+    assert GRAPH_MAX_T == 30
+    with pytest.raises(FieldError, match="t=31 > 30"):
+        build_graph(SimpleNamespace(t=31))
 
 
 def test_deep_faulty_tree_keeps_its_levels(monkeypatch):
@@ -258,7 +277,7 @@ def test_deep_faulty_tree_keeps_its_levels(monkeypatch):
     monkeypatch.setattr(FieldSpec, "unit_pairs", lambda self: iter(pairs))
     g = build_graph(f)
     assert list(g.level) == list(range(1, f.q + 1)) + [0]
-    assert [(c.cycle, c.depth) for c in g.components] == [([f.q], f.q)]
+    assert [(list(c.cycle), c.depth) for c in g.components] == [([f.q], f.q)]
     assert "inf-tree-shape" in {c.name for c in verify_structure(g).failures()}
     assert table_records(g) == oracle_checks(g)
 
