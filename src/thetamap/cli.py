@@ -7,6 +7,13 @@ Commands
   verify-dickson    Dickson / Kloosterman / curve battery, one n or a range
   sweep             verify-dickson over a range, one CSV row per field
 
+Which sizes a command admits is decided here, from one table, `COMMANDS`:
+each command's degree flag, its largest degree and its formats.  The field
+a command names is also capped by THETA_MAX_T (default 24); the larger
+fields a battery builds for itself are not.  A refused size or a malformed
+THETA_MAX_T exits 2 before any job runs.  The library's constructors
+(`make_field`, `make_tower`) take any degree and read no environment.
+
 Exit status: 0 when every check passes, 1 when at least one verification
 fails (the report is still written), 2 on usage or configuration errors.
 
@@ -23,10 +30,11 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from thetamap.dickson_curve import dickson_report
-from thetamap.gf2_arith import FieldError, field_to_record, make_field, max_t_cap
-from thetamap.order_dynamics import MAX_TOWER_N, make_tower, orders_report
+from thetamap.gf2_arith import FieldError, field_to_record, make_field
+from thetamap.order_dynamics import make_tower, orders_report
 from thetamap.theta_graph import (
     GRAPH_MAX_T,
     build_graph,
@@ -35,9 +43,40 @@ from thetamap.theta_graph import (
     verify_structure,
 )
 
-MAX_DICKSON_N = 12
+__all__ = ["COMMANDS", "RunConfig", "run", "main"]
 
-__all__ = ["RunConfig", "run", "main"]
+DEFAULT_MAX_T = 24
+
+
+class Command(NamedTuple):
+    help: str
+    flag: str                   # the degree flag: --t or --n
+    largest: int                # the largest degree, before THETA_MAX_T
+    formats: tuple[str, ...]    # the default first
+
+
+# A graph's 4-byte index arrays hold t <= GRAPH_MAX_T under any THETA_MAX_T.
+COMMANDS = {
+    "graph": Command("build one graph and export it", "t", GRAPH_MAX_T,
+                     ("dot", "json")),
+    "verify-structure": Command("structural checks over t", "t", GRAPH_MAX_T,
+                                ("text", "json")),
+    "verify-orders": Command("order/trace battery over n", "n", 8,
+                             ("text", "json")),
+    "verify-dickson": Command("Dickson/Kloosterman battery (verify-dickson)",
+                              "n", 12, ("text", "json")),
+    "sweep": Command("Dickson/Kloosterman battery (sweep)", "n", 12,
+                     ("csv", "json")),
+}
+
+
+def max_t_cap() -> int:
+    """The largest degree of a command's named field: THETA_MAX_T, else 24."""
+    raw = os.environ.get("THETA_MAX_T", str(DEFAULT_MAX_T))
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"THETA_MAX_T={raw!r} is not an integer") from None
 
 
 @dataclass
@@ -50,13 +89,14 @@ class RunConfig:
     seed: int = 0
 
 
-def _parse_values(text: str) -> list[int]:
-    """An int or an inclusive range `A..B`."""
+def _parse_values(text: str) -> list[int] | range:
+    """An int or an inclusive range `A..B`, kept lazy so that the degree
+    check refuses a huge B before anything is allocated."""
     lo, sep, hi = text.partition("..")
     try:
         if not sep:
             return [int(text)]
-        values = list(range(int(lo), int(hi) + 1))
+        values = range(int(lo), int(hi) + 1)
     except ValueError as exc:
         raise ValueError(f"{text!r} is not an integer or a range A..B") from exc
     if not values:
@@ -64,42 +104,24 @@ def _parse_values(text: str) -> list[int]:
     return values
 
 
-def _values(args, flag: str) -> list[int]:
-    single = getattr(args, flag)
-    if (single is None) == (args.range is None):
-        raise ValueError(f"give exactly one of --{flag} or --range")
-    return _parse_values(single if single is not None else args.range)
-
-
-def _bounds(command: str) -> tuple[int, str]:
-    """The largest admitted degree and its flag.  The field a command names
-    obeys THETA_MAX_T, and a graph also GRAPH_MAX_T, so a degree above
-    either is refused here, before any job runs."""
-    cap = max_t_cap()          # every command refuses a malformed THETA_MAX_T
-    if command == "verify-structure" or command == "graph":
-        return min(GRAPH_MAX_T, cap), "t"
-    if command == "verify-orders":
-        return min(MAX_TOWER_N, cap), "n"
-    return min(MAX_DICKSON_N, cap), "n"
-
-
 def build_config(args) -> RunConfig:
-    cap, flag = _bounds(args.command)
-    values = [args.t] if args.command == "graph" else _values(args, flag)
+    """The run the arguments ask for, refused with ValueError when a degree
+    lies beyond the command's row of COMMANDS or beyond THETA_MAX_T."""
+    command = COMMANDS[args.command]
+    cap = min(command.largest, max_t_cap())
+    flag = command.flag
+    if args.command == "graph":
+        values = [args.t]
+    else:
+        single = getattr(args, flag)
+        if (single is None) == (args.range is None):
+            raise ValueError(f"give exactly one of --{flag} or --range")
+        values = _parse_values(single if single is not None else args.range)
     for v in values:
         if not 1 <= v <= cap:
             raise ValueError(f"{flag}={v} outside [1, {cap}]")
-    fmt = args.format or {"graph": "dot", "sweep": "csv"}.get(args.command, "text")
-    allowed = {
-        "graph": ("dot", "json"),
-        "verify-structure": ("text", "json"),
-        "verify-orders": ("text", "json"),
-        "verify-dickson": ("text", "json"),
-        "sweep": ("csv", "json"),
-    }[args.command]
-    if fmt not in allowed:
-        raise ValueError(f"format {fmt!r} not supported by {args.command}")
-    return RunConfig(args.command, values, fmt, args.out,
+    return RunConfig(args.command, list(values),
+                     args.format or command.formats[0], args.out,
                      getattr(args, "workers", 1), getattr(args, "seed", 0))
 
 
@@ -130,8 +152,11 @@ def _dickson_job(args: tuple[int, int]) -> dict:
 
 def _map_jobs(fn, inputs, workers: int) -> list[dict]:
     # A fork-started pool forks all its workers at the first submit, so
-    # never ask for more than there are jobs or usable CPUs.
-    workers = min(workers, len(inputs), len(os.sched_getaffinity(0)))
+    # never ask for more than there are jobs or usable CPUs.  CPython has
+    # no sched_getaffinity on macOS or Windows.
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    workers = min(workers, len(inputs), cpus)
     if workers <= 1:
         return [fn(x) for x in inputs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -163,17 +188,15 @@ def run(config: RunConfig) -> int:
         text = to_dot(g) if config.format == "dot" else to_json(g)
         return _emit(text, config.out, 0)
 
+    # the jobs are looked up here, at call time, so a caller can wrap them
     if config.command == "verify-structure":
         docs = _map_jobs(_structure_job, config.values, config.workers)
-        scope = "t"
     elif config.command == "verify-orders":
         docs = _map_jobs(_orders_job, config.values, config.workers)
-        scope = "n"
     else:                                  # verify-dickson and sweep
         docs = _map_jobs(_dickson_job,
                          [(n, config.seed) for n in config.values],
                          config.workers)
-        scope = "n"
 
     ok = all(_checks_passed(d) for d in docs)
     if config.format == "json":
@@ -187,7 +210,8 @@ def run(config: RunConfig) -> int:
                                  else str(d[c]) for c in cols))
         text = "\n".join(rows) + "\n"
     else:
-        text = "\n".join(_text_lines(docs, scope, ok)) + "\n"
+        text = "\n".join(_text_lines(docs, COMMANDS[config.command].flag,
+                                      ok)) + "\n"
     return _emit(text, config.out, 0 if ok else 1)
 
 
@@ -209,37 +233,20 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="thetamap",
         description="graphs and verification for x -> x + 1/x over GF(2^t)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("graph", help="build one graph and export it")
-    p.add_argument("--t", type=int, required=True, help="extension degree")
-    p.add_argument("--format", choices=["dot", "json"])
-    p.add_argument("--out")
-
-    p = sub.add_parser("verify-structure", help="structural checks over t")
-    p.add_argument("--t", help="degree or range A..B")
-    p.add_argument("--range", help="A..B")
-    p.add_argument("--format", choices=["text", "json"])
-    p.add_argument("--out")
-    p.add_argument("--workers", type=int, default=1)
-
-    p = sub.add_parser("verify-orders", help="order/trace battery over n")
-    p.add_argument("--n", help="degree or range A..B")
-    p.add_argument("--range", help="A..B")
-    p.add_argument("--format", choices=["text", "json"])
-    p.add_argument("--out")
-    p.add_argument("--workers", type=int, default=1)
-
-    for name in ("verify-dickson", "sweep"):
-        p = sub.add_parser(name, help=f"Dickson/Kloosterman battery ({name})")
-        p.add_argument("--n", help="degree or range A..B")
-        p.add_argument("--range", help="A..B")
-        p.add_argument("--format",
-                       choices=["text", "json"] if name == "verify-dickson"
-                       else ["csv", "json"])
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if name == "graph":
+            p.add_argument("--t", type=int, required=True,
+                           help="extension degree")
+        else:
+            p.add_argument(f"--{command.flag}", help="degree or range A..B")
+            p.add_argument("--range", help="A..B")
+        p.add_argument("--format", choices=command.formats)
         p.add_argument("--out")
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
-
+        if name != "graph":
+            p.add_argument("--workers", type=int, default=1)
+        if name in ("verify-dickson", "sweep"):
+            p.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -247,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = build_config(args)
-    except (ValueError, FieldError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -294,8 +294,7 @@ def root_set_report(spec: FieldSpec, seed: int = 0) -> RootSetReport:
     rep.add("t-emptiness", (len(t) == 0) == (q <= 4),
             f"q={q} |T|={len(t)}")
 
-    # GF(q^2), shared by the next two stages; internal, so not user-capped
-    double = make_field(2 * n, max_t=2 * n)
+    double = make_field(2 * n)          # GF(q^2), shared by the next two stages
     image, stray = _theta_image_of_small_subgroup(spec, double, m)
     detail = f"|roots|={len(roots)} |image|={len(image)}"
     if stray is not None:

@@ -27,7 +27,6 @@ methods that refuse to mix elements of different fields.
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
 from dataclasses import dataclass
 
@@ -37,15 +36,12 @@ __all__ = [
     "FieldSpec",
     "FieldElement",
     "make_field",
-    "max_t_cap",
     "subfield_embedding",
     "factorize",
     "field_to_record",
     "field_from_record",
     "CONWAY_POLY",
 ]
-
-DEFAULT_MAX_T = 24
 
 # Log/exp tables are built on first use (``tables``, ``dlog``) for fields up
 # to this degree; beyond it discrete logs are refused, so labels fall back
@@ -298,15 +294,6 @@ def _least_irreducible(t: int) -> int:
     return f
 
 
-def max_t_cap() -> int:
-    """The configured extension-degree ceiling (THETA_MAX_T, default 24)."""
-    raw = os.environ.get("THETA_MAX_T", str(DEFAULT_MAX_T))
-    try:
-        return int(raw)
-    except ValueError:
-        raise FieldError(f"THETA_MAX_T={raw!r} is not an integer") from None
-
-
 class FieldSpec:
     """Immutable arithmetic context for GF(2^t).
 
@@ -318,7 +305,7 @@ class FieldSpec:
 
     __slots__ = (
         "t", "r", "s", "q", "modulus", "gen", "fact_minus", "fact_plus",
-        "_trace_masks", "_subfields", "_exp", "_log",
+        "_trace_masks", "_exp", "_log",
     )
 
     def __init__(self, t: int, modulus: int, generator: int | None = None):
@@ -344,10 +331,6 @@ class FieldSpec:
         if math.gcd(self.q + 1, (1 << (2 * t)) + 1) != 1:
             raise FieldError("gcd(2^t+1, 2^(2t)+1) != 1")  # impossible
         self._trace_masks = {}
-        # (d, (q-1)/(2^d-1)) for each d | t, ascending: a unit lies in
-        # GF(2^d) iff the step divides its discrete log.
-        self._subfields = tuple((d, (self.q - 1) // ((1 << d) - 1))
-                                for d in factorize(t).divisors())
         self._exp = None
         self._log = None
         if generator is None:
@@ -506,24 +489,13 @@ class FieldSpec:
             self.q - 1, self.fact_minus, lambda e: self.pow(a, e))
 
     def degree(self, a: int) -> int:
-        """Least d | t with a^(2^d) = a (degree of the minimal polynomial).
-
-        With tables, a unit's degree is the least d | t whose step
-        (q-1)/(2^d-1) divides log a; otherwise a is squared until it returns,
-        d squarings in all.
-        """
-        log = self._log
-        if log is not None and a:
-            la = log[a]
-            for d, step in self._subfields:
-                if la % step == 0:
-                    return d
-        else:
-            v = a
-            for d in range(1, self.t + 1):
-                v = self.sqr(v)
-                if v == a:
-                    return d
+        """Least d | t with a^(2^d) = a (degree of the minimal polynomial):
+        a is squared until it returns, d squarings in all."""
+        v = a
+        for d in range(1, self.t + 1):
+            v = self.sqr(v)
+            if v == a:
+                return d
         raise AssertionError("unreachable: degree(a) always divides t")
 
     # -- log/exp tables -------------------------------------------------------
@@ -622,13 +594,6 @@ class FieldSpec:
     def generator(self) -> "FieldElement":
         return FieldElement(self, self.gen)
 
-    def elements(self):
-        """All field elements, ascending by packed value."""
-        return (FieldElement(self, b) for b in range(self.q))
-
-    def units(self):
-        return (FieldElement(self, b) for b in range(1, self.q))
-
     def compatible(self, other: "FieldSpec") -> bool:
         return self is other or (
             self.t == other.t and self.modulus == other.modulus)
@@ -697,17 +662,16 @@ class FieldElement:
         return f"<GF(2^{self.field.t}) {self.bits:#x}>"
 
 
-def make_field(t: int, modulus: int | None = None, *, max_t: int | None = None) -> FieldSpec:
-    """Construct GF(2^t).
+def make_field(t: int, modulus: int | None = None) -> FieldSpec:
+    """Construct GF(2^t) for any t >= 1; the degree has no cap here.
 
     Without an explicit modulus: the Conway polynomial for t <= 16 (its
     residue class of x is primitive by construction and becomes the
     generator), else the numerically least irreducible polynomial of degree
     t with a generator found by search.
     """
-    cap = max_t if max_t is not None else max_t_cap()
-    if not 1 <= t <= cap:
-        raise FieldError(f"t={t} outside [1, {cap}]")
+    if t < 1:
+        raise FieldError(f"t={t} must be positive")
     if modulus is not None:
         return FieldSpec(t, modulus)
     conway = CONWAY_POLY.get(t)

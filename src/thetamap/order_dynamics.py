@@ -91,8 +91,6 @@ __all__ = [
     "orders_report",
 ]
 
-MAX_TOWER_N = 8
-
 
 class HClass(Enum):
     H1 = 1
@@ -114,17 +112,17 @@ class TowerSpec:
 
 
 def make_tower(n: int) -> TowerSpec:
-    """The tower over GF(2^n); only the base obeys the user's degree cap."""
-    if not 1 <= n <= MAX_TOWER_N:
-        raise FieldError(f"tower degree n={n} outside [1, {MAX_TOWER_N}]")
+    """The tower GF(2^n) < GF(2^(2n)) < GF(2^(4n)) for any n >= 1; which n
+    a command admits is decided by the command line."""
+    if n < 1:
+        raise FieldError(f"tower degree n={n} must be positive")
     l, m = 0, n
     while m % 2 == 0:
         l += 1
         m //= 2
     q = 1 << n
-    return TowerSpec(n, l, m, q, make_field(n),
-                     make_field(2 * n, max_t=2 * n),
-                     make_field(4 * n, max_t=4 * n))
+    return TowerSpec(n, l, m, q, make_field(n), make_field(2 * n),
+                     make_field(4 * n))
 
 
 def subgroup(tower: TowerSpec, k: int) -> list[int]:

@@ -83,10 +83,20 @@ def test_sweep_csv(capsys):
 def test_config_errors(capsys):
     assert main(["verify-structure", "--t", "3", "--range", "1..4"]) == 2
     assert main(["verify-structure", "--range", "4..1"]) == 2
-    assert main(["verify-orders", "--n", "9"]) == 2
-    assert main(["verify-dickson", "--n", "13"]) == 2
     assert main(["verify-structure", "--range", "junk"]) == 2
     capsys.readouterr()
+    # one degree past each row of the admission table
+    for argv, err in [(["graph", "--t", "25"], "t=25 outside [1, 24]"),
+                      (["verify-structure", "--t", "25"], "t=25 outside [1, 24]"),
+                      (["verify-orders", "--n", "9"], "n=9 outside [1, 8]"),
+                      (["verify-dickson", "--n", "13"], "n=13 outside [1, 12]"),
+                      (["sweep", "--n", "13"], "n=13 outside [1, 12]"),
+                      (["sweep", "--range", f"1..{10 ** 12}"],
+                       "n=13 outside [1, 12]")]:
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+    assert set(cli.COMMANDS) == {"graph", "verify-structure", "verify-orders",
+                                 "verify-dickson", "sweep"}
 
 
 def test_missing_command_usage_error():
@@ -355,6 +365,14 @@ def test_low_degree_cap_is_refused_before_any_job(monkeypatch, capsys,
     assert captured.err == "error: n=4 outside [1, 3]\n"
 
 
+def test_library_constructors_ignore_the_degree_cap(monkeypatch):
+    # THETA_MAX_T is read by the command line only
+    monkeypatch.setenv("THETA_MAX_T", "3")
+    assert make_field(25).t == 25
+    assert make_tower(2).ambient.t == 8
+    assert dickson_curve.root_set_report(make_field(4)).checks.passed
+
+
 def test_degree_cap_applies_to_the_named_field_only(monkeypatch, capsys):
     # GF(2^5) and GF(2^9) are within the cap; the internal GF(2^20) and
     # GF(2^18) are not, and must not be refused
@@ -485,13 +503,9 @@ def test_third_predecessor_is_kept(monkeypatch, capsys):
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("workers, cpus, want", [
-    ("1000000", 4, [3]),       # capped by the three jobs
-    ("1000000", 2, [2]),       # capped by the usable CPUs
-    ("2", 4, [2]),
-    ("1000000", 1, []),        # one CPU: no pool at all
-])
-def test_pool_size_is_capped(monkeypatch, capsys, workers, cpus, want):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The pool sizes `cli` asks for while the test runs."""
     sizes = []
 
     class RecordingPool:
@@ -510,11 +524,35 @@ def test_pool_size_is_capped(monkeypatch, capsys, workers, cpus, want):
             return map(fn, inputs)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+@pytest.mark.parametrize("workers, cpus, want", [
+    ("1000000", 4, [3]),       # capped by the three jobs
+    ("1000000", 2, [2]),       # capped by the usable CPUs
+    ("2", 4, [2]),
+    ("1000000", 1, []),        # one CPU: no pool at all
+])
+def test_pool_size_is_capped(monkeypatch, capsys, pool_sizes, workers, cpus,
+                             want):
     monkeypatch.setattr(cli.os, "sched_getaffinity",
                         lambda pid: set(range(cpus)))
     assert main(["verify-dickson", "--range", "1..3",
                  "--workers", workers]) == 0
-    assert sizes == want
+    assert pool_sizes == want
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("cpus, want", [(2, [2]), (None, [])])
+def test_pool_size_without_sched_getaffinity(monkeypatch, capsys, pool_sizes,
+                                             cpus, want):
+    # macOS and Windows have no sched_getaffinity: the CPU count stands in,
+    # and an unknown count means one CPU
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    assert main(["verify-dickson", "--range", "1..3",
+                 "--workers", "1000000"]) == 0
+    assert pool_sizes == want
     capsys.readouterr()
 
 

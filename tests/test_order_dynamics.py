@@ -16,7 +16,6 @@ from thetamap.gf2_arith import (
     subfield_embedding,
 )
 from thetamap.order_dynamics import (
-    MAX_TOWER_N,
     HClass,
     _expected_rows,
     case1_subcase,
@@ -94,12 +93,11 @@ def test_make_tower_parameters():
     assert (TOWERS[2].l, TOWERS[2].m, TOWERS[2].ambient.t) == (1, 1, 8)
     tw6 = make_tower(6)
     assert (tw6.l, tw6.m, tw6.ambient.t) == (1, 3, 24)
-    tw8 = make_tower(MAX_TOWER_N)
-    assert (MAX_TOWER_N, tw8.l, tw8.m, tw8.ambient.t) == (8, 3, 1, 32)
+    tw8 = make_tower(8)
+    assert (tw8.l, tw8.m, tw8.ambient.t) == (3, 1, 32)
+    assert make_tower(9).ambient.t == 36      # no cap beyond n >= 1
     with pytest.raises(FieldError):
         make_tower(0)
-    with pytest.raises(FieldError):
-        make_tower(MAX_TOWER_N + 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
