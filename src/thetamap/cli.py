@@ -71,12 +71,18 @@ COMMANDS = {
 
 
 def max_t_cap() -> int:
-    """The largest degree of a command's named field: THETA_MAX_T, else 24."""
+    """The largest degree of a command's named field: THETA_MAX_T, else 24.
+
+    A cap below 1 would admit no degree, so it is refused as malformed.
+    """
     raw = os.environ.get("THETA_MAX_T", str(DEFAULT_MAX_T))
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ValueError(f"THETA_MAX_T={raw!r} is not an integer") from None
+    if cap < 1:
+        raise ValueError(f"THETA_MAX_T={raw!r} is below 1")
+    return cap
 
 
 @dataclass

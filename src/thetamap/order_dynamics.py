@@ -524,7 +524,8 @@ def verify_cq1_inclusion(tower: TowerSpec,
     neither in C_{q+1}).
     Also places every nontrivial element of C_{q+1} on level l+3 or 2 of the
     graph over GF(q^2) and checks that every vertex sharing that level of
-    the same component has order dividing q+1.
+    the same component has order dividing q+1.  Each such (component,
+    level) class is judged once, in one pass over the graph.
     """
     q, l, n = tower.q, tower.l, tower.n
     double = tower.double
@@ -540,23 +541,19 @@ def verify_cq1_inclusion(tower: TowerSpec,
 
     # Levels in the graph over the tower's GF(q^2).
     g2n = build_graph(double)
-    mates: dict[tuple[int, int], list[int]] = {}   # (component, level) -> vertices
-    for u, key in enumerate(zip(g2n.comp_id, g2n.level)):
-        mates.setdefault(key, []).append(u)
+    comp_id, level = g2n.comp_id, g2n.level
     bad_level = []
-    bad_order = []
+    placed = []
     for v in cq1[1:]:                  # the q nontrivial elements of C_{q+1}
-        lev = g2n.level[v]
-        if lev not in (l + 3, 2):
-            bad_level.append(v)
-        else:
-            for lvl_vertex in mates[g2n.comp_id[v], lev]:
-                if (q + 1) % double.order(lvl_vertex) != 0:
-                    bad_order.append((v, lvl_vertex))
+        (placed if level[v] in (l + 3, 2) else bad_level).append(v)
+    classes = {(comp_id[v], level[v]) for v in placed}
+    bad_classes = {key for u, key in enumerate(zip(comp_id, level))
+                   if key in classes and (q + 1) % double.order(u)}
+    bad_order = [v for v in placed if (comp_id[v], level[v]) in bad_classes]
     rep.add("cq1-levels", not bad_level,
             "" if not bad_level else f"bad level for bits {bad_level[0]:#x}")
     rep.add("cq1-level-orders", not bad_order,
-            "" if not bad_order else f"level mate of {bad_order[0][0]:#x} "
+            "" if not bad_order else f"level mate of {bad_order[0]:#x} "
                                      f"has order not dividing q+1")
     return rep
 

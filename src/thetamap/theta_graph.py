@@ -4,18 +4,20 @@ Every point of P^1(F_q) = F_q + {inf} has exactly one outgoing edge, so the
 graph splits into connected components, each a single cycle whose vertices
 root in-trees of non-periodic predecessors.  This module builds the graph
 densely (arrays indexed by the packed-element encoding, with the extra index
-q for the point at infinity), decomposes it into components recorded in the
-same arrays (level and component of every vertex, from one level sweep out
-of all cycles at once), classifies components by the trace condition
-Tr(x) = Tr(1/x), and verifies the structural facts the decomposition obeys:
-tree depths r+2 versus 1, the per-level counts, leaf traces, and leaf
-degrees.
+q for the point at infinity) and decomposes it by peeling in-degrees: the
+leaves are removed, then every vertex whose last predecessor went, until
+only the cycles are left; the peel order reversed then places each tree
+vertex one level above its successor, in its successor's component.  It
+classifies components by the trace condition Tr(x) = Tr(1/x), and verifies
+the structural facts the decomposition obeys: tree depths r+2 versus 1, the
+per-level counts, leaf traces, and leaf degrees.
 
 Projective conventions (1/0 = 0, 1/inf = inf, |0| = |inf| = 1, Tr(0) =
 Tr(inf) = 0) are ``ProjPoint`` methods; ``theta_index``, ``build_graph``
 and order_dynamics' ``profile_tail`` and ``trace_quadrants`` apply them
 inline to raw indices.  ``verify_structure`` makes no per-vertex field call:
-its class-preservation and leaf-trace checks read Tr(x) and Tr(1/x) of every
+its tree-shape checks read child counts from the in-degrees, its
+class-preservation and leaf-trace checks read Tr(x) and Tr(1/x) of every
 vertex from ``FieldSpec.trace_tables``, where Tr(1/0) = 0 is stored, and
 inf, the index past both tables, counts as class A; its leaf-degree check
 walks the subfield GF(2^(t/2)) instead of every leaf.
@@ -25,6 +27,8 @@ from __future__ import annotations
 
 import json
 from array import array
+from itertools import compress
+from operator import not_
 from dataclasses import dataclass
 
 from thetamap.gf2_arith import FieldElement, FieldError, FieldSpec
@@ -166,8 +170,7 @@ class Component:
     direction, rotated to start at the vertex with the least encoding
     (infinity encodes greatest).  ``depth`` is the deepest level of any
     in-tree (0 when no cycle vertex roots a tree).
-    The tree vertices live in the graph's ``level`` and ``comp_id`` arrays;
-    ``ThetaGraph.tree_levels`` lists them root by root.
+    The tree vertices live in the graph's ``level`` and ``comp_id`` arrays.
     """
 
     cycle: array
@@ -179,28 +182,25 @@ class ThetaGraph:
     """The full graph over P^1(F_q), decomposed.
 
     Dense arrays indexed by point encoding: ``succ`` (the map itself),
-    ``level`` (0 on cycle vertices, else distance to the cycle; -1 only
-    while ``build_graph`` runs; one signed byte per vertex unless a tree
-    grows deeper than 127 levels, which only a faulty kernel makes),
-    ``comp_id`` (position in ``components``), and the predecessors in two
-    slots ``pred1``/``pred2`` (-1 when empty).  ``succ``, ``comp_id``,
-    ``pred1`` and ``pred2`` are ``array('i')``, 4 bytes per vertex, which
-    bounds t by GRAPH_MAX_T.  x + 1/x = c is a quadratic in x, so no vertex
-    has a third predecessor unless the kernel is faulty; such extras go to
-    ``pred_extra`` (vertex -> list), normally empty.
+    ``level`` (0 on cycle vertices, else distance to the cycle; one signed
+    byte per vertex unless a tree grows deeper than 127 levels, which only
+    a faulty kernel makes), ``comp_id`` (position in ``components``) and
+    ``indeg`` (the number of predecessors, the self-loop of inf included).
+    ``succ``, ``comp_id`` and ``indeg`` are ``array('i')``, 4 bytes per
+    vertex, which bounds t by GRAPH_MAX_T.  A tree vertex has ``indeg``
+    children and a cycle vertex one fewer, its cycle predecessor aside.
+    x + 1/x = c is a quadratic in x, so no vertex has in-degree above 2
+    unless the kernel is faulty.
     """
 
     def __init__(self, field: FieldSpec, succ: array, level: array,
-                 comp_id: array, components: list[Component],
-                 pred1: array, pred2: array, pred_extra: dict[int, list[int]]):
+                 comp_id: array, components: list[Component], indeg: array):
         self.field = field
         self.succ = succ
         self.level = level
         self.comp_id = comp_id
         self.components = components
-        self.pred1 = pred1
-        self.pred2 = pred2
-        self.pred_extra = pred_extra
+        self.indeg = indeg
 
     @property
     def infinity_index(self) -> int:
@@ -212,39 +212,9 @@ class ThetaGraph:
     def leaf_indices(self):
         """Encodings of the in-degree-0 vertices, ascending.
 
-        Infinity is never among them: its self-loop fills one of its slots.
+        Infinity is never among them: its self-loop counts.
         """
-        return (v for v, p in enumerate(self.pred1) if p < 0)
-
-    def predecessors(self, v: int) -> list[int]:
-        """Every vertex the map sends to v, the self-loop of inf included."""
-        return ([u for u in (self.pred1[v], self.pred2[v]) if u >= 0]
-                + self.pred_extra.get(v, []))
-
-    def tree_levels(self, root: int):
-        """The in-tree of the cycle vertex ``root``, level by level.
-
-        Yields the vertices of level 1, 2, ... as lists, encodings ascending;
-        a root with no tree yields nothing.  A cycle vertex's children are
-        its predecessors except its cycle predecessor; a tree vertex's
-        children are all of its predecessors.
-        """
-        pred1, pred2, pred_extra = self.pred1, self.pred2, self.pred_extra
-        frontier = [u for u in self.predecessors(root) if self.level[u] != 0]
-        while frontier:
-            frontier.sort()
-            yield frontier
-            nxt = []
-            for u in frontier:
-                a = pred1[u]        # self.predecessors(u), inlined: hot loop
-                if a >= 0:
-                    nxt.append(a)
-                    b = pred2[u]
-                    if b >= 0:
-                        nxt.append(b)
-                        if u in pred_extra:
-                            nxt.extend(pred_extra[u])
-            frontier = nxt
+        return compress(range(len(self.indeg)), map(not_, self.indeg))
 
     def successor(self, p: ProjPoint) -> ProjPoint:
         self._own(p)
@@ -278,86 +248,53 @@ def build_graph(spec: FieldSpec) -> ThetaGraph:
     succ = array("i", [inf]) * nverts        # 0 and inf go to inf
     for x, xi in spec.unit_pairs():
         succ[x] = x ^ xi
+    indeg = array("i", [0]) * nverts
+    for c in succ:
+        indeg[c] += 1
 
-    # Slot 2 fills only after slot 1, and pred_extra only after both.
-    pred1 = array("i", [-1]) * nverts
-    pred2 = array("i", [-1]) * nverts
-    pred_extra: dict[int, list[int]] = {}
-    for v, c in enumerate(succ):
-        if pred1[c] < 0:
-            pred1[c] = v
-        elif pred2[c] < 0:
-            pred2[c] = v
-        else:
-            pred_extra.setdefault(c, []).append(v)
+    # Peel the leaves, then each vertex whose last predecessor was peeled;
+    # the queue grows while it is read.  Each successor's count drops once
+    # per peeled predecessor, so only the cycle vertices keep a count (their
+    # cycle predecessor), and every tree vertex is peeled before its
+    # successor.
+    peeled = array("i", compress(range(nverts), map(not_, indeg)))
+    for v in peeled:
+        c = succ[v]
+        indeg[c] -= 1
+        if not indeg[c]:
+            peeled.append(c)
 
-    # Cycle detection: three-color walk over the out-degree-1 graph.  Each
-    # cycle is rotated as it is found; the canonical rotation and component
-    # order put the least encoding first.
-    color = bytearray(nverts)          # 0 new, 1 on current walk, 2 settled
-    level = array("b", [-1]) * nverts
+    # An ascending scan meets each cycle first at its least vertex, so the
+    # cycles come out rotated and in component order.
+    comp_id = array("i", [-1]) * nverts
     cycles: list[array] = []
-    path = array("i")
-    for v0 in range(nverts):
-        if color[v0]:
-            continue
-        del path[:]
-        v = v0
-        while color[v] == 0:
-            color[v] = 1
-            path.append(v)
-            v = succ[v]
-        if color[v] == 1:              # ran into our own walk: new cycle
-            cyc = path[path.index(v):]
-            for u in cyc:
-                level[u] = 0
-            k = cyc.index(min(cyc))
-            cycles.append(cyc[k:] + cyc[:k])
-        for u in path:
-            color[u] = 2
-    del color, path
-    cycles.sort(key=lambda c: c[0])
+    for v in compress(range(nverts), indeg):
+        if comp_id[v] < 0:
+            cid = len(cycles)
+            cyc = array("i")
+            u = v
+            while comp_id[u] < 0:
+                comp_id[u] = cid
+                cyc.append(u)
+                u = succ[u]
+            cycles.append(cyc)
 
-    # One level sweep from every cycle vertex at once: a vertex's children
-    # are its predecessors not yet placed (all of them below a tree vertex,
-    # all but the cycle predecessor below a cycle vertex), one level out,
-    # in the parent's component.
-    comp_id = array("i", [0]) * nverts
-    frontier = array("i")
-    for cid, cyc in enumerate(cycles):
-        for v in cyc:
-            comp_id[v] = cid
-        frontier.extend(cyc)
+    # Unpeel: in reverse, each vertex's successor is placed before it, so a
+    # tree vertex lies one level above its successor, in its component; the
+    # decrements are added back, leaving indeg the in-degree.
+    level = array("b", bytes(nverts))
     depth = [0] * len(cycles)
-    k = 0
-    while frontier:
-        k += 1
-        if k == 128:                   # only a faulty kernel grows this deep
-            level = array("i", level)
-        nxt = array("i")
-        for u in frontier:
-            a = pred1[u]
-            if a < 0:
-                continue
-            cid = comp_id[u]
-            if level[a] < 0:
-                level[a] = k
-                comp_id[a] = cid
-                nxt.append(a)
-            b = pred2[u]
-            if b >= 0:
-                if level[b] < 0:
-                    level[b] = k
-                    comp_id[b] = cid
-                    nxt.append(b)
-                for c in pred_extra.get(u, ()):
-                    if level[c] < 0:
-                        level[c] = k
-                        comp_id[c] = cid
-                        nxt.append(c)
-        for cid in set(map(comp_id.__getitem__, nxt)):
+    for v in reversed(peeled):
+        c = succ[v]
+        k = level[c] + 1
+        cid = comp_id[c]
+        if k > depth[cid]:
             depth[cid] = k
-        frontier = nxt
+            if k == 128:               # only a faulty kernel grows this deep
+                level = array("i", level)
+        level[v] = k
+        comp_id[v] = cid
+        indeg[c] += 1
 
     components: list[Component] = []
     for cid, cyc in enumerate(cycles):
@@ -368,8 +305,7 @@ def build_graph(spec: FieldSpec) -> ThetaGraph:
             tclass = "A" if spec.trace(head) == spec.trace(head ^ succ[head]) else "B"
         components.append(Component(cyc, depth[cid], tclass))
 
-    return ThetaGraph(spec, succ, level, comp_id, components,
-                      pred1, pred2, pred_extra)
+    return ThetaGraph(spec, succ, level, comp_id, components, indeg)
 
 
 def is_periodic(g: ThetaGraph, p: ProjPoint) -> bool:
@@ -412,8 +348,8 @@ def verify_structure(g: ThetaGraph) -> CheckReport:
     """Run the six structural checks; failures become report entries.
 
     The three tree-shape checks are one pass of per-vertex rules on the
-    number of children, read from ``level``, the component's class and the
-    in-degree: a tree vertex's children are all of its predecessors, a cycle
+    number of children, read from ``level``, the component's class and
+    ``indeg``: a tree vertex's children are all of its predecessors, a cycle
     vertex's are all but its cycle predecessor.  With d = r+2:
 
     - A-tree (root != inf): the root has 1 child, levels 1..d-1 have 2
@@ -466,13 +402,9 @@ def verify_structure(g: ThetaGraph) -> CheckReport:
     kinds = classes[:]
     kinds[inf_cid] = "inf"
     rules = [shapes[kind] for kind in kinds]
-    extra = g.pred_extra
     first_bad: dict[str, tuple[int, int, int]] = {}
-    for v, (k, cid, a, b) in enumerate(zip(g.level, g.comp_id,
-                                           g.pred1, g.pred2)):
-        children = (a >= 0) + (b >= 0) - (k == 0)
-        if extra:
-            children += len(extra.get(v, ()))
+    for v, (k, cid, n) in enumerate(zip(g.level, g.comp_id, g.indeg)):
+        children = n - (k == 0)
         rule = rules[cid]
         if k >= len(rule) or children not in rule[k]:
             first_bad.setdefault(kinds[cid], (v, k, children))
@@ -486,7 +418,7 @@ def verify_structure(g: ThetaGraph) -> CheckReport:
 
     # (5) leaf traces: A-leaves have Tr(x) = Tr(1/x) = 1, B-leaves (0, 1);
     #     a leaf passes where Tr(1/x) = 1 and Tr(x) = 1 exactly off B
-    is_leaf = _bits(bytes(map((0).__gt__, g.pred1)))
+    is_leaf = _bits(bytes(map(not_, g.indeg)))
     bad = _least_set_byte(is_leaf & ~(tr_inv & (tr ^ in_b)))
     rep.add("leaf-traces", bad is None, "" if bad is None else
             f"{classes[g.comp_id[bad]]}-leaf {lab(bad)} has traces "
@@ -501,7 +433,7 @@ def verify_structure(g: ThetaGraph) -> CheckReport:
         sub_units = (1 << (spec.t // 2)) - 1
         c = spec.pow(spec.gen, (q - 1) // sub_units)    # generates GF(2^(t/2))*
         sub = spec.powers(c, sub_units - 1) + [0]
-        bad = min((v for v in sub if g.pred1[v] < 0), default=None)
+        bad = min((v for v in sub if not g.indeg[v]), default=None)
     rep.add("leaf-degree", bad is None, "" if bad is None else
             f"leaf {lab(bad)} has degree {spec.degree(bad)}")
 
@@ -511,12 +443,49 @@ def verify_structure(g: ThetaGraph) -> CheckReport:
 # ---------------------------------------------------------------------------
 # Exports (labels are discrete logs, so they need the log table)
 
+def _tree_levels(g: ThetaGraph):
+    """The in-trees of the cycle vertices, level by level.
+
+    Returns a function of a cycle vertex ``root`` that yields the vertices
+    of its levels 1, 2, ... as lists, encodings ascending; a root with no
+    tree yields nothing.  The children come from an index built here, for
+    the exports only: ``child[v]`` is the least predecessor of v and
+    ``sibling[u]`` the next greater one of the same successor (-1 past the
+    last).  Level 0 leaves out the cycle predecessor of a root.
+    """
+    succ, level = g.succ, g.level
+    child = array("i", [-1]) * len(succ)
+    sibling = array("i", [-1]) * len(succ)
+    for v, c in zip(reversed(range(len(succ))), reversed(succ)):
+        sibling[v] = child[c]
+        child[c] = v
+
+    def levels(root: int):
+        frontier = [root]
+        while True:
+            nxt = []
+            for u in frontier:
+                w = child[u]
+                while w >= 0:
+                    if level[w]:
+                        nxt.append(w)
+                    w = sibling[w]
+            if not nxt:
+                return
+            nxt.sort()
+            yield nxt
+            frontier = nxt
+
+    return levels
+
+
 def to_dot(g: ThetaGraph) -> str:
     """One digraph per component, deterministic order, exponent labels."""
+    tree_levels = _tree_levels(g)
     out = []
     for cid, comp in enumerate(g.components):
         out.append(f"digraph component_{cid} {{")
-        tree = [v for root in comp.cycle for vs in g.tree_levels(root) for v in vs]
+        tree = [v for root in comp.cycle for vs in tree_levels(root) for v in vs]
         for v in (*comp.cycle, *tree):
             out.append(f'    "{point_label(g.point(v))}" -> '
                        f'"{point_label(g.point(g.succ[v]))}";')
@@ -525,11 +494,12 @@ def to_dot(g: ThetaGraph) -> str:
 
 
 def to_json(g: ThetaGraph) -> str:
+    tree_levels = _tree_levels(g)
     comps = []
     for comp in g.components:
         levels: dict[int, list[int]] = {}
         for root in comp.cycle:
-            for k, vs in enumerate(g.tree_levels(root), 1):
+            for k, vs in enumerate(tree_levels(root), 1):
                 levels.setdefault(k, []).extend(vs)
         comps.append({
             "cycle": [point_label(g.point(v)) for v in comp.cycle],

@@ -1,12 +1,14 @@
 """The per-vertex formulation of the graph layer, kept as a test oracle.
 
-``theta_graph`` builds levels and components in one sweep and runs its
+``theta_graph`` decomposes the graph by peeling in-degrees and runs its
 trace and leaf checks on whole-field tables.  The functions here do the same
 work one vertex at a time, the way the module did before: the map from
-``FieldSpec.inv`` per vertex, the cycles as the stable image of the map,
-levels and components from the per-root ``tree_levels`` walk, classes by
-``classify_AB``, leaf traces by the ``ProjPoint`` trace and inverse and
-leaf degrees by ``degree``, one leaf at a time.
+``FieldSpec.inv`` per vertex, the predecessors in two slots and an overflow
+dict, the cycles as the stable image of the map, levels and components from
+the per-root ``tree_levels`` walk, classes by ``classify_AB``, leaf traces
+by the ``ProjPoint`` trace and inverse and leaf degrees by ``degree``, one
+leaf at a time.  ``decompose`` takes any successor list, so a test can hand
+it the map of a faulty kernel.
 
 The fault factories at the end return installers taking a ``setattr``-like
 callable, so a test can apply them with ``monkeypatch.setattr`` in-process
@@ -41,11 +43,11 @@ def classify_AB(spec: FieldSpec, p: ProjPoint) -> str:
     return "A" if spec.trace(x) == spec.trace(spec.inv(x)) else "B"
 
 
-def oracle_graph(spec: FieldSpec) -> ThetaGraph:
-    """The decomposed graph, built vertex by vertex and root by root."""
-    q = spec.q
-    nverts = q + 1
-    succ = [theta_index(spec, v) for v in range(nverts)]
+def predecessor_slots(succ) -> tuple[array, array, dict[int, list[int]]]:
+    """Every vertex's predecessors: ``pred1`` and ``pred2`` (-1 when empty,
+    slot 2 filled only after slot 1) and ``pred_extra`` (vertex -> list) for
+    the third and later, which only a faulty kernel makes."""
+    nverts = len(succ)
     pred1 = array("l", [-1]) * nverts
     pred2 = array("l", [-1]) * nverts
     pred_extra: dict[int, list[int]] = {}
@@ -56,6 +58,35 @@ def oracle_graph(spec: FieldSpec) -> ThetaGraph:
             pred2[c] = v
         else:
             pred_extra.setdefault(c, []).append(v)
+    return pred1, pred2, pred_extra
+
+
+def predecessors(slots, v: int) -> list[int]:
+    """Every vertex the map sends to v, the self-loop of inf included."""
+    pred1, pred2, pred_extra = slots
+    return ([u for u in (pred1[v], pred2[v]) if u >= 0]
+            + pred_extra.get(v, []))
+
+
+def tree_levels(slots, level, root: int):
+    """The in-tree of the cycle vertex ``root``, level by level.
+
+    Yields the vertices of level 1, 2, ... as lists, encodings ascending; a
+    root with no tree yields nothing.  A cycle vertex's children are its
+    predecessors except its cycle predecessor (level 0); a tree vertex's
+    children are all of its predecessors.
+    """
+    frontier = [u for u in predecessors(slots, root) if level[u] != 0]
+    while frontier:
+        frontier.sort()
+        yield frontier
+        frontier = [u for w in frontier for u in predecessors(slots, w)]
+
+
+def decompose(spec: FieldSpec, succ: list[int]) -> ThetaGraph:
+    """The graph with successors ``succ``, decomposed root by root."""
+    nverts = len(succ)
+    slots = predecessor_slots(succ)
 
     # the images of the vertex set shrink until the map permutes them: then
     # they are the cycle vertices
@@ -73,12 +104,13 @@ def oracle_graph(spec: FieldSpec) -> ThetaGraph:
 
     level = [0 if v in periodic else -1 for v in range(nverts)]
     comp_id = array("i", [0]) * nverts
-    g = ThetaGraph(spec, succ, level, comp_id, [], pred1, pred2, pred_extra)
+    indeg = array("i", (len(predecessors(slots, v)) for v in range(nverts)))
+    g = ThetaGraph(spec, succ, level, comp_id, [], indeg)
     for cid, cyc in enumerate(cycles):
         depth = 0
         for root in cyc:
             comp_id[root] = cid
-            for k, vs in enumerate(g.tree_levels(root), 1):
+            for k, vs in enumerate(tree_levels(slots, level, root), 1):
                 for u in vs:
                     level[u] = k
                     comp_id[u] = cid
@@ -86,6 +118,11 @@ def oracle_graph(spec: FieldSpec) -> ThetaGraph:
         g.components.append(
             Component(cyc, depth, classify_AB(spec, g.point(cyc[0]))))
     return g
+
+
+def oracle_graph(spec: FieldSpec) -> ThetaGraph:
+    """The decomposed graph, built vertex by vertex and root by root."""
+    return decompose(spec, [theta_index(spec, v) for v in range(spec.q + 1)])
 
 
 def table_records(g: ThetaGraph) -> list[dict]:

@@ -8,6 +8,7 @@ bounds are the stated runtime ceilings, asserted against wall-clock time.
 import random
 import time
 
+from graph_oracle import predecessor_slots, tree_levels
 from thetamap.dickson_curve import (
     _root_bits,
     _split_roots,
@@ -59,6 +60,7 @@ def test_criterion_01_golden_graph():
     a = f.exp_of
 
     ok = len(g.components) == 4
+    slots = predecessor_slots(g.succ)
     by_cycle = {frozenset(c.cycle): c for c in g.components}
 
     comp = by_cycle.get(frozenset({a(45), a(27), a(54)}))
@@ -70,14 +72,15 @@ def test_criterion_01_golden_graph():
     }
     if ok:
         for root, levels in want_trees.items():
-            got = dict(enumerate(g.tree_levels(a(root)), 1))
+            got = dict(enumerate(tree_levels(slots, g.level, a(root)), 1))
             ok = ok and {k: {f.dlog(v) for v in vs} for k, vs in got.items()} \
                 == levels
 
     inf_comp = by_cycle.get(frozenset({g.infinity_index}))
     ok = ok and inf_comp is not None and inf_comp.depth == 3
     if ok:
-        tree = dict(enumerate(g.tree_levels(g.infinity_index), 1))
+        tree = dict(enumerate(
+            tree_levels(slots, g.level, g.infinity_index), 1))
         ok = (tree[1] == [0] and tree[2] == [1]
               and set(tree[3]) == {a(21), a(42)})
         ok = ok and sum(len(v) for v in tree.values()) + 1 == 5
@@ -91,7 +94,8 @@ def test_criterion_01_golden_graph():
         ok = ok and comp is not None and comp.trace_class == "B"
         ok = ok and comp.depth == 1
         ok = ok and len(comp.cycle) + sum(
-            len(vs) for root in comp.cycle for vs in g.tree_levels(root)) == 18
+            len(vs) for root in comp.cycle
+            for vs in tree_levels(slots, g.level, root)) == 18
     elapsed = time.time() - t0
     ok = ok and elapsed < 1.0
     verdict(1, ok, f"graph over GF(2^6) matches the worked example "

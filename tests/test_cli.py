@@ -58,6 +58,14 @@ def test_degree_cap_honors_environment(monkeypatch, capsys):
         assert main(argv) == 2
         assert "error: THETA_MAX_T='abc' is not an integer" in (
             capsys.readouterr().err)
+    # a cap below 1 admits nothing: the setting is refused, not the degree
+    for raw in ("0", "-1"):
+        monkeypatch.setenv("THETA_MAX_T", raw)
+        for argv in (["graph", "--t", "3"], ["verify-orders", "--n", "1"],
+                     ["verify-dickson", "--n", "1"]):
+            assert main(argv) == 2
+            assert capsys.readouterr() == (
+                "", f"error: THETA_MAX_T={raw!r} is below 1\n")
 
 
 def test_verify_orders_text(capsys):
@@ -131,7 +139,7 @@ def _reaimed_pairs(t: int, pick) -> list[tuple[int, int]]:
     b_leaves = [v for v in g.leaf_indices()
                 if g.components[g.comp_id[v]].trace_class == "B"]
     a_forks = [v for v in range(f.q) if in_a_tree(v)
-               and 1 <= g.level[v] <= f.r + 1 and g.pred2[v] >= 0]
+               and 1 <= g.level[v] <= f.r + 1 and g.indeg[v] == 2]
     leaf, target = pick(a_leaves, b_leaves, a_forks)
     return [(x, x ^ target if x == leaf else xi) for x, xi in f.unit_pairs()]
 
@@ -193,7 +201,7 @@ LEAF_TO_ONE = {"class-preservation", "b-tree-depth", "inf-tree-shape",
 
 # Each fault with the checks it fails, as recorded from the per-level tree
 # checks that the per-vertex rules replaced.
-# The last fault gives an A-tree vertex a third child through pred_extra;
+# The last fault gives an A-tree vertex a third child, an in-degree of 3;
 # only the count of that extra child makes it an a-tree-shape failure.
 @pytest.mark.parametrize("t, pick, want", [
     (8, lambda a, b, f: (a[0], a[1]), {"a-tree-shape"}),
@@ -281,7 +289,7 @@ def test_subfield_leaf_fails_leaf_degree(monkeypatch, capsys):
     detail = f"leaf {f.dlog(targets[1])} has degree {f.degree(targets[1])}"
     graph_oracle.subfield_leaves(8, targets)(monkeypatch.setattr)
     g = theta_graph.build_graph(make_field(8))
-    assert [g.pred1[y] for y in targets] == [-1, -1]
+    assert [g.indeg[y] for y in targets] == [0, 0]
     want = graph_oracle.oracle_checks(g)
     assert want[2] == {"name": "leaf-degree", "pass": False, "detail": detail}
     assert graph_oracle.table_records(g) == want
@@ -494,9 +502,13 @@ def test_third_predecessor_is_kept(monkeypatch, capsys):
     bad_pairs = _pairs_with_third_predecessor(8)
     monkeypatch.setattr(FieldSpec, "unit_pairs", lambda self: iter(bad_pairs))
     g = theta_graph.build_graph(make_field(8))
-    assert sorted(v for comp in g.components for v in list(comp.cycle) + [
-        u for root in comp.cycle for vs in g.tree_levels(root) for u in vs]
-    ) == list(range(g.field.q + 1))
+    assert max(g.indeg) == 3
+    want = graph_oracle.decompose(g.field, list(g.succ))
+    assert (list(g.indeg), list(g.level), g.comp_id) == (
+        list(want.indeg), want.level, want.comp_id)
+    # the DOT export draws every vertex's edge once, the third child's too
+    edges = theta_graph.to_dot(g).splitlines()
+    assert len(set(ln for ln in edges if "->" in ln)) == g.field.q + 1
     assert main(["verify-structure", "--t", "8"]) == 1
     captured = capsys.readouterr()
     assert any(ln.startswith("FAIL [t=8]") for ln in captured.out.splitlines())

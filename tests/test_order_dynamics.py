@@ -509,6 +509,39 @@ def test_cq1_fault_is_a_record(n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
+def test_cq1_level_orders_judge_each_vertex_once(monkeypatch, n):
+    # the greatest level mate of the last element of C_(q+1) reports order
+    # q-1, which does not divide q+1: the witness is the first element of
+    # C_(q+1) in that (component, level) class, and no vertex is asked twice
+    tw = TOWERS[n]
+    double, q = tw.double, tw.q
+    g = build_graph(double)
+    cq1 = double.powers(double.pow(double.gen, q - 1), q)[1:]
+
+    def key(v):
+        return g.comp_id[v], g.level[v]
+
+    bad = max(u for u in range(double.q) if key(u) == key(cq1[-1]))
+    witness = next(v for v in cq1 if key(v) == key(bad))
+    asked = []
+    true_order = FieldSpec.order
+
+    def order(self, a):
+        if self.t == double.t:
+            asked.append(a)
+            if a == bad:
+                return q - 1
+        return true_order(self, a)
+
+    monkeypatch.setattr(FieldSpec, "order", order)
+    rep = verify_cq1_inclusion(tw, PROFILES[n])
+    assert [(c.name, c.detail) for c in rep.failures()] == [
+        ("cq1-level-orders",
+         f"level mate of {witness:#x} has order not dividing q+1")]
+    assert bad in asked and len(asked) == len(set(asked))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_quadrant_fault_is_a_record(n):
     # the first class-1 seed's index-2 iterate moved back to index 1,
     # which lies in C_(q+1) and not in GF(q)

@@ -1,12 +1,22 @@
 """Graph construction, decomposition, classification, and the leaf laws."""
 
 import json
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import thetamap.gf2_arith as gf2_arith
-from graph_oracle import classify_AB, oracle_checks, oracle_graph, table_records
+from graph_oracle import (
+    classify_AB,
+    decompose,
+    oracle_checks,
+    oracle_graph,
+    predecessor_slots,
+    table_records,
+    tree_levels,
+)
 from thetamap.dickson_curve import _theta_image_of_small_subgroup
 from thetamap.gf2_arith import FieldError, FieldSpec, field_from_record, make_field
 from thetamap.theta_graph import (
@@ -26,6 +36,13 @@ from thetamap.theta_graph import (
 
 F6 = make_field(6)
 G6 = build_graph(F6)
+
+
+def trees(g, root):
+    """The oracle's in-tree of ``root`` over g's edges and levels, as
+    {level: vertices ascending}."""
+    return dict(enumerate(
+        tree_levels(predecessor_slots(g.succ), g.level, root), 1))
 
 
 def pt(f, exp=None, *, zero=False, infinity=False):
@@ -75,7 +92,7 @@ def test_graph_t1():
     comp = g.components[0]
     assert list(comp.cycle) == [2]                # the infinity index
     assert comp.depth == 2
-    assert dict(enumerate(g.tree_levels(2), 1)) == {1: [0], 2: [1]}
+    assert trees(g, 2) == {1: [0], 2: [1]}
     assert sorted(p.index for p in leaves(g)) == [1]
     assert verify_structure(g).passed
 
@@ -116,7 +133,7 @@ def test_golden_six_a_component():
     for e_from, e_to in zip(CYCLE_A, CYCLE_A[1:] + CYCLE_A[:1]):
         assert G6.succ[F6.exp_of(e_from)] == F6.exp_of(e_to)
     for root_exp, levels in TREES_A.items():
-        tree = dict(enumerate(G6.tree_levels(F6.exp_of(root_exp)), 1))
+        tree = trees(G6, F6.exp_of(root_exp))
         assert {k: exps(vs) for k, vs in tree.items()} == {
             k: sorted(vs) for k, vs in levels.items()}
     assert idx  # silence linters
@@ -127,8 +144,8 @@ def test_golden_six_b_components():
         comp = find_component(G6, cyc)
         assert comp.trace_class == "B"
         assert comp.depth == 1
-        trees = [list(G6.tree_levels(root)) for root in comp.cycle]
-        assert sum(len(levels[0]) for levels in trees) == 9
+        levels = [trees(G6, root) for root in comp.cycle]
+        assert sum(len(tree[1]) for tree in levels) == 9
         for leaf_exp, root_exp in leaf_map.items():
             assert G6.succ[F6.exp_of(leaf_exp)] == F6.exp_of(root_exp)
         for e_from, e_to in zip(cyc, cyc[1:] + cyc[:1]):
@@ -139,7 +156,7 @@ def test_golden_six_infinity_component():
     inf = G6.infinity_index
     comp = G6.components[G6.comp_id[inf]]
     assert list(comp.cycle) == [inf]
-    levels = dict(enumerate(G6.tree_levels(inf), 1))
+    levels = trees(G6, inf)
     assert levels[1] == [0]                        # the zero element
     assert levels[2] == [1]                        # the unit 1
     assert sorted(levels[3]) == sorted([F6.exp_of(21), F6.exp_of(42)])
@@ -171,30 +188,36 @@ def test_in_degree_oracle(record):
     f = make_field(int(record)) if record.isdigit() else field_from_record(record)
     g = build_graph(f)
     inf = f.q
-    assert g.pred_extra == {}
+    counts = Counter(g.succ)
+    assert list(g.indeg) == [counts[v] for v in range(f.q + 1)]
     for x in range(1, f.q):
-        preds = g.predecessors(x)
-        assert len(preds) == (2 if f.trace(f.inv(x)) == 0 else 0)
-        assert all(g.succ[u] == x for u in preds)
-    assert g.predecessors(0) == [1]
-    assert sorted(g.predecessors(inf)) == [0, inf]
+        assert g.indeg[x] == (2 if f.trace(f.inv(x)) == 0 else 0)
+    assert g.indeg[0] == 1 and g.succ[1] == 0
+    assert g.indeg[inf] == 2 and g.succ[0] == g.succ[inf] == inf
 
 
 # ---------------------------------------------------------------------------
-# the sweep and the table checks against the per-vertex oracle
+# the peel and the table checks against the per-vertex oracle
 
 ORACLE_FIELDS = [(t, None) for t in range(1, 15)] + [(8, 0x11B), (10, 0x409)]
 ORACLE_IDS = [f"t{t}" if m is None else f"t{t}-modulus{m:x}"
               for t, m in ORACLE_FIELDS]
 
 
+def _assert_decomposed_as(g, want):
+    """build_graph's graph g against the oracle's decomposition of g.succ,
+    trace classes aside."""
+    assert list(g.indeg) == list(want.indeg)
+    assert list(g.level) == want.level
+    assert g.comp_id == want.comp_id
+    assert [(list(c.cycle), c.depth) for c in g.components] == [
+        (list(c.cycle), c.depth) for c in want.components]
+
+
 def _assert_matches_oracle(f):
     g, want = build_graph(f), oracle_graph(f)
     assert list(g.succ) == want.succ
-    assert (g.pred1, g.pred2, g.pred_extra) == (
-        want.pred1, want.pred2, want.pred_extra)
-    assert list(g.level) == want.level
-    assert g.comp_id == want.comp_id
+    _assert_decomposed_as(g, want)
     assert g.components == want.components
     assert verify_structure(g).passed
     assert table_records(g) == oracle_checks(g)
@@ -278,8 +301,26 @@ def test_deep_faulty_tree_keeps_its_levels(monkeypatch):
     g = build_graph(f)
     assert list(g.level) == list(range(1, f.q + 1)) + [0]
     assert [(list(c.cycle), c.depth) for c in g.components] == [([f.q], f.q)]
+    _assert_decomposed_as(g, decompose(f, list(g.succ)))
     assert "inf-tree-shape" in {c.name for c in verify_structure(g).failures()}
     assert table_records(g) == oracle_checks(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda t: st.tuples(
+    st.just(t), st.lists(st.integers(0, 2 ** t - 1),
+                         min_size=2 ** t - 1, max_size=2 ** t - 1))))
+def test_peel_matches_the_oracle_on_any_map(case):
+    # a faulty kernel may send each unit anywhere: in-degrees above 2, long
+    # paths, several cycles and self-loops; 0 and inf still go to inf
+    t, targets = case
+    f = make_field(t)
+    pairs = [(x, x ^ y) for x, y in zip(range(1, f.q), targets)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FieldSpec, "unit_pairs", lambda self: iter(pairs))
+        g = build_graph(f)
+    assert list(g.succ) == [f.q] + targets + [f.q]
+    _assert_decomposed_as(g, decompose(f, list(g.succ)))
 
 
 def test_zero_leaf_is_named_by_the_table_checks(monkeypatch):
