@@ -25,7 +25,6 @@ submission order.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -35,6 +34,7 @@ from typing import NamedTuple
 from thetamap.dickson_curve import dickson_report
 from thetamap.gf2_arith import FieldError, field_to_record, make_field
 from thetamap.order_dynamics import make_tower, orders_report
+from thetamap.report import json_text
 from thetamap.theta_graph import (
     GRAPH_MAX_T,
     build_graph,
@@ -206,7 +206,7 @@ def run(config: RunConfig) -> int:
 
     ok = all(_checks_passed(d) for d in docs)
     if config.format == "json":
-        text = json.dumps(docs if len(docs) > 1 else docs[0], indent=2) + "\n"
+        text = json_text(docs if len(docs) > 1 else docs[0])
     elif config.format == "csv":
         cols = ["n", "q", "m", "K", "N_pred", "S_size", "T_size",
                 "E_count", "passed"]

@@ -1,4 +1,5 @@
-"""Uniform pass/fail check records shared by the verification modules.
+"""Uniform pass/fail check records shared by the verification modules, and
+the one JSON writer of the program's output.
 
 Failures are data, not exceptions: every verifier returns a report whose
 checks name the property verified and, on failure, a witness.
@@ -6,6 +7,7 @@ checks name the property verified and, on failure, a witness.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 
@@ -46,3 +48,65 @@ class CheckReport:
         lines = [f"== {self.title} =="]
         lines += [str(c) for c in self.checks]
         return "\n".join(lines)
+
+
+def json_text(obj) -> str:
+    """Exactly ``json.dumps(obj, indent=2) + "\n"``, built by the C encoder.
+
+    ``indent`` makes ``json.dumps`` fall back to the pure-Python encoder,
+    which yields a chunk per token and keeps them all until its join.  Here
+    each container is one call of the C encoder, whose item separator is a
+    comma, a newline and the indent of the container's items; the brackets
+    are then moved onto lines of their own.  A container holding
+    containers is encoded with each of them replaced by 0, and that 0 by
+    the container's own text.  Raw newlines never occur inside a JSON
+    string, so both splices are exact, and the keys and scalars are all
+    written by the C encoder: one it cannot encode raises TypeError, as
+    in ``json.dumps``.  ``obj`` must be a tree: no container in itself.
+    """
+    pieces: list[str] = []
+    _write_json(obj, 0, pieces, [])
+    pieces.append("\n")
+    return "".join(pieces)
+
+
+def _write_json(value, depth: int, pieces: list[str], levels: list) -> None:
+    """Append the text of ``value``, a container at ``depth`` or the whole
+    document, to ``pieces``.
+
+    ``levels[d]`` caches, for depth d, the C encoder, the separator of its
+    items (a comma, a newline and their indent) and the newline and indent
+    of its closing bracket.
+    """
+    while len(levels) <= depth:
+        close = "\n" + "  " * len(levels)
+        sep = "," + close + "  "
+        levels.append((json.JSONEncoder(separators=(sep, ": ")).encode,
+                       sep, close))
+    encode, sep, close = levels[depth]
+    if isinstance(value, dict):
+        values = value.values()
+    elif isinstance(value, (list, tuple)):
+        values = value
+    else:
+        pieces.append(encode(value))
+        return
+    nested = [isinstance(v, (dict, list, tuple)) for v in values]
+    if not any(nested):
+        s = encode(value)
+        pieces.append(s[0] + sep[1:] + s[1:-1] + close + s[-1] if value else s)
+        return
+    if isinstance(value, dict):
+        flat = {k: 0 if n else v for (k, v), n in zip(value.items(), nested)}
+    else:
+        flat = [0 if n else v for v, n in zip(value, nested)]
+    s = encode(flat)
+    head = s[0] + sep[1:]
+    for item, v, n in zip(s[1:-1].split(sep), values, nested):
+        if n:
+            pieces.append(head + item[:-1])
+            _write_json(v, depth + 1, pieces, levels)
+        else:
+            pieces.append(head + item)
+        head = sep
+    pieces.append(close + s[-1])

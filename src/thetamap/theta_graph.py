@@ -25,14 +25,13 @@ walks the subfield GF(2^(t/2)) instead of every leaf.
 
 from __future__ import annotations
 
-import json
 from array import array
 from itertools import compress
 from operator import not_
 from dataclasses import dataclass
 
 from thetamap.gf2_arith import FieldElement, FieldError, FieldSpec
-from thetamap.report import CheckReport
+from thetamap.report import CheckReport, json_text
 
 __all__ = [
     "GRAPH_MAX_T",
@@ -402,11 +401,11 @@ def verify_structure(g: ThetaGraph) -> CheckReport:
     kinds = classes[:]
     kinds[inf_cid] = "inf"
     rules = [shapes[kind] for kind in kinds]
+    heights = [len(rule) for rule in rules]
     first_bad: dict[str, tuple[int, int, int]] = {}
     for v, (k, cid, n) in enumerate(zip(g.level, g.comp_id, g.indeg)):
         children = n - (k == 0)
-        rule = rules[cid]
-        if k >= len(rule) or children not in rule[k]:
+        if k >= heights[cid] or children not in rules[cid][k]:
             first_bad.setdefault(kinds[cid], (v, k, children))
     details = {kind: f"vertex {lab(v)} on level {k} has {children} children"
                for kind, (v, k, children) in first_bad.items()}
@@ -511,4 +510,4 @@ def to_json(g: ThetaGraph) -> str:
             },
         })
     doc = {"t": g.field.t, "modulus": f"{g.field.modulus:x}", "components": comps}
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+    return json_text(doc)

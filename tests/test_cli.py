@@ -639,14 +639,21 @@ def test_output_bytes_are_pinned_under_optimize(argv, digest):
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
-def test_worker_count_does_not_change_output(tmp_path):
-    one = tmp_path / "w1.json"
-    four = tmp_path / "w4.json"
-    assert main(["verify-dickson", "--range", "1..5", "--format", "json",
-                 "--workers", "1", "--out", str(one)]) == 0
-    assert main(["verify-dickson", "--range", "1..5", "--format", "json",
-                 "--workers", "4", "--out", str(four)]) == 0
-    assert one.read_bytes() == four.read_bytes()
+@pytest.mark.parametrize("argv", [
+    ["verify-dickson", "--range", "1..5", "--format", "json"],
+    ["verify-orders", "--range", "1..4", "--format", "json"],
+    ["verify-structure", "--range", "1..10", "--format", "json"],
+], ids=["dickson", "orders", "structure"])
+def test_worker_count_does_not_change_output(tmp_path, capsys, argv):
+    written = []
+    for workers in ("1", "2", "4"):
+        path = tmp_path / f"w{workers}.json"
+        assert main([*argv, "--workers", workers]) == 0
+        stdout = capsys.readouterr().out.encode()
+        assert main([*argv, "--workers", workers, "--out", str(path)]) == 0
+        assert path.read_bytes() == stdout
+        written.append(stdout)
+    assert written[0] == written[1] == written[2]
 
 
 def test_seed_changes_nothing_visible_but_still_passes(capsys):
