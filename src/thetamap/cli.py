@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -64,8 +63,8 @@ COMMANDS = {
     "verify-orders": Command("order/trace battery over n", "n", 8,
                              ("text", "json")),
     "verify-dickson": Command("Dickson/Kloosterman battery (verify-dickson)",
-                              "n", 12, ("text", "json")),
-    "sweep": Command("Dickson/Kloosterman battery (sweep)", "n", 12,
+                              "n", 16, ("text", "json")),
+    "sweep": Command("Dickson/Kloosterman battery (sweep)", "n", 16,
                      ("csv", "json")),
 }
 
@@ -165,6 +164,9 @@ def _map_jobs(fn, inputs, workers: int) -> list[dict]:
     workers = min(workers, len(inputs), cpus)
     if workers <= 1:
         return [fn(x) for x in inputs]
+    # imported here: the pool module loads multiprocessing, which a
+    # one-worker run never uses
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, inputs))
 

@@ -75,6 +75,25 @@ def _dickson_values(spec: FieldSpec, m: int, x: int):
         yield d1
 
 
+def _dickson_ladder(spec: FieldSpec, m: int, x: int) -> int:
+    """D_m(x) by the doubling ladder of `_root_bits`, on packed ints.
+
+    Carries (D_k, D_(k+1)) over the bits of m below the leading one, with
+    D_(2k) = D_k^2 and D_(2k+1) = D_k*D_(k+1) + x: about 2*log2(m) products
+    by ``spec.mul`` and ``spec.sqr`` instead of the m of `_dickson_bits`.
+    """
+    if m < 1:
+        raise FieldError(f"Dickson degree m={m} must be positive")
+    a, b = x, spec.sqr(x)                 # (D_1, D_2)
+    for bit in bin(m)[3:]:
+        odd = spec.mul(a, b) ^ x
+        if bit == "1":
+            a, b = odd, spec.sqr(b)
+        else:
+            a, b = spec.sqr(a), odd
+    return a
+
+
 def dickson_eval(spec: FieldSpec, m: int, x: FieldElement) -> FieldElement:
     """Value of the degree-m Dickson polynomial of the first kind, parameter 1."""
     if not spec.compatible(x.field):
@@ -86,13 +105,15 @@ def dickson_coeff_bits(m: int) -> int:
     """Coefficient parity vector of D_m from the closed form.
 
     Bit j is the mod-2 coefficient of x^j in
-    sum_i m/(m-i) * C(m-i, i) * (-1)^i * x^(m-2i).
+    sum_i m/(m-i) * C(m-i, i) * (-1)^i * x^(m-2i).  A coefficient that is
+    not an integer raises FieldError naming m.
     """
     bits = 0
     for i in range(m // 2 + 1):
         num = m * comb(m - i, i)
         if num % (m - i):
-            raise AssertionError("Dickson coefficient is not integral")
+            raise FieldError(f"m={m}: the binomial coefficient of "
+                             f"x^{m - 2 * i} is not an integer")
         if (num // (m - i)) & 1:
             bits |= 1 << (m - 2 * i)
     return bits
@@ -102,13 +123,7 @@ def dickson_eval_closed_form(spec: FieldSpec, m: int, x: FieldElement) -> FieldE
     """Closed-form evaluation; the small-degree oracle for the recurrence."""
     if not spec.compatible(x.field):
         raise FieldError("argument does not belong to this field")
-    coeffs = dickson_coeff_bits(m)
-    acc = 0
-    for j in range(m, -1, -1):
-        acc = spec.mul(acc, x.bits)
-        if (coeffs >> j) & 1:
-            acc ^= 1
-    return FieldElement(spec, acc)
+    return FieldElement(spec, spec.eval_poly(dickson_coeff_bits(m), x.bits))
 
 
 def _root_bits(spec: FieldSpec, m: int) -> set[int]:
@@ -154,22 +169,28 @@ def root_sets(spec: FieldSpec, m: int) -> tuple[set[FieldElement], set[FieldElem
 
 
 def _theta_image_of_small_subgroup(spec: FieldSpec, ambient: FieldSpec,
-                                   m: int) -> tuple[set[int], int | None]:
+                                   m: int) -> tuple[set[int], str | None]:
     """{ y + 1/y : y in GF(q^2)*, |y| divides m, y != 1 }, pulled back to GF(q).
 
     Enumerated through ``ambient`` = GF(2^(2n)) as the powers h^k of an
     element h of order m, with 1/h^k = h^(m-k), and mapped back through the
-    explicit subfield embedding.  Returns the pulled-back image and the
-    first ambient value y + 1/y that the embedding does not reach (None when
-    every value lies in the base subfield, as the theory says it must).  If
-    h^m != 1, the powers do not close and h^m itself is returned as the
-    witness.
+    explicit subfield embedding.  Returns the pulled-back image and None
+    when every value lies in the base subfield, as the theory says it must.
+    Otherwise the second item names the first witness: an ambient value
+    y + 1/y that the embedding does not reach, h^m itself if h^m != 1 (the
+    powers do not close), or the embedding's own failure.
     """
-    emb = subfield_embedding(spec, ambient)
+    def outside(v: int) -> str:
+        return f"witness {v:#x} of GF(2^{ambient.t}) outside GF(2^{spec.t})"
+
+    try:
+        emb = subfield_embedding(spec, ambient)
+    except FieldError as exc:
+        return set(), str(exc)
     back = {e: x for x, e in enumerate(emb)}
     powers = ambient.powers(ambient.pow(ambient.gen, (ambient.q - 1) // m), m)
     if powers[m] != 1:
-        return set(), powers[m]
+        return set(), outside(powers[m])
     image: set[int] = set()
     stray = None
     for k in range(1, m):                 # skips y = 1
@@ -179,7 +200,7 @@ def _theta_image_of_small_subgroup(spec: FieldSpec, ambient: FieldSpec,
             image.add(back_img)
         elif stray is None:
             stray = img
-    return image, stray
+    return image, None if stray is None else outside(stray)
 
 
 def kloosterman(spec: FieldSpec) -> int:
@@ -295,13 +316,13 @@ def root_set_report(spec: FieldSpec, seed: int = 0) -> RootSetReport:
             f"q={q} |T|={len(t)}")
 
     double = make_field(2 * n)          # GF(q^2), shared by the next two stages
-    image, stray = _theta_image_of_small_subgroup(spec, double, m)
+    image, witness = _theta_image_of_small_subgroup(spec, double, m)
     detail = f"|roots|={len(roots)} |image|={len(image)}"
-    if stray is not None:
-        detail += f" witness {stray:#x} of GF(2^{2 * n}) outside GF(2^{n})"
+    if witness is not None:
+        detail += f" {witness}"
     elif image != roots:
         detail += f" witness bits {min(image ^ roots):#x}"
-    rep.add("root-image-equality", stray is None and image == roots, detail)
+    rep.add("root-image-equality", witness is None and image == roots, detail)
 
     e_count = curve_point_count(spec)
     # | |E| - (q+1) | <= 2 sqrt(q), exactly in integers
@@ -314,8 +335,7 @@ def root_set_report(spec: FieldSpec, seed: int = 0) -> RootSetReport:
 
     rep.add("identity-on-double-field", _identity_check(spec, double, rng),
             "D_m(y+1/y) = y^m + y^(-m) over GF(q^2)*")
-    rep.add("closed-form-equivalence", _closed_form_check(spec, rng),
-            "recurrence matches the binomial form for m <= 10")
+    rep.add("closed-form-equivalence", *_closed_form_check(spec, rng))
     return RootSetReport(q, m, frozenset(s), frozenset(t), k, n_pred,
                          e_count, rep)
 
@@ -334,37 +354,43 @@ def _identity_check(spec: FieldSpec, double: FieldSpec, rng) -> bool:
     """D_m(y + 1/y) = y^m + y^(-m) over GF(q^2)* = ``double``.
 
     Exhaustive in y and in m = 1..q+1 for q <= 16, seeded random pairs
-    beyond.  The left side is the linear recurrence (`_dickson_values`); in
-    the exhaustive case one recurrence per y gives every m, and y^m, y^(-m)
-    are running products.
+    beyond.  In the exhaustive case one linear recurrence per y
+    (`_dickson_values`) gives the left side for every m, and y^m, y^(-m)
+    come from the log tables of GF(q^2), at most GF(2^8).  A random pair
+    evaluates the left side by the doubling ladder (`_dickson_ladder`) and
+    the right side as z + 1/z with z = y^m: O(log m) products each.
     """
     q = spec.q
     if q <= IDENTITY_EXHAUSTIVE_MAX_Q:
+        exp, log = double.tables()
+        units = double.q - 1
         for y in range(1, double.q):
             yi = double.inv(y)
-            pos, neg = y, yi
-            for lhs in _dickson_values(double, q + 1, y ^ yi):
-                if lhs != pos ^ neg:
+            ly, lyi = log[y], log[yi]
+            for k, lhs in enumerate(_dickson_values(double, q + 1, y ^ yi), 1):
+                if lhs != exp[k * ly % units] ^ exp[k * lyi % units]:
                     return False
-                pos, neg = double.mul(pos, y), double.mul(neg, yi)
         return True
     pairs = [(rng.randrange(1, q + 2), rng.randrange(1, double.q))
              for _ in range(IDENTITY_RANDOM_TRIALS)]
     for m, y in pairs:
-        yi = double.inv(y)
-        for lhs in _dickson_values(double, m, y ^ yi):
-            pass
-        if lhs != double.pow(y, m) ^ double.pow(yi, m):
+        ym = double.pow(y, m)
+        if _dickson_ladder(double, m, y ^ double.inv(y)) != ym ^ double.inv(ym):
             return False
     return True
 
 
-def _closed_form_check(spec: FieldSpec, rng) -> bool:
+def _closed_form_check(spec: FieldSpec, rng) -> tuple[bool, str]:
+    """The recurrence against the binomial form of D_1..D_10, as a verdict
+    and its detail; each coefficient vector is computed once."""
     xs = (range(spec.q) if spec.q <= 256
           else [rng.randrange(spec.q) for _ in range(64)])
+    try:
+        coeffs = [dickson_coeff_bits(m) for m in range(1, 11)]
+    except FieldError as exc:
+        return False, str(exc)
     for x in xs:
-        e = FieldElement(spec, x)
-        for m in range(1, 11):
-            if dickson_eval(spec, m, e) != dickson_eval_closed_form(spec, m, e):
-                return False
-    return True
+        for m, lhs in enumerate(_dickson_values(spec, 10, x), 1):
+            if lhs != spec.eval_poly(coeffs[m - 1], x):
+                return False, f"m={m}: the forms differ at {x:#x}"
+    return True, "recurrence matches the binomial form for m <= 10"

@@ -91,6 +91,26 @@ def _ppowmod(a: int, e: int, m: int) -> int:
     return r
 
 
+def _pinvmod(a: int, m: int) -> int:
+    """Inverse of a modulo m in GF(2)[x] by the extended Euclidean
+    algorithm: about 2*deg(m) shift-xor steps and no products.
+
+    Keeps g1*a = u and g2*a = v (mod m) while u and v shrink to their gcd;
+    u reaches 1 exactly when that gcd is 1, and reaches 0 otherwise.
+    """
+    u, v = _pmod(a, m), m
+    g1, g2 = 1, 0
+    while u != 1:
+        j = u.bit_length() - v.bit_length()
+        if j < 0:
+            if u == 0:
+                raise FieldError(f"{a:#x} has no inverse modulo {m:#x}")
+            u, v, g1, g2, j = v, u, g2, g1, -j
+        u ^= v << j
+        g1 ^= g2 << j
+    return g1
+
+
 def _pgcd(a: int, b: int) -> int:
     while b:
         a, b = b, _pmod(a, b)
@@ -383,13 +403,22 @@ class FieldSpec:
             e = -e
         return _ppowmod(a, e, self.modulus)
 
+    def eval_poly(self, poly: int, a: int) -> int:
+        """The GF(2)[x] polynomial with coefficient bits `poly` at a (Horner)."""
+        acc = 0
+        for i in range(poly.bit_length() - 1, -1, -1):
+            acc = self.mul(acc, a)
+            if (poly >> i) & 1:
+                acc ^= 1
+        return acc
+
     def inv(self, a: int) -> int:
         if a == 0:
             raise FieldError("zero has no inverse")
         log = self._log
         if log is not None:
             return self._exp[(self.q - 1 - log[a]) % (self.q - 1)]
-        return _ppowmod(a, self.q - 2, self.modulus)
+        return _pinvmod(a, self.modulus)
 
     def trace(self, a: int) -> int:
         """Absolute trace Tr_t(a), always 0 or 1."""
@@ -524,7 +553,13 @@ class FieldSpec:
         has at most 2^ceil(t/2) entries.  Works without log/exp tables.
         """
         h = (self.t + 1) // 2
-        cols = [_pmulmod(1 << i, c, self.modulus) for i in range(self.t)]
+        cols = []                         # x^i * c, i = 0..t-1
+        v = _pmod(c, self.modulus)
+        for _ in range(self.t):
+            cols.append(v)
+            v <<= 1
+            if v >> self.t:
+                v ^= self.modulus
         return _span_table(cols[:h]), _span_table(cols[h:]), h
 
     def powers(self, c: int, k: int) -> list[int]:
@@ -686,11 +721,19 @@ def make_field(t: int, modulus: int | None = None) -> FieldSpec:
 def subfield_embedding(sub: FieldSpec, ambient: FieldSpec) -> list[int]:
     """Dense table mapping packed elements of `sub` into `ambient`.
 
-    Finds the least power of the canonical order-(2^d-1) generator of the
-    ambient subfield that is a root of `sub`'s modulus (with compatible
-    Conway moduli that is the generator itself) and evaluates coordinates
-    there.  GF(2) needs no root: its one basis power is 1, whatever the
-    modulus (the root of x is 0, which no unit power reaches).
+    Finds the least power ghat^k of the canonical order-(2^d-1) generator
+    ghat of the ambient subfield that is a root of `sub`'s modulus (with
+    compatible Conway moduli that is ghat itself) and evaluates coordinates
+    there.  The roots are the conjugates ghat^(k*2^i mod 2^d-1) of the least
+    one and share the order o of x modulo the modulus, so the walk of ghat^k
+    by ghat's split tables evaluates the modulus only where k is the least
+    element of its cyclotomic coset and gcd(k, 2^d-1) = (2^d-1)/o.  GF(2)
+    needs no root: its one basis power is 1, whatever the modulus (the root
+    of x is 0, which no unit power reaches).
+
+    A modulus without a root among the walked powers, or a table that sends
+    `sub`'s generator to an element of another order, is a faulty kernel;
+    both raise FieldError naming the witness.
     """
     d = sub.t
     if ambient.t % d != 0:
@@ -699,29 +742,45 @@ def subfield_embedding(sub: FieldSpec, ambient: FieldSpec) -> list[int]:
     rho_pow = [1] * d
     if d > 1:
         ghat = ambient.pow(ambient.gen, (ambient.q - 1) // sub_units)
+        cofactor = sub_units // sub.order(2)
+        lo, hi, h = ambient.mul_tables(ghat)
+        mask = len(lo) - 1
         root = None
         cand = ghat
-        for _ in range(sub_units):
-            acc = 0
-            for i in range(d, -1, -1):
-                acc = ambient.mul(acc, cand)
-                if (sub.modulus >> i) & 1:
-                    acc ^= 1
-            if acc == 0:
+        for k in range(1, sub_units + 1):
+            if (math.gcd(k, sub_units) == cofactor and _coset_leader(k, d)
+                    and ambient.eval_poly(sub.modulus, cand) == 0):
                 root = cand
                 break
-            cand = ambient.mul(cand, ghat)
+            cand = lo[cand & mask] ^ hi[cand >> h]
         if root is None:
-            raise AssertionError("modulus has no root in the ambient subfield")
+            raise FieldError(
+                f"modulus {sub.modulus:#x} of GF(2^{d}) has no root among "
+                f"the powers of {ghat:#x} in GF(2^{ambient.t})")
         for j in range(1, d):
             rho_pow[j] = ambient.mul(rho_pow[j - 1], root)
     table = [0] * (1 << d)
     for bits in range(1, 1 << d):
         low = bits & -bits
         table[bits] = table[bits ^ low] ^ rho_pow[low.bit_length() - 1]
-    if ambient.order(table[sub.gen]) != sub_units:
-        raise AssertionError("embedding does not preserve the generator order")
+    image = table[sub.gen]
+    order = ambient.order(image) if image else 0
+    if order != sub_units:
+        raise FieldError(
+            f"embedded generator {image:#x} of GF(2^{d}) has order {order} "
+            f"in GF(2^{ambient.t}), not {sub_units}")
     return table
+
+
+def _coset_leader(k: int, d: int) -> bool:
+    """True iff k is the least of k*2^i mod 2^d-1, i.e. of its d-bit rotations."""
+    full = (1 << d) - 1
+    r = k
+    for _ in range(d - 1):
+        r = ((r << 1) | (r >> (d - 1))) & full
+        if r < k:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

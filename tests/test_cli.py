@@ -1,7 +1,9 @@
 """Exit codes, formats, determinism, and failure paths of the CLI."""
 
+import concurrent.futures
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -97,10 +99,10 @@ def test_config_errors(capsys):
     for argv, err in [(["graph", "--t", "25"], "t=25 outside [1, 24]"),
                       (["verify-structure", "--t", "25"], "t=25 outside [1, 24]"),
                       (["verify-orders", "--n", "9"], "n=9 outside [1, 8]"),
-                      (["verify-dickson", "--n", "13"], "n=13 outside [1, 12]"),
-                      (["sweep", "--n", "13"], "n=13 outside [1, 12]"),
+                      (["verify-dickson", "--n", "17"], "n=17 outside [1, 16]"),
+                      (["sweep", "--n", "17"], "n=17 outside [1, 16]"),
                       (["sweep", "--range", f"1..{10 ** 12}"],
-                       "n=13 outside [1, 12]")]:
+                       "n=17 outside [1, 16]")]:
         assert main(argv) == 2
         assert capsys.readouterr() == ("", f"error: {err}\n")
     assert set(cli.COMMANDS) == {"graph", "verify-structure", "verify-orders",
@@ -445,9 +447,36 @@ def _drop_least_root(monkeypatch):
                         lambda spec, m: (r := true_root_bits(spec, m)) - {min(r)})
 
 
+def _faulty_subfield(monkeypatch, fault):
+    """The embedding of GF(2^4) is asked for a copy of it with `fault`
+    applied: a modulus or a generator that a sound kernel never has."""
+    true_embedding = dickson_curve.subfield_embedding
+
+    def embedding(sub, ambient):
+        bad = FieldSpec(sub.t, sub.modulus, sub.gen)
+        fault(bad)
+        return true_embedding(bad, ambient)
+
+    monkeypatch.setattr(dickson_curve, "subfield_embedding", embedding)
+
+
+def _rootless_modulus(monkeypatch):
+    # x * (x^3 + x + 1): its roots lie in GF(2) and GF(2^3), none in GF(2^4)*
+    _faulty_subfield(monkeypatch, lambda bad: setattr(bad, "modulus", 0x16))
+
+
+def _generator_of_order_five(monkeypatch):
+    _faulty_subfield(monkeypatch,
+                     lambda bad: setattr(bad, "gen", bad.pow(bad.gen, 3)))
+
+
 @pytest.mark.parametrize("fault, witness", [
     (_flip_embedded_root, "witness 0x98 of GF(2^8) outside GF(2^4)"),
     (_drop_least_root, "witness bits 0x2"),
+    (_rootless_modulus, "modulus 0x16 of GF(2^4) has no root among the "
+                        "powers of 0x98 in GF(2^8)"),
+    (_generator_of_order_five, "embedded generator 0xa of GF(2^4) has "
+                               "order 5 in GF(2^8), not 15"),
 ])
 def test_root_image_fault_is_a_record(monkeypatch, capsys, fault, witness):
     fault(monkeypatch)
@@ -457,6 +486,19 @@ def test_root_image_fault_is_a_record(monkeypatch, capsys, fault, witness):
                 if "root-image-equality" in ln)
     assert line.startswith("FAIL [n=4] root-image-equality")
     assert line.endswith(witness)
+    assert "Traceback" not in captured.err
+
+
+def test_closed_form_integrality_fault_is_a_record(monkeypatch, capsys):
+    # C(m-i, i) + 1 breaks m/(m-i) * C(m-i, i) first at m = 3, i = 1
+    monkeypatch.setattr(dickson_curve, "comb",
+                        lambda a, b: math.comb(a, b) + 1)
+    checks = dickson_curve.root_set_report(make_field(4)).checks
+    assert [c.name for c in checks.failures()] == ["closed-form-equivalence"]
+    assert main(["verify-dickson", "--n", "4"]) == 1
+    captured = capsys.readouterr()
+    assert ("FAIL [n=4] closed-form-equivalence  m=3: the binomial "
+            "coefficient of x^1 is not an integer\n") in captured.out
     assert "Traceback" not in captured.err
 
 
@@ -535,7 +577,9 @@ def pool_sizes(monkeypatch):
         def map(self, fn, inputs):
             return map(fn, inputs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # `cli._map_jobs` imports the pool class at call time, from here
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
     return sizes
 
 
@@ -566,6 +610,25 @@ def test_pool_size_without_sched_getaffinity(monkeypatch, capsys, pool_sizes,
                  "--workers", "1000000"]) == 0
     assert pool_sizes == want
     capsys.readouterr()
+
+
+def test_one_worker_run_imports_no_pool():
+    # the pool module pulls in multiprocessing; a run on one worker never
+    # needs it, so `cli` imports it only for a pool
+    src = str(Path(thetamap.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys\n"
+            "from thetamap.cli import main\n"
+            "assert main(['verify-dickson', '--range', '1..3']) == 0\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith(('multiprocessing',\n"
+            "                              'concurrent.futures.process'))))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().splitlines()[-1] == "[]"
 
 
 # sha256 of stdout for every command and format at small sizes: a change to
@@ -610,6 +673,16 @@ OUTPUT_DIGESTS = [
      "aad646ad6651fa410af039646a6b084d1dd843abbfb618ed4a30810298324e89"),
     (["verify-orders", "--n", "6", "--format", "text"],
      "4330a38642f7239146c346429225cf3bf71d23a54e1797ea5723df49357196ac"),
+    # the Dickson battery above n = 12, as printed by the O(m) identity
+    # recurrence and the linear subfield-root search
+    (["verify-dickson", "--n", "13", "--format", "json"],
+     "9f70de1a3e02348ac03bb1daf4b08f17135f29adc0fa210b1d00bebab0238c8f"),
+    (["verify-dickson", "--n", "14", "--format", "json"],
+     "2250e494094bd03f3b94d92d57ebea4671b0b8cb17c7de9cedcdbdc0d4401a9d"),
+    (["verify-dickson", "--n", "15", "--format", "json"],
+     "de5863e331331b745b30749d08c47b4ea6da1acdc854bbf66f37091bd0c8f730"),
+    (["verify-dickson", "--n", "16", "--format", "json"],
+     "04808579c4445e270fbc9364a09801656d58965db98ddbcc4f294899d4b096e4"),
 ]
 
 

@@ -1,5 +1,7 @@
 """Field arithmetic: construction, operations, and elementary order facts."""
 
+import functools
+import itertools
 import math
 import random
 
@@ -315,6 +317,35 @@ def test_inv():
         f.zero().inverse()
 
 
+@pytest.mark.parametrize("t", range(1, 13))
+def test_euclidean_inverse_matches_fermat_power(t):
+    f = make_field(t)
+    for a in range(1, f.q):
+        assert (gf2_arith._pinvmod(a, f.modulus)
+                == gf2_arith._ppowmod(a, f.q - 2, f.modulus))
+
+
+@pytest.mark.parametrize("t", range(16, 33))
+def test_euclidean_inverse_sampled_non_conway(t):
+    # the second irreducible of degree t that is neither the Conway nor
+    # the least polynomial, so no default field's modulus
+    candidates = (f for f in range((1 << t) | 1, 2 << t, 2)
+                  if f != CONWAY_POLY.get(t) and is_irreducible(f))
+    modulus = next(itertools.islice(candidates, 1, None))
+    rng = random.Random(t)
+    for a in [1, 2, (1 << t) - 1] + [rng.randrange(3, 1 << t)
+                                     for _ in range(20)]:
+        inv = gf2_arith._pinvmod(a, modulus)
+        assert inv == gf2_arith._ppowmod(a, (1 << t) - 2, modulus)
+        assert schoolbook_mulmod(a, inv, modulus) == 1
+
+
+def test_euclidean_inverse_refuses_non_units():
+    for a, m in [(0, 0x13), (0x13, 0x13), (0x2, 0x6), (0x3, 0x6)]:
+        with pytest.raises(FieldError):
+            gf2_arith._pinvmod(a, m)
+
+
 def test_trace():
     f2 = make_field(2)
     omega = f2.generator()
@@ -492,6 +523,58 @@ def test_degree_after_map_is_t_or_half(t):
 
 # ---------------------------------------------------------------------------
 # serialization
+
+
+# ---------------------------------------------------------------------------
+# Subfield embeddings against the linear root search
+
+
+def linear_search_embedding(sub, ambient):
+    """The embedding by the first root of sub.modulus among ghat, ghat^2,
+    ..., each evaluated by Horner's rule: no coset or order filter."""
+    d = sub.t
+    units = (1 << d) - 1
+    rho = [1] * d
+    if d > 1:
+        ghat = ambient.pow(ambient.gen, (ambient.q - 1) // units)
+        cand = ghat
+        for _ in range(units):
+            acc = 0
+            for i in range(d, -1, -1):
+                acc = ambient.mul(acc, cand)
+                if (sub.modulus >> i) & 1:
+                    acc ^= 1
+            if acc == 0:
+                break
+            cand = ambient.mul(cand, ghat)
+        else:
+            raise AssertionError("no root")
+        for j in range(1, d):
+            rho[j] = ambient.mul(rho[j - 1], cand)
+    table = [0] * (1 << d)
+    for bits in range(1, 1 << d):
+        low = bits & -bits
+        table[bits] = table[bits ^ low] ^ rho[low.bit_length() - 1]
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def default_and_other_field(t):
+    """make_field(t), and GF(2^t) under the least other irreducible modulus
+    (x for t = 1; GF(4) has no other)."""
+    f = make_field(t)
+    others = (m for m in range(1 << t, 2 << t)
+              if m != f.modulus and is_irreducible(m))
+    return (f, *(make_field(t, m) for m in itertools.islice(others, 1)))
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+@pytest.mark.parametrize("k", [2, 3])
+def test_embedding_matches_linear_root_search(d, k):
+    for sub in default_and_other_field(d):
+        for ambient in default_and_other_field(k * d):
+            assert (gf2_arith.subfield_embedding(sub, ambient)
+                    == linear_search_embedding(sub, ambient)), (sub, ambient)
 
 
 def test_record_roundtrip():
