@@ -14,6 +14,10 @@ whose sizes the Kloosterman sum K = sum_x (-1)^Tr(x + 1/x) predicts via
 |S_(q+1)| = (q + 1 + K) / 4.  The same trace condition Tr(x) = Tr(1/x)
 characterizes the x-coordinates of the rational points of the curve
 y^2 + xy = x^3 + 1, so its point count cross-validates everything.
+By the identity the roots are also the values y + 1/y, y != 1, on the
+order-(q+1) subgroup of GF(q^2)*: ``theta_graph.theta_pullback``, which the
+order battery shares, reads them in GF(q) for the root-image check
+(``_theta_image_of_small_subgroup``).
 
 The additive character here is the canonical one, x -> (-1)^Tr(x); the
 count cross-check validates that normalization at every field size.
@@ -31,10 +35,9 @@ from thetamap.gf2_arith import (
     FieldSpec,
     field_to_record,
     make_field,
-    subfield_embedding,
 )
 from thetamap.report import CheckReport
-from thetamap.theta_graph import ThetaGraph
+from thetamap.theta_graph import ThetaGraph, _bits, theta_pullback
 
 __all__ = [
     "RootSetReport",
@@ -170,43 +173,23 @@ def root_sets(spec: FieldSpec, m: int) -> tuple[set[FieldElement], set[FieldElem
 
 def _theta_image_of_small_subgroup(spec: FieldSpec, ambient: FieldSpec,
                                    m: int) -> tuple[set[int], str | None]:
-    """{ y + 1/y : y in GF(q^2)*, |y| divides m, y != 1 }, pulled back to GF(q).
+    """{ y + 1/y : y in GF(q^2)*, |y| divides m, y != 1 }, pulled back to GF(q)
+    by ``theta_pullback`` from ``ambient`` = GF(2^(2n)), with its first
+    fault's witness, or None.  ``perfbench/tracer.py`` times this step by
+    name."""
+    pull = theta_pullback(spec, ambient, ambient.subgroup(m))
+    return set(pull.values[1:]) - {None}, pull.fault
 
-    Enumerated through ``ambient`` = GF(2^(2n)) as the powers h^k of an
-    element h of order m, with 1/h^k = h^(m-k), and mapped back through the
-    explicit subfield embedding.  Returns the pulled-back image and None
-    when every value lies in the base subfield, as the theory says it must.
-    Otherwise the second item names the first witness: an ambient value
-    y + 1/y that the embedding does not reach, h^m itself if h^m != 1 (the
-    powers do not close), or the embedding's own failure.
-    """
-    def outside(v: int) -> str:
-        return f"witness {v:#x} of GF(2^{ambient.t}) outside GF(2^{spec.t})"
 
-    try:
-        emb = subfield_embedding(spec, ambient)
-    except FieldError as exc:
-        return set(), str(exc)
-    back = {e: x for x, e in enumerate(emb)}
-    powers = ambient.powers(ambient.pow(ambient.gen, (ambient.q - 1) // m), m)
-    if powers[m] != 1:
-        return set(), outside(powers[m])
-    image: set[int] = set()
-    stray = None
-    for k in range(1, m):                 # skips y = 1
-        img = powers[k] ^ powers[m - k]
-        back_img = back.get(img)
-        if back_img is not None:
-            image.add(back_img)
-        elif stray is None:
-            stray = img
-    return image, None if stray is None else outside(stray)
+def _trace_flips(spec: FieldSpec) -> int:
+    """#{x : Tr(x + 1/x) = Tr(x) ^ Tr(1/x) = 1}, from ``trace_tables``."""
+    tr, tr_inv = spec.trace_tables()
+    return (_bits(tr) ^ _bits(tr_inv)).bit_count()
 
 
 def kloosterman(spec: FieldSpec) -> int:
     """K = sum over units of (-1)^Tr(x + 1/x), an exact signed integer."""
-    ones = sum(spec.trace(x ^ xi) for x, xi in spec.unit_pairs())
-    return (spec.q - 1) - 2 * ones
+    return (spec.q - 1) - 2 * _trace_flips(spec)
 
 
 def curve_point_count(spec: FieldSpec) -> int:
@@ -215,18 +198,17 @@ def curve_point_count(spec: FieldSpec) -> int:
     Two points per unit x with Tr(x) = Tr(1/x), one point (0, 1), one point
     at infinity.
     """
-    admissible = sum(spec.trace(x) == spec.trace(xi)
-                     for x, xi in spec.unit_pairs())
-    return 2 * admissible + 2
+    return 2 * (spec.q - 1 - _trace_flips(spec)) + 2
 
 
 def curve_point_count_naive(spec: FieldSpec) -> int:
     """Brute-force oracle: try every (x, y) pair, plus the point at infinity."""
+    squares = [spec.mul(y, y) for y in range(spec.q)]
     count = 1
     for x in range(spec.q):
         x3_1 = spec.mul(spec.mul(x, x), x) ^ 1
-        for y in range(spec.q):
-            if spec.mul(y, y) ^ spec.mul(x, y) == x3_1:
+        for y, y2 in enumerate(squares):
+            if y2 ^ spec.mul(x, y) == x3_1:
                 count += 1
     return count
 

@@ -17,7 +17,8 @@ by the graph and sweep code.  ``FieldSpec`` alone decides whether a field
 has log/exp tables, and builds them only for a caller of ``tables`` or
 ``dlog``; without them products go by shift-xor.  The whole-field walks
 need no log table: every unit with its inverse, in generator order, comes
-from ``unit_pairs``, one element's powers from ``powers``, and Tr(a),
+from ``unit_pairs``, one element's powers from ``powers``, those of the
+order-k subgroup's generator from ``subgroup``, and Tr(a),
 Tr(1/a) for every a at once from ``trace_tables``, each stepping by the
 split tables of ``mul_tables``; traces at every subfield level come from
 ``trace_mask``.  ``FieldElement`` wraps a packed int with operators and
@@ -422,12 +423,7 @@ class FieldSpec:
 
     def trace(self, a: int) -> int:
         """Absolute trace Tr_t(a), always 0 or 1."""
-        # trace_mask(t), inlined: the Dickson sums call this per unit
-        try:
-            mask = self._trace_masks[self.t]
-        except KeyError:
-            mask = self.trace_mask(self.t)
-        return (a & mask).bit_count() & 1
+        return (a & self.trace_mask(self.t)).bit_count() & 1
 
     def subfield_trace(self, a: int, d: int) -> int:
         """Absolute trace Tr_d(a) of an element of the subfield GF(2^d).
@@ -573,6 +569,14 @@ class FieldSpec:
             v = lo[v & mask] ^ hi[v >> h]
             out[i] = v
         return out
+
+    def subgroup(self, k: int) -> list[int]:
+        """[h^0, ..., h^k], h = gen^((q-1)/k): the elements of order dividing
+        k, then h^k, which is 1 unless the kernel is at fault (the caller
+        checks it).  A k that does not divide q-1 raises FieldError."""
+        if k < 1 or (self.q - 1) % k:
+            raise FieldError(f"{k} does not divide 2^{self.t}-1")
+        return self.powers(self.pow(self.gen, (self.q - 1) // k), k)
 
     def tables(self) -> tuple[list[int], list[int]]:
         """The (exp, log) tables, built on first use.

@@ -18,12 +18,13 @@ subfield levels containing it.  The seed is then classified:
 The three classes partition the subgroup minus 1, and each forces a rigid
 level/order/trace table that `case_table` renders and checks row by row.
 
-The reduction to GF(q^2).  Only the seeds are enumerated in the ambient
-GF(2^(4n)), as the powers h^j of h = gen^(q^2-1).  Since 1/g = g^(q^2),
-f(g) = g + g^(q^2) is the relative trace of g into GF(q^2): read as
-h^j + h^(q^2+1-j) from the one list of powers, it is pulled back once
-through the inverse of the embedding of GF(q^2), and every later iterate is
-profiled from GF(q^2)'s log tables.  The seed's own row has a closed form:
+The reduction to GF(q^2).  Since 1/g = g^(q^2), f(g) = g + g^(q^2) is the
+relative trace of g into GF(q^2).  So the first iterates come from
+``theta_pullback`` over GF(q^2) < GF(q^4), the pull-back the Dickson
+battery reads over GF(q) < GF(q^2): the seeds are walked once in the
+ambient GF(2^(4n)) as the powers h^j of h = gen^(q^2-1) (``subgroup``),
+each f(h^j) is read in GF(q^2), and every later iterate is profiled from
+GF(q^2)'s log tables.  The seed's own row has a closed form:
 order (q^2+1)/gcd(j, q^2+1), trivial gcd-split, subfield 4n (a seed inside
 GF(q^2) would have order dividing q^2-1 and q^2+1, so it would be 1), and
 Tr_4n(g) = Tr_4n(1/g) = Tr_2n(f(g)).  The seeds j and q^2+1-j have the
@@ -61,8 +62,10 @@ from thetamap.gf2_arith import (
 from thetamap.report import CheckReport
 from thetamap.theta_graph import (
     ProjPoint,
+    Pullback,
     build_graph,
     theta_index,
+    theta_pullback,
 )
 
 __all__ = [
@@ -126,32 +129,20 @@ def make_tower(n: int) -> TowerSpec:
 
 
 def subgroup(tower: TowerSpec, k: int) -> list[int]:
-    """[h^0, ..., h^k] in the ambient for h = gen^(N/k), N = 2^(4n) - 1.
-
-    The first k entries are the elements of order dividing k; the last
-    closes the walk, and is 1 unless the kernel is at fault (the caller
-    checks it).
-    """
-    ambient = tower.ambient
-    n_units = ambient.q - 1
-    if k < 1 or n_units % k != 0:
-        raise FieldError(f"{k} does not divide 2^{ambient.t}-1")
-    return ambient.powers(ambient.pow(ambient.gen, n_units // k), k)
+    """``FieldSpec.subgroup`` of the ambient: [h^0, ..., h^k], h = gen^(N/k),
+    N = 2^(4n) - 1.  The battery's one ambient walk, called by this name so
+    that ``perfbench/tracer.py`` counts its calls and elements."""
+    return tower.ambient.subgroup(k)
 
 
 @dataclass(frozen=True)
 class SeedWalk:
-    """The seeds h^j, h = gen^(q^2-1), with what reads them through GF(q^2).
-
-    ``powers`` is ``subgroup(tower, q^2+1)``; ``emb`` embeds GF(q^2) into
-    the ambient and ``back`` inverts it; ``k0`` turns a log of GF(q^2) into
-    an ambient one (see ``label``).
-    """
+    """The seeds h^j = ``pull.powers[j]``, h = gen^(q^2-1), their first
+    iterates ``pull.values[j]`` in GF(q^2), and ``k0``, which turns a log of
+    GF(q^2) into an ambient one (``label``; 0 if ``pull`` has a fault)."""
 
     tower: TowerSpec
-    powers: list[int]
-    emb: list[int]
-    back: dict[int, int]
+    pull: Pullback
     k0: int
 
     def label(self, x: int) -> str:
@@ -166,20 +157,20 @@ class SeedWalk:
         if x == double.q:
             return "inf"
         if self.tower.ambient.t > TABLE_MAX_T:
-            return f"x{self.emb[x]:x}"
+            return f"x{self.pull.emb[x]:x}"
         n2 = double.q - 1
         return str((n2 + 2) * (self.k0 * double.dlog(x) % n2))
 
 
 def seed_walk(tower: TowerSpec) -> SeedWalk:
-    """Enumerate the seeds once and set up the pull-back into GF(q^2)."""
+    """Enumerate the seeds once and pull their first iterates into GF(q^2)."""
     ambient, double = tower.ambient, tower.double
-    emb = subfield_embedding(double, ambient)
-    back = {v: x for x, v in enumerate(emb)}
+    pull = theta_pullback(double, ambient, subgroup(tower, double.q + 1))
+    if pull.fault is not None:
+        return SeedWalk(tower, pull, 0)
     # gen^(q^2+1) generates the ambient's copy of GF(q^2)*
-    a = double.dlog(back[ambient.pow(ambient.gen, double.q + 1)])
-    return SeedWalk(tower, subgroup(tower, double.q + 1), emb, back,
-                    pow(a, -1, double.q - 1))
+    a = double.dlog(pull.emb.index(ambient.pow(ambient.gen, double.q + 1)))
+    return SeedWalk(tower, pull, pow(a, -1, double.q - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -210,18 +201,17 @@ class OrderProfile:
 def profile_tail(walk: SeedWalk, j: int) -> list[ProfileStep]:
     """The iterates at indices 1..l+4 of seed h^j, profiled in GF(q^2).
 
-    f(h^j) = h^j + h^(q^2+1-j), pulled back through the embedding; from
-    there each step reads GF(q^2)'s log table.  Iterates at indices 1..l+2
-    are provably units; a 0 or infinity there is recorded like a later one,
-    and `case_table` flags it.
+    f(h^j) is read from the seed walk's pull-back; from there each step
+    reads GF(q^2)'s log table.  Iterates at indices 1..l+2 are provably
+    units; a 0 or infinity there is recorded like a later one, and
+    `case_table` flags it.
     """
     tower = walk.tower
     double = tower.double
     q, l, n = tower.q, tower.l, tower.n
     _, log = double.tables()
     n2 = double.q - 1
-    e = walk.powers
-    x = walk.back[e[j] ^ e[q * q + 1 - j]]
+    x = walk.pull.values[j]
     steps: list[ProfileStep] = []
     for i in range(1, l + 5):
         point = ProjPoint(double, x)
@@ -253,7 +243,7 @@ def classify_H(walk: SeedWalk, j: int, tail: list[ProfileStep]) -> OrderProfile:
     big = q * q + 1
     if not 0 < j < big:
         raise FieldError(f"seed exponent {j} outside [1, {big - 1}]")
-    seed = walk.powers[j]
+    seed = walk.pull.powers[j]
     label = (str(j * (q * q - 1)) if ambient.t <= TABLE_MAX_T
              else f"x{seed:x}")
     tr = tower.double.trace(tail[0].point.index)   # Tr_2n(f(g))
@@ -531,7 +521,7 @@ def verify_cq1_inclusion(tower: TowerSpec,
     double = tower.double
     rep = CheckReport(f"order-(q+1) subgroup coverage (n={n})")
 
-    cq1 = double.powers(double.pow(double.gen, q - 1), q)   # C_{q+1} in GF(q^2)
+    cq1 = double.subgroup(q + 1)[:-1]           # C_{q+1} in GF(q^2)
     img1 = {p.steps[1].point.index for p in profiles}
     img2 = {p.steps[l + 2].point.index for p in profiles}
     missing = [b for b in cq1 if b not in img1 and b not in img2]
@@ -620,6 +610,7 @@ def trace_quadrants(tower: TowerSpec,
     are read over GF(q^2) from the seed profiles of the order-(q^2+1)
     subgroup, keeping unit points; the trace-defined quadrants are carried
     into GF(q^2) through the explicit subfield embedding before comparison.
+    A failing embedding fails each image check with its message.
     """
     spec_n = tower.base
     double = tower.double
@@ -630,7 +621,10 @@ def trace_quadrants(tower: TowerSpec,
         pair = (spec_n.trace(x), spec_n.trace(spec_n.inv(x)))
         {(1, 1): a11, (0, 0): a00, (0, 1): b01, (1, 0): b10}[pair].add(x)
 
-    emb = subfield_embedding(spec_n, double)
+    try:
+        emb, fault = subfield_embedding(spec_n, double), None
+    except FieldError as exc:
+        fault = str(exc)
     unit_cap = double.q           # indexes below this and nonzero are units
 
     img_a11: set[int] = set()
@@ -658,9 +652,11 @@ def trace_quadrants(tower: TowerSpec,
     for name, trace_set, img in (
             ("a11-image", a11, img_a11), ("a00-image", a00, img_a00),
             ("b01-image", b01, img_b01), ("b10-image", b10, img_b10)):
-        lifted = {emb[x] for x in trace_set}
-        rep.add(name, lifted == img,
-                f"|by-trace|={len(trace_set)} |by-image|={len(img)}")
+        if fault is not None:
+            rep.add(name, False, fault)
+        else:
+            rep.add(name, {emb[x] for x in trace_set} == img,
+                    f"|by-trace|={len(trace_set)} |by-image|={len(img)}")
     return QuadrantReport(a11, a00, b01, b10, rep)
 
 
@@ -686,10 +682,10 @@ def verify_theta_permutation(tower: TowerSpec,
 def orders_report(tower: TowerSpec) -> dict:
     """Classification counts, all profiles, and every set-level check.
 
-    If the seed walk does not close (h^(q^2+1) != 1), or a first iterate
-    h^j + h^(q^2+1-j) misses the embedded GF(q^2), the kernel is at fault
-    and no profile can be trusted: the report carries that one failed check,
-    with the stray value as its witness.
+    If the seed walk's pull-back carries a fault (the embedding of GF(q^2)
+    fails, the walk does not close, or a first iterate misses the embedded
+    GF(q^2)), no profile can be trusted: the report carries that one failed
+    check with its witness.
     """
     q, l, n = tower.q, tower.l, tower.n
     counts = {"H1": 0, "H2": 0, "H3": 0}
@@ -702,20 +698,13 @@ def orders_report(tower: TowerSpec) -> dict:
         "profiles": profiles,
     }
     walk = seed_walk(tower)
-    e = walk.powers
-    big = q * q + 1
-    if e[big] != 1:
-        checks.add("subgroup-closure", False, f"h^{big} = {e[big]:#x}, not 1")
-    else:
-        firsts = (e[j] ^ e[big - j] for j in range(1, big))
-        stray = next((v for v in firsts if v not in walk.back), None)
-        if stray is not None:
-            checks.add("first-iterate-pullback", False,
-                       f"witness {stray:#x} of GF(2^{4 * n}) "
-                       f"outside GF(2^{2 * n})")
-    if checks.checks:
+    if walk.pull.fault is not None:
+        closed = walk.pull.powers[-1] == 1
+        checks.add("first-iterate-pullback" if closed else "subgroup-closure",
+                   False, walk.pull.fault)
         doc["checks"] = checks.records()
         return doc
+    big = q * q + 1
     seed_profs = seed_profiles(walk)
     for exp, prof in enumerate(seed_profs, 1):
         counts[prof.h_class.name] += 1

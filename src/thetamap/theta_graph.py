@@ -27,10 +27,15 @@ from __future__ import annotations
 
 from array import array
 from itertools import compress
-from operator import not_
+from operator import not_, xor
 from dataclasses import dataclass
 
-from thetamap.gf2_arith import FieldElement, FieldError, FieldSpec
+from thetamap.gf2_arith import (
+    FieldElement,
+    FieldError,
+    FieldSpec,
+    subfield_embedding,
+)
 from thetamap.report import CheckReport, json_text
 
 __all__ = [
@@ -40,6 +45,8 @@ __all__ = [
     "ThetaGraph",
     "theta",
     "theta_index",
+    "Pullback",
+    "theta_pullback",
     "build_graph",
     "is_periodic",
     "leaves",
@@ -159,6 +166,44 @@ def theta(spec: FieldSpec, p: ProjPoint) -> ProjPoint:
     if not spec.compatible(p.field):
         raise FieldError("point does not belong to this field")
     return ProjPoint(spec, theta_index(spec, p.index))
+
+
+@dataclass
+class Pullback:
+    """``powers`` = [h^0, ..., h^m] for h of order m, ``emb`` the embedding
+    of GF(Q), ``values[k]`` = emb^-1(h^k + h^(m-k)) for k < m (None off the
+    image; values[0] = 0), and ``fault``: None, or the first witness."""
+
+    powers: list[int]
+    emb: list[int]
+    values: list[int | None]
+    fault: str | None
+
+
+def theta_pullback(sub: FieldSpec, ambient: FieldSpec,
+                   powers: list[int]) -> Pullback:
+    """x + 1/x on the walk ``powers`` = [h^0, ..., h^m] of the order-m
+    subgroup of ``ambient``, read in ``sub`` = GF(Q).
+
+    For m | Q+1, 1/y = y^Q, so y + 1/y is the relative trace of y into GF(Q).
+    Never raises on a faulty kernel: ``fault`` names the first of a walk
+    that does not close (h^m != 1), a failing embedding and a sum outside
+    the embedded GF(Q)."""
+    m = len(powers) - 1
+    if powers[m] != 1:
+        return Pullback(powers, [], [], f"h^{m} = {powers[m]:#x}, not 1")
+    try:
+        emb = subfield_embedding(sub, ambient)
+    except FieldError as exc:
+        return Pullback(powers, [], [], str(exc))
+    back = {v: x for x, v in enumerate(emb)}
+    values = list(map(back.get, map(xor, powers[:m], reversed(powers[1:]))))
+    fault = None
+    if None in values:
+        k = values.index(None)
+        fault = (f"witness {powers[k] ^ powers[m - k]:#x} of "
+                 f"GF(2^{ambient.t}) outside GF(2^{sub.t})")
+    return Pullback(powers, emb, values, fault)
 
 
 @dataclass
@@ -429,9 +474,7 @@ def verify_structure(g: ThetaGraph) -> CheckReport:
     #     GF(2^(t/2)) is a leaf.
     bad = None
     if spec.r:
-        sub_units = (1 << (spec.t // 2)) - 1
-        c = spec.pow(spec.gen, (q - 1) // sub_units)    # generates GF(2^(t/2))*
-        sub = spec.powers(c, sub_units - 1) + [0]
+        sub = spec.subgroup((1 << (spec.t // 2)) - 1)[:-1] + [0]
         bad = min((v for v in sub if not g.indeg[v]), default=None)
     rep.add("leaf-degree", bad is None, "" if bad is None else
             f"leaf {lab(bad)} has degree {spec.degree(bad)}")

@@ -346,7 +346,7 @@ def test_subgroup_closure_fault_is_a_record(monkeypatch, capsys):
 def test_first_iterate_pullback_fault_is_a_record(monkeypatch, capsys):
     # one bit flipped in the embedding of GF(q^2), at the first iterate of
     # the seed h^1: that iterate no longer pulls back
-    true_embedding = order_dynamics.subfield_embedding
+    true_embedding = theta_graph.subfield_embedding
     first = profile_tail(seed_walk(make_tower(2)), 1)[0].point.index
 
     def flipped(sub, ambient):
@@ -355,7 +355,7 @@ def test_first_iterate_pullback_fault_is_a_record(monkeypatch, capsys):
             table[first] ^= 1
         return table
 
-    monkeypatch.setattr(order_dynamics, "subfield_embedding", flipped)
+    monkeypatch.setattr(theta_graph, "subfield_embedding", flipped)
     assert main(["verify-orders", "--n", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ("FAIL [n=2] first-iterate-pullback  witness 0xa "
@@ -421,7 +421,8 @@ def test_kloosterman_fault_is_a_record(monkeypatch, capsys):
 
 
 def test_dickson_bound_failures_are_records(monkeypatch, capsys):
-    monkeypatch.setattr(FieldSpec, "trace", lambda self, a: 0)
+    # every trace mask empty: every trace, at every level, reads 0
+    monkeypatch.setattr(FieldSpec, "trace_mask", lambda self, d: 0)
     assert main(["verify-dickson", "--n", "4"]) == 1
     captured = capsys.readouterr()
     assert "FAIL [n=4] weil-bound" in captured.out
@@ -430,7 +431,7 @@ def test_dickson_bound_failures_are_records(monkeypatch, capsys):
 
 
 def _flip_embedded_root(monkeypatch):
-    true_embedding = dickson_curve.subfield_embedding
+    true_embedding = theta_graph.subfield_embedding
     root = min(dickson_curve._root_bits(make_field(4), 17))
 
     def flipped(sub, ambient):
@@ -438,7 +439,7 @@ def _flip_embedded_root(monkeypatch):
         table[root] ^= 1                 # one bit of one image element
         return table
 
-    monkeypatch.setattr(dickson_curve, "subfield_embedding", flipped)
+    monkeypatch.setattr(theta_graph, "subfield_embedding", flipped)
 
 
 def _drop_least_root(monkeypatch):
@@ -447,17 +448,18 @@ def _drop_least_root(monkeypatch):
                         lambda spec, m: (r := true_root_bits(spec, m)) - {min(r)})
 
 
-def _faulty_subfield(monkeypatch, fault):
-    """The embedding of GF(2^4) is asked for a copy of it with `fault`
-    applied: a modulus or a generator that a sound kernel never has."""
-    true_embedding = dickson_curve.subfield_embedding
+def _faulty_subfield(monkeypatch, fault, module=theta_graph):
+    """Each embedding that `module` asks for is asked for a copy of the
+    subfield with `fault` applied: a modulus or a generator that a sound
+    kernel never has."""
+    true_embedding = module.subfield_embedding
 
     def embedding(sub, ambient):
         bad = FieldSpec(sub.t, sub.modulus, sub.gen)
         fault(bad)
         return true_embedding(bad, ambient)
 
-    monkeypatch.setattr(dickson_curve, "subfield_embedding", embedding)
+    monkeypatch.setattr(module, "subfield_embedding", embedding)
 
 
 def _rootless_modulus(monkeypatch):
@@ -470,8 +472,21 @@ def _generator_of_order_five(monkeypatch):
                      lambda bad: setattr(bad, "gen", bad.pow(bad.gen, 3)))
 
 
+def _unclosed_walk(monkeypatch):
+    # the walk h^0, ..., h^17 of the order-17 subgroup ends one bit from 1
+    true_subgroup = FieldSpec.subgroup
+
+    def unclosed(self, k):
+        out = true_subgroup(self, k)
+        out[k] ^= 2
+        return out
+
+    monkeypatch.setattr(FieldSpec, "subgroup", unclosed)
+
+
 @pytest.mark.parametrize("fault, witness", [
     (_flip_embedded_root, "witness 0x98 of GF(2^8) outside GF(2^4)"),
+    (_unclosed_walk, "h^17 = 0x3, not 1"),
     (_drop_least_root, "witness bits 0x2"),
     (_rootless_modulus, "modulus 0x16 of GF(2^4) has no root among the "
                         "powers of 0x98 in GF(2^8)"),
@@ -486,6 +501,27 @@ def test_root_image_fault_is_a_record(monkeypatch, capsys, fault, witness):
                 if "root-image-equality" in ln)
     assert line.startswith("FAIL [n=4] root-image-equality")
     assert line.endswith(witness)
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("module, names, witness", [
+    (theta_graph, ["first-iterate-pullback"],
+     "embedded generator 0xa of GF(2^4) has order 5 in GF(2^8), not 15"),
+    (order_dynamics, ["a11-image", "a00-image", "b01-image", "b10-image"],
+     "embedded generator 0x1 of GF(2^2) has order 1 in GF(2^4), not 3"),
+], ids=["double-in-ambient", "base-in-double"])
+def test_orders_embedding_fault_is_a_record(monkeypatch, capsys, module,
+                                            names, witness):
+    # verify-orders --n 2 embeds GF(2^4) in GF(2^8) for the seeds' first
+    # iterates and GF(2^2) in GF(2^4) for the trace quadrants; each is
+    # asked for its field with the generator cubed (order 5, resp. 1)
+    _faulty_subfield(monkeypatch,
+                     lambda bad: setattr(bad, "gen", bad.pow(bad.gen, 3)),
+                     module)
+    assert main(["verify-orders", "--n", "2"]) == 1
+    captured = capsys.readouterr()
+    assert [ln for ln in captured.out.splitlines() if ln.startswith("FAIL")] \
+        == [f"FAIL [n=2] {name}  {witness}" for name in names]
     assert "Traceback" not in captured.err
 
 

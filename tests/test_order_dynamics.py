@@ -28,7 +28,6 @@ from thetamap.order_dynamics import (
     profile_tail,
     seed_profiles,
     seed_walk,
-    subgroup,
     trace_profile_check,
     trace_quadrants,
     verify_cq1_inclusion,
@@ -55,7 +54,7 @@ def _ambient_indices(walk, profile):
     idx = [profile.steps[0].point.index]
     for s in profile.steps[1:]:
         x = s.point.index
-        idx.append(ambient.q if x == double.q else walk.emb[x])
+        idx.append(ambient.q if x == double.q else walk.pull.emb[x])
     return idx
 
 
@@ -115,9 +114,9 @@ def test_subfield_degree_matches_frobenius_search(n):
 
 def test_subgroup_trivial_and_sizes():
     tw = TOWERS[2]
-    assert subgroup(tw, 1) == [1, 1]
+    assert tw.ambient.subgroup(1) == [1, 1]
     for k in (3, 5, 15, 17, 255):
-        powers = subgroup(tw, k)
+        powers = tw.ambient.subgroup(k)
         assert len(powers) == k + 1 and powers[k] == 1   # the walk closes
         assert len(set(powers[:k])) == k
         for e in powers:
@@ -127,13 +126,13 @@ def test_subgroup_trivial_and_sizes():
 def test_subgroup_of_order_five_in_small_tower():
     tw = TOWERS[1]
     step = (tw.ambient.q - 1) // 5            # powers of g^3 in GF(2^4)
-    assert subgroup(tw, 5) == [
+    assert tw.ambient.subgroup(5) == [
         tw.ambient.pow(tw.ambient.gen, step * j) for j in range(6)]
 
 
 def test_subgroup_rejects_non_divisor():
     with pytest.raises(FieldError):
-        subgroup(TOWERS[2], 7)
+        TOWERS[2].ambient.subgroup(7)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +209,7 @@ def test_seed_row_closed_form(n):
     ambient, q = tw.ambient, tw.q
     for j, p in enumerate(PROFILES[n], 1):
         s, g = p.steps[0], p.gamma.bits
-        assert s.point.index == g == WALKS[n].powers[j]
+        assert s.point.index == g == WALKS[n].pull.powers[j]
         assert s.order == ambient.order(g)
         assert (s.d_part, s.e_part) == (
             math.gcd(s.order, q + 1), math.gcd(s.order, q - 1)) == (1, 1)
@@ -469,14 +468,14 @@ def test_profile_walk_is_the_map(n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_orders_report_enumerates_subgroup_once(monkeypatch, n):
-    true_subgroup = order_dynamics.subgroup
+    true_subgroup = FieldSpec.subgroup
     ks = []
 
-    def recording(tower, k):
+    def recording(self, k):
         ks.append(k)
-        return true_subgroup(tower, k)
+        return true_subgroup(self, k)
 
-    monkeypatch.setattr(order_dynamics, "subgroup", recording)
+    monkeypatch.setattr(FieldSpec, "subgroup", recording)
     tw = make_tower(n)
     rep = orders_report(tw)
     assert ks.count(tw.q ** 2 + 1) == 1

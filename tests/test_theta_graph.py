@@ -17,7 +17,6 @@ from graph_oracle import (
     table_records,
     tree_levels,
 )
-from thetamap.dickson_curve import _theta_image_of_small_subgroup
 from thetamap.gf2_arith import FieldError, FieldSpec, field_from_record, make_field
 from thetamap.theta_graph import (
     GRAPH_MAX_T,
@@ -29,6 +28,7 @@ from thetamap.theta_graph import (
     point_label,
     theta,
     theta_index,
+    theta_pullback,
     to_dot,
     to_json,
     verify_structure,
@@ -409,9 +409,35 @@ def test_omega_sizes(t):
 def test_omega_bar_is_image_of_small_subgroup(t):
     f = make_field(t)
     _, om_bar = omega_sets(f)
-    image, stray = _theta_image_of_small_subgroup(f, make_field(2 * t), f.q + 1)
-    assert stray is None
-    assert {e.bits for e in om_bar} == image
+    double = make_field(2 * t)
+    pull = theta_pullback(f, double, double.subgroup(f.q + 1))
+    assert pull.fault is None
+    assert {e.bits for e in om_bar} == set(pull.values[1:])
+
+
+def _greatest_irreducible(t):
+    return next(f for f in range((2 << t) - 1, 1 << t, -2)
+                if gf2_arith.is_irreducible(f))
+
+
+@pytest.mark.parametrize("moduli", ["conway", "greatest"])
+@pytest.mark.parametrize("d", range(1, 7))
+def test_pullback_matches_the_norm_form(d, moduli):
+    # the second derivation: GF(Q^2) = GF(Q)[z]/(z^2 + z + c) with
+    # Tr(c) = 1, where a + bz has norm a^2 + ab + cb^2 and, on norm one,
+    # x + 1/x = (a + bz) + (a + b + bz) = b
+    if moduli == "conway":
+        sub, ambient = make_field(d), make_field(2 * d)
+    else:
+        sub = make_field(d, _greatest_irreducible(d))
+        ambient = make_field(2 * d, _greatest_irreducible(2 * d))
+    c = next(c for c in range(sub.q) if sub.trace(c))
+    want = Counter(b for a in range(sub.q) for b in range(1, sub.q)
+                   if sub.mul(a, a ^ b) ^ sub.mul(c, sub.mul(b, b)) == 1)
+    pull = theta_pullback(sub, ambient, ambient.subgroup(sub.q + 1))
+    assert pull.fault is None
+    assert Counter(pull.values[1:]) == want
+    assert sum(want.values()) == sub.q
 
 
 @pytest.mark.parametrize("t", range(1, 13))
