@@ -37,7 +37,7 @@ from thetamap.gf2_arith import (
     make_field,
 )
 from thetamap.report import CheckReport
-from thetamap.theta_graph import ThetaGraph, _bits, theta_pullback
+from thetamap.theta_graph import ThetaGraph, UnitWalk, theta_pullback, unit_walk
 
 __all__ = [
     "RootSetReport",
@@ -181,24 +181,26 @@ def _theta_image_of_small_subgroup(spec: FieldSpec, ambient: FieldSpec,
     return set(pull.values[1:]) - {None}, pull.fault
 
 
-def _trace_flips(spec: FieldSpec) -> int:
-    """#{x : Tr(x + 1/x) = Tr(x) ^ Tr(1/x) = 1}, from ``trace_tables``."""
-    tr, tr_inv = spec.trace_tables()
-    return (_bits(tr) ^ _bits(tr_inv)).bit_count()
+def _trace_flips(spec: FieldSpec, walk: UnitWalk | None) -> int:
+    """#{x : Tr(x + 1/x) = Tr(x) ^ Tr(1/x) = 1}, from the trace tables of
+    ``walk``, a ``unit_walk`` of spec (walked here when None)."""
+    if walk is None:
+        walk = unit_walk(spec)
+    return (walk.tr ^ walk.tr_inv).bit_count()
 
 
-def kloosterman(spec: FieldSpec) -> int:
+def kloosterman(spec: FieldSpec, walk: UnitWalk | None = None) -> int:
     """K = sum over units of (-1)^Tr(x + 1/x), an exact signed integer."""
-    return (spec.q - 1) - 2 * _trace_flips(spec)
+    return (spec.q - 1) - 2 * _trace_flips(spec, walk)
 
 
-def curve_point_count(spec: FieldSpec) -> int:
+def curve_point_count(spec: FieldSpec, walk: UnitWalk | None = None) -> int:
     """|E(GF(q))| for y^2 + xy = x^3 + 1 via the x-coordinate criterion.
 
     Two points per unit x with Tr(x) = Tr(1/x), one point (0, 1), one point
     at infinity.
     """
-    return 2 * (spec.q - 1 - _trace_flips(spec)) + 2
+    return 2 * (spec.q - 1 - _trace_flips(spec, walk)) + 2
 
 
 def curve_point_count_naive(spec: FieldSpec) -> int:
@@ -281,7 +283,8 @@ def root_set_report(spec: FieldSpec, seed: int = 0) -> RootSetReport:
 
     roots = _root_bits(spec, m)
     s, t = _split_roots(spec, roots)
-    k = kloosterman(spec)
+    walk = unit_walk(spec)              # its trace tables serve K and |E|
+    k = kloosterman(spec, walk)
     rep.add("weil-bound", k * k <= 4 * q, f"K={k}")      # |K| <= 2 sqrt(q)
     rep.add("count-divisibility", (q + 1 + k) % 4 == 0, f"q+1+K={q + 1 + k}")
     n_pred = (q + 1 + k) // 4
@@ -306,7 +309,7 @@ def root_set_report(spec: FieldSpec, seed: int = 0) -> RootSetReport:
         detail += f" witness bits {min(image ^ roots):#x}"
     rep.add("root-image-equality", witness is None and image == roots, detail)
 
-    e_count = curve_point_count(spec)
+    e_count = curve_point_count(spec, walk)
     # | |E| - (q+1) | <= 2 sqrt(q), exactly in integers
     rep.add("hasse-bound", (e_count - (q + 1)) ** 2 <= 4 * q,
             f"|E|={e_count}")

@@ -16,13 +16,15 @@ numerically least irreducible polynomial beyond that.
 by the graph and sweep code.  ``FieldSpec`` alone decides whether a field
 has log/exp tables, and builds them only for a caller of ``tables`` or
 ``dlog``; without them products go by shift-xor.  The whole-field walks
-need no log table: every unit with its inverse, in generator order, comes
-from ``unit_pairs``, one element's powers from ``powers``, those of the
-order-k subgroup's generator from ``subgroup``, and Tr(a),
-Tr(1/a) for every a at once from ``trace_tables``, each stepping by the
-split tables of ``mul_tables``; traces at every subfield level come from
-``trace_mask``.  ``FieldElement`` wraps a packed int with operators and
-methods that refuse to mix elements of different fields.
+need no log table.  Each steps by the split tables of ``mul_tables``, taken
+through ``step_tables``, which refuses tables whose image of 1 is not their
+multiplier: one element's powers come from ``powers`` (and the log/exp
+tables from gen's), those of the order-k subgroup's generator from
+``subgroup``.  The walk of every unit, which pairs it with its inverse and
+gives Tr(1/a), is ``theta_graph.unit_walk``; Tr(a) for every a at once
+comes from ``trace_bytes`` and needs no walk, and traces at every subfield
+level come from ``trace_mask``.  ``FieldElement`` wraps a packed int with
+operators and methods that refuse to mix elements of different fields.
 """
 
 from __future__ import annotations
@@ -458,46 +460,18 @@ class FieldSpec:
             self._trace_masks[d] = mask
         return mask
 
-    def trace_tables(self) -> tuple[bytes, bytes]:
-        """(Tr(a), Tr(1/a)) for every packed a, one byte each, Tr(1/0) = 0.
+    def trace_bytes(self) -> bytes:
+        """Tr(a) for every packed a, one byte each.
 
         Tr is GF(2)-linear, so its table over the low k+1 bits is its table
         over the low k bits followed by the same bytes, flipped where bit k
-        of ``trace_mask(t)`` is set: t doublings in all.  Tr(1/a) comes from
-        two walks of gen^i by the split tables of v -> v*gen, the first
-        recording Tr(gen^i), the second storing Tr(gen^(q-1-i)) = Tr(1/gen^i)
-        at gen^i.
-
-        ``unit_pairs``, the source of the graph's edges, walks the same
-        ``mul_tables(gen)``, and the tables of gen^-1 besides; a fault in
-        either still shows against Tr(1/a) here.  The value stored at the
-        i-th element of this walk is Tr of the element q-1-i steps further,
-        which is its true inverse for any multiplier c of order q-1, since
-        c^(q-1-i) = 1/c^i: split tables of a wrong generator leave these
-        tables right, while the edges pair c^i with gen^-i.  A wrong table of
-        gen^-1 is not read here at all.  In place of gen's, the tables of a
-        unit of smaller order leave units off the unit walk, whose edges stay
-        at inf and break the infinity tree; tables of no product at all
-        almost never bring the walk back to 1 after exactly q-1 steps, and
-        ``unit_pairs`` then raises FieldError.
+        of ``trace_mask(t)`` is set: t doublings in all.
         """
         mask = self.trace_mask(self.t)
         tr = b"\0"
         for k in range(self.t):
             tr += tr.translate(_FLIP) if mask >> k & 1 else tr
-        lo, hi, h = self.mul_tables(self.gen)
-        low = len(lo) - 1
-        walk = bytearray(self.q - 1)     # Tr(gen^i), i = 0..q-2
-        v = 1
-        for i in range(self.q - 1):
-            walk[i] = tr[v]
-            v = lo[v & low] ^ hi[v >> h]
-        tr_inv = bytearray(self.q)
-        v = 1
-        for b in reversed(walk):         # at gen^i, i = 1..q-1: Tr(gen^(q-1-i))
-            v = lo[v & low] ^ hi[v >> h]
-            tr_inv[v] = b
-        return tr, bytes(tr_inv)
+        return tr
 
     def in_subfield(self, a: int, d: int) -> bool:
         """True iff a is fixed by the d-th Frobenius power: a^(2^d) = a."""
@@ -558,10 +532,19 @@ class FieldSpec:
                 v ^= self.modulus
         return _span_table(cols[:h]), _span_table(cols[h:]), h
 
+    def step_tables(self, c: int) -> tuple[list[int], list[int], int]:
+        """``mul_tables(c)``, refused with FieldError unless their image of 1
+        is c: a walk by them starts at c^1 or not at all."""
+        lo, hi, h = self.mul_tables(c)
+        one = lo[1] ^ hi[0]
+        if one != c:
+            raise FieldError(f"split tables of {c:#x} send 1 to {one:#x}")
+        return lo, hi, h
+
     def powers(self, c: int, k: int) -> list[int]:
         """[c^0, ..., c^k], each from the one before by the split tables of
-        v -> v*c (``mul_tables``); a caller expecting c^k = 1 checks it."""
-        lo, hi, h = self.mul_tables(c)
+        v -> v*c (``step_tables``); a caller expecting c^k = 1 checks it."""
+        lo, hi, h = self.step_tables(c)
         mask = len(lo) - 1
         out = [1] * (k + 1)
         v = 1
@@ -586,25 +569,6 @@ class FieldSpec:
         """
         self.ensure_tables()
         return self._exp, self._log
-
-    def unit_pairs(self):
-        """Every unit with its inverse, (gen^i, gen^-i) for i = 0..q-2.
-
-        Walks gen^i and gen^-i by the split tables (``mul_tables``) of gen
-        and of gen^-1 at every t; reads no log/exp table.  Both walks must be
-        back at 1 after q-1 steps, or FieldError is raised once the last
-        pair has been yielded.
-        """
-        lo, hi, h = self.mul_tables(self.gen)
-        ilo, ihi, _ = self.mul_tables(self.inv(self.gen))
-        mask = len(lo) - 1
-        fwd = bwd = 1
-        for _ in range(self.q - 1):
-            yield fwd, bwd
-            fwd = lo[fwd & mask] ^ hi[fwd >> h]
-            bwd = ilo[bwd & mask] ^ ihi[bwd >> h]
-        if fwd != 1 or bwd != 1:
-            raise FieldError("generator order mismatch")
 
     def exp_of(self, i: int) -> int:
         """gen^i as a packed int."""

@@ -12,15 +12,24 @@ classifies components by the trace condition Tr(x) = Tr(1/x), and verifies
 the structural facts the decomposition obeys: tree depths r+2 versus 1, the
 per-level counts, leaf traces, and leaf degrees.
 
+One walk of the unit group gives the map and the trace tables
+(``unit_walk``).  x + 1/x takes the same value at x and 1/x, so gen's split
+tables are stepped q-1 times and 1/gen's only q/2-1 times, pairing gen^i
+with gen^-i; the in-degrees are counted as the map is written.  Tr(1/x) is
+read from gen's walk alone, pairing its second half with its first: it never
+reads 1/gen's tables nor the map, so a fault in either still shows against
+it in class-preservation.  ``build_graph`` keeps the map as ``succ`` and the
+trace tables as ints.
+
 Projective conventions (1/0 = 0, 1/inf = inf, |0| = |inf| = 1, Tr(0) =
-Tr(inf) = 0) are ``ProjPoint`` methods; ``theta_index``, ``build_graph``
-and order_dynamics' ``profile_tail`` and ``trace_quadrants`` apply them
-inline to raw indices.  ``verify_structure`` makes no per-vertex field call:
-its tree-shape checks read child counts from the in-degrees, its
-class-preservation and leaf-trace checks read Tr(x) and Tr(1/x) of every
-vertex from ``FieldSpec.trace_tables``, where Tr(1/0) = 0 is stored, and
-inf, the index past both tables, counts as class A; its leaf-degree check
-walks the subfield GF(2^(t/2)) instead of every leaf.
+Tr(inf) = 0) are ``ProjPoint`` methods; ``theta_index``, ``unit_walk`` and
+order_dynamics' ``profile_tail`` and ``trace_quadrants`` apply them inline
+to raw indices.  ``verify_structure`` makes no per-vertex field call and
+does not walk the unit group: its tree-shape checks read child counts from the
+in-degrees, its class-preservation and leaf-trace checks read Tr(x) and
+Tr(1/x) of every vertex from the graph's trace tables, where Tr(1/0) = 0 is
+stored, and inf, the index past both tables, counts as class A; its
+leaf-degree check walks the subfield GF(2^(t/2)) instead of every leaf.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ from thetamap.gf2_arith import (
     FieldElement,
     FieldError,
     FieldSpec,
+    _pinvmod,
     subfield_embedding,
 )
 from thetamap.report import CheckReport, json_text
@@ -47,6 +57,8 @@ __all__ = [
     "theta_index",
     "Pullback",
     "theta_pullback",
+    "UnitWalk",
+    "unit_walk",
     "build_graph",
     "is_periodic",
     "leaves",
@@ -234,17 +246,21 @@ class ThetaGraph:
     vertex, which bounds t by GRAPH_MAX_T.  A tree vertex has ``indeg``
     children and a cycle vertex one fewer, its cycle predecessor aside.
     x + 1/x = c is a quadratic in x, so no vertex has in-degree above 2
-    unless the kernel is faulty.
+    unless the kernel is faulty.  ``tr`` and ``tr_inv`` are the unit walk's
+    Tr(x) and Tr(1/x) in ``_bits`` form (``UnitWalk``).
     """
 
     def __init__(self, field: FieldSpec, succ: array, level: array,
-                 comp_id: array, components: list[Component], indeg: array):
+                 comp_id: array, components: list[Component], indeg: array,
+                 tr: int, tr_inv: int):
         self.field = field
         self.succ = succ
         self.level = level
         self.comp_id = comp_id
         self.components = components
         self.indeg = indeg
+        self.tr = tr
+        self.tr_inv = tr_inv
 
     @property
     def infinity_index(self) -> int:
@@ -277,6 +293,78 @@ class ThetaGraph:
                 f"components={len(self.components)})")
 
 
+@dataclass
+class UnitWalk:
+    """The map and the trace tables from one walk of the generator.
+
+    ``succ`` is the map on the point encodings (0 and inf go to inf) and
+    ``indeg`` the number of predecessors of each point, both ``array('i')``
+    with q+1 entries.  ``tr`` and ``tr_inv`` hold Tr(x) and Tr(1/x) for
+    every packed x < q in ``_bits`` form, with Tr(1/0) = 0.
+    """
+
+    succ: array
+    indeg: array
+    tr: int
+    tr_inv: int
+
+
+def unit_walk(spec: FieldSpec, scratch: array | None = None) -> UnitWalk:
+    """Every unit with its inverse, by one walk of gen and half a walk of
+    1/gen, each by its split tables (``FieldSpec.step_tables``).
+
+    x + 1/x is the same at x and 1/x, so for i = 1..q/2-1 the walk writes
+    gen^i + gen^-i at both gen^i and gen^-i, counting two predecessors for
+    it; with gen^0 = 1 (sent to 0) that covers every unit.  gen's walk
+    stores gen^i in ``scratch`` (q/2 entries of -1, left at -1; ``None``
+    allocates them) on its first half, and on the second half pairs
+    gen^(q-1-i) with the stored gen^i to fill Tr(1/x).  So Tr(1/x) never
+    reads 1/gen's tables, and the map never reads the stored powers: a
+    fault in 1/gen's tables, or in the map, still shows against Tr(1/x).
+
+    Refused with FieldError: split tables whose image of 1 is not gen (or
+    the inverse of gen by the Euclidean algorithm), a half walk of 1/gen
+    that does not meet gen's at gen^-(q/2-1) = gen^(q/2), and a walk of gen
+    that is not back at 1 after q-1 steps.
+    """
+    q = spec.q
+    half = q // 2
+    if scratch is None:
+        scratch = array("i", [-1]) * half
+    lo, hi, h = spec.step_tables(spec.gen)
+    ilo, ihi, _ = spec.step_tables(_pinvmod(spec.gen, spec.modulus))
+    mask = len(lo) - 1
+    tr = spec.trace_bytes()
+    tr_inv = bytearray(q)
+    succ = array("i", [q]) * (q + 1)         # 0 and inf go to inf
+    indeg = array("i", [0]) * (q + 1)
+    succ[1] = 0
+    indeg[0] = 1
+    indeg[q] = 2
+    scratch[0] = fwd = bwd = 1
+    for i in range(1, half):
+        fwd = lo[fwd & mask] ^ hi[fwd >> h]
+        bwd = ilo[bwd & mask] ^ ihi[bwd >> h]
+        scratch[i] = fwd
+        succ[fwd] = succ[bwd] = c = fwd ^ bwd
+        indeg[c] += 2
+    fwd = lo[fwd & mask] ^ hi[fwd >> h]
+    if fwd != bwd:
+        raise FieldError("generator order mismatch")
+    scratch[0] = -1
+    tr_inv[1] = tr[1]
+    for i in range(half - 1, 0, -1):         # fwd = gen^(q-1-i)
+        x = scratch[i]
+        scratch[i] = -1
+        tr_inv[fwd] = tr[x]
+        tr_inv[x] = tr[fwd]
+        fwd = lo[fwd & mask] ^ hi[fwd >> h]
+    if fwd != 1:
+        raise FieldError("generator order mismatch")
+    tr = _bits(tr)                           # frees the bytes before the next
+    return UnitWalk(succ, indeg, tr, _bits(tr_inv))
+
+
 def build_graph(spec: FieldSpec) -> ThetaGraph:
     """Build and decompose the graph; deterministic component ordering.
 
@@ -289,12 +377,10 @@ def build_graph(spec: FieldSpec) -> ThetaGraph:
     inf = q
     nverts = q + 1
 
-    succ = array("i", [inf]) * nverts        # 0 and inf go to inf
-    for x, xi in spec.unit_pairs():
-        succ[x] = x ^ xi
-    indeg = array("i", [0]) * nverts
-    for c in succ:
-        indeg[c] += 1
+    # the walk borrows comp_id's first q/2 entries and leaves them at -1
+    comp_id = array("i", [-1]) * nverts
+    walk = unit_walk(spec, comp_id)
+    succ, indeg = walk.succ, walk.indeg
 
     # Peel the leaves, then each vertex whose last predecessor was peeled;
     # the queue grows while it is read.  Each successor's count drops once
@@ -310,7 +396,6 @@ def build_graph(spec: FieldSpec) -> ThetaGraph:
 
     # An ascending scan meets each cycle first at its least vertex, so the
     # cycles come out rotated and in component order.
-    comp_id = array("i", [-1]) * nverts
     cycles: list[array] = []
     for v in compress(range(nverts), indeg):
         if comp_id[v] < 0:
@@ -349,7 +434,8 @@ def build_graph(spec: FieldSpec) -> ThetaGraph:
             tclass = "A" if spec.trace(head) == spec.trace(head ^ succ[head]) else "B"
         components.append(Component(cyc, depth[cid], tclass))
 
-    return ThetaGraph(spec, succ, level, comp_id, components, indeg)
+    return ThetaGraph(spec, succ, level, comp_id, components, indeg,
+                      walk.tr, walk.tr_inv)
 
 
 def is_periodic(g: ThetaGraph, p: ProjPoint) -> bool:
@@ -363,10 +449,12 @@ def leaves(g: ThetaGraph) -> set[ProjPoint]:
 
 
 def omega_sets(spec: FieldSpec) -> tuple[set[FieldElement], set[FieldElement]]:
-    """Partition of the units by Tr(1/x): (Tr = 0, Tr = 1)."""
+    """Partition of the units by Tr(1/x): (Tr = 0, Tr = 1), read from the
+    unit walk's Tr(1/x)."""
+    tr_inv = unit_walk(spec).tr_inv.to_bytes(spec.q, "little")
     om, om_bar = set(), set()
-    for x, xi in spec.unit_pairs():
-        (om if spec.trace(xi) == 0 else om_bar).add(FieldElement(spec, x))
+    for x in range(1, spec.q):
+        (om_bar if tr_inv[x] else om).add(FieldElement(spec, x))
     return om, om_bar
 
 
@@ -425,11 +513,9 @@ def verify_structure(g: ThetaGraph) -> CheckReport:
 
     # (1) the trace class is preserved along every edge: each vertex's
     #     class byte Tr(x) ^ Tr(1/x) (1 for B) equals its component's, in_b.
-    #     Tr(1/x) comes from the trace tables' own walk of the generator,
-    #     not from succ: that walk shares gen's split tables with the unit
-    #     walk that gave succ, but its Tr(1/x) stays true under a wrong
-    #     generator (``FieldSpec.trace_tables``), so a wrong edge shows here.
-    tr, tr_inv = map(_bits, spec.trace_tables())
+    #     Tr(1/x) comes from gen's walk alone, not from succ, which 1/gen's
+    #     tables gave (``unit_walk``), so a wrong edge shows here.
+    tr, tr_inv = g.tr, g.tr_inv
     classes = [comp.trace_class for comp in g.components]
     comp_b = bytes(cls == "B" for cls in classes)
     in_b = _bits(bytes(map(comp_b.__getitem__, g.comp_id)))

@@ -8,7 +8,9 @@ dict, the cycles as the stable image of the map, levels and components from
 the per-root ``tree_levels`` walk, classes by ``classify_AB``, leaf traces
 by the ``ProjPoint`` trace and inverse and leaf degrees by ``degree``, one
 leaf at a time.  ``decompose`` takes any successor list, so a test can hand
-it the map of a faulty kernel.
+it the map of a faulty kernel.  ``unit_pairs`` and ``trace_tables`` are the
+full walks of the generator that ``theta_graph.unit_walk`` replaced: both
+gen^i and gen^-i in full, and Tr(1/x) from two more walks of gen^i.
 
 The fault factories at the end return installers taking a ``setattr``-like
 callable, so a test can apply them with ``monkeypatch.setattr`` in-process
@@ -19,11 +21,13 @@ from __future__ import annotations
 
 from array import array
 
+import thetamap.theta_graph as theta_graph
 from thetamap.gf2_arith import FieldError, FieldSpec, make_field
 from thetamap.theta_graph import (
     Component,
     ProjPoint,
     ThetaGraph,
+    _bits,
     point_label,
     theta_index,
     verify_structure,
@@ -41,6 +45,47 @@ def classify_AB(spec: FieldSpec, p: ProjPoint) -> str:
         return "A"
     x = p.index
     return "A" if spec.trace(x) == spec.trace(spec.inv(x)) else "B"
+
+
+def unit_pairs(spec: FieldSpec):
+    """Every unit with its inverse, (gen^i, gen^-i) for i = 0..q-2.
+
+    Walks gen^i and gen^-i in full by the split tables (``mul_tables``) of
+    gen and of gen^-1.  Both walks must be back at 1 after q-1 steps, or
+    FieldError is raised once the last pair has been yielded.
+    """
+    lo, hi, h = spec.mul_tables(spec.gen)
+    ilo, ihi, _ = spec.mul_tables(spec.inv(spec.gen))
+    mask = len(lo) - 1
+    fwd = bwd = 1
+    for _ in range(spec.q - 1):
+        yield fwd, bwd
+        fwd = lo[fwd & mask] ^ hi[fwd >> h]
+        bwd = ilo[bwd & mask] ^ ihi[bwd >> h]
+    if fwd != 1 or bwd != 1:
+        raise FieldError("generator order mismatch")
+
+
+def trace_tables(spec: FieldSpec) -> tuple[bytes, bytes]:
+    """(Tr(a), Tr(1/a)) for every packed a, one byte each, Tr(1/0) = 0.
+
+    Tr(1/a) comes from two walks of gen^i, the first recording Tr(gen^i),
+    the second storing Tr(gen^(q-1-i)) = Tr(1/gen^i) at gen^i.
+    """
+    tr = spec.trace_bytes()
+    lo, hi, h = spec.mul_tables(spec.gen)
+    low = len(lo) - 1
+    walk = bytearray(spec.q - 1)         # Tr(gen^i), i = 0..q-2
+    v = 1
+    for i in range(spec.q - 1):
+        walk[i] = tr[v]
+        v = lo[v & low] ^ hi[v >> h]
+    tr_inv = bytearray(spec.q)
+    v = 1
+    for b in reversed(walk):             # at gen^i, i = 1..q-1: Tr(gen^(q-1-i))
+        v = lo[v & low] ^ hi[v >> h]
+        tr_inv[v] = b
+    return tr, bytes(tr_inv)
 
 
 def predecessor_slots(succ) -> tuple[array, array, dict[int, list[int]]]:
@@ -105,7 +150,8 @@ def decompose(spec: FieldSpec, succ: list[int]) -> ThetaGraph:
     level = [0 if v in periodic else -1 for v in range(nverts)]
     comp_id = array("i", [0]) * nverts
     indeg = array("i", (len(predecessors(slots, v)) for v in range(nverts)))
-    g = ThetaGraph(spec, succ, level, comp_id, [], indeg)
+    tr, tr_inv = map(_bits, trace_tables(spec))
+    g = ThetaGraph(spec, succ, level, comp_id, [], indeg, tr, tr_inv)
     for cid, cyc in enumerate(cycles):
         depth = 0
         for root in cyc:
@@ -180,12 +226,42 @@ def zero_trace_mask():
     return install
 
 
+def edited_walk(t: int, edit):
+    """The unit walk of GF(2^t) with ``edit(walk)`` applied to its output:
+    ``edit`` may rewrite ``walk.succ``, whose in-degrees are then counted
+    again, and ``walk.tr_inv``."""
+    true_walk = theta_graph.unit_walk
+
+    def unit_walk(spec, scratch=None):
+        walk = true_walk(spec, scratch)
+        if spec.t == t:
+            edit(walk)
+            walk.indeg = array("i", [0]) * len(walk.succ)
+            for c in walk.succ:
+                walk.indeg[c] += 1
+        return walk
+
+    def install(patch) -> None:
+        patch(theta_graph, "unit_walk", unit_walk)
+
+    return install
+
+
+def reaimed_walk(t: int, edges: dict[int, int]):
+    """The unit walk of GF(2^t) with the edge of each unit x in ``edges``
+    re-aimed at ``edges[x]``."""
+    def edit(walk) -> None:
+        for x, c in edges.items():
+            walk.succ[x] = c
+
+    return edited_walk(t, edit)
+
+
 def wrong_inverse_at(x0: int, t: int):
     """1/x0 in GF(2^t) off by the least element of trace 1, in ``inv`` and in
-    the Tr(1/x) table alike: Tr(1/x0) flips for the table checks and for
-    the oracle."""
+    the unit walk's Tr(1/x) alike: Tr(1/x0) flips for the table checks and
+    for the oracle."""
     true_inv = FieldSpec.inv
-    true_tables = FieldSpec.trace_tables
 
     def inv(self, a):
         y = true_inv(self, a)
@@ -193,15 +269,12 @@ def wrong_inverse_at(x0: int, t: int):
             y ^= next(e for e in range(1, self.q) if self.trace(e))
         return y
 
-    def trace_tables(self):
-        tr, tr_inv = true_tables(self)
-        if self.t == t:
-            tr_inv = tr_inv[:x0] + bytes((tr_inv[x0] ^ 1,)) + tr_inv[x0 + 1:]
-        return tr, tr_inv
+    def edit(walk) -> None:
+        walk.tr_inv ^= 1 << 8 * x0
 
     def install(patch) -> None:
         patch(FieldSpec, "inv", inv)
-        patch(FieldSpec, "trace_tables", trace_tables)
+        edited_walk(t, edit)(patch)
 
     return install
 
@@ -209,10 +282,6 @@ def wrong_inverse_at(x0: int, t: int):
 def subfield_leaves(t: int, targets: list[int]):
     """The unit walk of GF(2^t) re-aims every predecessor of the units
     ``targets`` at the unit 1, so those units become leaves."""
-    bad_pairs = [(x, x ^ 1 if x ^ xi in targets else xi)
-                 for x, xi in make_field(t).unit_pairs()]
-
-    def install(patch) -> None:
-        patch(FieldSpec, "unit_pairs", lambda self: iter(bad_pairs))
-
-    return install
+    succ = theta_graph.unit_walk(make_field(t)).succ
+    return reaimed_walk(t, {x: 1 for x in range(1, 1 << t)
+                            if succ[x] in targets})

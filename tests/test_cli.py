@@ -121,9 +121,9 @@ def test_unwritable_output_path(capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
-def _reaimed_pairs(t: int, pick) -> list[tuple[int, int]]:
-    """The unit walk of GF(2^t) with one pair (x, 1/x) turned into
-    (x, x ^ target), so the map sends the leaf x to target (a faulty kernel).
+def _reaimed_walk(t: int, pick):
+    """An installer whose unit walk of GF(2^t) sends one leaf to target, in
+    its map and its in-degrees (a faulty kernel).
 
     pick(a_leaves, b_leaves, a_forks) -> (leaf, target) chooses from the
     correct graph's vertices, ascending: a_leaves and a_forks (the vertices
@@ -143,7 +143,7 @@ def _reaimed_pairs(t: int, pick) -> list[tuple[int, int]]:
     a_forks = [v for v in range(f.q) if in_a_tree(v)
                and 1 <= g.level[v] <= f.r + 1 and g.indeg[v] == 2]
     leaf, target = pick(a_leaves, b_leaves, a_forks)
-    return [(x, x ^ target if x == leaf else xi) for x, xi in f.unit_pairs()]
+    return graph_oracle.reaimed_walk(t, {leaf: target})
 
 
 def _failed_checks(out: str) -> set[str]:
@@ -152,8 +152,7 @@ def _failed_checks(out: str) -> set[str]:
 
 def test_structure_failure_exits_one(monkeypatch, capsys):
     # the least B-leaf of GF(2^3) aimed at the unit 1, inside infinity's tree
-    bad_pairs = _reaimed_pairs(3, lambda a, b, f: (b[0], 1))
-    monkeypatch.setattr(FieldSpec, "unit_pairs", lambda self: iter(bad_pairs))
+    _reaimed_walk(3, lambda a, b, f: (b[0], 1))(monkeypatch.setattr)
     assert main(["verify-structure", "--t", "3"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "inf-tree-shape" in out
@@ -179,6 +178,61 @@ def test_broken_split_table_exits_two(monkeypatch, capsys, faulty):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: generator order mismatch\n"
+
+
+@pytest.mark.parametrize("command", ["graph", "verify-structure"])
+def test_split_tables_of_another_generator_exit_two(monkeypatch, capsys,
+                                                    command):
+    # gen's and 1/gen's split tables are those of g' = gen^7 and of 1/g':
+    # both walks close and meet, but their first step goes to g', not gen
+    # (without that check, graph labelled by discrete logs to g' and
+    # verify-structure passed)
+    f = make_field(8)
+    g7 = f.pow(f.gen, 7)
+    swap = {f.gen: g7, f.inv(f.gen): f.inv(g7)}
+    true_tables = FieldSpec.mul_tables
+    monkeypatch.setattr(FieldSpec, "mul_tables", lambda self, c: true_tables(
+        self, swap.get(c, c) if self.t == 8 else c))
+    assert main([command, "--t", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: split tables of {f.gen:#x} send 1 "
+                            f"to {g7:#x}\n")
+
+
+class _CountedTable(list):
+    """A split table that counts its lookups in ``counts[key]``."""
+
+    def __init__(self, table, counts, key):
+        super().__init__(table)
+        self.counts, self.key = counts, key
+
+    def __getitem__(self, i):
+        self.counts[self.key] += 1
+        return list.__getitem__(self, i)
+
+
+@pytest.mark.parametrize("t", [2, 5, 8, 9])
+def test_structure_job_walks_each_table_once(monkeypatch, t):
+    # each step reads one entry of lo, and the first-step check one more:
+    # gen's tables take q-1 steps, 1/gen's (q-2)/2 and those of the half
+    # field's generator h, for even t, 2^(t/2)-1
+    f = make_field(t)
+    gen_inv = f.inv(f.gen)
+    want = {f.gen: f.q - 1, gen_inv: (f.q - 2) // 2}
+    if t % 2 == 0:
+        k = (1 << t // 2) - 1
+        want[f.pow(f.gen, (f.q - 1) // k)] = k
+    counts = Counter()
+    true_tables = FieldSpec.mul_tables
+
+    def mul_tables(self, c):
+        lo, hi, h = true_tables(self, c)
+        return _CountedTable(lo, counts, c), hi, h
+
+    monkeypatch.setattr(FieldSpec, "mul_tables", mul_tables)
+    assert cli._structure_job(t)["passed"]
+    assert {c: n - 1 for c, n in counts.items()} == want
 
 
 @pytest.mark.parametrize("command", ["graph", "verify-structure"])
@@ -217,8 +271,7 @@ LEAF_TO_ONE = {"class-preservation", "b-tree-depth", "inf-tree-shape",
 ], ids=["a-leaf-to-a-leaf", "b-leaf-to-b-leaf", "b-leaf-to-one-t3",
         "b-leaf-to-one-t8", "b-leaf-to-a-leaf", "b-leaf-to-a-fork"])
 def test_structure_fault_matrix(monkeypatch, capsys, t, pick, want):
-    bad_pairs = _reaimed_pairs(t, pick)
-    monkeypatch.setattr(FieldSpec, "unit_pairs", lambda self: iter(bad_pairs))
+    _reaimed_walk(t, pick)(monkeypatch.setattr)
     assert main(["verify-structure", "--t", str(t)]) == 1
     captured = capsys.readouterr()
     assert _failed_checks(captured.out) == want
@@ -401,7 +454,7 @@ def test_degree_cap_applies_to_the_named_field_only(monkeypatch, capsys):
 def test_dickson_failure_exits_one(monkeypatch, capsys):
     true_k = dickson_curve.kloosterman
     monkeypatch.setattr(dickson_curve, "kloosterman",
-                        lambda spec: true_k(spec) + 4)
+                        lambda spec, walk=None: true_k(spec, walk) + 4)
     assert main(["verify-dickson", "--n", "4"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "kloosterman-count" in out
@@ -411,7 +464,7 @@ def test_kloosterman_fault_is_a_record(monkeypatch, capsys):
     # K+4 keeps q+1+K divisible by 4, so only the count against |S| fails
     true_k = dickson_curve.kloosterman
     monkeypatch.setattr(dickson_curve, "kloosterman",
-                        lambda spec: true_k(spec) + 4)
+                        lambda spec, walk=None: true_k(spec, walk) + 4)
     checks = dickson_curve.root_set_report(make_field(6)).checks
     assert [c.name for c in checks.failures()] == ["kloosterman-count"]
     assert main(["verify-dickson", "--n", "6"]) == 1
@@ -565,20 +618,19 @@ def test_identity_fault_is_a_record(monkeypatch, capsys, n):
     assert "Traceback" not in captured.err
 
 
-def _pairs_with_third_predecessor(t: int) -> list[tuple[int, int]]:
-    """The unit walk of GF(2^t), with one leaf re-aimed at a vertex that
-    already has two predecessors (possible only for a faulty kernel)."""
-    pairs = list(make_field(t).unit_pairs())
-    succ = {x: x ^ xi for x, xi in pairs}
+def _walk_with_third_predecessor(t: int):
+    """An installer whose unit walk of GF(2^t) re-aims one leaf at a vertex
+    that already has two predecessors (possible only for a faulty kernel)."""
+    walk = theta_graph.unit_walk(make_field(t))
+    succ = {x: walk.succ[x] for x in range(1, 1 << t)}
     indegree = Counter(succ.values())
     target = min(v for v, k in indegree.items() if k == 2)
     leaf = min(x for x in succ if x not in indegree and succ[x] != target)
-    return [(x, x ^ target if x == leaf else xi) for x, xi in pairs]
+    return graph_oracle.reaimed_walk(t, {leaf: target})
 
 
 def test_third_predecessor_is_kept(monkeypatch, capsys):
-    bad_pairs = _pairs_with_third_predecessor(8)
-    monkeypatch.setattr(FieldSpec, "unit_pairs", lambda self: iter(bad_pairs))
+    _walk_with_third_predecessor(8)(monkeypatch.setattr)
     g = theta_graph.build_graph(make_field(8))
     assert max(g.indeg) == 3
     want = graph_oracle.decompose(g.field, list(g.succ))

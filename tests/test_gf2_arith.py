@@ -18,6 +18,7 @@ from thetamap.gf2_arith import (
     is_irreducible,
     make_field,
 )
+from thetamap.theta_graph import unit_walk
 
 # ---------------------------------------------------------------------------
 # Independent schoolbook oracle on coefficient lists
@@ -280,18 +281,41 @@ def test_split_tables_match_the_walk_for_a_non_conway_modulus():
     assert f.tables() == walked_tables(f)
 
 
+def test_walks_refuse_split_tables_that_start_off_their_multiplier(
+        monkeypatch):
+    # every multiplier's split tables are those of its 7th power, a unit of
+    # the same order in GF(2^8): each walk still closes, but its first step
+    # goes to c^7, not c
+    f = make_field(8)
+    true_tables = gf2_arith.FieldSpec.mul_tables
+    monkeypatch.setattr(gf2_arith.FieldSpec, "mul_tables",
+                        lambda self, c: true_tables(self, self.pow(c, 7)))
+    h = f.pow(f.gen, 17)
+    for walk, c in ((lambda: f.powers(f.gen, 3), f.gen),
+                    (f.ensure_tables, f.gen),
+                    (lambda: f.subgroup(15), h),
+                    (lambda: unit_walk(f), f.gen)):
+        with pytest.raises(FieldError) as exc:
+            walk()
+        assert str(exc.value) == (
+            f"split tables of {c:#x} send 1 to {f.pow(c, 7):#x}")
+    assert f._log is None
+
+
 def test_unit_walk_matches_the_generator_walk_and_the_tables():
+    # the walk's map sends gen^i to gen^i + gen^-i, with 1/gen^i = gen^(n-i)
     fields = [make_field(t) for t in range(1, 13)]
     fields.append(field_from_record(NON_CONWAY_RECORD))
     for f in fields:
         n = f.q - 1
-        pairs = list(f.unit_pairs())             # before tables exist
+        succ = list(unit_walk(f).succ)           # before tables exist
         exp, _ = walked_tables(f)
-        assert pairs == [(exp[i], exp[n - i]) for i in range(n)], f
+        pairs = [(exp[i], exp[n - i]) for i in range(n)]
+        assert all(succ[x] == x ^ xi for x, xi in pairs), f
         assert all(f.mul(x, xi) == 1 for x, xi in pairs), f
         tabled, _ = f.tables()
         assert pairs == [(tabled[i], tabled[n - i]) for i in range(n)], f
-        assert list(f.unit_pairs()) == pairs, f
+        assert list(unit_walk(f).succ) == succ, f
 
 
 DEGREE_FIELDS = {f"t={t}": (lambda t=t: make_field(t)) for t in (1, 4, 6, 8, 12)}
@@ -364,7 +388,9 @@ def test_trace():
                          + [(8, 0x11B), (10, 0x409)])
 def test_trace_tables_match_conjugate_sums(t, modulus):
     f = make_field(t, modulus)
-    tr, tr_inv = f.trace_tables()
+    walk = unit_walk(f)
+    tr, tr_inv = (b.to_bytes(f.q, "little") for b in (walk.tr, walk.tr_inv))
+    assert tr == f.trace_bytes()
     assert list(tr) == [sum_of_conjugates(f, a, t) for a in range(f.q)]
     assert tr_inv[0] == 0
     for a in range(1, f.q):

@@ -11,11 +11,15 @@ import thetamap.gf2_arith as gf2_arith
 from graph_oracle import (
     classify_AB,
     decompose,
+    edited_walk,
     oracle_checks,
     oracle_graph,
     predecessor_slots,
+    reaimed_walk,
     table_records,
+    trace_tables,
     tree_levels,
+    unit_pairs,
 )
 from thetamap.gf2_arith import FieldError, FieldSpec, field_from_record, make_field
 from thetamap.theta_graph import (
@@ -31,6 +35,7 @@ from thetamap.theta_graph import (
     theta_pullback,
     to_dot,
     to_json,
+    unit_walk,
     verify_structure,
 )
 
@@ -235,11 +240,39 @@ def test_graph_layer_matches_oracle_without_tables(monkeypatch, t, modulus):
     _assert_matches_oracle(make_field(t, modulus))
 
 
+WALK_FIELDS = [(t, None) for t in range(1, 17)] + [(8, 0x11B), (10, 0x409)]
+WALK_IDS = [f"t{t}" if m is None else f"t{t}-modulus{m:x}"
+            for t, m in WALK_FIELDS]
+
+
+@pytest.mark.parametrize("tables", [True, False], ids=["log", "shiftxor"])
+@pytest.mark.parametrize("t, modulus", WALK_FIELDS, ids=WALK_IDS)
+def test_unit_walk_matches_the_full_walks(monkeypatch, t, modulus, tables):
+    # the map, in-degrees and both trace tables of the one walk against the
+    # full walks of gen^i and gen^-i, and the two walks of the trace tables
+    if tables:
+        f = make_field(t, modulus)
+        f.ensure_tables()
+    else:
+        monkeypatch.setattr(gf2_arith, "TABLE_MAX_T", 0)
+        f = make_field(t, modulus)
+    walk = unit_walk(f)
+    succ = [f.q] * (f.q + 1)
+    for x, xi in unit_pairs(f):
+        succ[x] = x ^ xi
+    assert list(walk.succ) == succ
+    counts = Counter(succ)
+    assert list(walk.indeg) == [counts[v] for v in range(f.q + 1)]
+    tr, tr_inv = trace_tables(f)
+    assert walk.tr.to_bytes(f.q, "little") == tr
+    assert walk.tr_inv.to_bytes(f.q, "little") == tr_inv
+
+
 @pytest.mark.parametrize("tables", [True, False], ids=["log", "shiftxor"])
 def test_unit_walk_fault_shows_against_the_trace_tables(monkeypatch, tables):
-    # the unit walk pairs gen^100 with a wrong inverse, off by the least
-    # element of trace 1; the trace tables walk the generator on their own
-    # and keep the true Tr(1/x), so class-preservation names gen^100, as the
+    # the unit walk's map sends gen^100 to the sum with a wrong inverse, off
+    # by the least element of trace 1; its Tr(1/x) comes from gen's walk
+    # alone and stays true, so class-preservation names gen^100, as the
     # per-vertex oracle does from spec.inv (in dlog labels, or in hex
     # labels when no log table may be built)
     if not tables:
@@ -247,11 +280,15 @@ def test_unit_walk_fault_shows_against_the_trace_tables(monkeypatch, tables):
     f = make_field(8)
     x0 = f.exp_of(100)
     e = next(e for e in range(1, f.q) if f.trace(e))
-    pairs = [(x, xi ^ e if x == x0 else xi) for x, xi in f.unit_pairs()]
-    monkeypatch.setattr(FieldSpec, "unit_pairs", lambda self: iter(pairs))
+    true = unit_walk(make_field(8))
+
+    def edit(walk):
+        walk.succ[x0] ^= e
+
+    edited_walk(8, edit)(monkeypatch.setattr)
     g = build_graph(f)
     assert g.succ[x0] != theta_index(f, x0)
-    assert f.trace_tables() == make_field(8).trace_tables()
+    assert (g.tr, g.tr_inv) == (true.tr, true.tr_inv)
     records = table_records(g)
     assert records == oracle_checks(g)
     assert records[0] == {"name": "class-preservation", "pass": False,
@@ -261,27 +298,19 @@ def test_unit_walk_fault_shows_against_the_trace_tables(monkeypatch, tables):
 @pytest.mark.parametrize("faulty", ["gen", "gen-inverse"])
 def test_split_table_fault_shows_against_the_trace_tables(monkeypatch, faulty):
     # the split tables of gen (or of 1/gen) are those of g' = gen^7 (or of
-    # 1/g'); gcd(7, 255) = 1, so both walks still close, but the edges pair
-    # g'^i with gen^-i (or gen^i with g'^-i).  The trace tables store, at
-    # the i-th element of their walk, Tr of the element q-1-i steps further:
-    # the true Tr(1/x) whichever generator they walk, so class-preservation
-    # fails, on the same witness as the per-vertex oracle (a dlog label, in
-    # the log table of the generator the faulty tables walk)
+    # 1/g'); gcd(7, 255) = 1, so the walks would still close and pair g'^i
+    # with gen^-i (or gen^i with g'^-i), but their first step goes to g'
+    # (or 1/g'), and the walk is refused before it writes an edge
     f = make_field(8)
-    want_traces = f.trace_tables()
     g7 = f.pow(f.gen, 7)
     swap = {f.gen: g7} if faulty == "gen" else {f.inv(f.gen): f.inv(g7)}
     true_tables = FieldSpec.mul_tables
     monkeypatch.setattr(FieldSpec, "mul_tables",
                         lambda self, c: true_tables(self, swap.get(c, c)))
-    g = build_graph(f)
-    assert sum(g.succ[x] != theta_index(f, x) for x in range(f.q)) > f.q // 2
-    assert f.trace_tables() == want_traces
-    records = table_records(g)
-    assert records == oracle_checks(g)
-    witness = {"gen": "73", "gen-inverse": "25"}[faulty]
-    assert records[0] == {"name": "class-preservation", "pass": False,
-                          "detail": f"witness {witness}"}
+    (c, image), = swap.items()
+    with pytest.raises(FieldError) as exc:
+        build_graph(f)
+    assert str(exc.value) == f"split tables of {c:#x} send 1 to {image:#x}"
 
 
 def test_build_graph_refuses_beyond_the_index_arrays():
@@ -296,8 +325,7 @@ def test_deep_faulty_tree_keeps_its_levels(monkeypatch):
     # a faulty kernel sending each unit x to x - 1 hangs all of GF(2^8) on
     # one path into infinity, 256 levels deep: past one signed byte
     f = make_field(8)
-    pairs = [(x, x ^ (x - 1)) for x in range(1, f.q)]
-    monkeypatch.setattr(FieldSpec, "unit_pairs", lambda self: iter(pairs))
+    reaimed_walk(8, {x: x - 1 for x in range(1, f.q)})(monkeypatch.setattr)
     g = build_graph(f)
     assert list(g.level) == list(range(1, f.q + 1)) + [0]
     assert [(list(c.cycle), c.depth) for c in g.components] == [([f.q], f.q)]
@@ -315,9 +343,8 @@ def test_peel_matches_the_oracle_on_any_map(case):
     # paths, several cycles and self-loops; 0 and inf still go to inf
     t, targets = case
     f = make_field(t)
-    pairs = [(x, x ^ y) for x, y in zip(range(1, f.q), targets)]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(FieldSpec, "unit_pairs", lambda self: iter(pairs))
+        reaimed_walk(t, dict(zip(range(1, f.q), targets)))(mp.setattr)
         g = build_graph(f)
     assert list(g.succ) == [f.q] + targets + [f.q]
     _assert_decomposed_as(g, decompose(f, list(g.succ)))
@@ -327,8 +354,7 @@ def test_zero_leaf_is_named_by_the_table_checks(monkeypatch):
     # a faulty kernel fixing the unit 1 leaves 0 without predecessor: 0 lies
     # in GF(2^4) and has degree 1, and its traces are (0, 0) by convention
     f = make_field(8)
-    pairs = [(x, 0 if x == 1 else xi) for x, xi in f.unit_pairs()]
-    monkeypatch.setattr(FieldSpec, "unit_pairs", lambda self: iter(pairs))
+    reaimed_walk(8, {1: 1})(monkeypatch.setattr)
     g = build_graph(f)
     records = table_records(g)
     assert records == oracle_checks(g)
