@@ -8,11 +8,12 @@ Commands
   sweep             verify-dickson over a range, one CSV row per field
 
 Which sizes a command admits is decided here, from one table, `COMMANDS`:
-each command's degree flag, its largest degree and its formats.  The field
-a command names is also capped by THETA_MAX_T (default 24); the larger
-fields a battery builds for itself are not.  A refused size or a malformed
-THETA_MAX_T exits 2 before any job runs.  The library's constructors
-(`make_field`, `make_tower`) take any degree and read no environment.
+each command's degree flag, and its formats with the largest degree each
+admits.  The field a command names is also capped by THETA_MAX_T (default
+24); the larger fields a battery builds for itself are not.  A refused
+size or a malformed THETA_MAX_T exits 2 before any job runs.  The
+library's constructors (`make_field`, `make_tower`) take any degree and
+read no environment.
 
 Exit status: 0 when every check passes, 1 when at least one verification
 fails (the report is still written), 2 on usage or configuration errors.
@@ -50,22 +51,24 @@ DEFAULT_MAX_T = 24
 class Command(NamedTuple):
     help: str
     flag: str                   # the degree flag: --t or --n
-    largest: int                # the largest degree, before THETA_MAX_T
-    formats: tuple[str, ...]    # the default first
+    largest: dict[str, int]     # format -> its largest degree, before
+                                # THETA_MAX_T; the default format first
 
 
 # A graph's 4-byte index arrays hold t <= GRAPH_MAX_T under any THETA_MAX_T.
+# verify-orders json writes every seed's record, 120 MB at n = 8 and four
+# times more per n; its text at n = 10 is past the README budget.
 COMMANDS = {
-    "graph": Command("build one graph and export it", "t", GRAPH_MAX_T,
-                     ("dot", "json")),
-    "verify-structure": Command("structural checks over t", "t", GRAPH_MAX_T,
-                                ("text", "json")),
-    "verify-orders": Command("order/trace battery over n", "n", 8,
-                             ("text", "json")),
+    "graph": Command("build one graph and export it", "t",
+                     {"dot": GRAPH_MAX_T, "json": GRAPH_MAX_T}),
+    "verify-structure": Command("structural checks over t", "t",
+                                {"text": GRAPH_MAX_T, "json": GRAPH_MAX_T}),
+    "verify-orders": Command("order/trace battery over n", "n",
+                             {"text": 9, "json": 8}),
     "verify-dickson": Command("Dickson/Kloosterman battery (verify-dickson)",
-                              "n", 16, ("text", "json")),
-    "sweep": Command("Dickson/Kloosterman battery (sweep)", "n", 16,
-                     ("csv", "json")),
+                              "n", {"text": 16, "json": 16}),
+    "sweep": Command("Dickson/Kloosterman battery (sweep)", "n",
+                     {"csv": 16, "json": 16}),
 }
 
 
@@ -111,9 +114,11 @@ def _parse_values(text: str) -> list[int] | range:
 
 def build_config(args) -> RunConfig:
     """The run the arguments ask for, refused with ValueError when a degree
-    lies beyond the command's row of COMMANDS or beyond THETA_MAX_T."""
+    lies beyond what the command's row of COMMANDS admits in the asked
+    format, or beyond THETA_MAX_T."""
     command = COMMANDS[args.command]
-    cap = min(command.largest, max_t_cap())
+    fmt = args.format or next(iter(command.largest))
+    cap = min(command.largest[fmt], max_t_cap())
     flag = command.flag
     if args.command == "graph":
         values = [args.t]
@@ -125,8 +130,7 @@ def build_config(args) -> RunConfig:
     for v in values:
         if not 1 <= v <= cap:
             raise ValueError(f"{flag}={v} outside [1, {cap}]")
-    return RunConfig(args.command, list(values),
-                     args.format or command.formats[0], args.out,
+    return RunConfig(args.command, list(values), fmt, args.out,
                      getattr(args, "workers", 1), getattr(args, "seed", 0))
 
 
@@ -146,8 +150,9 @@ def _structure_job(t: int) -> dict:
     }
 
 
-def _orders_job(n: int) -> dict:
-    return orders_report(make_tower(n))
+def _orders_job(args: tuple[int, bool]) -> dict:
+    n, records = args
+    return orders_report(make_tower(n), records)
 
 
 def _dickson_job(args: tuple[int, int]) -> dict:
@@ -200,7 +205,9 @@ def run(config: RunConfig) -> int:
     if config.command == "verify-structure":
         docs = _map_jobs(_structure_job, config.values, config.workers)
     elif config.command == "verify-orders":
-        docs = _map_jobs(_orders_job, config.values, config.workers)
+        docs = _map_jobs(_orders_job,
+                         [(n, config.format == "json") for n in config.values],
+                         config.workers)
     else:                                  # verify-dickson and sweep
         docs = _map_jobs(_dickson_job,
                          [(n, config.seed) for n in config.values],
@@ -249,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument(f"--{command.flag}", help="degree or range A..B")
             p.add_argument("--range", help="A..B")
-        p.add_argument("--format", choices=command.formats)
+        p.add_argument("--format", choices=list(command.largest))
         p.add_argument("--out")
         if name != "graph":
             p.add_argument("--workers", type=int, default=1)

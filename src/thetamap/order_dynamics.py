@@ -27,16 +27,28 @@ each f(h^j) is read in GF(q^2), and every later iterate is profiled from
 GF(q^2)'s log tables.  The seed's own row has a closed form:
 order (q^2+1)/gcd(j, q^2+1), trivial gcd-split, subfield 4n (a seed inside
 GF(q^2) would have order dividing q^2-1 and q^2+1, so it would be 1), and
-Tr_4n(g) = Tr_4n(1/g) = Tr_2n(f(g)).  The seeds j and q^2+1-j have the
-same f(g), so each such pair shares one profiled tail.
+Tr_4n(g) = Tr_4n(1/g) = Tr_2n(f(g)).
+
+Frobenius orbits.  Squaring is an automorphism and f(x^2) = f(x)^2, so it
+keeps the order, the subfield and the traces of every iterate: the seeds
+h^j and h^(2j) have the same numeric rows and the same class, and each
+iterate of h^(2j) is the square of that of h^j, its log in GF(q^2)
+doubled.  So one seed per orbit of j -> 2j mod q^2+1 is profiled, the
+orbit's least member, its leader (``seed_orbits``, ``leader_profiles``).
+As 2^(2n) = -1 mod q^2+1, each orbit also holds the mate q^2+1-j of each
+member, and its size divides 4n.  Every member takes its leader's rows,
+class and per-seed verdicts; its points and labels are the leader's with
+their logs doubled (``profile_records``).  The set checks read the
+leaders' iterates with all their conjugates.  ``seed_walk`` checks
+f(h^(2j)) = f(h^j)^2 for every j, so a first iterate that breaks its orbit
+fails the run even at a seed that is not a leader.
 
 Labels are those of the ambient field: a seed is labelled j*(q^2-1), an
 iterate x of GF(q^2) by (q^2+1)*(k0 * log x mod q^2-1), where k0 inverts
 log(emb^-1(gen^(q^2+1))) modulo q^2-1; both read no ambient log table.
 Beyond TABLE_MAX_T the label is the hex of the ambient coordinates, as in
-the graph exports.  `orders_report` walks the seeds once: the
-whole-subgroup set checks read their iterates, as GF(q^2) points, and their
-orders from the profiles of that walk.
+the graph exports.  `orders_report` walks the seeds once, and builds the
+per-seed records only for json output.
 
 Projective conventions (1/0 = 0, |0| = |inf| = 1, Tr = 0 on 0 and inf)
 make the degenerate tails of class-1 profiles (... -> 1 -> 0 -> inf, which
@@ -46,13 +58,13 @@ tables uniformly; at indices 1..l+2 a special point fails its case table.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field as dfield
 from enum import Enum
 
 from thetamap.gf2_arith import (
     TABLE_MAX_T,
-    FieldElement,
     FieldError,
     FieldSpec,
     field_to_record,
@@ -61,7 +73,6 @@ from thetamap.gf2_arith import (
 )
 from thetamap.report import CheckReport
 from thetamap.theta_graph import (
-    ProjPoint,
     Pullback,
     build_graph,
     theta_index,
@@ -80,9 +91,11 @@ __all__ = [
     "make_tower",
     "subgroup",
     "seed_walk",
+    "seed_orbits",
     "profile_tail",
     "classify_H",
-    "seed_profiles",
+    "leader_profiles",
+    "profile_records",
     "h_longform_flags",
     "trace_profile_check",
     "case_table",
@@ -139,38 +152,60 @@ def subgroup(tower: TowerSpec, k: int) -> list[int]:
 class SeedWalk:
     """The seeds h^j = ``pull.powers[j]``, h = gen^(q^2-1), their first
     iterates ``pull.values[j]`` in GF(q^2), and ``k0``, which turns a log of
-    GF(q^2) into an ambient one (``label``; 0 if ``pull`` has a fault)."""
+    GF(q^2) into an ambient one (0 if ``pull`` has a fault)."""
 
     tower: TowerSpec
     pull: Pullback
     k0: int
 
-    def label(self, x: int) -> str:
-        """The ambient export label of a point of GF(q^2) (index q^2 is inf).
-
-        emb(gen_2n) = gen^((q^2+1) * k0), so a unit x has the ambient log
-        (q^2+1) * (k0 * log x mod q^2-1).
-        """
-        double = self.tower.double
-        if x == 0:
-            return "'0'"
-        if x == double.q:
-            return "inf"
-        if self.tower.ambient.t > TABLE_MAX_T:
-            return f"x{self.pull.emb[x]:x}"
-        n2 = double.q - 1
-        return str((n2 + 2) * (self.k0 * double.dlog(x) % n2))
-
 
 def seed_walk(tower: TowerSpec) -> SeedWalk:
-    """Enumerate the seeds once and pull their first iterates into GF(q^2)."""
+    """Enumerate the seeds once and pull their first iterates into GF(q^2).
+
+    Then check f(h^(2j)) = f(h^j)^2 for every j, by doubling logs in
+    GF(q^2): the orbits rest on it.  The first j that fails it is the
+    pull-back's ``fault``.
+    """
     ambient, double = tower.ambient, tower.double
     pull = theta_pullback(double, ambient, subgroup(tower, double.q + 1))
     if pull.fault is not None:
         return SeedWalk(tower, pull, 0)
+    exp, log = double.tables()
+    n2 = double.q - 1
+    values = pull.values
+    squares = [exp[2 * log[x] % n2] if x else 0 for x in values]
+    doubled = values[::2] + values[1::2]       # values[2j mod q^2+1]
+    if squares != doubled:
+        j = next(j for j, (a, b) in enumerate(zip(squares, doubled)) if a != b)
+        fault = (f"witness f(h^{2 * j % len(values)}) = {doubled[j]:#x}, "
+                 f"not f(h^{j})^2 = {squares[j]:#x} in GF(2^{double.t})")
+        return SeedWalk(tower, dataclasses.replace(pull, fault=fault), 0)
     # gen^(q^2+1) generates the ambient's copy of GF(q^2)*
     a = double.dlog(pull.emb.index(ambient.pow(ambient.gen, double.q + 1)))
-    return SeedWalk(tower, pull, pow(a, -1, double.q - 1))
+    return SeedWalk(tower, pull, pow(a, -1, n2))
+
+
+def seed_orbits(tower: TowerSpec) -> list[list[int]]:
+    """The orbits of j -> 2j mod q^2+1 on the seed exponents 1..q^2, each
+    as [j, 2j, 4j, ...] from its least member, the leader; in leader order.
+
+    The leaders are the cyclotomic-coset leaders of 2 modulo q^2+1: j is
+    one iff j*(q^2-1) is one modulo 2^(4n)-1 (``gf2_arith._coset_leader``).
+    Here one sieve over the exponents finds them all.
+    """
+    big = tower.q ** 2 + 1
+    seen = bytearray(big)
+    orbits = []
+    j = 1
+    while j != -1:
+        orbit = []
+        while not seen[j]:
+            seen[j] = 1
+            orbit.append(j)
+            j = 2 * j % big
+        orbits.append(orbit)
+        j = seen.find(0, orbit[0] + 1)
+    return orbits
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +214,8 @@ def seed_walk(tower: TowerSpec) -> SeedWalk:
 @dataclass
 class ProfileStep:
     index: int
-    point: ProjPoint     # in the ambient at index 0, in GF(q^2) after it
-    label: str           # the ambient export label of the point
+    point: int           # the seed's ambient bits at index 0; after it an
+                         # index of GF(q^2), where q^2 is inf
     order: int
     d_part: int          # gcd(order, q+1)
     e_part: int          # gcd(order, q-1)
@@ -192,7 +227,7 @@ class ProfileStep:
 @dataclass
 class OrderProfile:
     tower: TowerSpec
-    gamma: FieldElement
+    exponent: int        # the seed is h^exponent
     steps: list[ProfileStep]
     h_class: HClass
     case_id: int
@@ -214,9 +249,8 @@ def profile_tail(walk: SeedWalk, j: int) -> list[ProfileStep]:
     x = walk.pull.values[j]
     steps: list[ProfileStep] = []
     for i in range(1, l + 5):
-        point = ProjPoint(double, x)
         if x == 0 or x == double.q:        # projective special points
-            steps.append(ProfileStep(i, point, walk.label(x), 1, 1, 1, n, 0, 0))
+            steps.append(ProfileStep(i, x, 1, 1, 1, n, 0, 0))
             x = double.q                   # 0 and inf both map to inf
         else:
             inv = double.inv(x)
@@ -225,8 +259,7 @@ def profile_tail(walk: SeedWalk, j: int) -> list[ProfileStep]:
             sub = n if lx % (q + 1) == 0 else 2 * n   # GF(q)* = <gen^(q+1)>
             mask = double.trace_mask(sub)             # 1/x lies in x's subfield
             steps.append(ProfileStep(
-                i, point, walk.label(x), o, math.gcd(o, q + 1),
-                math.gcd(o, q - 1), sub,
+                i, x, o, math.gcd(o, q + 1), math.gcd(o, q - 1), sub,
                 (x & mask).bit_count() & 1, (inv & mask).bit_count() & 1))
             x ^= inv                       # x + 1/x, from the same inverse
     return steps
@@ -238,17 +271,13 @@ def classify_H(walk: SeedWalk, j: int, tail: list[ProfileStep]) -> OrderProfile:
     The seed's own row is the closed form of the module docstring.
     """
     tower = walk.tower
-    ambient = tower.ambient
     q, l, n = tower.q, tower.l, tower.n
     big = q * q + 1
     if not 0 < j < big:
         raise FieldError(f"seed exponent {j} outside [1, {big - 1}]")
-    seed = walk.pull.powers[j]
-    label = (str(j * (q * q - 1)) if ambient.t <= TABLE_MAX_T
-             else f"x{seed:x}")
-    tr = tower.double.trace(tail[0].point.index)   # Tr_2n(f(g))
-    steps = [ProfileStep(0, ProjPoint(ambient, seed), label,
-                         big // math.gcd(j, big), 1, 1, 4 * n, tr, tr), *tail]
+    tr = tower.double.trace(tail[0].point)     # Tr_2n(f(g))
+    steps = [ProfileStep(0, walk.pull.powers[j], big // math.gcd(j, big),
+                         1, 1, 4 * n, tr, tr), *tail]
 
     if (q + 1) % steps[1].order == 0:
         h = HClass.H1
@@ -256,22 +285,58 @@ def classify_H(walk: SeedWalk, j: int, tail: list[ProfileStep]) -> OrderProfile:
         h = HClass.H2
     else:
         h = HClass.H3
-    return OrderProfile(tower, FieldElement(ambient, seed), steps, h, h.value)
+    return OrderProfile(tower, j, steps, h, h.value)
 
 
-def seed_profiles(walk: SeedWalk) -> list[OrderProfile]:
-    """Every seed's profile, in exponent order j = 1..q^2.
+def leader_profiles(walk: SeedWalk,
+                    orbits: list[list[int]]) -> list[OrderProfile]:
+    """The profile of each orbit's leader, in the order of ``orbits``."""
+    return [classify_H(walk, orbit[0], profile_tail(walk, orbit[0]))
+            for orbit in orbits]
 
-    The seeds j and q^2+1-j share their iterates from index 1 on, so each
-    pair's tail is profiled once.
+
+def profile_records(walk: SeedWalk, orbits: list[list[int]],
+                    profiles: list[OrderProfile]) -> list[dict]:
+    """The json record of every seed, in exponent order.
+
+    The member j = leader * 2^k of an orbit takes its leader's class, case
+    and numeric rows.  Its seed is h^j, and each later point is the
+    leader's raised to 2^k: a unit's log in GF(q^2), and so its label,
+    is the leader's times 2^k modulo q^2-1.
     """
-    big = walk.tower.q ** 2 + 1
-    profiles: list[OrderProfile] = [None] * (big - 1)
-    for j in range(1, big // 2 + 1):      # j < q^2+1-j: big is odd
-        tail = profile_tail(walk, j)
-        profiles[j - 1] = classify_H(walk, j, tail)
-        profiles[big - j - 1] = classify_H(walk, big - j, tail)
-    return profiles
+    tower = walk.tower
+    double = tower.double
+    exp, log = double.tables()
+    n2 = double.q - 1
+    big = n2 + 2
+    powers, emb, k0 = walk.pull.powers, walk.pull.emb, walk.k0
+    hexed = tower.ambient.t > TABLE_MAX_T
+    special = {0: "'0'", double.q: "inf"}
+    records: list[dict] = [None] * (big - 1)
+    for orbit, prof in zip(orbits, profiles):
+        head = {"class": prof.h_class.name, "case": prof.case_id}
+        rows = [{"index": s.index, "point": None, "order": s.order,
+                 "d_part": s.d_part, "e_part": s.e_part,
+                 "subfield": s.subfield, "tr": s.tr, "tr_inv": s.tr_inv}
+                for s in prof.steps]
+        # a special point's label, else the log its labels are made from
+        tail = [special.get(s.point) or (log[s.point] if hexed
+                                         else k0 * log[s.point] % n2)
+                for s in prof.steps[1:]]
+        for k, j in enumerate(orbit):
+            if hexed:
+                labels = [f"x{powers[j]:x}", *(
+                    e if isinstance(e, str) else f"x{emb[exp[(e << k) % n2]]:x}"
+                    for e in tail)]
+            else:
+                labels = [str(j * n2), *(
+                    e if isinstance(e, str) else str(big * ((e << k) % n2))
+                    for e in tail)]
+            records[j - 1] = {
+                "exponent": j, **head,
+                "steps": [{**row, "point": label}
+                          for row, label in zip(rows, labels)]}
+    return records
 
 
 def h_longform_flags(profile: OrderProfile) -> tuple[bool, bool, bool]:
@@ -456,7 +521,8 @@ def case_table(profile: OrderProfile) -> CaseTable:
         # Special points carry order 1, subfield n and zero traces, which is
         # exactly what the degenerate class-1 tails must satisfy; before
         # index l+3 they are a mismatch even where a class-1 row fits them.
-        ok = ((s.point.is_unit or i > l + 2)
+        inf = t.double.q if i else t.ambient.q
+        ok = ((0 < s.point < inf or i > l + 2)
               and _order_tag_holds(tag, s.order, q)
               and s.subfield == sub_exp
               and (s.tr, s.tr_inv) == pair_exp)
@@ -505,13 +571,39 @@ def case1_subcase(tower: TowerSpec, profile: OrderProfile) -> SubcaseReport:
 # ---------------------------------------------------------------------------
 # Whole-subgroup set checks
 
+def _conjugates(double: FieldSpec, points) -> set[int]:
+    """The points of GF(q^2) (index q^2 is inf) with all their conjugates
+    x^(2^k), by doubling logs; 0 and inf are their own.
+
+    The iterates of a seed's orbit are those of its leader and their
+    conjugates, so the set checks read a list of leaders' profiles as the
+    whole subgroup; on the profiles of every seed this adds nothing.
+    """
+    exp, log = double.tables()
+    n2 = double.q - 1
+    out: set[int] = set()
+    for x in points:
+        if x in out:                  # its conjugates are in already
+            continue
+        if not 0 < x < double.q:
+            out.add(x)
+            continue
+        e = e0 = log[x]
+        while True:
+            out.add(exp[e])
+            e = 2 * e % n2
+            if e == e0:
+                break
+    return out
+
+
 def verify_cq1_inclusion(tower: TowerSpec,
                          profiles: list[OrderProfile]) -> CheckReport:
     """C_{q+1} inside theta(C_{q^2+1}) union theta^(l+2)(C_{q^2+1}).
 
     The two images are read, as points of GF(q^2), from the seed profiles at
-    indices 1 and l+2 (seed 1 is left out: it maps to 0 and then inf,
-    neither in C_{q+1}).
+    indices 1 and l+2 with their conjugates (seed 1 is left out: it maps
+    to 0 and then inf, neither in C_{q+1}).
     Also places every nontrivial element of C_{q+1} on level l+3 or 2 of the
     graph over GF(q^2) and checks that every vertex sharing that level of
     the same component has order dividing q+1.  Each such (component,
@@ -522,8 +614,8 @@ def verify_cq1_inclusion(tower: TowerSpec,
     rep = CheckReport(f"order-(q+1) subgroup coverage (n={n})")
 
     cq1 = double.subgroup(q + 1)[:-1]           # C_{q+1} in GF(q^2)
-    img1 = {p.steps[1].point.index for p in profiles}
-    img2 = {p.steps[l + 2].point.index for p in profiles}
+    img1 = _conjugates(double, (p.steps[1].point for p in profiles))
+    img2 = _conjugates(double, (p.steps[l + 2].point for p in profiles))
     missing = [b for b in cq1 if b not in img1 and b not in img2]
     rep.add("cq1-image-inclusion", not missing,
             "" if not missing
@@ -608,9 +700,10 @@ def trace_quadrants(tower: TowerSpec,
 
     The quadrants split the tower's GF(q)* by trace pair.  The image sets
     are read over GF(q^2) from the seed profiles of the order-(q^2+1)
-    subgroup, keeping unit points; the trace-defined quadrants are carried
-    into GF(q^2) through the explicit subfield embedding before comparison.
-    A failing embedding fails each image check with its message.
+    subgroup, with their conjugates, keeping unit points; the trace-defined
+    quadrants are carried into GF(q^2) through the explicit subfield
+    embedding before comparison.  A failing embedding fails each image
+    check with its message.
     """
     spec_n = tower.base
     double = tower.double
@@ -625,33 +718,28 @@ def trace_quadrants(tower: TowerSpec,
         emb, fault = subfield_embedding(spec_n, double), None
     except FieldError as exc:
         fault = str(exc)
-    unit_cap = double.q           # indexes below this and nonzero are units
 
-    img_a11: set[int] = set()
-    img_a00: set[int] = set()
-    img_b01: set[int] = set()
-    img_b10: set[int] = set()
+    at_a11, at_a00, at_b01, at_b10 = [], [], [], []
     for prof in profiles:
         steps = prof.steps
-        orbit = [s.point.index for s in steps]
         if (q + 1) % steps[1].order == 0:
-            if 0 < orbit[2] < unit_cap:
-                img_a11.add(orbit[2])
-            for i in range(3, l + 5):
-                if 0 < orbit[i] < unit_cap:
-                    img_a00.add(orbit[i])
+            at_a11.append(steps[2].point)
+            at_a00 += (s.point for s in steps[3:l + 5])
         if (q + 1) % steps[l + 2].order == 0:
-            if 0 < orbit[l + 3] < unit_cap:
-                img_b01.add(orbit[l + 3])
-            if 0 < orbit[l + 4] < unit_cap:
-                img_b10.add(orbit[l + 4])
+            at_b01.append(steps[l + 3].point)
+            at_b10.append(steps[l + 4].point)
+
+    def units(points):
+        return {x for x in _conjugates(double, points) if 0 < x < double.q}
 
     rep = CheckReport(f"trace quadrants (n={tower.n})")
     rep.add("quadrant-partition",
             len(a11) + len(a00) + len(b01) + len(b10) == spec_n.q - 1)
     for name, trace_set, img in (
-            ("a11-image", a11, img_a11), ("a00-image", a00, img_a00),
-            ("b01-image", b01, img_b01), ("b10-image", b10, img_b10)):
+            ("a11-image", a11, units(at_a11)),
+            ("a00-image", a00, units(at_a00)),
+            ("b01-image", b01, units(at_b01)),
+            ("b10-image", b10, units(at_b10))):
         if fault is not None:
             rep.add(name, False, fault)
         else:
@@ -665,9 +753,10 @@ def verify_theta_permutation(tower: TowerSpec,
     """The map permutes the (l+4)-th image of the order-(q^2+1) subgroup.
 
     The landing set is read, as points of GF(q^2), from the seed profiles
-    at index l+4.
+    at index l+4 with their conjugates.
     """
-    landing = {p.steps[tower.l + 4].point.index for p in profiles}
+    landing = _conjugates(tower.double,
+                          (p.steps[tower.l + 4].point for p in profiles))
     image = {theta_index(tower.double, idx) for idx in landing}
     rep = CheckReport(f"permutation on the landing set (n={tower.n})")
     rep.add("landing-set-closed", image == landing,
@@ -679,67 +768,54 @@ def verify_theta_permutation(tower: TowerSpec,
 # ---------------------------------------------------------------------------
 # Aggregate JSON report
 
-def orders_report(tower: TowerSpec) -> dict:
-    """Classification counts, all profiles, and every set-level check.
+def orders_report(tower: TowerSpec, records: bool = True) -> dict:
+    """Classification counts, every seed's profile record (only with
+    ``records``: json output reads them, text output does not), and every
+    check.
 
-    If the seed walk's pull-back carries a fault (the embedding of GF(q^2)
-    fails, the walk does not close, or a first iterate misses the embedded
-    GF(q^2)), no profile can be trusted: the report carries that one failed
-    check with its witness.
+    The per-seed checks run once per orbit, on its leader, and a verdict
+    counts for every member.  If the seed walk's pull-back carries a fault
+    (the embedding of GF(q^2) fails, the walk does not close, a first
+    iterate misses the embedded GF(q^2) or is not the square root of its
+    double's), no profile can be trusted: the report carries that one
+    failed check with its witness.
     """
     q, l, n = tower.q, tower.l, tower.n
     counts = {"H1": 0, "H2": 0, "H3": 0}
-    profiles = []
     checks = CheckReport(f"order dynamics over GF(2^{4 * n})")
     doc = {
         "n": n, "l": l, "m": tower.m, "q": q,
         "field": field_to_record(tower.ambient),
         "counts": counts,
-        "profiles": profiles,
     }
     walk = seed_walk(tower)
     if walk.pull.fault is not None:
+        if records:
+            doc["profiles"] = []
         closed = walk.pull.powers[-1] == 1
         checks.add("first-iterate-pullback" if closed else "subgroup-closure",
                    False, walk.pull.fault)
         doc["checks"] = checks.records()
         return doc
-    big = q * q + 1
-    seed_profs = seed_profiles(walk)
-    for exp, prof in enumerate(seed_profs, 1):
-        counts[prof.h_class.name] += 1
-        profiles.append({
-            "exponent": exp,
-            "class": prof.h_class.name,
-            "case": prof.case_id,
-            "steps": [{
-                "index": s.index,
-                "point": s.label,
-                "order": s.order,
-                "d_part": s.d_part,
-                "e_part": s.e_part,
-                "subfield": s.subfield,
-                "tr": s.tr,
-                "tr_inv": s.tr_inv,
-            } for s in prof.steps],
-        })
-
-    # The mates j and q^2+1-j share every step from index 1 on, and their
-    # seed rows differ only in point and label, which no per-seed check
-    # reads beyond the point being a unit: one verdict serves both.
+    orbits = seed_orbits(tower)
+    profiles = leader_profiles(walk, orbits)
     failing: dict[str, list[int]] = {}
-    for j in range(1, big // 2 + 1):
-        for name, ok in _seed_verdicts(tower, seed_profs[j - 1]).items():
+    for orbit, prof in zip(orbits, profiles):
+        counts[prof.h_class.name] += len(orbit)
+        for name, ok in _seed_verdicts(tower, prof).items():
             bad = failing.setdefault(name, [])
             if not ok:
-                bad += (j, big - j)
+                bad += orbit
+    if records:
+        doc["profiles"] = profile_records(walk, orbits, profiles)
+
     for name, bad in failing.items():
         bad.sort()
         checks.add(name, not bad,
                    "" if not bad else f"failing seed exponents {bad[:5]}")
-    for sub in (verify_cq1_inclusion(tower, seed_profs),
-                trace_quadrants(tower, seed_profs).checks,
-                verify_theta_permutation(tower, seed_profs)):
+    for sub in (verify_cq1_inclusion(tower, profiles),
+                trace_quadrants(tower, profiles).checks,
+                verify_theta_permutation(tower, profiles)):
         checks.checks.extend(sub.checks)
 
     doc["checks"] = checks.records()

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 
 @dataclass
@@ -57,12 +59,15 @@ def json_text(obj) -> str:
     which yields a chunk per token and keeps them all until its join.  Here
     each container is one call of the C encoder, whose item separator is a
     comma, a newline and the indent of the container's items; the brackets
-    are then moved onto lines of their own.  A container holding
-    containers is encoded with each of them replaced by 0, and that 0 by
-    the container's own text.  Raw newlines never occur inside a JSON
-    string, so both splices are exact, and the keys and scalars are all
-    written by the C encoder: one it cannot encode raises TypeError, as
-    in ``json.dumps``.  ``obj`` must be a tree: no container in itself.
+    are then moved onto lines of their own.  A list of non-empty dicts of
+    scalars is one call for all its items, at their depth: their
+    boundaries ``}<sep>{`` are then re-indented by one ``str.replace``.  A
+    container holding other containers is encoded with each of them
+    replaced by 0, and that 0 by the container's own text.  Raw newlines
+    never occur inside a JSON string, so every splice is exact, and the
+    keys and scalars are all written by the C encoder: one it cannot
+    encode raises TypeError, as in ``json.dumps``.  ``obj`` must be a tree:
+    no container in itself.
     """
     pieces: list[str] = []
     _write_json(obj, 0, pieces, [])
@@ -70,19 +75,43 @@ def json_text(obj) -> str:
     return "".join(pieces)
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+def _encoder(sep: str):
+    """An encode function with item separator ``sep``, as JSONEncoder's.
+
+    The C encoder is made here once, where ``JSONEncoder.encode`` would
+    make it again at every call; without it, that is the fallback.
+    """
+    enc = json.JSONEncoder(separators=(sep, ": "))
+    if c_make_encoder is None:
+        return enc.encode
+    c_encode = c_make_encoder({}, enc.default, encode_basestring_ascii, None,
+                              ": ", sep, False, False, True)
+    return lambda value: "".join(c_encode(value, 0))
+
+
+def _records(items) -> bool:
+    """All of ``items`` are non-empty dicts whose values are all scalars."""
+    return (all(map(isinstance, items, repeat(dict))) and all(items)
+            and not any(map(isinstance,
+                            chain.from_iterable(map(dict.values, items)),
+                            repeat(_CONTAINERS))))
+
+
 def _write_json(value, depth: int, pieces: list[str], levels: list) -> None:
     """Append the text of ``value``, a container at ``depth`` or the whole
     document, to ``pieces``.
 
-    ``levels[d]`` caches, for depth d, the C encoder, the separator of its
+    ``levels[d]`` caches, for depth d, the encoder, the separator of its
     items (a comma, a newline and their indent) and the newline and indent
     of its closing bracket.
     """
-    while len(levels) <= depth:
+    while len(levels) <= depth + 1:
         close = "\n" + "  " * len(levels)
         sep = "," + close + "  "
-        levels.append((json.JSONEncoder(separators=(sep, ": ")).encode,
-                       sep, close))
+        levels.append((_encoder(sep), sep, close))
     encode, sep, close = levels[depth]
     if isinstance(value, dict):
         values = value.values()
@@ -91,10 +120,20 @@ def _write_json(value, depth: int, pieces: list[str], levels: list) -> None:
     else:
         pieces.append(encode(value))
         return
-    nested = [isinstance(v, (dict, list, tuple)) for v in values]
+    nested = list(map(isinstance, values, repeat(_CONTAINERS)))
     if not any(nested):
         s = encode(value)
         pieces.append(s[0] + sep[1:] + s[1:-1] + close + s[-1] if value else s)
+        return
+    if not isinstance(value, dict) and _records(value):
+        # "[{a,<isep>b},<isep>{c}]" from the items' encoder: each item's
+        # braces go on lines of their own, indented like this list's items
+        item_encode, item_sep, item_close = levels[depth + 1]
+        s = item_encode(value)
+        pieces += (s[0], sep[1:], "{", item_sep[1:],
+                   s[2:-2].replace("}" + item_sep + "{",
+                                   item_close + "}" + sep + "{" + item_sep[1:]),
+                   item_close, "}", close, s[-1])
         return
     if isinstance(value, dict):
         flat = {k: 0 if n else v for (k, v), n in zip(value.items(), nested)}

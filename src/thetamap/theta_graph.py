@@ -27,8 +27,9 @@ order_dynamics' ``profile_tail`` and ``trace_quadrants`` apply them inline
 to raw indices.  ``verify_structure`` makes no per-vertex field call and
 does not walk the unit group: its tree-shape checks read child counts from the
 in-degrees, its class-preservation and leaf-trace checks read Tr(x) and
-Tr(1/x) of every vertex from the graph's trace tables, where Tr(1/0) = 0 is
-stored, and inf, the index past both tables, counts as class A; its
+Tr(1/x) of every vertex from the graph's trace tables, a block of vertices
+at a time, where Tr(1/0) = 0 is stored, and inf, the index past both
+tables, counts as class A; its
 leaf-degree check walks the subfield GF(2^(t/2)) instead of every leaf.
 """
 
@@ -471,9 +472,10 @@ def _byte(x: int, v: int) -> int:
     return x >> 8 * v & 0xFF
 
 
-def _least_set_byte(x: int) -> int | None:
-    """The least v whose byte is nonzero in ``_bits`` form; None for 0."""
-    return ((x & -x).bit_length() - 1) >> 3 if x else None
+def _least_set_byte(x: int, first: int) -> int | None:
+    """first + the least v whose byte is nonzero in ``_bits`` form; None
+    for 0."""
+    return first + (((x & -x).bit_length() - 1) >> 3) if x else None
 
 
 def verify_structure(g: ThetaGraph) -> CheckReport:
@@ -515,13 +517,28 @@ def verify_structure(g: ThetaGraph) -> CheckReport:
     #     class byte Tr(x) ^ Tr(1/x) (1 for B) equals its component's, in_b.
     #     Tr(1/x) comes from gen's walk alone, not from succ, which 1/gen's
     #     tables gave (``unit_walk``), so a wrong edge shows here.
+    # (5) leaf traces: A-leaves have Tr(x) = Tr(1/x) = 1, B-leaves (0, 1);
+    #     a leaf passes where Tr(1/x) = 1 and Tr(x) = 1 exactly off B.
+    # Both read the vertices in blocks of ``step``, so that each big-int
+    # temporary is one block long; the first witness of each is kept.
     tr, tr_inv = g.tr, g.tr_inv
     classes = [comp.trace_class for comp in g.components]
     comp_b = bytes(cls == "B" for cls in classes)
-    in_b = _bits(bytes(map(comp_b.__getitem__, g.comp_id)))
-    bad = _least_set_byte(tr ^ tr_inv ^ in_b)
-    rep.add("class-preservation", bad is None,
-            "" if bad is None else f"witness {lab(bad)}")
+    bad_class = bad_leaf = None
+    step = max(q >> 4, 1 << 12)
+    for a in range(0, q + 1, step):
+        b = min(a + step, q + 1)
+        mask = (1 << 8 * (b - a)) - 1
+        x = tr >> 8 * a & mask
+        y = tr_inv >> 8 * a & mask
+        in_b = _bits(bytes(map(comp_b.__getitem__, g.comp_id[a:b])))
+        is_leaf = _bits(bytes(map(not_, g.indeg[a:b])))
+        if bad_class is None:
+            bad_class = _least_set_byte(x ^ y ^ in_b, a)
+        if bad_leaf is None:
+            bad_leaf = _least_set_byte(is_leaf & ~(y & (x ^ in_b)), a)
+    rep.add("class-preservation", bad_class is None,
+            "" if bad_class is None else f"witness {lab(bad_class)}")
 
     # (2)-(4) the tree shapes: the child counts allowed on levels 0, 1, ...
     inf_cid = g.comp_id[inf]
@@ -546,13 +563,10 @@ def verify_structure(g: ThetaGraph) -> CheckReport:
                        ("inf", "inf-tree-shape")):
         rep.add(name, kind not in details, details.get(kind, ""))
 
-    # (5) leaf traces: A-leaves have Tr(x) = Tr(1/x) = 1, B-leaves (0, 1);
-    #     a leaf passes where Tr(1/x) = 1 and Tr(x) = 1 exactly off B
-    is_leaf = _bits(bytes(map(not_, g.indeg)))
-    bad = _least_set_byte(is_leaf & ~(tr_inv & (tr ^ in_b)))
-    rep.add("leaf-traces", bad is None, "" if bad is None else
-            f"{classes[g.comp_id[bad]]}-leaf {lab(bad)} has traces "
-            f"{(_byte(tr, bad), _byte(tr_inv, bad))}")
+    # (5), read above
+    rep.add("leaf-traces", bad_leaf is None, "" if bad_leaf is None else
+            f"{classes[g.comp_id[bad_leaf]]}-leaf {lab(bad_leaf)} has traces "
+            f"{(_byte(tr, bad_leaf), _byte(tr_inv, bad_leaf))}")
 
     # (6) every leaf degree is 2^r * v with v odd dividing s.  Every degree
     #     divides t = 2^r * s, so only the degrees dividing t/2 break the

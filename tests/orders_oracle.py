@@ -1,0 +1,126 @@
+"""The mate-pair order battery: the oracle of the Frobenius-orbit one.
+
+Every seed h^j gets its own profile.  The seeds j and q^2+1-j have the same
+first iterate, so each pair's tail is profiled once (``profile_tail``) and
+given to both; each pair's per-seed checks run once, and their verdict is
+recorded under both exponents.  Labels are read point by point from
+GF(q^2)'s log table.  ``mate_pair_report`` builds the whole report this way,
+so ``orders_report`` must give the same document and the same json bytes.
+"""
+
+from thetamap.gf2_arith import TABLE_MAX_T, field_to_record
+from thetamap.order_dynamics import (
+    _seed_verdicts,
+    classify_H,
+    profile_tail,
+    seed_walk,
+    trace_quadrants,
+    verify_cq1_inclusion,
+    verify_theta_permutation,
+)
+from thetamap.report import CheckReport
+
+
+def label(walk, x: int) -> str:
+    """The ambient export label of a point of GF(q^2) (index q^2 is inf).
+
+    emb(gen_2n) = gen^((q^2+1) * k0), so a unit x has the ambient log
+    (q^2+1) * (k0 * log x mod q^2-1).
+    """
+    double = walk.tower.double
+    if x == 0:
+        return "'0'"
+    if x == double.q:
+        return "inf"
+    if walk.tower.ambient.t > TABLE_MAX_T:
+        return f"x{walk.pull.emb[x]:x}"
+    n2 = double.q - 1
+    return str((n2 + 2) * (walk.k0 * double.dlog(x) % n2))
+
+
+def seed_label(walk, j: int) -> str:
+    """The ambient export label of the seed h^j."""
+    q2 = walk.tower.q ** 2
+    if walk.tower.ambient.t > TABLE_MAX_T:
+        return f"x{walk.pull.powers[j]:x}"
+    return str(j * (q2 - 1))
+
+
+def seed_profiles(walk):
+    """Every seed's profile, in exponent order j = 1..q^2.
+
+    The seeds j and q^2+1-j share their iterates from index 1 on, so each
+    pair's tail is profiled once.
+    """
+    big = walk.tower.q ** 2 + 1
+    profiles = [None] * (big - 1)
+    for j in range(1, big // 2 + 1):      # j < q^2+1-j: big is odd
+        tail = profile_tail(walk, j)
+        profiles[j - 1] = classify_H(walk, j, tail)
+        profiles[big - j - 1] = classify_H(walk, big - j, tail)
+    return profiles
+
+
+def pair_verdict_records(tower, profiles) -> list[dict]:
+    """The per-seed check records, one verdict per mate pair."""
+    big = tower.q ** 2 + 1
+    failing: dict[str, list[int]] = {}
+    for j in range(1, big // 2 + 1):
+        for name, ok in _seed_verdicts(tower, profiles[j - 1]).items():
+            bad = failing.setdefault(name, [])
+            if not ok:
+                bad += (j, big - j)
+    return [{"name": name, "pass": not bad,
+             "detail": "" if not bad else f"failing seed exponents "
+                                          f"{sorted(bad)[:5]}"}
+            for name, bad in failing.items()]
+
+
+def mate_pair_report(tower) -> dict:
+    """``orders_report`` of a tower whose pull-back has no fault, with a
+    profile per seed and a verdict per mate pair."""
+    walk = seed_walk(tower)
+    assert walk.pull.fault is None, walk.pull.fault
+    profiles = seed_profiles(walk)
+    counts = {"H1": 0, "H2": 0, "H3": 0}
+    records = []
+    for prof in profiles:
+        counts[prof.h_class.name] += 1
+        labels = [seed_label(walk, prof.exponent),
+                  *(label(walk, s.point) for s in prof.steps[1:])]
+        records.append({
+            "exponent": prof.exponent,
+            "class": prof.h_class.name,
+            "case": prof.case_id,
+            "steps": [{
+                "index": s.index,
+                "point": lab,
+                "order": s.order,
+                "d_part": s.d_part,
+                "e_part": s.e_part,
+                "subfield": s.subfield,
+                "tr": s.tr,
+                "tr_inv": s.tr_inv,
+            } for s, lab in zip(prof.steps, labels)],
+        })
+    checks = CheckReport("")
+    for sub in (verify_cq1_inclusion(tower, profiles),
+                trace_quadrants(tower, profiles).checks,
+                verify_theta_permutation(tower, profiles)):
+        checks.checks.extend(sub.checks)
+    return {
+        "n": tower.n, "l": tower.l, "m": tower.m, "q": tower.q,
+        "field": field_to_record(tower.ambient),
+        "counts": counts,
+        "profiles": records,
+        "checks": pair_verdict_records(tower, profiles) + checks.records(),
+    }
+
+
+def member_profiles(orbits, profiles) -> list:
+    """Every seed's profile, in exponent order, as its orbit leader's."""
+    out = [None] * sum(map(len, orbits))
+    for orbit, prof in zip(orbits, profiles):
+        for j in orbit:
+            out[j - 1] = prof
+    return out

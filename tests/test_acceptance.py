@@ -9,6 +9,7 @@ import random
 import time
 
 from graph_oracle import predecessor_slots, tree_levels
+from orders_oracle import seed_profiles
 from thetamap.dickson_curve import (
     _root_bits,
     _split_roots,
@@ -24,7 +25,6 @@ from thetamap.order_dynamics import (
     case_table,
     h_longform_flags,
     make_tower,
-    seed_profiles,
     seed_walk,
     trace_profile_check,
     verify_cq1_inclusion,

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -98,7 +99,9 @@ def test_config_errors(capsys):
     # one degree past each row of the admission table
     for argv, err in [(["graph", "--t", "25"], "t=25 outside [1, 24]"),
                       (["verify-structure", "--t", "25"], "t=25 outside [1, 24]"),
-                      (["verify-orders", "--n", "9"], "n=9 outside [1, 8]"),
+                      (["verify-orders", "--n", "10"], "n=10 outside [1, 9]"),
+                      (["verify-orders", "--n", "9", "--format", "json"],
+                       "n=9 outside [1, 8]"),
                       (["verify-dickson", "--n", "17"], "n=17 outside [1, 16]"),
                       (["sweep", "--n", "17"], "n=17 outside [1, 16]"),
                       (["sweep", "--range", f"1..{10 ** 12}"],
@@ -368,7 +371,7 @@ def test_special_point_before_l_plus_3_is_a_record(monkeypatch, capsys):
     # a faulty inverse in GF(q^2) sends one first iterate to itself, so its
     # second iterate is x + x = 0: the theory puts only units at indices
     # 1..l+2
-    first = profile_tail(seed_walk(make_tower(2)), 1)[0].point.index
+    first = profile_tail(seed_walk(make_tower(2)), 1)[0].point
     true_inv = FieldSpec.inv
     monkeypatch.setattr(FieldSpec, "inv", lambda self, a: (
         a if self.t == 4 and a == first else true_inv(self, a)))
@@ -400,7 +403,7 @@ def test_first_iterate_pullback_fault_is_a_record(monkeypatch, capsys):
     # one bit flipped in the embedding of GF(q^2), at the first iterate of
     # the seed h^1: that iterate no longer pulls back
     true_embedding = theta_graph.subfield_embedding
-    first = profile_tail(seed_walk(make_tower(2)), 1)[0].point.index
+    first = profile_tail(seed_walk(make_tower(2)), 1)[0].point
 
     def flipped(sub, ambient):
         table = true_embedding(sub, ambient)
@@ -415,6 +418,51 @@ def test_first_iterate_pullback_fault_is_a_record(monkeypatch, capsys):
                             "of GF(2^8) outside GF(2^4)\n"
                             "result: FAILURES present\n")
     assert "Traceback" not in captured.err
+
+
+def test_non_leader_first_iterate_fault_is_a_record(monkeypatch, capsys):
+    # f(h^2) moved one bit off f(h^1)^2 (n = 3): seed 2 is in the orbit of
+    # seed 1, so no profile reads its first iterate, but the squaring check
+    # of the seed walk does
+    tower = make_tower(3)
+    assert order_dynamics.seed_orbits(tower)[0][:2] == [1, 2]
+    first = seed_walk(tower).pull.values[1]
+    square = tower.double.mul(first, first)
+    true_pullback = order_dynamics.theta_pullback
+
+    def moved(sub, ambient, powers):
+        pull = true_pullback(sub, ambient, powers)
+        if (sub.t, ambient.t) == (6, 12):
+            pull.values[2] ^= 1
+        return pull
+
+    monkeypatch.setattr(order_dynamics, "theta_pullback", moved)
+    assert main(["verify-orders", "--n", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        f"FAIL [n=3] first-iterate-pullback  witness f(h^2) = "
+        f"{square ^ 1:#x}, not f(h^1)^2 = {square:#x} in GF(2^6)\n"
+        "result: FAILURES present\n")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["verify-orders", "--n", "10"], "n=10 outside [1, 9]"),
+    (["verify-orders", "--n", "9", "--format", "json"], "n=9 outside [1, 8]"),
+    (["verify-orders", "--range", "8..9", "--format", "json"],
+     "n=9 outside [1, 8]"),
+], ids=["text-10", "json-9", "json-8..9"])
+def test_orders_size_past_its_format_cap_exits_two_up_front(
+        monkeypatch, capsys, argv, err):
+    # refused before any job: no tower is built, nothing is printed
+    def no_work(n):
+        raise AssertionError(f"tower {n} built")
+
+    monkeypatch.setattr(cli, "make_tower", no_work)
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == ("", f"error: {err}\n")
 
 
 @pytest.mark.parametrize("command", ["verify-orders", "verify-dickson"])
@@ -761,6 +809,14 @@ OUTPUT_DIGESTS = [
      "aad646ad6651fa410af039646a6b084d1dd843abbfb618ed4a30810298324e89"),
     (["verify-orders", "--n", "6", "--format", "text"],
      "4330a38642f7239146c346429225cf3bf71d23a54e1797ea5723df49357196ac"),
+    # the order battery at the top of its text range, n = 9 first admitted
+    # with the Frobenius orbits (hashed from the mate-pair battery)
+    (["verify-orders", "--n", "7", "--format", "text"],
+     "6e1508b00d6fa37d4a168aaba6ff0a01fbc94fcda1d6cd5a5cc79dbef7249c6b"),
+    (["verify-orders", "--n", "8", "--format", "text"],
+     "c5f36c7bf5939dfca4b7fb92c70fd0d5b184843442779135dd522e06009dad2d"),
+    (["verify-orders", "--n", "9", "--format", "text"],
+     "0135eb0079189c5e164a494e0d5c163ca204668d24aad3bceeaa7a83c12fe285"),
     # the Dickson battery above n = 12, as printed by the O(m) identity
     # recurrence and the linear subfield-root search
     (["verify-dickson", "--n", "13", "--format", "json"],

@@ -5,10 +5,19 @@ import math
 
 import pytest
 
+from orders_oracle import (
+    label,
+    mate_pair_report,
+    member_profiles,
+    pair_verdict_records,
+    seed_label,
+    seed_profiles,
+)
 from thetamap import order_dynamics
 from thetamap.gf2_arith import (
     FieldError,
     FieldSpec,
+    _coset_leader,
     factorize,
     field_from_record,
     field_to_record,
@@ -17,22 +26,25 @@ from thetamap.gf2_arith import (
 )
 from thetamap.order_dynamics import (
     HClass,
+    _conjugates,
     _expected_rows,
     case1_subcase,
     case_table,
     check_order_bound,
     classify_H,
     h_longform_flags,
+    leader_profiles,
     make_tower,
     orders_report,
     profile_tail,
-    seed_profiles,
+    seed_orbits,
     seed_walk,
     trace_profile_check,
     trace_quadrants,
     verify_cq1_inclusion,
     verify_theta_permutation,
 )
+from thetamap.report import json_text
 from thetamap.theta_graph import ProjPoint, build_graph, point_label, theta_index
 
 TOWERS = {n: make_tower(n) for n in (1, 2, 3, 4)}
@@ -51,9 +63,9 @@ NON_DEFAULT = [
 def _ambient_indices(walk, profile):
     """The profile's points as ambient indices (infinity is ambient.q)."""
     double, ambient = walk.tower.double, walk.tower.ambient
-    idx = [profile.steps[0].point.index]
+    idx = [profile.steps[0].point]
     for s in profile.steps[1:]:
-        x = s.point.index
+        x = s.point
         idx.append(ambient.q if x == double.q else walk.pull.emb[x])
     return idx
 
@@ -66,9 +78,9 @@ def _ambient_profile(tower, bits):
     rows = []
     idx = bits
     for _ in range(tower.l + 5):
-        label = point_label(ProjPoint(ambient, idx))
+        lab = point_label(ProjPoint(ambient, idx))
         if idx == 0 or idx == ambient.q:
-            rows.append((idx, label, 1, 1, 1, n, 0, 0))
+            rows.append((idx, lab, 1, 1, 1, n, 0, 0))
             idx = ambient.q
         else:
             inv = ambient.inv(idx)
@@ -76,7 +88,7 @@ def _ambient_profile(tower, bits):
             d = ambient.degree(idx)
             sub = next(k for k in (n, 2 * n, 4 * n) if k % d == 0)
             mask = ambient.trace_mask(sub)
-            rows.append((idx, label, o, math.gcd(o, q + 1), math.gcd(o, q - 1),
+            rows.append((idx, lab, o, math.gcd(o, q + 1), math.gcd(o, q - 1),
                          sub, (idx & mask).bit_count() & 1,
                          (inv & mask).bit_count() & 1))
             idx ^= inv
@@ -103,13 +115,14 @@ def test_make_tower_parameters():
 def test_subfield_degree_matches_frobenius_search(n):
     # the least of n, 2n, 4n whose Frobenius power fixes the point: in the
     # ambient for the seed, in GF(q^2) after it
+    tw = TOWERS[n]
     for p in PROFILES[n]:
         for s in p.steps:
-            if s.point.is_unit:
-                f, a = s.point.field, s.point.index
+            f, a = (tw.double, s.point) if s.index else (tw.ambient, s.point)
+            if 0 < a < f.q:
                 want = next(d for d in (n, 2 * n, 4 * n)
                             if f.t % d == 0 and f.in_subfield(a, d))
-                assert s.subfield == want, (p.gamma.bits, s.index)
+                assert s.subfield == want, (p.exponent, s.index)
 
 
 def test_subgroup_trivial_and_sizes():
@@ -148,9 +161,9 @@ def test_n1_every_seed_is_class_one():
         assert len(p.steps) == tw.l + 5
         assert p.steps[1].order == 3              # q + 1 exactly
         assert p.steps[2].order == 1              # the unit 1
-        assert p.steps[2].point.index == 1
-        assert p.steps[3].point.is_zero
-        assert p.steps[4].point.is_infinity
+        assert p.steps[2].point == 1
+        assert p.steps[3].point == 0
+        assert p.steps[4].point == tw.double.q       # infinity
 
 
 def test_class_counts_frozen():
@@ -168,7 +181,7 @@ def test_partition_longform_exactly_one():
     for n, profs in PROFILES.items():
         for p in profs:
             flags = h_longform_flags(p)
-            assert sum(flags) == 1, (n, p.gamma.bits, flags)
+            assert sum(flags) == 1, (n, p.exponent, flags)
             assert flags[p.case_id - 1]
 
 
@@ -178,7 +191,7 @@ def test_class_one_second_iterate_in_base_field():
             if p.h_class is HClass.H1:
                 s2 = p.steps[2]
                 assert s2.subfield == n
-                assert not s2.point.is_infinity
+                assert s2.point != TOWERS[n].double.q
 
 
 def test_order_splits_as_coprime_parts():
@@ -208,8 +221,9 @@ def test_seed_row_closed_form(n):
     tw = TOWERS[n]
     ambient, q = tw.ambient, tw.q
     for j, p in enumerate(PROFILES[n], 1):
-        s, g = p.steps[0], p.gamma.bits
-        assert s.point.index == g == WALKS[n].pull.powers[j]
+        s = p.steps[0]
+        g = s.point
+        assert p.exponent == j and g == WALKS[n].pull.powers[j]
         assert s.order == ambient.order(g)
         assert (s.d_part, s.e_part) == (
             math.gcd(s.order, q + 1), math.gcd(s.order, q - 1)) == (1, 1)
@@ -227,30 +241,104 @@ def test_seed_row_closed_form(n):
 ], ids=[f"n{n}" for n in range(1, 6)] + [
     f"n{n}-{field_to_record(amb).split()[1]}" for n, amb, _ in NON_DEFAULT])
 def test_profiles_match_the_ambient_oracle(tower):
-    # the reduction first, so that the ambient builds no table before it
+    # the reduction first, so that the ambient builds no table before it;
+    # both the mate-pair profiles and the orbit records, labels included
+    records = orders_report(tower)["profiles"]
     walk = seed_walk(tower)
     profiles = seed_profiles(walk)
-    assert len(profiles) == tower.q ** 2
-    for p in profiles:
-        got = [(i, s.label, s.order, s.d_part, s.e_part, s.subfield, s.tr,
+    assert len(profiles) == len(records) == tower.q ** 2
+    for p, rec in zip(profiles, records):
+        want = _ambient_profile(tower, p.steps[0].point)
+        labels = [seed_label(walk, p.exponent),
+                  *(label(walk, s.point) for s in p.steps[1:])]
+        got = [(i, lab, s.order, s.d_part, s.e_part, s.subfield, s.tr,
                 s.tr_inv)
-               for i, s in zip(_ambient_indices(walk, p), p.steps)]
-        assert got == _ambient_profile(tower, p.gamma.bits), p.gamma.bits
+               for i, lab, s in zip(_ambient_indices(walk, p), labels,
+                                    p.steps)]
+        assert got == want, p.exponent
+        assert [tuple(step.values()) for step in rec["steps"]] == [
+            (s.index, *row[1:]) for s, row in zip(p.steps, want)], p.exponent
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_seed_orbits_are_the_coset_leaders(n):
+    # the orbits of j -> 2j mod q^2+1 partition the seeds; each starts at
+    # its least member, a cyclotomic-coset leader modulo 2^(4n)-1 once
+    # multiplied by q^2-1, holds the mate of each member, and has a size
+    # dividing 4n
+    tower = TOWERS[n] if n in TOWERS else make_tower(n)
+    big = tower.q ** 2 + 1
+    orbits = seed_orbits(tower)
+    assert [o[0] for o in orbits] == [
+        j for j in range(1, big) if _coset_leader(j * (big - 2), 4 * n)]
+    assert sorted(j for o in orbits for j in o) == list(range(1, big))
+    for o in orbits:
+        assert o == [o[0] * pow(2, k, big) % big for k in range(len(o))]
+        assert o[0] == min(o) and (4 * n) % len(o) == 0
+        assert all(big - j in o for j in o)
+
+
+REPORT_TOWERS = [
+    *((f"n{n}", lambda n=n: make_tower(n)) for n in range(1, 7)),
+    *((f"n{n}-{field_to_record(amb).split()[1]}",
+       lambda n=n, amb=amb: dataclasses.replace(make_tower(n), ambient=amb))
+      for n, amb, _ in NON_DEFAULT),
+]
+
+
+@pytest.mark.parametrize("make", [m for _, m in REPORT_TOWERS],
+                         ids=[i for i, _ in REPORT_TOWERS])
+def test_orbit_report_matches_the_mate_pair_oracle(make):
+    # every verdict, every set-check record and the json bytes; the text
+    # report is the same without the records
+    doc = orders_report(make())
+    want = mate_pair_report(make())
+    assert doc == want
+    assert json_text(doc) == json_text(want)
+    del want["profiles"]
+    assert orders_report(make(), records=False) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_conjugates_stand_for_the_other_seeds(n):
+    # the points of every seed at each index are closed under conjugation,
+    # and are the leaders' points with their conjugates
+    tower = TOWERS[n]
+    orbits = seed_orbits(tower)
+    leaders = leader_profiles(WALKS[n], orbits)
+    for i in range(1, tower.l + 5):
+        points = {p.steps[i].point for p in PROFILES[n]}
+        assert _conjugates(tower.double, points) == points
+        assert _conjugates(tower.double,
+                           (p.steps[i].point for p in leaders)) == points
+    # and each seed's rows and class are its leader's
+    for p, lead in zip(PROFILES[n], member_profiles(orbits, leaders)):
+        assert [dataclasses.astuple(s)[2:] for s in p.steps] == [
+            dataclasses.astuple(s)[2:] for s in lead.steps]
+        assert (p.h_class, p.case_id) == (lead.h_class, lead.case_id)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_seed_pairs_share_one_tail(monkeypatch, n):
+    # one tail per Frobenius orbit, at its leader; each orbit holds the
+    # mates j and q^2+1-j, and every member's record carries its leader's
+    # rows with a seed of its own
     tails = []
     true_tail = order_dynamics.profile_tail
     monkeypatch.setattr(order_dynamics, "profile_tail",
                         lambda walk, j: tails.append(j) or true_tail(walk, j))
-    profs = seed_profiles(seed_walk(TOWERS[n]))
+    records = orders_report(TOWERS[n])["profiles"]
     big = TOWERS[n].q ** 2 + 1
-    assert sorted(tails) == list(range(1, big // 2 + 1))
-    for j in range(1, big):
-        mine, mate = profs[j - 1].steps, profs[big - j - 1].steps
-        assert mine[0] is not mate[0]
-        assert all(a is b for a, b in zip(mine[1:], mate[1:]))
+    orbits = seed_orbits(TOWERS[n])
+    assert tails == [o[0] for o in orbits] == sorted(set(tails))
+    for orbit in orbits:
+        lead = records[orbit[0] - 1]["steps"]
+        for j in orbit:
+            assert big - j in orbit
+            mine = records[j - 1]["steps"]
+            assert (mine[0]["point"] != lead[0]["point"]) == (j != orbit[0])
+            assert all(dict(a, point=0) == dict(b, point=0)
+                       for a, b in zip(mine, lead))
 
 
 SEED_CHECKS = ("h-partition", "case-tables", "forced-traces",
@@ -294,26 +382,34 @@ def test_pair_verdicts_match_per_seed_evaluation(n):
 
 
 def test_pair_verdicts_under_broken_pairs(monkeypatch):
-    # a wrong trace at index 2 of the tails shared by seeds 5, 60 and by
-    # 3, 62 (n = 3, q^2+1 = 65): all four fail under their own exponents,
-    # ascending, as seed-by-seed evaluation finds
+    # a wrong trace at index 2 of the leaders 3 and 5 (n = 3, q^2+1 = 65):
+    # all 24 members of their orbits, the mates 62 and 60 among them, fail
+    # under their own exponents, ascending, as seed-by-seed evaluation and
+    # the mate pairs find
     tower = make_tower(3)
-    true_profiles = order_dynamics.seed_profiles
+    true_leaders = order_dynamics.leader_profiles
 
-    def broken(walk):
-        profiles = true_profiles(walk)
-        profiles[5 - 1].steps[2].tr ^= 1
-        profiles[62 - 1].steps[2].tr ^= 1
+    def broken(walk, orbits):
+        profiles = true_leaders(walk, orbits)
+        for prof in profiles:
+            if prof.exponent in (3, 5):
+                prof.steps[2].tr ^= 1
         return profiles
 
-    monkeypatch.setattr(order_dynamics, "seed_profiles", broken)
-    profiles = broken(seed_walk(tower))
-    assert profiles[60 - 1].steps[2].tr != PROFILES[3][60 - 1].steps[2].tr
-    assert profiles[3 - 1].steps[2].tr != PROFILES[3][3 - 1].steps[2].tr
+    monkeypatch.setattr(order_dynamics, "leader_profiles", broken)
+    orbits = seed_orbits(tower)
+    profiles = member_profiles(orbits, broken(seed_walk(tower), orbits))
+    for j in (3, 5, 60, 62):
+        assert profiles[j - 1].steps[2].tr != PROFILES[3][j - 1].steps[2].tr
+    failing = sorted(j for o in orbits if o[0] in (3, 5) for j in o)
+    assert len(failing) == 24 and failing[:5] == [3, 5, 6, 10, 12]
     got = _seed_records(tower)
     assert got == _per_seed_records(tower, profiles)
+    assert got == pair_verdict_records(tower, profiles)
     assert {"name": "case-tables", "pass": False,
-            "detail": "failing seed exponents [3, 5, 60, 62]"} in got
+            "detail": "failing seed exponents [3, 5, 6, 10, 12]"} in got
+    per_seed = {j for j, p in enumerate(profiles, 1) if not case_table(p).passed}
+    assert per_seed == set(failing)
 
 
 def test_orders_report_builds_no_ambient_table(monkeypatch):
@@ -368,7 +464,7 @@ def test_case_table_levels_match_graph(n):
     g = build_graph(TOWERS[n].ambient)
     for p in PROFILES[n]:
         for row, idx in zip(case_table(p).rows, _ambient_indices(WALKS[n], p)):
-            assert g.level[idx] == row.level, (n, p.gamma.bits, row.index)
+            assert g.level[idx] == row.level, (n, p.exponent, row.index)
 
 
 def test_special_point_before_l_plus_3_is_a_mismatch():
@@ -378,7 +474,7 @@ def test_special_point_before_l_plus_3_is_a_mismatch():
     p = next(p for p in PROFILES[2] if p.case_id == 1)
     steps = list(p.steps)
     steps[3] = dataclasses.replace(
-        steps[3], point=ProjPoint.zero(tw.double), order=1, d_part=1,
+        steps[3], point=0, order=1, d_part=1,
         e_part=1, subfield=tw.n, tr=0, tr_inv=0)
     tab = case_table(dataclasses.replace(p, steps=steps))
     assert [r.index for r in tab.rows if not r.ok] == [3]
@@ -461,7 +557,7 @@ def test_profile_walk_is_the_map(n):
     ambient = TOWERS[n].ambient
     for p in PROFILES[n]:
         idx = _ambient_indices(WALKS[n], p)
-        assert idx[0] == p.gamma.bits
+        assert idx[0] == WALKS[n].pull.powers[p.exponent]
         for a, b in zip(idx, idx[1:]):
             assert b == theta_index(ambient, a)
 
@@ -495,14 +591,18 @@ def _failures(rep):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_cq1_fault_is_a_record(n):
-    # every iterate that lands on one element of C_(q+1) moved to 0
+    # every iterate that lands on one element of C_(q+1), or on one of its
+    # conjugates, moved to 0: the set check reads each point with its
+    # conjugates
     tw = TOWERS[n]
     l = tw.l
     target = tw.double.pow(tw.double.gen, tw.q - 1)
+    conjugates = _conjugates(tw.double, [target])
+    assert len(conjugates) > 1
     profs = PROFILES[n]
     for i in (1, l + 2):
-        profs = [_with_step(p, i, ProjPoint.zero(tw.double))
-                 if p.steps[i].point.index == target else p for p in profs]
+        profs = [_with_step(p, i, 0)
+                 if p.steps[i].point in conjugates else p for p in profs]
     assert _failures(verify_cq1_inclusion(tw, profs)) == [
         "cq1-image-inclusion"]
 
@@ -554,19 +654,28 @@ def test_quadrant_fault_is_a_record(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_permutation_fault_is_a_record(n):
-    # one seed's landing point replaced by its first iterate, on level
-    # l+3 >= 3 of a deep tree, so neither it nor its image is periodic
+    # one seed's landing point replaced by an iterate x of a deep tree at
+    # an index up to l+2, on level 2 or more, so neither x nor its image is
+    # periodic; the set check reads x with its conjugates, so x is one with
+    # as many conjugates as its image, and the map stays one-to-one
     tw = TOWERS[n]
     profs = list(PROFILES[n])
-    k = next(k for k, p in enumerate(profs) if case_table(p).flavor == "A")
-    profs[k] = _with_step(profs[k], tw.l + 4, profs[k].steps[1].point)
+
+    def conjugates(p, i):
+        return len(_conjugates(tw.double, [p.steps[i].point]))
+
+    k, i = next((k, i) for k, p in enumerate(profs)
+                if case_table(p).flavor == "A"
+                for i in range(1, tw.l + 3)
+                if conjugates(p, i) == conjugates(p, i + 1))
+    profs[k] = _with_step(profs[k], tw.l + 4, profs[k].steps[i].point)
     rep = verify_theta_permutation(tw, profs)
     assert _failures(rep) == ["landing-set-closed"]
 
 
 def test_permutation_landing_set_n1_is_infinity():
     tw = TOWERS[1]
-    landing = {p.steps[tw.l + 4].point.index for p in PROFILES[1]}
+    landing = {p.steps[tw.l + 4].point for p in PROFILES[1]}
     assert landing == {tw.double.q}
 
 

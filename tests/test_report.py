@@ -2,10 +2,12 @@
 
 import json
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from thetamap import report
 from thetamap.cli import _dickson_job, _orders_job, _structure_job
 from thetamap.report import json_text
 
@@ -33,6 +35,41 @@ def containers(children):
 @given(st.recursive(scalars, containers, max_leaves=40))
 def test_writer_matches_json_dumps(obj):
     assert json_text(obj) == dumps(obj)
+
+
+# lists of records: non-empty dicts of scalars, one C-encoder call for the
+# whole list, whose strings hold the brackets, commas and newlines the
+# splice re-indents; and the near misses that must take the other paths:
+# an empty dict, a nested value, a tuple item, a scalar item
+SPLICE = '{},:[] "\\\n'
+splice_texts = st.text(alphabet=SPLICE + "a\xe9", max_size=8)
+flat_values = scalars | splice_texts
+flat_dicts = st.dictionaries(keys | splice_texts, flat_values, min_size=1,
+                             max_size=4)
+near_misses = (st.just({})
+               | st.dictionaries(keys, st.lists(flat_values, max_size=2)
+                                 | flat_dicts, min_size=1, max_size=3)
+               | st.tuples(flat_values, flat_values)
+               | flat_values)
+records = st.lists(flat_dicts, min_size=1, max_size=5)
+almost_records = st.tuples(records, near_misses, st.integers(0, 5)).map(
+    lambda t: t[0][:t[2]] + [t[1]] + t[0][t[2]:])
+record_docs = st.tuples(records | almost_records
+                        | records.map(tuple), st.integers(0, 3)).map(
+    lambda t: nest(t[0], t[1]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(record_docs)
+def test_lists_of_records_match_json_dumps(obj):
+    assert json_text(obj) == dumps(obj)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(scalars, containers, max_leaves=20) | record_docs)
+def test_writer_without_the_c_encoder_matches_json_dumps(obj):
+    with mock.patch.object(report, "c_make_encoder", None):
+        assert json_text(obj) == dumps(obj)
 
 
 def nest(obj, depth: int):
@@ -71,7 +108,7 @@ def test_a_key_it_cannot_encode_fails_like_json_dumps(obj):
 def job_docs():
     return {
         "structure": [_structure_job(t) for t in range(1, 13)],
-        "orders": [_orders_job(n) for n in range(1, 6)],
+        "orders": [_orders_job((n, True)) for n in range(1, 6)],
         "dickson": [_dickson_job((n, 0)) for n in range(1, 7)],
     }
 

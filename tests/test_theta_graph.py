@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import graph_oracle
 import thetamap.gf2_arith as gf2_arith
 from graph_oracle import (
     classify_AB,
@@ -319,6 +320,26 @@ def test_build_graph_refuses_beyond_the_index_arrays():
     assert GRAPH_MAX_T == 30
     with pytest.raises(FieldError, match="t=31 > 30"):
         build_graph(SimpleNamespace(t=31))
+
+
+@pytest.mark.parametrize("where", ["block-end", "block-start", "inside",
+                                   "last-leaf"])
+def test_trace_checks_read_every_block(monkeypatch, where):
+    # t = 14 reads its 2^14 + 1 vertices in blocks of 4096: Tr(1/x) flipped
+    # at the end or the start of a block, inside one, or at the greatest
+    # leaf, in the last full block, is named as the per-vertex oracle
+    # names it
+    t = 14
+    g = build_graph(make_field(t))
+    x0 = {"block-end": 4095, "block-start": 4096, "inside": 10001,
+          "last-leaf": max(g.leaf_indices())}[where]
+    leaf = not g.indeg[x0]
+    graph_oracle.wrong_inverse_at(x0, t)(monkeypatch.setattr)
+    g = build_graph(make_field(t))
+    want = oracle_checks(g)
+    assert want[0]["name"] == "class-preservation" and not want[0]["pass"]
+    assert want[1]["name"] == "leaf-traces" and want[1]["pass"] != leaf
+    assert table_records(g) == want
 
 
 def test_deep_faulty_tree_keeps_its_levels(monkeypatch):
