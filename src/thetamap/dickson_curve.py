@@ -19,6 +19,13 @@ order-(q+1) subgroup of GF(q^2)*: ``theta_graph.theta_pullback``, which the
 order battery shares, reads them in GF(q) for the root-image check
 (``_theta_image_of_small_subgroup``).
 
+Every evaluation takes and returns packed ints.  ``_root_bits`` runs the
+doubling ladder over every x on the log tables, ``_dickson_ladder`` runs it
+on the field's own products, and ``_dickson_values`` gives D_1..D_m by the
+recurrence; the tests hold all three against ``_dickson_bits``, the plain
+recurrence, and ``dickson_coeff_bits`` is the binomial closed form for
+``FieldSpec.eval_poly``.
+
 The additive character here is the canonical one, x -> (-1)^Tr(x); the
 count cross-check validates that normalization at every field size.
 """
@@ -30,7 +37,6 @@ from dataclasses import dataclass
 from math import comb
 
 from thetamap.gf2_arith import (
-    FieldElement,
     FieldError,
     FieldSpec,
     field_to_record,
@@ -41,10 +47,7 @@ from thetamap.theta_graph import ThetaGraph, UnitWalk, theta_pullback, unit_walk
 
 __all__ = [
     "RootSetReport",
-    "dickson_eval",
     "dickson_coeff_bits",
-    "dickson_eval_closed_form",
-    "root_sets",
     "kloosterman",
     "curve_point_count",
     "curve_point_count_naive",
@@ -54,7 +57,8 @@ __all__ = [
 
 
 def _dickson_bits(spec: FieldSpec, m: int, x: int) -> int:
-    """D_m(x) by the linear recurrence, on packed ints."""
+    """D_m(x) by the linear recurrence, on packed ints: the oracle the tests
+    hold the fast evaluations against."""
     if m < 1:
         raise FieldError(f"Dickson degree m={m} must be positive")
     d0, d1 = 0, x
@@ -97,13 +101,6 @@ def _dickson_ladder(spec: FieldSpec, m: int, x: int) -> int:
     return a
 
 
-def dickson_eval(spec: FieldSpec, m: int, x: FieldElement) -> FieldElement:
-    """Value of the degree-m Dickson polynomial of the first kind, parameter 1."""
-    if not spec.compatible(x.field):
-        raise FieldError("argument does not belong to this field")
-    return FieldElement(spec, _dickson_bits(spec, m, x.bits))
-
-
 def dickson_coeff_bits(m: int) -> int:
     """Coefficient parity vector of D_m from the closed form.
 
@@ -120,13 +117,6 @@ def dickson_coeff_bits(m: int) -> int:
         if (num // (m - i)) & 1:
             bits |= 1 << (m - 2 * i)
     return bits
-
-
-def dickson_eval_closed_form(spec: FieldSpec, m: int, x: FieldElement) -> FieldElement:
-    """Closed-form evaluation; the small-degree oracle for the recurrence."""
-    if not spec.compatible(x.field):
-        raise FieldError("argument does not belong to this field")
-    return FieldElement(spec, spec.eval_poly(dickson_coeff_bits(m), x.bits))
 
 
 def _root_bits(spec: FieldSpec, m: int) -> set[int]:
@@ -157,18 +147,6 @@ def _root_bits(spec: FieldSpec, m: int) -> set[int]:
 def _split_roots(spec: FieldSpec, roots: set[int]) -> tuple[set[int], set[int]]:
     s = {x for x in roots if spec.inv(x) in roots}
     return s, roots - s
-
-
-def root_sets(spec: FieldSpec, m: int) -> tuple[set[FieldElement], set[FieldElement]]:
-    """(S_m, T_m) by direct evaluation; requires m > 1 and m | q+1."""
-    q = spec.q
-    if m <= 1:
-        raise FieldError(f"m={m} must exceed 1")
-    if (q + 1) % m != 0:
-        raise FieldError(f"m={m} does not divide q+1={q + 1}")
-    s, t = _split_roots(spec, _root_bits(spec, m))
-    return ({FieldElement(spec, x) for x in s},
-            {FieldElement(spec, x) for x in t})
 
 
 def _theta_image_of_small_subgroup(spec: FieldSpec, ambient: FieldSpec,
@@ -215,10 +193,10 @@ def curve_point_count_naive(spec: FieldSpec) -> int:
     return count
 
 
-def leaf_set_equalities(spec: FieldSpec, g: ThetaGraph) -> CheckReport:
-    """S_(q+1) versus the A-class leaves and T_(q+1) versus the B-class ones."""
-    if not spec.compatible(g.field):
-        raise FieldError("graph was built over a different field")
+def leaf_set_equalities(g: ThetaGraph) -> CheckReport:
+    """S_(q+1) versus the A-class leaves and T_(q+1) versus the B-class ones,
+    over the field of ``g``."""
+    spec = g.field
     n = spec.t
     rep = CheckReport(f"leaf sets versus Dickson root sets (n={n})")
     roots = _root_bits(spec, spec.q + 1)

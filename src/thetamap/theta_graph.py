@@ -21,16 +21,17 @@ reads 1/gen's tables nor the map, so a fault in either still shows against
 it in class-preservation.  ``build_graph`` keeps the map as ``succ`` and the
 trace tables as ints.
 
-Projective conventions (1/0 = 0, 1/inf = inf, |0| = |inf| = 1, Tr(0) =
-Tr(inf) = 0) are ``ProjPoint`` methods; ``theta_index``, ``unit_walk`` and
-order_dynamics' ``profile_tail`` and ``trace_quadrants`` apply them inline
-to raw indices.  ``verify_structure`` makes no per-vertex field call and
-does not walk the unit group: its tree-shape checks read child counts from the
-in-degrees, its class-preservation and leaf-trace checks read Tr(x) and
-Tr(1/x) of every vertex from the graph's trace tables, a block of vertices
-at a time, where Tr(1/0) = 0 is stored, and inf, the index past both
-tables, counts as class A; its
-leaf-degree check walks the subfield GF(2^(t/2)) instead of every leaf.
+A point is its raw index: the packed element, or q for infinity.  The
+projective conventions (1/0 = 0, 1/inf = inf, |0| = |inf| = 1, Tr(0) =
+Tr(inf) = 0) are applied inline where a raw index meets them: in
+``theta_index``, ``unit_walk`` and order_dynamics' ``profile_tail`` and
+``trace_quadrants``.  ``verify_structure`` makes no per-vertex field call
+and does not walk the unit group: its tree-shape checks read child counts
+from the in-degrees, its class-preservation and leaf-trace checks read
+Tr(x) and Tr(1/x) of every vertex from the graph's trace tables, a block of
+vertices at a time, where Tr(1/0) = 0 is stored, and inf, the index past
+both tables, counts as class A; its leaf-degree check walks the subfield
+GF(2^(t/2)) instead of every leaf.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from operator import not_, xor
 from dataclasses import dataclass
 
 from thetamap.gf2_arith import (
-    FieldElement,
     FieldError,
     FieldSpec,
     _pinvmod,
@@ -51,19 +51,14 @@ from thetamap.report import CheckReport, json_text
 
 __all__ = [
     "GRAPH_MAX_T",
-    "ProjPoint",
     "Component",
     "ThetaGraph",
-    "theta",
     "theta_index",
     "Pullback",
     "theta_pullback",
     "UnitWalk",
     "unit_walk",
     "build_graph",
-    "is_periodic",
-    "leaves",
-    "omega_sets",
     "verify_structure",
     "point_label",
     "to_dot",
@@ -75,96 +70,21 @@ __all__ = [
 GRAPH_MAX_T = 30
 
 
-class ProjPoint:
-    """A point of P^1(F_q): a field element or the point at infinity.
-
-    Encoded by an index in [0, 2^t]; index 2^t is infinity, every other
-    index is the packed field element itself.
-    """
-
-    __slots__ = ("field", "index")
-
-    def __init__(self, field: FieldSpec, index: int):
-        if not 0 <= index <= field.q:
-            raise FieldError(f"point index {index} out of range")
-        self.field = field
-        self.index = index
-
-    @classmethod
-    def zero(cls, field: FieldSpec) -> "ProjPoint":
-        return cls(field, 0)
-
-    @classmethod
-    def infinity(cls, field: FieldSpec) -> "ProjPoint":
-        return cls(field, field.q)
-
-    @classmethod
-    def of(cls, elem: FieldElement) -> "ProjPoint":
-        return cls(elem.field, elem.bits)
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.index == self.field.q
-
-    @property
-    def is_zero(self) -> bool:
-        return self.index == 0
-
-    @property
-    def is_unit(self) -> bool:
-        return 0 < self.index < self.field.q
-
-    @property
-    def element(self) -> FieldElement | None:
-        """The underlying field element; None for infinity."""
-        if self.is_infinity:
-            return None
-        return FieldElement(self.field, self.index)
-
-    def inverse(self) -> "ProjPoint":
-        """Projective inverse: 1/0 = 0 and 1/inf = inf by convention."""
-        if self.is_unit:
-            return ProjPoint(self.field, self.field.inv(self.index))
-        return self
-
-    def order(self) -> int:
-        """Multiplicative order, with |0| = |inf| = 1 by convention."""
-        if self.is_unit:
-            return self.field.order(self.index)
-        return 1
-
-    def trace(self) -> int:
-        """Absolute trace, with Tr(0) = Tr(inf) = 0 by convention."""
-        if self.is_unit:
-            return self.field.trace(self.index)
-        return 0
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ProjPoint):
-            return NotImplemented
-        return self.field.compatible(other.field) and self.index == other.index
-
-    def __hash__(self) -> int:
-        return hash((self.field.t, self.field.modulus, self.index, "P1"))
-
-    def __repr__(self) -> str:
-        return f"<P1(2^{self.field.t}) {point_label(self)}>"
-
-
-def point_label(p: ProjPoint) -> str:
-    """Export label: discrete log of a unit, `'0'` for zero, `inf` for infinity.
+def point_label(field: FieldSpec, index: int) -> str:
+    """Export label of a point encoding: discrete log of a unit, `'0'` for
+    zero, `inf` for infinity (index 2^t).
 
     Fields too large for a log table fall back to hex coordinates prefixed
     with `x`, keeping labels deterministic at every size.
     """
-    if p.is_infinity:
+    if index == field.q:
         return "inf"
-    if p.is_zero:
+    if index == 0:
         return "'0'"
     try:
-        return str(p.field.dlog(p.index))
+        return str(field.dlog(index))
     except FieldError:
-        return f"x{p.index:x}"
+        return f"x{index:x}"
 
 
 def theta_index(field: FieldSpec, idx: int) -> int:
@@ -172,13 +92,6 @@ def theta_index(field: FieldSpec, idx: int) -> int:
     if idx == 0 or idx == field.q:
         return field.q
     return idx ^ field.inv(idx)
-
-
-def theta(spec: FieldSpec, p: ProjPoint) -> ProjPoint:
-    """One application of the map: 0 and inf go to inf, x goes to x + 1/x."""
-    if not spec.compatible(p.field):
-        raise FieldError("point does not belong to this field")
-    return ProjPoint(spec, theta_index(spec, p.index))
 
 
 @dataclass
@@ -263,31 +176,12 @@ class ThetaGraph:
         self.tr = tr
         self.tr_inv = tr_inv
 
-    @property
-    def infinity_index(self) -> int:
-        return self.field.q
-
-    def point(self, index: int) -> ProjPoint:
-        return ProjPoint(self.field, index)
-
     def leaf_indices(self):
         """Encodings of the in-degree-0 vertices, ascending.
 
         Infinity is never among them: its self-loop counts.
         """
         return compress(range(len(self.indeg)), map(not_, self.indeg))
-
-    def successor(self, p: ProjPoint) -> ProjPoint:
-        self._own(p)
-        return ProjPoint(self.field, self.succ[p.index])
-
-    def level_of(self, p: ProjPoint) -> int:
-        self._own(p)
-        return self.level[p.index]
-
-    def _own(self, p: ProjPoint) -> None:
-        if not self.field.compatible(p.field):
-            raise FieldError("point does not belong to this graph's field")
 
     def __repr__(self) -> str:
         return (f"ThetaGraph(t={self.field.t}, vertices={len(self.succ)}, "
@@ -439,26 +333,6 @@ def build_graph(spec: FieldSpec) -> ThetaGraph:
                       walk.tr, walk.tr_inv)
 
 
-def is_periodic(g: ThetaGraph, p: ProjPoint) -> bool:
-    """True iff p lies on its component's cycle."""
-    return g.level_of(p) == 0
-
-
-def leaves(g: ThetaGraph) -> set[ProjPoint]:
-    """All vertices of in-degree 0."""
-    return {g.point(v) for v in g.leaf_indices()}
-
-
-def omega_sets(spec: FieldSpec) -> tuple[set[FieldElement], set[FieldElement]]:
-    """Partition of the units by Tr(1/x): (Tr = 0, Tr = 1), read from the
-    unit walk's Tr(1/x)."""
-    tr_inv = unit_walk(spec).tr_inv.to_bytes(spec.q, "little")
-    om, om_bar = set(), set()
-    for x in range(1, spec.q):
-        (om_bar if tr_inv[x] else om).add(FieldElement(spec, x))
-    return om, om_bar
-
-
 # ---------------------------------------------------------------------------
 # Structural verification
 
@@ -505,13 +379,12 @@ def verify_structure(g: ThetaGraph) -> CheckReport:
     means no child below level d.
     """
     spec = g.field
-    inf = g.infinity_index
-    q = spec.q
+    q = inf = spec.q
     d = spec.r + 2
     rep = CheckReport(f"structure of the map graph over GF(2^{spec.t})")
 
     def lab(v: int) -> str:
-        return point_label(g.point(v))
+        return point_label(spec, v)
 
     # (1) the trace class is preserved along every edge: each vertex's
     #     class byte Tr(x) ^ Tr(1/x) (1 for B) equals its component's, in_b.
@@ -571,13 +444,18 @@ def verify_structure(g: ThetaGraph) -> CheckReport:
     # (6) every leaf degree is 2^r * v with v odd dividing s.  Every degree
     #     divides t = 2^r * s, so only the degrees dividing t/2 break the
     #     law, and only when r >= 1: the law holds iff no element of
-    #     GF(2^(t/2)) is a leaf.
+    #     GF(2^(t/2)) is a leaf.  The witness's degree is read by squaring
+    #     it, which a faulty kernel may never bring back: the detail says so.
     bad = None
     if spec.r:
         sub = spec.subgroup((1 << (spec.t // 2)) - 1)[:-1] + [0]
         bad = min((v for v in sub if not g.indeg[v]), default=None)
-    rep.add("leaf-degree", bad is None, "" if bad is None else
-            f"leaf {lab(bad)} has degree {spec.degree(bad)}")
+    detail = ""
+    if bad is not None:
+        deg = spec.degree(bad)
+        detail = (f"leaf {lab(bad)} has degree {deg}" if deg is not None else
+                  f"leaf {lab(bad)} does not return under {spec.t} squarings")
+    rep.add("leaf-degree", bad is None, detail)
 
     return rep
 
@@ -629,8 +507,8 @@ def to_dot(g: ThetaGraph) -> str:
         out.append(f"digraph component_{cid} {{")
         tree = [v for root in comp.cycle for vs in tree_levels(root) for v in vs]
         for v in (*comp.cycle, *tree):
-            out.append(f'    "{point_label(g.point(v))}" -> '
-                       f'"{point_label(g.point(g.succ[v]))}";')
+            out.append(f'    "{point_label(g.field, v)}" -> '
+                       f'"{point_label(g.field, g.succ[v])}";')
         out.append("}")
     return "\n".join(out) + "\n"
 
@@ -644,11 +522,11 @@ def to_json(g: ThetaGraph) -> str:
             for k, vs in enumerate(tree_levels(root), 1):
                 levels.setdefault(k, []).extend(vs)
         comps.append({
-            "cycle": [point_label(g.point(v)) for v in comp.cycle],
+            "cycle": [point_label(g.field, v) for v in comp.cycle],
             "depth": comp.depth,
             "class": comp.trace_class,
             "levels": {
-                str(k): [point_label(g.point(v)) for v in sorted(levels[k])]
+                str(k): [point_label(g.field, v) for v in sorted(levels[k])]
                 for k in sorted(levels)
             },
         })

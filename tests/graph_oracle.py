@@ -6,11 +6,12 @@ work one vertex at a time, the way the module did before: the map from
 ``FieldSpec.inv`` per vertex, the predecessors in two slots and an overflow
 dict, the cycles as the stable image of the map, levels and components from
 the per-root ``tree_levels`` walk, classes by ``classify_AB``, leaf traces
-by the ``ProjPoint`` trace and inverse and leaf degrees by ``degree``, one
-leaf at a time.  ``decompose`` takes any successor list, so a test can hand
-it the map of a faulty kernel.  ``unit_pairs`` and ``trace_tables`` are the
-full walks of the generator that ``theta_graph.unit_walk`` replaced: both
-gen^i and gen^-i in full, and Tr(1/x) from two more walks of gen^i.
+by ``trace`` and ``inv`` (Tr(0) = Tr(inf) = 0, 1/0 = 0) and leaf degrees by
+``degree``, one leaf at a time.  ``decompose`` takes any successor list, so
+a test can hand it the map of a faulty kernel.  ``unit_pairs`` and
+``trace_tables`` are the full walks of the generator that
+``theta_graph.unit_walk`` replaced: both gen^i and gen^-i in full, and
+Tr(1/x) from two more walks of gen^i.
 
 The fault factories at the end return installers taking a ``setattr``-like
 callable, so a test can apply them with ``monkeypatch.setattr`` in-process
@@ -25,7 +26,6 @@ import thetamap.theta_graph as theta_graph
 from thetamap.gf2_arith import FieldError, FieldSpec, make_field
 from thetamap.theta_graph import (
     Component,
-    ProjPoint,
     ThetaGraph,
     _bits,
     point_label,
@@ -37,14 +37,12 @@ from thetamap.theta_graph import (
 TABLE_CHECKS = ("class-preservation", "leaf-traces", "leaf-degree")
 
 
-def classify_AB(spec: FieldSpec, p: ProjPoint) -> str:
-    """'A' iff p is 0 or inf or Tr(x) = Tr(1/x); 'B' otherwise."""
-    if not spec.compatible(p.field):
-        raise FieldError("point does not belong to this field")
-    if not p.is_unit:
+def classify_AB(spec: FieldSpec, v: int) -> str:
+    """'A' iff the point encoding v is 0 or inf or Tr(v) = Tr(1/v); 'B'
+    otherwise."""
+    if not 0 < v < spec.q:
         return "A"
-    x = p.index
-    return "A" if spec.trace(x) == spec.trace(spec.inv(x)) else "B"
+    return "A" if spec.trace(v) == spec.trace(spec.inv(v)) else "B"
 
 
 def unit_pairs(spec: FieldSpec):
@@ -162,7 +160,7 @@ def decompose(spec: FieldSpec, succ: list[int]) -> ThetaGraph:
                     comp_id[u] = cid
                 depth = max(depth, k)
         g.components.append(
-            Component(cyc, depth, classify_AB(spec, g.point(cyc[0]))))
+            Component(cyc, depth, classify_AB(spec, cyc[0])))
     return g
 
 
@@ -183,20 +181,20 @@ def oracle_checks(g: ThetaGraph) -> list[dict]:
     classes = [comp.trace_class for comp in g.components]
 
     def lab(v: int) -> str:
-        return point_label(g.point(v))
+        return point_label(spec, v)
 
     def record(name: str, detail: str) -> dict:
         return {"name": name, "pass": not detail, "detail": detail}
 
     bad = next((v for v, cid in enumerate(g.comp_id)
-                if classify_AB(spec, g.point(v)) != classes[cid]), None)
+                if classify_AB(spec, v) != classes[cid]), None)
     out = [record("class-preservation",
                   "" if bad is None else f"witness {lab(bad)}")]
 
     detail = ""
     for v in g.leaf_indices():
-        p = g.point(v)                 # Tr(1/0) = Tr(0) = 0 by convention
-        pair = (p.trace(), p.inverse().trace())
+        pair = ((spec.trace(v), spec.trace(spec.inv(v))) if 0 < v < spec.q
+                else (0, 0))           # Tr(0) = Tr(1/0) = Tr(inf) = 0
         cls = classes[g.comp_id[v]]
         if pair != ((1, 1) if cls == "A" else (0, 1)):
             detail = f"{cls}-leaf {lab(v)} has traces {pair}"

@@ -11,12 +11,12 @@ import time
 from graph_oracle import predecessor_slots, tree_levels
 from orders_oracle import seed_profiles
 from thetamap.dickson_curve import (
+    _dickson_bits,
     _root_bits,
     _split_roots,
     curve_point_count,
     curve_point_count_naive,
-    dickson_eval,
-    dickson_eval_closed_form,
+    dickson_coeff_bits,
     kloosterman,
     leaf_set_equalities,
 )
@@ -30,7 +30,7 @@ from thetamap.order_dynamics import (
     verify_cq1_inclusion,
     verify_theta_permutation,
 )
-from thetamap.theta_graph import build_graph, leaves, verify_structure
+from thetamap.theta_graph import build_graph, verify_structure
 
 TOWERS = {n: make_tower(n) for n in (1, 2, 3, 4)}
 PROFILES = {n: seed_profiles(seed_walk(tw)) for n, tw in TOWERS.items()}
@@ -76,11 +76,11 @@ def test_criterion_01_golden_graph():
             ok = ok and {k: {f.dlog(v) for v in vs} for k, vs in got.items()} \
                 == levels
 
-    inf_comp = by_cycle.get(frozenset({g.infinity_index}))
+    inf_comp = by_cycle.get(frozenset({f.q}))
     ok = ok and inf_comp is not None and inf_comp.depth == 3
     if ok:
         tree = dict(enumerate(
-            tree_levels(slots, g.level, g.infinity_index), 1))
+            tree_levels(slots, g.level, f.q), 1))
         ok = (tree[1] == [0] and tree[2] == [1]
               and set(tree[3]) == {a(21), a(42)})
         ok = ok and sum(len(v) for v in tree.values()) + 1 == 5
@@ -168,7 +168,7 @@ def test_criterion_07_leaf_set_equalities():
     for n in range(1, 13):
         f = make_field(n)
         g = build_graph(f)
-        rep = leaf_set_equalities(f, g)
+        rep = leaf_set_equalities(g)
         ok = ok and rep.passed
     verdict(7, ok, "S equals the A-leaves for n=1..12 and T the B-leaves "
                    "for n=3..12, setwise")
@@ -227,8 +227,9 @@ def test_criterion_10_oracle_equivalence():
     for t in (4, 6):
         f = make_field(t)
         for m in range(1, 11):
-            for e in map(f.element, range(f.q)):
-                if dickson_eval(f, m, e) != dickson_eval_closed_form(f, m, e):
+            coeffs = dickson_coeff_bits(m)
+            for x in range(f.q):
+                if _dickson_bits(f, m, x) != f.eval_poly(coeffs, x):
                     ok = False
 
     for n in range(1, 9):

@@ -360,6 +360,31 @@ def test_subfield_leaf_fails_leaf_degree(monkeypatch, capsys):
         assert "Traceback" not in err
 
 
+def test_leaf_degree_of_a_squaring_that_never_returns_is_a_record(
+        monkeypatch, capsys, tmp_path):
+    # a unit of GF(2^4) loses its predecessors, and once the graph is built
+    # squaring sends everything to q, so the witness's degree is never
+    # found: the detail says so, the report is written, and the run exits 1
+    f = make_field(8)
+    target = f.pow(f.gen, 17)
+    graph_oracle.subfield_leaves(8, [target])(monkeypatch.setattr)
+    true_build = cli.build_graph
+
+    def build_graph(spec):
+        g = true_build(spec)
+        monkeypatch.setattr(FieldSpec, "sqr", lambda self, a: self.q)
+        return g
+
+    monkeypatch.setattr(cli, "build_graph", build_graph)
+    path = tmp_path / "report.txt"
+    assert main(["verify-structure", "--t", "8", "--out", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    lines = path.read_text().splitlines()
+    assert ("FAIL [t=8] leaf-degree  leaf 17 does not return under 8 "
+            "squarings") in lines
+
+
 def test_orders_failure_exits_one(monkeypatch, capsys):
     # every trace mask empty: every trace, at every level, reads 0
     monkeypatch.setattr(FieldSpec, "trace_mask", lambda self, d: 0)

@@ -45,7 +45,7 @@ from thetamap.order_dynamics import (
     verify_theta_permutation,
 )
 from thetamap.report import json_text
-from thetamap.theta_graph import ProjPoint, build_graph, point_label, theta_index
+from thetamap.theta_graph import build_graph, point_label, theta_index
 
 TOWERS = {n: make_tower(n) for n in (1, 2, 3, 4)}
 WALKS = {n: seed_walk(tw) for n, tw in TOWERS.items()}
@@ -78,7 +78,7 @@ def _ambient_profile(tower, bits):
     rows = []
     idx = bits
     for _ in range(tower.l + 5):
-        lab = point_label(ProjPoint(ambient, idx))
+        lab = point_label(ambient, idx)
         if idx == 0 or idx == ambient.q:
             rows.append((idx, lab, 1, 1, 1, n, 0, 0))
             idx = ambient.q

@@ -25,13 +25,8 @@ from graph_oracle import (
 from thetamap.gf2_arith import FieldError, FieldSpec, field_from_record, make_field
 from thetamap.theta_graph import (
     GRAPH_MAX_T,
-    ProjPoint,
     build_graph,
-    is_periodic,
-    leaves,
-    omega_sets,
     point_label,
-    theta,
     theta_index,
     theta_pullback,
     to_dot,
@@ -51,14 +46,6 @@ def trees(g, root):
         tree_levels(predecessor_slots(g.succ), g.level, root), 1))
 
 
-def pt(f, exp=None, *, zero=False, infinity=False):
-    if infinity:
-        return ProjPoint.infinity(f)
-    if zero:
-        return ProjPoint.zero(f)
-    return ProjPoint(f, f.exp_of(exp))
-
-
 # ---------------------------------------------------------------------------
 # the map itself
 
@@ -66,18 +53,13 @@ def pt(f, exp=None, *, zero=False, infinity=False):
 def test_theta_special_points():
     for t in (1, 2, 6):
         f = make_field(t)
-        assert theta(f, ProjPoint.zero(f)).is_infinity
-        assert theta(f, ProjPoint.infinity(f)).is_infinity
-        assert theta(f, ProjPoint(f, 1)).is_zero     # 1 + 1 = 0
+        assert theta_index(f, 0) == f.q             # 0 goes to inf
+        assert theta_index(f, f.q) == f.q           # inf stays
+        assert theta_index(f, 1) == 0               # 1 + 1 = 0
 
 
 def test_theta_worked_example_edge():
-    assert theta(F6, pt(F6, 45)) == pt(F6, 27)
-
-
-def test_theta_field_mismatch():
-    with pytest.raises(FieldError):
-        theta(F6, ProjPoint.zero(make_field(3)))
+    assert theta_index(F6, F6.exp_of(45)) == F6.exp_of(27)
 
 
 def test_out_degree_and_vertex_count():
@@ -99,7 +81,7 @@ def test_graph_t1():
     assert list(comp.cycle) == [2]                # the infinity index
     assert comp.depth == 2
     assert trees(g, 2) == {1: [0], 2: [1]}
-    assert sorted(p.index for p in leaves(g)) == [1]
+    assert sorted(g.leaf_indices()) == [1]
     assert verify_structure(g).passed
 
 
@@ -159,7 +141,7 @@ def test_golden_six_b_components():
 
 
 def test_golden_six_infinity_component():
-    inf = G6.infinity_index
+    inf = F6.q
     comp = G6.components[G6.comp_id[inf]]
     assert list(comp.cycle) == [inf]
     levels = trees(G6, inf)
@@ -174,7 +156,7 @@ def test_golden_six_component_count_and_order():
     # deterministic order: least cycle encoding first, infinity last
     mins = [min(c.cycle) for c in G6.components]
     assert mins == sorted(mins)
-    assert list(G6.components[-1].cycle) == [G6.infinity_index]
+    assert list(G6.components[-1].cycle) == [F6.q]
 
 
 def test_golden_six_leaves():
@@ -182,7 +164,7 @@ def test_golden_six_leaves():
         [F6.exp_of(e) for e in (41, 22, 50, 13, 19, 44, 26, 37, 38, 25, 52, 11,
                                 21, 42)]
         + [F6.exp_of(e) for e in LEAVES_B1] + [F6.exp_of(e) for e in LEAVES_B2])
-    assert sorted(p.index for p in leaves(G6)) == want
+    assert sorted(G6.leaf_indices()) == want
 
 
 @pytest.mark.parametrize("record", [str(t) for t in range(1, 15)]
@@ -293,7 +275,7 @@ def test_unit_walk_fault_shows_against_the_trace_tables(monkeypatch, tables):
     records = table_records(g)
     assert records == oracle_checks(g)
     assert records[0] == {"name": "class-preservation", "pass": False,
-                          "detail": f"witness {point_label(g.point(x0))}"}
+                          "detail": f"witness {point_label(f, x0)}"}
 
 
 @pytest.mark.parametrize("faulty", ["gen", "gen-inverse"])
@@ -401,25 +383,26 @@ def test_leaf_degree_law_breaks_exactly_on_the_half_field(t):
 
 
 def test_classify_special_and_sample_points():
-    assert classify_AB(F6, ProjPoint.zero(F6)) == "A"
-    assert classify_AB(F6, ProjPoint.infinity(F6)) == "A"
-    assert classify_AB(F6, ProjPoint(F6, 1)) == "A"
-    assert classify_AB(F6, pt(F6, 41)) == "A"
-    assert classify_AB(F6, pt(F6, 48)) == "B"
+    assert classify_AB(F6, 0) == "A"
+    assert classify_AB(F6, F6.q) == "A"                # infinity
+    assert classify_AB(F6, 1) == "A"
+    assert classify_AB(F6, F6.exp_of(41)) == "A"
+    assert classify_AB(F6, F6.exp_of(48)) == "B"
 
 
 def test_is_periodic():
-    assert is_periodic(G6, ProjPoint.infinity(F6))
-    assert not is_periodic(G6, ProjPoint(F6, 1))
-    assert is_periodic(G6, pt(F6, 45))
-    assert not is_periodic(G6, pt(F6, 9))
+    # periodic: on its component's cycle, level 0
+    assert G6.level[F6.q] == 0
+    assert G6.level[1] != 0
+    assert G6.level[F6.exp_of(45)] == 0
+    assert G6.level[F6.exp_of(9)] != 0
 
 
 def test_no_leaf_is_zero_or_infinity():
     for t in range(1, 9):
         g = build_graph(make_field(t))
-        for p in leaves(g):
-            assert p.is_unit
+        for v in g.leaf_indices():
+            assert 0 < v < g.field.q
 
 
 def test_level_recursion_invariant():
@@ -435,8 +418,7 @@ def test_edges_preserve_class():
         f = make_field(t)
         g = build_graph(f)
         for v in range(f.q + 1):
-            assert (classify_AB(f, g.point(v))
-                    == classify_AB(f, g.point(g.succ[v])))
+            assert classify_AB(f, v) == classify_AB(f, g.succ[v])
 
 
 # ---------------------------------------------------------------------------
@@ -446,20 +428,24 @@ def test_edges_preserve_class():
 @pytest.mark.parametrize("t", range(1, 13))
 def test_omega_sizes(t):
     f = make_field(t)
-    om, om_bar = omega_sets(f)
+    # the units split by Tr(1/x), read from the unit walk
+    tr_inv = unit_walk(f).tr_inv.to_bytes(f.q, "little")
+    om = {x for x in range(1, f.q) if not tr_inv[x]}
+    om_bar = {x for x in range(1, f.q) if tr_inv[x]}
     assert len(om) == 2 ** (t - 1) - 1
     assert len(om_bar) == 2 ** (t - 1)
-    assert {e.bits for e in om} | {e.bits for e in om_bar} == set(range(1, f.q))
+    assert om | om_bar == set(range(1, f.q))
 
 
 @pytest.mark.parametrize("t", range(1, 7))
 def test_omega_bar_is_image_of_small_subgroup(t):
     f = make_field(t)
-    _, om_bar = omega_sets(f)
+    tr_inv = unit_walk(f).tr_inv.to_bytes(f.q, "little")
+    om_bar = {x for x in range(1, f.q) if tr_inv[x]}
     double = make_field(2 * t)
     pull = theta_pullback(f, double, double.subgroup(f.q + 1))
     assert pull.fault is None
-    assert {e.bits for e in om_bar} == set(pull.values[1:])
+    assert om_bar == set(pull.values[1:])
 
 
 def _greatest_irreducible(t):
@@ -491,8 +477,9 @@ def test_pullback_matches_the_norm_form(d, moduli):
 def test_leaves_are_omega_bar(t):
     f = make_field(t)
     g = build_graph(f)
-    _, om_bar = omega_sets(f)
-    assert {p.index for p in leaves(g)} == {e.bits for e in om_bar}
+    tr_inv = unit_walk(f).tr_inv.to_bytes(f.q, "little")
+    om_bar = {x for x in range(1, f.q) if tr_inv[x]}
+    assert set(g.leaf_indices()) == om_bar
 
 
 # ---------------------------------------------------------------------------
@@ -535,9 +522,8 @@ def test_leaf_iterate_degree_dichotomy(t):
     f = make_field(t)
     g = build_graph(f)
     half = t // 2
-    for p in leaves(g):
-        v = p.index
-        if classify_AB(f, p) != "A":
+    for v in g.leaf_indices():
+        if classify_AB(f, v) != "A":
             continue
         d = f.degree(v)
         w = g.succ[v]
@@ -574,8 +560,8 @@ def _walk(g, v, count):
 def test_leaf_degree_law(t):
     f = make_field(t)
     g = build_graph(f)
-    for p in leaves(g):
-        d = f.degree(p.index)
+    for x in g.leaf_indices():
+        d = f.degree(x)
         v = d >> f.r
         assert d == (v << f.r) and v % 2 == 1 and f.s % v == 0
 
