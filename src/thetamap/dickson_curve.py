@@ -15,16 +15,16 @@ whose sizes the Kloosterman sum K = sum_x (-1)^Tr(x + 1/x) predicts via
 characterizes the x-coordinates of the rational points of the curve
 y^2 + xy = x^3 + 1, so its point count cross-validates everything.
 By the identity the roots are also the values y + 1/y, y != 1, on the
-order-(q+1) subgroup of GF(q^2)*: ``theta_graph.theta_pullback``, which the
-order battery shares, reads them in GF(q) for the root-image check
-(``_theta_image_of_small_subgroup``).
+order-(q+1) subgroup of GF(q^2)*: the root-image check
+(``_theta_image_of_small_subgroup``) walks that subgroup, and
+``theta_graph.theta_pullback`` reads the values in GF(q).
 
 Every evaluation takes and returns packed ints.  ``_root_bits`` runs the
 doubling ladder over every x on the log tables, ``_dickson_ladder`` runs it
-on the field's own products, and ``_dickson_values`` gives D_1..D_m by the
-recurrence; the tests hold all three against ``_dickson_bits``, the plain
-recurrence, and ``dickson_coeff_bits`` is the binomial closed form for
-``FieldSpec.eval_poly``.
+on the field's own products, and ``FieldSpec.dickson_values`` gives
+D_0..D_m by the recurrence; the tests hold all three against
+``_dickson_bits``, the plain recurrence, and ``dickson_coeff_bits`` is the
+binomial closed form for ``FieldSpec.eval_poly``.
 
 The additive character here is the canonical one, x -> (-1)^Tr(x); the
 count cross-check validates that normalization at every field size.
@@ -65,21 +65,6 @@ def _dickson_bits(spec: FieldSpec, m: int, x: int) -> int:
     for _ in range(m - 1):
         d0, d1 = d1, spec.mul(x, d1) ^ d0
     return d1
-
-
-def _dickson_values(spec: FieldSpec, m: int, x: int):
-    """D_1(x), ..., D_m(x) by the linear recurrence, as `_dickson_bits`.
-
-    x is fixed along the recurrence, so every product x*v reads the split
-    tables of v -> x*v (`FieldSpec.mul_tables`), with or without log tables.
-    """
-    lo, hi, shift = spec.mul_tables(x)
-    mask = len(lo) - 1
-    d0, d1 = 0, x
-    yield d1
-    for _ in range(m - 1):
-        d0, d1 = d1, lo[d1 & mask] ^ hi[d1 >> shift] ^ d0
-        yield d1
 
 
 def _dickson_ladder(spec: FieldSpec, m: int, x: int) -> int:
@@ -155,8 +140,8 @@ def _theta_image_of_small_subgroup(spec: FieldSpec, ambient: FieldSpec,
     by ``theta_pullback`` from ``ambient`` = GF(2^(2n)), with its first
     fault's witness, or None.  ``perfbench/tracer.py`` times this step by
     name."""
-    pull = theta_pullback(spec, ambient, ambient.subgroup(m))
-    return set(pull.values[1:]) - {None}, pull.fault
+    values, fault = theta_pullback(spec, ambient, ambient.subgroup(m))
+    return set(values[1:]) - {None}, fault
 
 
 def _trace_flips(spec: FieldSpec, walk: UnitWalk | None) -> int:
@@ -318,10 +303,11 @@ def _identity_check(spec: FieldSpec, double: FieldSpec, rng) -> bool:
 
     Exhaustive in y and in m = 1..q+1 for q <= 16, seeded random pairs
     beyond.  In the exhaustive case one linear recurrence per y
-    (`_dickson_values`) gives the left side for every m, and y^m, y^(-m)
-    come from the log tables of GF(q^2), at most GF(2^8).  A random pair
-    evaluates the left side by the doubling ladder (`_dickson_ladder`) and
-    the right side as z + 1/z with z = y^m: O(log m) products each.
+    (``FieldSpec.dickson_values``) gives the left side for every m, and
+    y^m, y^(-m) come from the log tables of GF(q^2), at most GF(2^8).  A
+    random pair evaluates the left side by the doubling ladder
+    (`_dickson_ladder`) and the right side as z + 1/z with z = y^m:
+    O(log m) products each.
     """
     q = spec.q
     if q <= IDENTITY_EXHAUSTIVE_MAX_Q:
@@ -330,7 +316,7 @@ def _identity_check(spec: FieldSpec, double: FieldSpec, rng) -> bool:
         for y in range(1, double.q):
             yi = double.inv(y)
             ly, lyi = log[y], log[yi]
-            for k, lhs in enumerate(_dickson_values(double, q + 1, y ^ yi), 1):
+            for k, lhs in enumerate(double.dickson_values(y ^ yi, q + 1)):
                 if lhs != exp[k * ly % units] ^ exp[k * lyi % units]:
                     return False
         return True
@@ -353,7 +339,7 @@ def _closed_form_check(spec: FieldSpec, rng) -> tuple[bool, str]:
     except FieldError as exc:
         return False, str(exc)
     for x in xs:
-        for m, lhs in enumerate(_dickson_values(spec, 10, x), 1):
+        for m, lhs in enumerate(spec.dickson_values(x, 10)[1:], 1):
             if lhs != spec.eval_poly(coeffs[m - 1], x):
                 return False, f"m={m}: the forms differ at {x:#x}"
     return True, "recurrence matches the binomial form for m <= 10"

@@ -20,10 +20,11 @@ need no log table.  Each steps by the split tables of ``mul_tables``, taken
 through ``step_tables``, which refuses tables whose image of 1 is not their
 multiplier: one element's powers come from ``powers`` (and the log/exp
 tables from gen's), those of the order-k subgroup's generator from
-``subgroup``.  The walk of every unit, which pairs it with its inverse and
-gives Tr(1/a), is ``theta_graph.unit_walk``; Tr(a) for every a at once
-comes from ``trace_bytes`` and needs no walk, and traces at every subfield
-level come from ``trace_mask``.
+``subgroup``, and the Dickson values D_k(x) from ``dickson_values``.  The
+walk of every unit, which pairs it with its inverse and gives Tr(1/a), is
+``theta_graph.unit_walk``; Tr(a) for every a at once comes from
+``trace_bytes`` and needs no walk, and traces at every subfield level come
+from ``trace_mask``.
 """
 
 from __future__ import annotations
@@ -551,6 +552,18 @@ class FieldSpec:
         for i in range(1, k + 1):
             v = lo[v & mask] ^ hi[v >> h]
             out[i] = v
+        return out
+
+    def dickson_values(self, x: int, m: int) -> list[int]:
+        """[D_0(x), ..., D_m(x)] by the Dickson recurrence D_0 = 0, D_1 = x,
+        D_(k+1) = x*D_k + D_(k-1), stepping by ``step_tables(x)``."""
+        lo, hi, h = self.step_tables(x)
+        mask = len(lo) - 1
+        out = [0] * (m + 1)
+        d0, d1 = 0, x
+        for k in range(1, m + 1):
+            out[k] = d1
+            d0, d1 = d1, lo[d1 & mask] ^ hi[d1 >> h] ^ d0
         return out
 
     def subgroup(self, k: int) -> list[int]:

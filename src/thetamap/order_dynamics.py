@@ -19,13 +19,13 @@ The three classes partition the subgroup minus 1, and each forces a rigid
 level/order/trace table that `case_table` renders and checks row by row.
 
 The reduction to GF(q^2).  Since 1/g = g^(q^2), f(g) = g + g^(q^2) is the
-relative trace of g into GF(q^2).  So the first iterates come from
-``theta_pullback`` over GF(q^2) < GF(q^4), the pull-back the Dickson
-battery reads over GF(q) < GF(q^2): the seeds are walked once in the
-ambient GF(2^(4n)) as the powers h^j of h = gen^(q^2-1) (``subgroup``),
-each f(h^j) is read in GF(q^2), and every later iterate is profiled from
-GF(q^2)'s log tables.  The seed's own row has a closed form:
-order (q^2+1)/gcd(j, q^2+1), trivial gcd-split, subfield 4n (a seed inside
+relative trace of g into GF(q^2).  For the seeds h^j, h = gen^(q^2-1),
+f(h^j) = D_j(b), b = f(h), with the Dickson recurrence D_(j+1) =
+b*D_j + D_(j-1) (Lidl, Mullen and Turnwald, *Dickson Polynomials*, 1993):
+``seed_walk`` pulls b back from the ambient GF(2^(4n)) and gives every first
+iterate in GF(q^2), where every later iterate is profiled from the log
+tables.  The seed's own row has a closed form: point j, order
+(q^2+1)/gcd(j, q^2+1), trivial gcd-split, subfield 4n (a seed inside
 GF(q^2) would have order dividing q^2-1 and q^2+1, so it would be 1), and
 Tr_4n(g) = Tr_4n(1/g) = Tr_2n(f(g)).
 
@@ -39,16 +39,16 @@ As 2^(2n) = -1 mod q^2+1, each orbit also holds the mate q^2+1-j of each
 member, and its size divides 4n.  Every member takes its leader's rows,
 class and per-seed verdicts; its points and labels are the leader's with
 their logs doubled (``profile_records``).  The set checks read the
-leaders' iterates with all their conjugates.  ``seed_walk`` checks
-f(h^(2j)) = f(h^j)^2 for every j, so a first iterate that breaks its orbit
-fails the run even at a seed that is not a leader.
+leaders' iterates with all their conjugates.  One wrong step of the
+recurrence, even at a seed that is not a leader, carries on to
+D_(q^2+1)(b), which ``seed_walk`` checks.
 
 Labels are those of the ambient field: a seed is labelled j*(q^2-1), an
 iterate x of GF(q^2) by (q^2+1)*(k0 * log x mod q^2-1), where k0 inverts
 log(emb^-1(gen^(q^2+1))) modulo q^2-1; both read no ambient log table.
 Beyond TABLE_MAX_T the label is the hex of the ambient coordinates, as in
-the graph exports.  `orders_report` walks the seeds once, and builds the
-per-seed records only for json output.
+the graph exports, and the seeds are walked in the ambient for it.
+`orders_report` builds the per-seed records only for json output.
 
 Projective conventions (1/0 = 0, |0| = |inf| = 1, Tr = 0 on 0 and inf)
 make the degenerate tails of class-1 profiles (... -> 1 -> 0 -> inf, which
@@ -58,7 +58,6 @@ tables uniformly; at indices 1..l+2 a special point fails its case table.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field as dfield
 from enum import Enum
@@ -72,12 +71,7 @@ from thetamap.gf2_arith import (
     subfield_embedding,
 )
 from thetamap.report import CheckReport
-from thetamap.theta_graph import (
-    Pullback,
-    build_graph,
-    theta_index,
-    theta_pullback,
-)
+from thetamap.theta_graph import build_graph, theta_index
 
 __all__ = [
     "TowerSpec",
@@ -143,46 +137,51 @@ def make_tower(n: int) -> TowerSpec:
 
 def subgroup(tower: TowerSpec, k: int) -> list[int]:
     """``FieldSpec.subgroup`` of the ambient: [h^0, ..., h^k], h = gen^(N/k),
-    N = 2^(4n) - 1.  The battery's one ambient walk, called by this name so
+    N = 2^(4n) - 1.  The walk of the hex labels, called by this name so
     that ``perfbench/tracer.py`` counts its calls and elements."""
     return tower.ambient.subgroup(k)
 
 
 @dataclass(frozen=True)
 class SeedWalk:
-    """The seeds h^j = ``pull.powers[j]``, h = gen^(q^2-1), their first
-    iterates ``pull.values[j]`` in GF(q^2), and ``k0``, which turns a log of
-    GF(q^2) into an ambient one (0 if ``pull`` has a fault)."""
+    """``values[j]`` = f(h^j) in GF(q^2) for the seeds h^j, h = gen^(q^2-1),
+    j = 0..q^2+1; ``emb`` embeds GF(q^2) in the ambient; ``fault`` is None
+    or the (check name, witness) that leaves no profile to trust."""
 
     tower: TowerSpec
-    pull: Pullback
-    k0: int
+    values: list[int]
+    emb: list[int]
+    fault: tuple[str, str] | None
+
+
+def _preimage(tower: TowerSpec, emb: list[int], a: int) -> int:
+    """emb^-1(a) in GF(q^2); FieldError for an ``a`` outside its image."""
+    try:
+        return emb.index(a)
+    except ValueError:
+        raise FieldError(f"witness {a:#x} of GF(2^{tower.ambient.t}) "
+                         f"outside GF(2^{tower.double.t})") from None
 
 
 def seed_walk(tower: TowerSpec) -> SeedWalk:
-    """Enumerate the seeds once and pull their first iterates into GF(q^2).
-
-    Then check f(h^(2j)) = f(h^j)^2 for every j, by doubling logs in
-    GF(q^2): the orbits rest on it.  The first j that fails it is the
-    pull-back's ``fault``.
+    """Every seed's first iterate D_j(b), b = f(h), from one ``pow``, one
+    ``inv`` and one preimage.  h has order q^2+1 iff D_(q^2+1)(b) = 0 and
+    D_((q^2+1)/p)(b) != 0 for each prime p | q^2+1, as D_k(b) = h^k + h^-k.
     """
     ambient, double = tower.ambient, tower.double
-    pull = theta_pullback(double, ambient, subgroup(tower, double.q + 1))
-    if pull.fault is not None:
-        return SeedWalk(tower, pull, 0)
-    exp, log = double.tables()
-    n2 = double.q - 1
-    values = pull.values
-    squares = [exp[2 * log[x] % n2] if x else 0 for x in values]
-    doubled = values[::2] + values[1::2]       # values[2j mod q^2+1]
-    if squares != doubled:
-        j = next(j for j, (a, b) in enumerate(zip(squares, doubled)) if a != b)
-        fault = (f"witness f(h^{2 * j % len(values)}) = {doubled[j]:#x}, "
-                 f"not f(h^{j})^2 = {squares[j]:#x} in GF(2^{double.t})")
-        return SeedWalk(tower, dataclasses.replace(pull, fault=fault), 0)
-    # gen^(q^2+1) generates the ambient's copy of GF(q^2)*
-    a = double.dlog(pull.emb.index(ambient.pow(ambient.gen, double.q + 1)))
-    return SeedWalk(tower, pull, pow(a, -1, n2))
+    big = double.q + 1
+    try:
+        emb = subfield_embedding(double, ambient)
+        h = ambient.pow(ambient.gen, double.q - 1)
+        b = _preimage(tower, emb, h ^ ambient.inv(h))
+    except FieldError as exc:
+        return SeedWalk(tower, [], [], ("first-iterate-pullback", str(exc)))
+    values = double.dickson_values(b, big)
+    for k in (big, *(big // p for p, _ in double.fact_plus.primes)):
+        if (values[k] == 0) != (k == big):
+            return SeedWalk(tower, values, emb, ("subgroup-closure",
+                f"h has not order {big}: D_{k}(f(h)) = {values[k]:#x}"))
+    return SeedWalk(tower, values, emb, None)
 
 
 def seed_orbits(tower: TowerSpec) -> list[list[int]]:
@@ -214,7 +213,7 @@ def seed_orbits(tower: TowerSpec) -> list[list[int]]:
 @dataclass
 class ProfileStep:
     index: int
-    point: int           # the seed's ambient bits at index 0; after it an
+    point: int           # the seed's exponent j at index 0; after it an
                          # index of GF(q^2), where q^2 is inf
     order: int
     d_part: int          # gcd(order, q+1)
@@ -236,7 +235,7 @@ class OrderProfile:
 def profile_tail(walk: SeedWalk, j: int) -> list[ProfileStep]:
     """The iterates at indices 1..l+4 of seed h^j, profiled in GF(q^2).
 
-    f(h^j) is read from the seed walk's pull-back; from there each step
+    f(h^j) is read from the seed walk's values; from there each step
     reads GF(q^2)'s log table.  Iterates at indices 1..l+2 are provably
     units; a 0 or infinity there is recorded like a later one, and
     `case_table` flags it.
@@ -246,7 +245,7 @@ def profile_tail(walk: SeedWalk, j: int) -> list[ProfileStep]:
     q, l, n = tower.q, tower.l, tower.n
     _, log = double.tables()
     n2 = double.q - 1
-    x = walk.pull.values[j]
+    x = walk.values[j]
     steps: list[ProfileStep] = []
     for i in range(1, l + 5):
         if x == 0 or x == double.q:        # projective special points
@@ -276,8 +275,8 @@ def classify_H(walk: SeedWalk, j: int, tail: list[ProfileStep]) -> OrderProfile:
     if not 0 < j < big:
         raise FieldError(f"seed exponent {j} outside [1, {big - 1}]")
     tr = tower.double.trace(tail[0].point)     # Tr_2n(f(g))
-    steps = [ProfileStep(0, walk.pull.powers[j], big // math.gcd(j, big),
-                         1, 1, 4 * n, tr, tr), *tail]
+    steps = [ProfileStep(0, j, big // math.gcd(j, big), 1, 1, 4 * n, tr, tr),
+             *tail]
 
     if (q + 1) % steps[1].order == 0:
         h = HClass.H1
@@ -296,21 +295,33 @@ def leader_profiles(walk: SeedWalk,
 
 
 def profile_records(walk: SeedWalk, orbits: list[list[int]],
-                    profiles: list[OrderProfile]) -> list[dict]:
-    """The json record of every seed, in exponent order.
+                    profiles: list[OrderProfile]
+                    ) -> tuple[list[dict], tuple[str, str] | None]:
+    """The json record of every seed, in exponent order, and the fault of
+    its labels' reads (the hex labels' ambient walk, or k0's preimage).
 
     The member j = leader * 2^k of an orbit takes its leader's class, case
     and numeric rows.  Its seed is h^j, and each later point is the
     leader's raised to 2^k: a unit's log in GF(q^2), and so its label,
     is the leader's times 2^k modulo q^2-1.
     """
-    tower = walk.tower
+    tower, emb = walk.tower, walk.emb
     double = tower.double
     exp, log = double.tables()
     n2 = double.q - 1
     big = n2 + 2
-    powers, emb, k0 = walk.pull.powers, walk.pull.emb, walk.k0
     hexed = tower.ambient.t > TABLE_MAX_T
+    if hexed:
+        powers = subgroup(tower, big)
+        if powers[big] != 1:
+            return [], ("subgroup-closure", f"h^{big} = {powers[big]:#x}, not 1")
+    else:
+        # gen^(q^2+1) generates the ambient's copy of GF(q^2)*
+        a = tower.ambient.pow(tower.ambient.gen, big)
+        try:
+            k0 = pow(log[_preimage(tower, emb, a)], -1, n2)
+        except ValueError as exc:       # FieldError, or no unit mod q^2-1
+            return [], ("first-iterate-pullback", f"gen^{big}: {exc}")
     special = {0: "'0'", double.q: "inf"}
     records: list[dict] = [None] * (big - 1)
     for orbit, prof in zip(orbits, profiles):
@@ -336,7 +347,7 @@ def profile_records(walk: SeedWalk, orbits: list[list[int]],
                 "exponent": j, **head,
                 "steps": [{**row, "point": label}
                           for row, label in zip(rows, labels)]}
-    return records
+    return records, None
 
 
 def h_longform_flags(profile: OrderProfile) -> tuple[bool, bool, bool]:
@@ -519,10 +530,10 @@ def case_table(profile: OrderProfile) -> CaseTable:
     for i, (level, tag, sub_exp, pair_exp) in enumerate(expected):
         s = steps[i]
         # Special points carry order 1, subfield n and zero traces, which is
-        # exactly what the degenerate class-1 tails must satisfy; before
-        # index l+3 they are a mismatch even where a class-1 row fits them.
-        inf = t.double.q if i else t.ambient.q
-        ok = ((0 < s.point < inf or i > l + 2)
+        # exactly what the degenerate class-1 tails must satisfy; at indices
+        # 1..l+2 they are a mismatch even where a class-1 row fits them.
+        # The seed's point at index 0 is its exponent, never one of them.
+        ok = ((not 0 < i <= l + 2 or 0 < s.point < t.double.q)
               and _order_tag_holds(tag, s.order, q)
               and s.subfield == sub_exp
               and (s.tr, s.tr_inv) == pair_exp)
@@ -774,11 +785,11 @@ def orders_report(tower: TowerSpec, records: bool = True) -> dict:
     check.
 
     The per-seed checks run once per orbit, on its leader, and a verdict
-    counts for every member.  If the seed walk's pull-back carries a fault
-    (the embedding of GF(q^2) fails, the walk does not close, a first
-    iterate misses the embedded GF(q^2) or is not the square root of its
-    double's), no profile can be trusted: the report carries that one
-    failed check with its witness.
+    counts for every member.  If the seed walk or the labels carry a fault
+    (the embedding of GF(q^2) fails, f(h) or gen^(q^2+1) misses the
+    embedded GF(q^2), h does not have order q^2+1, the ambient walk of the
+    hex labels does not close), no record can be trusted: the report
+    carries that one failed check with its witness.
     """
     q, l, n = tower.q, tower.l, tower.n
     counts = {"H1": 0, "H2": 0, "H3": 0}
@@ -789,16 +800,18 @@ def orders_report(tower: TowerSpec, records: bool = True) -> dict:
         "counts": counts,
     }
     walk = seed_walk(tower)
-    if walk.pull.fault is not None:
+    fault = walk.fault
+    if fault is None:
+        orbits = seed_orbits(tower)
+        profiles = leader_profiles(walk, orbits)
+        if records:
+            doc["profiles"], fault = profile_records(walk, orbits, profiles)
+    if fault is not None:
         if records:
             doc["profiles"] = []
-        closed = walk.pull.powers[-1] == 1
-        checks.add("first-iterate-pullback" if closed else "subgroup-closure",
-                   False, walk.pull.fault)
+        checks.add(fault[0], False, fault[1])
         doc["checks"] = checks.records()
         return doc
-    orbits = seed_orbits(tower)
-    profiles = leader_profiles(walk, orbits)
     failing: dict[str, list[int]] = {}
     for orbit, prof in zip(orbits, profiles):
         counts[prof.h_class.name] += len(orbit)
@@ -806,8 +819,6 @@ def orders_report(tower: TowerSpec, records: bool = True) -> dict:
             bad = failing.setdefault(name, [])
             if not ok:
                 bad += orbit
-    if records:
-        doc["profiles"] = profile_records(walk, orbits, profiles)
 
     for name, bad in failing.items():
         bad.sort()

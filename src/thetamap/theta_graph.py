@@ -54,7 +54,6 @@ __all__ = [
     "Component",
     "ThetaGraph",
     "theta_index",
-    "Pullback",
     "theta_pullback",
     "UnitWalk",
     "unit_walk",
@@ -94,22 +93,11 @@ def theta_index(field: FieldSpec, idx: int) -> int:
     return idx ^ field.inv(idx)
 
 
-@dataclass
-class Pullback:
-    """``powers`` = [h^0, ..., h^m] for h of order m, ``emb`` the embedding
-    of GF(Q), ``values[k]`` = emb^-1(h^k + h^(m-k)) for k < m (None off the
-    image; values[0] = 0), and ``fault``: None, or the first witness."""
-
-    powers: list[int]
-    emb: list[int]
-    values: list[int | None]
-    fault: str | None
-
-
 def theta_pullback(sub: FieldSpec, ambient: FieldSpec,
-                   powers: list[int]) -> Pullback:
+                   powers: list[int]) -> tuple[list[int | None], str | None]:
     """x + 1/x on the walk ``powers`` = [h^0, ..., h^m] of the order-m
-    subgroup of ``ambient``, read in ``sub`` = GF(Q).
+    subgroup of ``ambient``, read in ``sub`` = GF(Q): (values, fault), with
+    values[k] = emb^-1(h^k + h^(m-k)) for k < m (None off the image).
 
     For m | Q+1, 1/y = y^Q, so y + 1/y is the relative trace of y into GF(Q).
     Never raises on a faulty kernel: ``fault`` names the first of a walk
@@ -117,11 +105,11 @@ def theta_pullback(sub: FieldSpec, ambient: FieldSpec,
     the embedded GF(Q)."""
     m = len(powers) - 1
     if powers[m] != 1:
-        return Pullback(powers, [], [], f"h^{m} = {powers[m]:#x}, not 1")
+        return [], f"h^{m} = {powers[m]:#x}, not 1"
     try:
         emb = subfield_embedding(sub, ambient)
     except FieldError as exc:
-        return Pullback(powers, [], [], str(exc))
+        return [], str(exc)
     back = {v: x for x, v in enumerate(emb)}
     values = list(map(back.get, map(xor, powers[:m], reversed(powers[1:]))))
     fault = None
@@ -129,7 +117,7 @@ def theta_pullback(sub: FieldSpec, ambient: FieldSpec,
         k = values.index(None)
         fault = (f"witness {powers[k] ^ powers[m - k]:#x} of "
                  f"GF(2^{ambient.t}) outside GF(2^{sub.t})")
-    return Pullback(powers, emb, values, fault)
+    return values, fault
 
 
 @dataclass

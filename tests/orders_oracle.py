@@ -4,12 +4,17 @@ Every seed h^j gets its own profile.  The seeds j and q^2+1-j have the same
 first iterate, so each pair's tail is profiled once (``profile_tail``) and
 given to both; each pair's per-seed checks run once, and their verdict is
 recorded under both exponents.  Labels are read point by point from
-GF(q^2)'s log table.  ``mate_pair_report`` builds the whole report this way,
-so ``orders_report`` must give the same document and the same json bytes.
+GF(q^2)'s log table, and the seeds and k0 from the ambient walk of this
+module (``ambient_walk``), which the battery makes only for hex labels.
+``mate_pair_report`` builds the whole report this way, so ``orders_report``
+must give the same document and the same json bytes.
 """
+
+from dataclasses import dataclass
 
 from thetamap.gf2_arith import TABLE_MAX_T, field_to_record
 from thetamap.order_dynamics import (
+    SeedWalk,
     _seed_verdicts,
     classify_H,
     profile_tail,
@@ -19,31 +24,65 @@ from thetamap.order_dynamics import (
     verify_theta_permutation,
 )
 from thetamap.report import CheckReport
+from thetamap.theta_graph import theta_pullback
 
 
-def label(walk, x: int) -> str:
+@dataclass(frozen=True)
+class AmbientWalk:
+    """The seeds of ``walk`` walked in the ambient: ``seeds[j]`` = h^j for
+    j = 0..q^2+1, h = gen^(q^2-1); ``values``, ``fault``: their first
+    iterates pulled back to GF(q^2) by ``theta_pullback``, values[j] for
+    j <= q^2; and k0 with emb(gen_2n) = (gen^(q^2+1))^k0."""
+
+    walk: SeedWalk
+    seeds: list[int]
+    values: list[int | None]
+    fault: str | None
+    k0: int
+
+
+def ambient_walk(walk: SeedWalk) -> AmbientWalk:
+    """The ambient walk of ``walk``'s seeds; k0 is found by walking the
+    powers of gen^(q^2+1) up to the image of GF(q^2)'s generator."""
+    tower = walk.tower
+    ambient, big = tower.ambient, tower.q ** 2 + 1
+    seeds = ambient.subgroup(big)
+    values, fault = theta_pullback(tower.double, ambient, seeds)
+    ghat = ambient.pow(ambient.gen, big)
+    k0 = ambient.powers(ghat, big - 3).index(walk.emb[tower.double.gen])
+    return AmbientWalk(walk, seeds, values, fault, k0)
+
+
+def ambient_point(amb: AmbientWalk, x: int) -> int:
+    """A point of GF(q^2) (index q^2 is inf) as an ambient index."""
+    tower = amb.walk.tower
+    return tower.ambient.q if x == tower.double.q else amb.walk.emb[x]
+
+
+def label(amb: AmbientWalk, x: int) -> str:
     """The ambient export label of a point of GF(q^2) (index q^2 is inf).
 
     emb(gen_2n) = gen^((q^2+1) * k0), so a unit x has the ambient log
     (q^2+1) * (k0 * log x mod q^2-1).
     """
-    double = walk.tower.double
+    tower = amb.walk.tower
+    double = tower.double
     if x == 0:
         return "'0'"
     if x == double.q:
         return "inf"
-    if walk.tower.ambient.t > TABLE_MAX_T:
-        return f"x{walk.pull.emb[x]:x}"
+    if tower.ambient.t > TABLE_MAX_T:
+        return f"x{ambient_point(amb, x):x}"
     n2 = double.q - 1
-    return str((n2 + 2) * (walk.k0 * double.dlog(x) % n2))
+    return str((n2 + 2) * (amb.k0 * double.dlog(x) % n2))
 
 
-def seed_label(walk, j: int) -> str:
+def seed_label(amb: AmbientWalk, j: int) -> str:
     """The ambient export label of the seed h^j."""
-    q2 = walk.tower.q ** 2
-    if walk.tower.ambient.t > TABLE_MAX_T:
-        return f"x{walk.pull.powers[j]:x}"
-    return str(j * (q2 - 1))
+    tower = amb.walk.tower
+    if tower.ambient.t > TABLE_MAX_T:
+        return f"x{amb.seeds[j]:x}"
+    return str(j * (tower.q ** 2 - 1))
 
 
 def seed_profiles(walk):
@@ -77,17 +116,18 @@ def pair_verdict_records(tower, profiles) -> list[dict]:
 
 
 def mate_pair_report(tower) -> dict:
-    """``orders_report`` of a tower whose pull-back has no fault, with a
+    """``orders_report`` of a tower whose seed walk has no fault, with a
     profile per seed and a verdict per mate pair."""
     walk = seed_walk(tower)
-    assert walk.pull.fault is None, walk.pull.fault
+    assert walk.fault is None, walk.fault
+    amb = ambient_walk(walk)
     profiles = seed_profiles(walk)
     counts = {"H1": 0, "H2": 0, "H3": 0}
     records = []
     for prof in profiles:
         counts[prof.h_class.name] += 1
-        labels = [seed_label(walk, prof.exponent),
-                  *(label(walk, s.point) for s in prof.steps[1:])]
+        labels = [seed_label(amb, prof.exponent),
+                  *(label(amb, s.point) for s in prof.steps[1:])]
         records.append({
             "exponent": prof.exponent,
             "class": prof.h_class.name,

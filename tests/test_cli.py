@@ -21,7 +21,7 @@ import thetamap.dickson_curve as dickson_curve
 import thetamap.order_dynamics as order_dynamics
 import thetamap.theta_graph as theta_graph
 from thetamap.cli import main
-from thetamap.gf2_arith import FieldSpec, make_field
+from thetamap.gf2_arith import FieldSpec, make_field, subfield_embedding
 from thetamap.order_dynamics import make_tower, profile_tail, seed_walk
 
 
@@ -406,28 +406,80 @@ def test_special_point_before_l_plus_3_is_a_record(monkeypatch, capsys):
     assert "Traceback" not in captured.err
 
 
+def _seed_generator(monkeypatch, tower, e):
+    """h = gen^e in place of gen^(q^2-1): the one ``pow`` of the seed walk
+    in the tower's ambient gives another element."""
+    ambient = tower.ambient
+    true_pow = FieldSpec.pow
+
+    def pow_(self, a, k):
+        if (self.t, a, k) == (ambient.t, ambient.gen, tower.q ** 2 - 1):
+            k = e
+        return true_pow(self, a, k)
+
+    monkeypatch.setattr(FieldSpec, "pow", pow_)
+
+
 def test_subgroup_closure_fault_is_a_record(monkeypatch, capsys):
-    # the ambient walk h^0, ..., h^17 of n=2 ends one bit away from 1
+    # h = gen^17 (n = 2) lies in GF(q^2)*, of order 15: f(h) is in GF(q^2),
+    # but D_17(f(h)) = h^17 + h^-17 = h^2 + h^-2 is not 0
+    tower = make_tower(2)
+    ambient = tower.ambient
+    z = ambient.pow(ambient.gen, 17 * 17)
+    emb = subfield_embedding(tower.double, ambient)
+    value = emb.index(z ^ ambient.inv(z))
+    assert value != 0
+    _seed_generator(monkeypatch, tower, 17)
+    assert main(["verify-orders", "--n", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (f"FAIL [n=2] subgroup-closure  h has not order "
+                            f"17: D_17(f(h)) = {value:#x}\n"
+                            "result: FAILURES present\n")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("p, k", [(5, 13), (13, 5)])
+def test_seed_of_lower_order_is_a_closure_record(monkeypatch, capsys, p, k):
+    # h of order (q^2+1)/p = k (n = 3, q^2+1 = 65 = 5 * 13): D_65(f(h)) = 0,
+    # but so is D_k(f(h))
+    tower = make_tower(3)
+    _seed_generator(monkeypatch, tower, 63 * p)
+    assert main(["verify-orders", "--n", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (f"FAIL [n=3] subgroup-closure  h has not order "
+                            f"65: D_{k}(f(h)) = 0x0\n"
+                            "result: FAILURES present\n")
+    assert "Traceback" not in captured.err
+
+
+def test_label_walk_closure_fault_is_a_record(monkeypatch, capsys):
+    # the ambient walk h^0, ..., h^4097 of the hex labels (n = 6) ends one
+    # bit away from 1; text output makes no such walk and passes
     true_powers = FieldSpec.powers
 
     def unclosed(self, c, k):
         out = true_powers(self, c, k)
-        if self.t == 8:
+        if self.t == 24:
             out[k] ^= 2
         return out
 
     monkeypatch.setattr(FieldSpec, "powers", unclosed)
-    assert main(["verify-orders", "--n", "2"]) == 1
+    assert main(["verify-orders", "--n", "6"]) == 0
+    capsys.readouterr()
+    assert main(["verify-orders", "--n", "6", "--format", "json"]) == 1
     captured = capsys.readouterr()
-    assert captured.out == ("FAIL [n=2] subgroup-closure  h^17 = 0x3, not 1\n"
-                            "result: FAILURES present\n")
+    doc = json.loads(captured.out)
+    assert doc["profiles"] == []
+    assert doc["counts"] == {"H1": 0, "H2": 0, "H3": 0}
+    assert doc["checks"] == [{"name": "subgroup-closure", "pass": False,
+                              "detail": "h^4097 = 0x3, not 1"}]
     assert "Traceback" not in captured.err
 
 
 def test_first_iterate_pullback_fault_is_a_record(monkeypatch, capsys):
     # one bit flipped in the embedding of GF(q^2), at the first iterate of
-    # the seed h^1: that iterate no longer pulls back
-    true_embedding = theta_graph.subfield_embedding
+    # the seed h^1: f(h) no longer pulls back
+    true_embedding = order_dynamics.subfield_embedding
     first = profile_tail(seed_walk(make_tower(2)), 1)[0].point
 
     def flipped(sub, ambient):
@@ -436,7 +488,7 @@ def test_first_iterate_pullback_fault_is_a_record(monkeypatch, capsys):
             table[first] ^= 1
         return table
 
-    monkeypatch.setattr(theta_graph, "subfield_embedding", flipped)
+    monkeypatch.setattr(order_dynamics, "subfield_embedding", flipped)
     assert main(["verify-orders", "--n", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ("FAIL [n=2] first-iterate-pullback  witness 0xa "
@@ -445,28 +497,68 @@ def test_first_iterate_pullback_fault_is_a_record(monkeypatch, capsys):
     assert "Traceback" not in captured.err
 
 
-def test_non_leader_first_iterate_fault_is_a_record(monkeypatch, capsys):
-    # f(h^2) moved one bit off f(h^1)^2 (n = 3): seed 2 is in the orbit of
-    # seed 1, so no profile reads its first iterate, but the squaring check
-    # of the seed walk does
+@pytest.mark.parametrize("swap, detail", [
+    (False, "gen^17: witness 0x98 of GF(2^8) outside GF(2^4)"),
+    (True, "gen^17: base is not invertible for the given modulus"),
+], ids=["outside", "no-unit"])
+def test_label_pullback_fault_is_a_record(monkeypatch, capsys, swap, detail):
+    # the json labels pull gen^17, the image of GF(q^2)'s generator, back
+    # for k0 (n = 2).  One bit flipped at that image leaves gen^17 outside
+    # the table; swapped with the image of gen^5, gen^17 pulls back to an
+    # element of order 3, whose log 5 has no inverse modulo 15.  f(h) still
+    # pulls back, so the text output passes
+    tower = make_tower(2)
+    gen = tower.double.gen
+    fifth = tower.double.pow(gen, 5)
+    assert seed_walk(tower).values[1] not in (gen, gen ^ 1, fifth)
+    true_embedding = order_dynamics.subfield_embedding
+
+    def corrupted(sub, ambient):
+        table = true_embedding(sub, ambient)
+        if (sub.t, ambient.t) == (4, 8):
+            if swap:
+                table[gen], table[fifth] = table[fifth], table[gen]
+            else:
+                table[gen] ^= 1
+        return table
+
+    monkeypatch.setattr(order_dynamics, "subfield_embedding", corrupted)
+    assert main(["verify-orders", "--n", "2"]) == 0
+    capsys.readouterr()
+    assert main(["verify-orders", "--n", "2", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    doc = json.loads(captured.out)
+    assert doc["profiles"] == []
+    assert doc["checks"] == [
+        {"name": "first-iterate-pullback", "pass": False, "detail": detail}]
+
+
+def test_non_leader_recurrence_fault_is_a_record(monkeypatch, capsys):
+    # one wrong step of the recurrence, at f(h^2) (n = 3): seed 2 is in the
+    # orbit of seed 1, so no profile reads its first iterate, but the error
+    # carries on to D_65(f(h))
     tower = make_tower(3)
     assert order_dynamics.seed_orbits(tower)[0][:2] == [1, 2]
-    first = seed_walk(tower).pull.values[1]
-    square = tower.double.mul(first, first)
-    true_pullback = order_dynamics.theta_pullback
+    true_values = FieldSpec.dickson_values
+    got = []
 
-    def moved(sub, ambient, powers):
-        pull = true_pullback(sub, ambient, powers)
-        if (sub.t, ambient.t) == (6, 12):
-            pull.values[2] ^= 1
-        return pull
+    def corrupted(self, x, m):
+        values = true_values(self, x, m)
+        if self.t == 6:
+            values[2] ^= 1
+            for k in range(3, m + 1):
+                values[k] = self.mul(x, values[k - 1]) ^ values[k - 2]
+            got.append(values)
+        return values
 
-    monkeypatch.setattr(order_dynamics, "theta_pullback", moved)
+    monkeypatch.setattr(FieldSpec, "dickson_values", corrupted)
     assert main(["verify-orders", "--n", "3"]) == 1
     captured = capsys.readouterr()
+    assert len(got) == 1 and got[0][65] != 0
     assert captured.out == (
-        f"FAIL [n=3] first-iterate-pullback  witness f(h^2) = "
-        f"{square ^ 1:#x}, not f(h^1)^2 = {square:#x} in GF(2^6)\n"
+        f"FAIL [n=3] subgroup-closure  h has not order 65: D_65(f(h)) = "
+        f"{got[0][65]:#x}\n"
         "result: FAILURES present\n")
     assert "Traceback" not in captured.err
 
@@ -574,13 +666,16 @@ def _drop_least_root(monkeypatch):
                         lambda spec, m: (r := true_root_bits(spec, m)) - {min(r)})
 
 
-def _faulty_subfield(monkeypatch, fault, module=theta_graph):
-    """Each embedding that `module` asks for is asked for a copy of the
-    subfield with `fault` applied: a modulus or a generator that a sound
-    kernel never has."""
+def _faulty_subfield(monkeypatch, fault, module=theta_graph, degrees=None):
+    """Each embedding that `module` asks for, or only that of GF(2^d) in
+    GF(2^t) when `degrees` is (d, t), is asked for a copy of the subfield
+    with `fault` applied: a modulus or a generator that a sound kernel never
+    has."""
     true_embedding = module.subfield_embedding
 
     def embedding(sub, ambient):
+        if degrees not in (None, (sub.t, ambient.t)):
+            return true_embedding(sub, ambient)
         bad = FieldSpec(sub.t, sub.modulus, sub.gen)
         fault(bad)
         return true_embedding(bad, ambient)
@@ -630,20 +725,21 @@ def test_root_image_fault_is_a_record(monkeypatch, capsys, fault, witness):
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("module, names, witness", [
-    (theta_graph, ["first-iterate-pullback"],
+@pytest.mark.parametrize("degrees, names, witness", [
+    ((4, 8), ["first-iterate-pullback"],
      "embedded generator 0xa of GF(2^4) has order 5 in GF(2^8), not 15"),
-    (order_dynamics, ["a11-image", "a00-image", "b01-image", "b10-image"],
+    ((2, 4), ["a11-image", "a00-image", "b01-image", "b10-image"],
      "embedded generator 0x1 of GF(2^2) has order 1 in GF(2^4), not 3"),
 ], ids=["double-in-ambient", "base-in-double"])
-def test_orders_embedding_fault_is_a_record(monkeypatch, capsys, module,
+def test_orders_embedding_fault_is_a_record(monkeypatch, capsys, degrees,
                                             names, witness):
     # verify-orders --n 2 embeds GF(2^4) in GF(2^8) for the seeds' first
-    # iterates and GF(2^2) in GF(2^4) for the trace quadrants; each is
-    # asked for its field with the generator cubed (order 5, resp. 1)
+    # iterates and GF(2^2) in GF(2^4) for the trace quadrants, both asked
+    # for by order_dynamics; each is asked for its field with the
+    # generator cubed (order 5, resp. 1)
     _faulty_subfield(monkeypatch,
                      lambda bad: setattr(bad, "gen", bad.pow(bad.gen, 3)),
-                     module)
+                     order_dynamics, degrees)
     assert main(["verify-orders", "--n", "2"]) == 1
     captured = capsys.readouterr()
     assert [ln for ln in captured.out.splitlines() if ln.startswith("FAIL")] \

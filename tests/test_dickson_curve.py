@@ -9,7 +9,6 @@ from thetamap.dickson_curve import (
     IDENTITY_RANDOM_TRIALS,
     _dickson_bits,
     _dickson_ladder,
-    _dickson_values,
     _identity_check,
     _root_bits,
     _split_roots,
@@ -84,14 +83,15 @@ def test_closed_form_matches_recurrence(t):
 
 @pytest.mark.parametrize("t", [6, 24])
 def test_table_recurrence_matches_dickson_bits(t):
-    # the split-table recurrence of the identity check, with log tables
-    # (GF(2^6)) and on the shift-xor path (GF(2^24), beyond TABLE_MAX_T)
+    # the split-table recurrence of the identity check and the seed walk,
+    # with log tables (GF(2^6)) and on the shift-xor path (GF(2^24), beyond
+    # TABLE_MAX_T); D_0 = 0
     f = make_field(t)
     rng = random.Random(t)
     for x in [0, 1] + [rng.randrange(2, f.q) for _ in range(20)]:
         m = rng.randrange(1, 40)
-        assert list(_dickson_values(f, m, x)) == [
-            _dickson_bits(f, k, x) for k in range(1, m + 1)]
+        assert f.dickson_values(x, m) == [
+            0, *(_dickson_bits(f, k, x) for k in range(1, m + 1))]
 
 
 def test_ladder_matches_recurrence_everywhere_in_gf256():
@@ -105,17 +105,17 @@ def test_ladder_matches_recurrence_everywhere_in_gf256():
 
 def test_ladder_matches_recurrence_sampled_in_gf2_24():
     # shift-xor products beyond TABLE_MAX_T; m up to 2^16 + 1.  The split-
-    # table recurrence gives D_1..D_M in one pass (it equals `_dickson_bits`,
+    # table recurrence gives D_0..D_M in one pass (it equals `_dickson_bits`,
     # as tested above); the last value is checked by `_dickson_bits` itself
     f = make_field(24)
     rng = random.Random(24)
     top = (1 << 16) + 1
     for x in [1, f.gen] + [rng.randrange(2, f.q) for _ in range(2)]:
-        values = list(_dickson_values(f, top, x))
+        values = f.dickson_values(x, top)
         ms = ([1, 2, 3, 1 << 16, top]
               + [rng.randrange(4, top) for _ in range(30)])
         for m in ms:
-            assert _dickson_ladder(f, m, x) == values[m - 1], (m, x)
+            assert _dickson_ladder(f, m, x) == values[m], (m, x)
     assert _dickson_ladder(f, top, x) == _dickson_bits(f, top, x)
 
 

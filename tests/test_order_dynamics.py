@@ -6,6 +6,8 @@ import math
 import pytest
 
 from orders_oracle import (
+    ambient_point,
+    ambient_walk,
     label,
     mate_pair_report,
     member_profiles,
@@ -49,6 +51,7 @@ from thetamap.theta_graph import build_graph, point_label, theta_index
 
 TOWERS = {n: make_tower(n) for n in (1, 2, 3, 4)}
 WALKS = {n: seed_walk(tw) for n, tw in TOWERS.items()}
+AMBIENT = {n: ambient_walk(walk) for n, walk in WALKS.items()}
 PROFILES = {n: seed_profiles(walk) for n, walk in WALKS.items()}
 
 # Towers whose ambient is not the default field: the double is still the
@@ -60,14 +63,11 @@ NON_DEFAULT = [
 ]
 
 
-def _ambient_indices(walk, profile):
-    """The profile's points as ambient indices (infinity is ambient.q)."""
-    double, ambient = walk.tower.double, walk.tower.ambient
-    idx = [profile.steps[0].point]
-    for s in profile.steps[1:]:
-        x = s.point
-        idx.append(ambient.q if x == double.q else walk.pull.emb[x])
-    return idx
+def _ambient_indices(amb, profile):
+    """The profile's points as ambient indices (infinity is ambient.q): the
+    seed h^j from the oracle's ambient walk, the iterates by the embedding."""
+    return [amb.seeds[profile.exponent],
+            *(ambient_point(amb, s.point) for s in profile.steps[1:])]
 
 
 def _ambient_profile(tower, bits):
@@ -114,11 +114,12 @@ def test_make_tower_parameters():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_subfield_degree_matches_frobenius_search(n):
     # the least of n, 2n, 4n whose Frobenius power fixes the point: in the
-    # ambient for the seed, in GF(q^2) after it
+    # ambient for the seed h^j, in GF(q^2) after it
     tw = TOWERS[n]
     for p in PROFILES[n]:
         for s in p.steps:
-            f, a = (tw.double, s.point) if s.index else (tw.ambient, s.point)
+            f, a = ((tw.double, s.point) if s.index
+                    else (tw.ambient, AMBIENT[n].seeds[p.exponent]))
             if 0 < a < f.q:
                 want = next(d for d in (n, 2 * n, 4 * n)
                             if f.t % d == 0 and f.in_subfield(a, d))
@@ -216,14 +217,15 @@ def test_classify_rejects_bad_seeds():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_seed_row_closed_form(n):
-    # order (q^2+1)/gcd(j, q^2+1), trivial split, subfield 4n and
-    # Tr_4n(g) = Tr_4n(1/g) = Tr_2n(f(g)), against the ambient kernel
+    # point j, order (q^2+1)/gcd(j, q^2+1), trivial split, subfield 4n and
+    # Tr_4n(g) = Tr_4n(1/g) = Tr_2n(f(g)), against the ambient kernel at
+    # the seed g = h^j of the oracle's ambient walk
     tw = TOWERS[n]
     ambient, q = tw.ambient, tw.q
     for j, p in enumerate(PROFILES[n], 1):
         s = p.steps[0]
-        g = s.point
-        assert p.exponent == j and g == WALKS[n].pull.powers[j]
+        g = AMBIENT[n].seeds[j]
+        assert p.exponent == s.point == j
         assert s.order == ambient.order(g)
         assert (s.d_part, s.e_part) == (
             math.gcd(s.order, q + 1), math.gcd(s.order, q - 1)) == (1, 1)
@@ -245,15 +247,16 @@ def test_profiles_match_the_ambient_oracle(tower):
     # both the mate-pair profiles and the orbit records, labels included
     records = orders_report(tower)["profiles"]
     walk = seed_walk(tower)
+    amb = ambient_walk(walk)
     profiles = seed_profiles(walk)
     assert len(profiles) == len(records) == tower.q ** 2
     for p, rec in zip(profiles, records):
-        want = _ambient_profile(tower, p.steps[0].point)
-        labels = [seed_label(walk, p.exponent),
-                  *(label(walk, s.point) for s in p.steps[1:])]
+        want = _ambient_profile(tower, amb.seeds[p.exponent])
+        labels = [seed_label(amb, p.exponent),
+                  *(label(amb, s.point) for s in p.steps[1:])]
         got = [(i, lab, s.order, s.d_part, s.e_part, s.subfield, s.tr,
                 s.tr_inv)
-               for i, lab, s in zip(_ambient_indices(walk, p), labels,
+               for i, lab, s in zip(_ambient_indices(amb, p), labels,
                                     p.steps)]
         assert got == want, p.exponent
         assert [tuple(step.values()) for step in rec["steps"]] == [
@@ -463,7 +466,7 @@ def test_expected_rows_cover_indices_0_to_l_plus_4(case_id, flavor):
 def test_case_table_levels_match_graph(n):
     g = build_graph(TOWERS[n].ambient)
     for p in PROFILES[n]:
-        for row, idx in zip(case_table(p).rows, _ambient_indices(WALKS[n], p)):
+        for row, idx in zip(case_table(p).rows, _ambient_indices(AMBIENT[n], p)):
             assert g.level[idx] == row.level, (n, p.exponent, row.index)
 
 
@@ -553,29 +556,59 @@ def test_theta_permutation(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_profile_walk_is_the_map(n):
-    # the iterates, carried into the ambient, follow the map there
+    # the iterates, carried into the ambient, follow the map there from the
+    # seed h^j of the oracle's ambient walk
     ambient = TOWERS[n].ambient
     for p in PROFILES[n]:
-        idx = _ambient_indices(WALKS[n], p)
-        assert idx[0] == WALKS[n].pull.powers[p.exponent]
+        idx = _ambient_indices(AMBIENT[n], p)
+        assert p.steps[0].point == p.exponent
         for a, b in zip(idx, idx[1:]):
             assert b == theta_index(ambient, a)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 5, 6])
 def test_orders_report_enumerates_subgroup_once(monkeypatch, n):
-    true_subgroup = FieldSpec.subgroup
-    ks = []
+    # the seeds are walked in the ambient only for the hex labels of json
+    # output (n >= 6), once; text output and the other labels walk nothing
+    # there, neither by subgroup nor by powers
+    walked = []
+    for name in ("subgroup", "powers"):
+        true_walk = getattr(FieldSpec, name)
 
-    def recording(self, k):
-        ks.append(k)
-        return true_subgroup(self, k)
+        def recording(self, *args, name=name, true_walk=true_walk):
+            if self.t == 4 * n:
+                walked.append((name, args[-1]))
+            return true_walk(self, *args)
 
-    monkeypatch.setattr(FieldSpec, "subgroup", recording)
+        monkeypatch.setattr(FieldSpec, name, recording)
     tw = make_tower(n)
-    rep = orders_report(tw)
-    assert ks.count(tw.q ** 2 + 1) == 1
-    assert all(c["pass"] for c in rep["checks"])
+    big = tw.q ** 2 + 1
+    for records in (False, True):
+        walked.clear()
+        rep = orders_report(tw, records)
+        assert all(c["pass"] for c in rep["checks"])
+        assert walked == ([("subgroup", big), ("powers", big)]
+                          if records and n >= 6 else []), records
+
+
+@pytest.mark.parametrize("n, ambient", [
+    *((n, None) for n in range(1, 9)),
+    *((n, amb) for n, amb, _ in NON_DEFAULT),
+], ids=[f"n{n}" for n in range(1, 9)] + [
+    f"n{n}-{field_to_record(amb).split()[1]}" for n, amb, _ in NON_DEFAULT])
+def test_recurrence_matches_the_ambient_pullback(n, ambient):
+    # the first iterates D_j(f(h)) of the recurrence in GF(q^2), value by
+    # value against the seeds walked in the ambient and pulled back through
+    # the embedding, under Conway and non-default ambients
+    tower = make_tower(n)
+    if ambient is not None:
+        tower = dataclasses.replace(tower, ambient=ambient)
+    walk = seed_walk(tower)
+    amb = ambient_walk(walk)
+    big = tower.q ** 2 + 1
+    assert walk.fault is None and amb.fault is None
+    assert len(walk.values) == big + 1 and walk.values[big] == 0
+    assert walk.values[:big] == amb.values
 
 
 def _with_step(profile, i, point):
