@@ -320,9 +320,8 @@ class FieldSpec:
     """Immutable arithmetic context for GF(2^t).
 
     All methods below take and return packed ints.  Construction validates
-    the modulus, finds (or verifies) a generator of order 2^t - 1, factors
-    both 2^t - 1 and 2^t + 1, and asserts gcd(2^t-1, 2^t+1) = 1 and
-    gcd(2^t+1, 2^(2t)+1) = 1.
+    the modulus, finds (or verifies) a generator of order 2^t - 1, and
+    factors both 2^t - 1 and 2^t + 1.
     """
 
     __slots__ = (
@@ -348,10 +347,6 @@ class FieldSpec:
         self.modulus = modulus
         self.fact_minus = factorize(self.q - 1)
         self.fact_plus = factorize(self.q + 1)
-        if math.gcd(self.q - 1, self.q + 1) != 1:
-            raise FieldError("gcd(2^t-1, 2^t+1) != 1")  # impossible
-        if math.gcd(self.q + 1, (1 << (2 * t)) + 1) != 1:
-            raise FieldError("gcd(2^t+1, 2^(2t)+1) != 1")  # impossible
         self._trace_masks = {}
         self._exp = None
         self._log = None

@@ -38,10 +38,11 @@ orbit's least member, its leader (``seed_orbits``, ``leader_profiles``).
 As 2^(2n) = -1 mod q^2+1, each orbit also holds the mate q^2+1-j of each
 member, and its size divides 4n.  Every member takes its leader's rows,
 class and per-seed verdicts; its points and labels are the leader's with
-their logs doubled (``profile_records``).  The set checks read the
-leaders' iterates with all their conjugates.  One wrong step of the
-recurrence, even at a seed that is not a leader, carries on to
-D_(q^2+1)(b), which ``seed_walk`` checks.
+their logs doubled (``profile_records``).  The set checks read images
+of sets through one graph over GF(q^2) instead (``set_checks``): a second
+derivation of the iterates.  One wrong step of the recurrence, even at a
+seed that is not a leader, carries on to D_(q^2+1)(b), which
+``seed_walk`` checks.
 
 Labels are those of the ambient field: a seed is labelled j*(q^2-1), an
 iterate x of GF(q^2) by (q^2+1)*(k0 * log x mod q^2-1), where k0 inverts
@@ -61,6 +62,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dfield
 from enum import Enum
+from itertools import islice
 
 from thetamap.gf2_arith import (
     TABLE_MAX_T,
@@ -71,7 +73,7 @@ from thetamap.gf2_arith import (
     subfield_embedding,
 )
 from thetamap.report import CheckReport
-from thetamap.theta_graph import build_graph, theta_index
+from thetamap.theta_graph import ThetaGraph, build_graph
 
 __all__ = [
     "TowerSpec",
@@ -98,6 +100,7 @@ __all__ = [
     "check_order_bound",
     "trace_quadrants",
     "verify_theta_permutation",
+    "set_checks",
     "orders_report",
 ]
 
@@ -582,66 +585,35 @@ def case1_subcase(tower: TowerSpec, profile: OrderProfile) -> SubcaseReport:
 # ---------------------------------------------------------------------------
 # Whole-subgroup set checks
 
-def _conjugates(double: FieldSpec, points) -> set[int]:
-    """The points of GF(q^2) (index q^2 is inf) with all their conjugates
-    x^(2^k), by doubling logs; 0 and inf are their own.
-
-    The iterates of a seed's orbit are those of its leader and their
-    conjugates, so the set checks read a list of leaders' profiles as the
-    whole subgroup; on the profiles of every seed this adds nothing.
-    """
-    exp, log = double.tables()
-    n2 = double.q - 1
-    out: set[int] = set()
-    for x in points:
-        if x in out:                  # its conjugates are in already
-            continue
-        if not 0 < x < double.q:
-            out.add(x)
-            continue
-        e = e0 = log[x]
-        while True:
-            out.add(exp[e])
-            e = 2 * e % n2
-            if e == e0:
-                break
-    return out
-
-
-def verify_cq1_inclusion(tower: TowerSpec,
-                         profiles: list[OrderProfile]) -> CheckReport:
+def verify_cq1_inclusion(tower: TowerSpec, cq1: list[int], s1: set[int],
+                         s_l2: set[int], g: ThetaGraph) -> CheckReport:
     """C_{q+1} inside theta(C_{q^2+1}) union theta^(l+2)(C_{q^2+1}).
 
-    The two images are read, as points of GF(q^2), from the seed profiles at
-    indices 1 and l+2 with their conjugates (seed 1 is left out: it maps
-    to 0 and then inf, neither in C_{q+1}).
-    Also places every nontrivial element of C_{q+1} on level l+3 or 2 of the
-    graph over GF(q^2) and checks that every vertex sharing that level of
-    the same component has order dividing q+1.  Each such (component,
-    level) class is judged once, in one pass over the graph.
+    ``cq1`` walks C_{q+1} in GF(q^2) from h^0 = 1; ``s1`` and ``s_l2`` are
+    the images S_1 and S_(l+2) (``set_checks``).  Also places every
+    nontrivial element of C_{q+1} on level l+3 or 2 of ``g``, the graph over
+    GF(q^2), and checks that every vertex sharing that level of the same
+    component lies in C_{q+1}: for a unit, that its order divides q+1; 0
+    and inf never do.  Each such (component, level) class is judged once,
+    in one pass over the graph.
     """
-    q, l, n = tower.q, tower.l, tower.n
-    double = tower.double
+    l, n = tower.l, tower.n
     rep = CheckReport(f"order-(q+1) subgroup coverage (n={n})")
 
-    cq1 = double.subgroup(q + 1)[:-1]           # C_{q+1} in GF(q^2)
-    img1 = _conjugates(double, (p.steps[1].point for p in profiles))
-    img2 = _conjugates(double, (p.steps[l + 2].point for p in profiles))
-    missing = [b for b in cq1 if b not in img1 and b not in img2]
+    missing = [b for b in cq1 if b not in s1 and b not in s_l2]
     rep.add("cq1-image-inclusion", not missing,
             "" if not missing
             else f"{len(missing)} elements uncovered, first bits {missing[0]:#x}")
 
-    # Levels in the graph over the tower's GF(q^2).
-    g2n = build_graph(double)
-    comp_id, level = g2n.comp_id, g2n.level
+    comp_id, level = g.comp_id, g.level
     bad_level = []
     placed = []
     for v in cq1[1:]:                  # the q nontrivial elements of C_{q+1}
         (placed if level[v] in (l + 3, 2) else bad_level).append(v)
     classes = {(comp_id[v], level[v]) for v in placed}
+    members = set(cq1)
     bad_classes = {key for u, key in enumerate(zip(comp_id, level))
-                   if key in classes and (q + 1) % double.order(u)}
+                   if key in classes and u not in members}
     bad_order = [v for v in placed if (comp_id[v], level[v]) in bad_classes]
     rep.add("cq1-levels", not bad_level,
             "" if not bad_level else f"bad level for bits {bad_level[0]:#x}")
@@ -705,20 +677,20 @@ class QuadrantReport:
         return self.checks.passed
 
 
-def trace_quadrants(tower: TowerSpec,
-                    profiles: list[OrderProfile]) -> QuadrantReport:
+def trace_quadrants(tower: TowerSpec, a_images: list[set[int]],
+                    b_images: list[set[int]]) -> QuadrantReport:
     """Quadrants by trace pairs versus their image-set characterizations.
 
     The quadrants split the tower's GF(q)* by trace pair.  The image sets
-    are read over GF(q^2) from the seed profiles of the order-(q^2+1)
-    subgroup, with their conjugates, keeping unit points; the trace-defined
-    quadrants are carried into GF(q^2) through the explicit subfield
-    embedding before comparison.  A failing embedding fails each image
-    check with its message.
+    are points of GF(q^2) (``set_checks``): ``a_images`` = [f(A), f^2(A),
+    ..., f^(l+3)(A)] for A = C_{q+1} & S_1, and ``b_images`` = [f(B),
+    f^2(B)] for B = C_{q+1} & S_(l+2).  Their unit points must be A11, the
+    union of the later images of A, B01 and B10: the trace-defined
+    quadrants carried into GF(q^2) through the explicit subfield embedding.
+    A failing embedding fails each image check with its message.
     """
     spec_n = tower.base
     double = tower.double
-    q, l = tower.q, tower.l
 
     a11, a00, b01, b10 = set(), set(), set(), set()
     for x in range(1, spec_n.q):
@@ -730,27 +702,17 @@ def trace_quadrants(tower: TowerSpec,
     except FieldError as exc:
         fault = str(exc)
 
-    at_a11, at_a00, at_b01, at_b10 = [], [], [], []
-    for prof in profiles:
-        steps = prof.steps
-        if (q + 1) % steps[1].order == 0:
-            at_a11.append(steps[2].point)
-            at_a00 += (s.point for s in steps[3:l + 5])
-        if (q + 1) % steps[l + 2].order == 0:
-            at_b01.append(steps[l + 3].point)
-            at_b10.append(steps[l + 4].point)
-
-    def units(points):
-        return {x for x in _conjugates(double, points) if 0 < x < double.q}
+    def units(*images):
+        return {x for img in images for x in img if 0 < x < double.q}
 
     rep = CheckReport(f"trace quadrants (n={tower.n})")
     rep.add("quadrant-partition",
             len(a11) + len(a00) + len(b01) + len(b10) == spec_n.q - 1)
     for name, trace_set, img in (
-            ("a11-image", a11, units(at_a11)),
-            ("a00-image", a00, units(at_a00)),
-            ("b01-image", b01, units(at_b01)),
-            ("b10-image", b10, units(at_b10))):
+            ("a11-image", a11, units(a_images[0])),
+            ("a00-image", a00, units(*a_images[1:])),
+            ("b01-image", b01, units(b_images[0])),
+            ("b10-image", b10, units(b_images[1]))):
         if fault is not None:
             rep.add(name, False, fault)
         else:
@@ -759,20 +721,57 @@ def trace_quadrants(tower: TowerSpec,
     return QuadrantReport(a11, a00, b01, b10, rep)
 
 
-def verify_theta_permutation(tower: TowerSpec,
-                             profiles: list[OrderProfile]) -> CheckReport:
+def verify_theta_permutation(tower: TowerSpec, landing: set[int],
+                             image: set[int]) -> CheckReport:
     """The map permutes the (l+4)-th image of the order-(q^2+1) subgroup.
 
-    The landing set is read, as points of GF(q^2), from the seed profiles
-    at index l+4 with their conjugates.
+    ``landing`` is S_(l+4) and ``image`` is f(S_(l+4)) (``set_checks``).
     """
-    landing = _conjugates(tower.double,
-                          (p.steps[tower.l + 4].point for p in profiles))
-    image = {theta_index(tower.double, idx) for idx in landing}
     rep = CheckReport(f"permutation on the landing set (n={tower.n})")
     rep.add("landing-set-closed", image == landing,
             f"|set|={len(landing)} |image|={len(image)}")
     rep.add("injective-on-landing-set", len(image) == len(landing))
+    return rep
+
+
+def set_checks(walk: SeedWalk) -> CheckReport:
+    """The three set checks on images of sets, as points of GF(q^2) (index
+    q^2 is inf): S_1 = {f(h^j) : j = 1..q^2}, the seed walk's values, and
+    S_(k+1) = f(S_k), A = C_{q+1} & S_1, B = C_{q+1} & S_(l+2) and their
+    images read through ``succ`` of one graph over GF(q^2).  Each S_k is
+    dropped once the next is built, S_1 and the graph's other arrays after
+    the levels.  A walk of C_{q+1} that does not close is the one failure.
+    """
+    tower = walk.tower
+    double = tower.double
+    q, l = tower.q, tower.l
+    rep = CheckReport(f"image sets over GF(2^{double.t})")
+    cq1 = double.subgroup(q + 1)           # C_{q+1} in GF(q^2), then h^(q+1)
+    end = cq1.pop()
+    if end != 1:
+        rep.add("subgroup-closure", False,
+                f"C_(q+1) walk: h^{q + 1} = {end:#x}, not 1")
+        return rep
+    g = build_graph(double)
+    succ = g.succ
+
+    def image(points):
+        return set(map(succ.__getitem__, points))
+
+    s1 = set(islice(walk.values, 1, q * q + 1))
+    a = [image(s1.intersection(cq1))]
+    while len(a) < l + 3:
+        a.append(image(a[-1]))
+    s = s1
+    for _ in range(l + 1):
+        s = image(s)                       # S_(l+2)
+    rep.checks += verify_cq1_inclusion(tower, cq1, s1, s, g).checks
+    del s1, g                              # succ stays, in image()
+    b = image(s.intersection(cq1))
+    rep.checks += trace_quadrants(tower, a, [b, image(b)]).checks.checks
+    for _ in range(2):
+        s = image(s)                       # S_(l+4)
+    rep.checks += verify_theta_permutation(tower, s, image(s)).checks
     return rep
 
 
@@ -785,7 +784,9 @@ def orders_report(tower: TowerSpec, records: bool = True) -> dict:
     check.
 
     The per-seed checks run once per orbit, on its leader, and a verdict
-    counts for every member.  If the seed walk or the labels carry a fault
+    counts for every member.  The set checks read no profile
+    (``set_checks``); they run first, so that their sets are gone before
+    the profiles are built.  If the seed walk or the labels carry a fault
     (the embedding of GF(q^2) fails, f(h) or gen^(q^2+1) misses the
     embedded GF(q^2), h does not have order q^2+1, the ambient walk of the
     hex labels does not close), no record can be trusted: the report
@@ -802,6 +803,7 @@ def orders_report(tower: TowerSpec, records: bool = True) -> dict:
     walk = seed_walk(tower)
     fault = walk.fault
     if fault is None:
+        image_checks = set_checks(walk)
         orbits = seed_orbits(tower)
         profiles = leader_profiles(walk, orbits)
         if records:
@@ -824,10 +826,6 @@ def orders_report(tower: TowerSpec, records: bool = True) -> dict:
         bad.sort()
         checks.add(name, not bad,
                    "" if not bad else f"failing seed exponents {bad[:5]}")
-    for sub in (verify_cq1_inclusion(tower, profiles),
-                trace_quadrants(tower, profiles).checks,
-                verify_theta_permutation(tower, profiles)):
-        checks.checks.extend(sub.checks)
-
+    checks.checks += image_checks.checks
     doc["checks"] = checks.records()
     return doc

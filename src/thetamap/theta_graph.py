@@ -432,18 +432,23 @@ def verify_structure(g: ThetaGraph) -> CheckReport:
     # (6) every leaf degree is 2^r * v with v odd dividing s.  Every degree
     #     divides t = 2^r * s, so only the degrees dividing t/2 break the
     #     law, and only when r >= 1: the law holds iff no element of
-    #     GF(2^(t/2)) is a leaf.  The witness's degree is read by squaring
-    #     it, which a faulty kernel may never bring back: the detail says so.
-    bad = None
-    if spec.r:
-        sub = spec.subgroup((1 << (spec.t // 2)) - 1)[:-1] + [0]
-        bad = min((v for v in sub if not g.indeg[v]), default=None)
+    #     GF(2^(t/2)) is a leaf.  A walk of GF(2^(t/2))* that does not close
+    #     is the failure.  The witness's degree is read by squaring it,
+    #     which a faulty kernel may never bring back: the detail says so.
     detail = ""
-    if bad is not None:
-        deg = spec.degree(bad)
-        detail = (f"leaf {lab(bad)} has degree {deg}" if deg is not None else
-                  f"leaf {lab(bad)} does not return under {spec.t} squarings")
-    rep.add("leaf-degree", bad is None, detail)
+    if spec.r:
+        k = (1 << (spec.t // 2)) - 1
+        sub = spec.subgroup(k)
+        end, sub[k] = sub[k], 0         # h^k = h^0: 0 takes its place
+        bad = min((v for v in sub if not g.indeg[v]), default=None)
+        if end != 1:
+            detail = f"GF(2^{spec.t // 2})* walk: h^{k} = {end:#x}, not 1"
+        elif bad is not None:
+            deg = spec.degree(bad)
+            detail = (f"leaf {lab(bad)} has degree {deg}" if deg is not None
+                      else f"leaf {lab(bad)} does not return under "
+                           f"{spec.t} squarings")
+    rep.add("leaf-degree", not detail, detail)
 
     return rep
 

@@ -6,6 +6,8 @@ given to both; each pair's per-seed checks run once, and their verdict is
 recorded under both exponents.  Labels are read point by point from
 GF(q^2)'s log table, and the seeds and k0 from the ambient walk of this
 module (``ambient_walk``), which the battery makes only for hex labels.
+The set checks read their sets from the profiles (``profile_set_inputs``),
+where the battery reads images of sets through a graph.
 ``mate_pair_report`` builds the whole report this way, so ``orders_report``
 must give the same document and the same json bytes.
 """
@@ -24,7 +26,7 @@ from thetamap.order_dynamics import (
     verify_theta_permutation,
 )
 from thetamap.report import CheckReport
-from thetamap.theta_graph import theta_pullback
+from thetamap.theta_graph import build_graph, theta_index, theta_pullback
 
 
 @dataclass(frozen=True)
@@ -100,6 +102,32 @@ def seed_profiles(walk):
     return profiles
 
 
+def profile_set_inputs(tower, profiles) -> tuple[tuple, tuple, tuple]:
+    """The arguments of ``verify_cq1_inclusion``, ``trace_quadrants`` and
+    ``verify_theta_permutation``, read from every seed's profile.
+
+    S_1, S_(l+2) and S_(l+4) are the points at indices 1, l+2 and l+4.  The
+    images of A = C_(q+1) & S_1 are the later points of the seeds whose
+    first iterate has order dividing q+1, those of B = C_(q+1) & S_(l+2) of
+    the seeds whose iterate l+2 has; a special point there has only inf
+    after it, which the check drops.  f(S_(l+4)) is ``theta_index`` of each
+    landing point.  Every seed is profiled, so no conjugate is needed.
+    """
+    double, q, l = tower.double, tower.q, tower.l
+
+    def points(i, profs=profiles):
+        return {p.steps[i].point for p in profs}
+
+    in_a = [p for p in profiles if (q + 1) % p.steps[1].order == 0]
+    in_b = [p for p in profiles if (q + 1) % p.steps[l + 2].order == 0]
+    landing = points(l + 4)
+    return ((tower, double.subgroup(q + 1)[:-1], points(1), points(l + 2),
+             build_graph(double)),
+            (tower, [points(i, in_a) for i in range(2, l + 5)],
+             [points(l + 3, in_b), points(l + 4, in_b)]),
+            (tower, landing, {theta_index(double, x) for x in landing}))
+
+
 def pair_verdict_records(tower, profiles) -> list[dict]:
     """The per-seed check records, one verdict per mate pair."""
     big = tower.q ** 2 + 1
@@ -143,10 +171,11 @@ def mate_pair_report(tower) -> dict:
                 "tr_inv": s.tr_inv,
             } for s, lab in zip(prof.steps, labels)],
         })
+    cq1, quadrants, permutation = profile_set_inputs(tower, profiles)
     checks = CheckReport("")
-    for sub in (verify_cq1_inclusion(tower, profiles),
-                trace_quadrants(tower, profiles).checks,
-                verify_theta_permutation(tower, profiles)):
+    for sub in (verify_cq1_inclusion(*cq1),
+                trace_quadrants(*quadrants).checks,
+                verify_theta_permutation(*permutation)):
         checks.checks.extend(sub.checks)
     return {
         "n": tower.n, "l": tower.l, "m": tower.m, "q": tower.q,

@@ -9,7 +9,7 @@ import random
 import time
 
 from graph_oracle import predecessor_slots, tree_levels
-from orders_oracle import seed_profiles
+from orders_oracle import profile_set_inputs, seed_profiles
 from thetamap.dickson_curve import (
     _dickson_bits,
     _root_bits,
@@ -177,8 +177,9 @@ def test_criterion_07_leaf_set_equalities():
 def test_criterion_08_inclusion_and_permutation():
     ok = True
     for n in (1, 2, 3, 4):
-        ok = ok and verify_cq1_inclusion(TOWERS[n], PROFILES[n]).passed
-        ok = ok and verify_theta_permutation(TOWERS[n], PROFILES[n]).passed
+        cq1, _, permutation = profile_set_inputs(TOWERS[n], PROFILES[n])
+        ok = ok and verify_cq1_inclusion(*cq1).passed
+        ok = ok and verify_theta_permutation(*permutation).passed
     verdict(8, ok, "subgroup image inclusion and the landing-set "
                    "permutation hold elementwise for n=1..4")
 

@@ -385,6 +385,45 @@ def test_leaf_degree_of_a_squaring_that_never_returns_is_a_record(
             "squarings") in lines
 
 
+def _unclosed_powers(monkeypatch, t, k):
+    """``FieldSpec.powers`` whose walk [c^0, ..., c^k] in GF(2^t) ends one
+    bit away from 1."""
+    true_powers = FieldSpec.powers
+
+    def unclosed(self, c, m):
+        out = true_powers(self, c, m)
+        if (self.t, m) == (t, k):
+            out[m] ^= 2
+        return out
+
+    monkeypatch.setattr(FieldSpec, "powers", unclosed)
+
+
+def _failed_lines(out: str) -> list[str]:
+    return [line for line in out.splitlines() if line.startswith("FAIL")]
+
+
+def test_leaf_degree_walk_closure_fault_is_a_record(monkeypatch, capsys):
+    # the walk h^0, ..., h^63 of GF(2^6)* inside GF(2^12) does not close
+    _unclosed_powers(monkeypatch, 12, 63)
+    assert main(["verify-structure", "--t", "12"]) == 1
+    captured = capsys.readouterr()
+    assert _failed_lines(captured.out) == [
+        "FAIL [t=12] leaf-degree  GF(2^6)* walk: h^63 = 0x3, not 1"]
+    assert "Traceback" not in captured.err
+
+
+def test_cq1_walk_closure_fault_is_a_record(monkeypatch, capsys):
+    # the walk h^0, ..., h^9 of C_(q+1) in GF(q^2) (n = 3) does not close:
+    # the set checks have no C_(q+1) to read, the per-seed checks pass
+    _unclosed_powers(monkeypatch, 6, 9)
+    assert main(["verify-orders", "--n", "3"]) == 1
+    captured = capsys.readouterr()
+    assert _failed_lines(captured.out) == [
+        "FAIL [n=3] subgroup-closure  C_(q+1) walk: h^9 = 0x3, not 1"]
+    assert "Traceback" not in captured.err
+
+
 def test_orders_failure_exits_one(monkeypatch, capsys):
     # every trace mask empty: every trace, at every level, reads 0
     monkeypatch.setattr(FieldSpec, "trace_mask", lambda self, d: 0)
@@ -455,15 +494,7 @@ def test_seed_of_lower_order_is_a_closure_record(monkeypatch, capsys, p, k):
 def test_label_walk_closure_fault_is_a_record(monkeypatch, capsys):
     # the ambient walk h^0, ..., h^4097 of the hex labels (n = 6) ends one
     # bit away from 1; text output makes no such walk and passes
-    true_powers = FieldSpec.powers
-
-    def unclosed(self, c, k):
-        out = true_powers(self, c, k)
-        if self.t == 24:
-            out[k] ^= 2
-        return out
-
-    monkeypatch.setattr(FieldSpec, "powers", unclosed)
+    _unclosed_powers(monkeypatch, 24, 4097)
     assert main(["verify-orders", "--n", "6"]) == 0
     capsys.readouterr()
     assert main(["verify-orders", "--n", "6", "--format", "json"]) == 1

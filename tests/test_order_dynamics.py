@@ -12,6 +12,7 @@ from orders_oracle import (
     mate_pair_report,
     member_profiles,
     pair_verdict_records,
+    profile_set_inputs,
     seed_label,
     seed_profiles,
 )
@@ -28,7 +29,6 @@ from thetamap.gf2_arith import (
 )
 from thetamap.order_dynamics import (
     HClass,
-    _conjugates,
     _expected_rows,
     case1_subcase,
     case_table,
@@ -41,6 +41,7 @@ from thetamap.order_dynamics import (
     profile_tail,
     seed_orbits,
     seed_walk,
+    set_checks,
     trace_profile_check,
     trace_quadrants,
     verify_cq1_inclusion,
@@ -302,23 +303,56 @@ def test_orbit_report_matches_the_mate_pair_oracle(make):
     assert orders_report(make(), records=False) == want
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_conjugates_stand_for_the_other_seeds(n):
-    # the points of every seed at each index are closed under conjugation,
-    # and are the leaders' points with their conjugates
-    tower = TOWERS[n]
-    orbits = seed_orbits(tower)
-    leaders = leader_profiles(WALKS[n], orbits)
-    for i in range(1, tower.l + 5):
-        points = {p.steps[i].point for p in PROFILES[n]}
-        assert _conjugates(tower.double, points) == points
-        assert _conjugates(tower.double,
-                           (p.steps[i].point for p in leaders)) == points
+def _set_check_inputs(monkeypatch, walk) -> dict[str, tuple]:
+    """The arguments ``set_checks`` gives each of the three set checks."""
+    got = {}
+    for name in ("verify_cq1_inclusion", "trace_quadrants",
+                 "verify_theta_permutation"):
+        def recording(*args, name=name, check=getattr(order_dynamics, name)):
+            got[name] = args
+            return check(*args)
+
+        monkeypatch.setattr(order_dynamics, name, recording)
+    assert set_checks(walk).passed
+    return got
+
+
+@pytest.mark.parametrize("tower", [
+    *(make_tower(n) for n in range(1, 7)),
+    *(dataclasses.replace(make_tower(n), ambient=amb)
+      for n, amb, _ in NON_DEFAULT),
+], ids=[f"{n}" for n in range(1, 7)] + [
+    f"{n}-{field_to_record(amb).split()[1]}" for n, amb, _ in NON_DEFAULT])
+def test_image_sets_are_every_seeds_points(monkeypatch, tower):
+    # S_1, S_(l+2) and S_(l+4), read through the graph, are the points of
+    # every seed's profile at indices 1, l+2 and l+4, and f(S_(l+4)) is
+    # the kernel's map on each landing point
+    l = tower.l
+    walk = seed_walk(tower)
+    profiles = seed_profiles(walk)
+    got = _set_check_inputs(monkeypatch, walk)
+    _, cq1, s1, s_l2, _ = got["verify_cq1_inclusion"]
+    _, landing, image = got["verify_theta_permutation"]
+    assert cq1 == tower.double.subgroup(tower.q + 1)[:-1]
+    assert s1 == {p.steps[1].point for p in profiles}
+    assert s_l2 == {p.steps[l + 2].point for p in profiles}
+    assert landing == {p.steps[l + 4].point for p in profiles}
+    assert image == {theta_index(tower.double, x) for x in landing}
     # and each seed's rows and class are its leader's
-    for p, lead in zip(PROFILES[n], member_profiles(orbits, leaders)):
+    orbits = seed_orbits(tower)
+    leaders = leader_profiles(walk, orbits)
+    for p, lead in zip(profiles, member_profiles(orbits, leaders)):
         assert [dataclasses.astuple(s)[2:] for s in p.steps] == [
             dataclasses.astuple(s)[2:] for s in lead.steps]
         assert (p.h_class, p.case_id) == (lead.h_class, lead.case_id)
+
+
+@pytest.mark.parametrize("records", [False, True])
+def test_orders_report_builds_one_graph(monkeypatch, records):
+    built = []
+    _patch_graph(monkeypatch, built.append)
+    assert all(c["pass"] for c in orders_report(TOWERS[3], records)["checks"])
+    assert [g.field.t for g in built] == [6]
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -536,13 +570,13 @@ def test_case1_subcase_forced_at_small_sizes():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_cq1_inclusion(n):
-    rep = verify_cq1_inclusion(TOWERS[n], PROFILES[n])
+    rep = verify_cq1_inclusion(*profile_set_inputs(TOWERS[n], PROFILES[n])[0])
     assert rep.passed, str(rep)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_quadrants(n):
-    rep = trace_quadrants(TOWERS[n], PROFILES[n])
+    rep = trace_quadrants(*profile_set_inputs(TOWERS[n], PROFILES[n])[1])
     assert rep.passed, str(rep.checks)
     total = len(rep.a11) + len(rep.a00) + len(rep.b01) + len(rep.b10)
     assert total == (1 << n) - 1
@@ -550,7 +584,8 @@ def test_quadrants(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_theta_permutation(n):
-    rep = verify_theta_permutation(TOWERS[n], PROFILES[n])
+    rep = verify_theta_permutation(
+        *profile_set_inputs(TOWERS[n], PROFILES[n])[2])
     assert rep.passed, str(rep)
 
 
@@ -611,99 +646,115 @@ def test_recurrence_matches_the_ambient_pullback(n, ambient):
     assert walk.values[:big] == amb.values
 
 
-def _with_step(profile, i, point):
-    """A copy of the profile whose step i is moved to another point."""
-    steps = list(profile.steps)
-    steps[i] = dataclasses.replace(steps[i], point=point)
-    return dataclasses.replace(profile, steps=steps)
+def _patch_graph(monkeypatch, fault):
+    """``build_graph`` of order_dynamics, calling ``fault`` on each graph
+    it builds before returning it."""
+    true_build = order_dynamics.build_graph
+
+    def build_graph(spec):
+        g = true_build(spec)
+        fault(g)
+        return g
+
+    monkeypatch.setattr(order_dynamics, "build_graph", build_graph)
 
 
-def _failures(rep):
-    return [c.name for c in rep.failures()]
+def _failures(tower):
+    """The failed check records of ``orders_report``, as (name, detail)."""
+    return [(c["name"], c["detail"])
+            for c in orders_report(tower, records=False)["checks"]
+            if not c["pass"]]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_cq1_fault_is_a_record(n):
-    # every iterate that lands on one element of C_(q+1), or on one of its
-    # conjugates, moved to 0: the set check reads each point with its
-    # conjugates
-    tw = TOWERS[n]
-    l = tw.l
-    target = tw.double.pow(tw.double.gen, tw.q - 1)
-    conjugates = _conjugates(tw.double, [target])
-    assert len(conjugates) > 1
-    profs = PROFILES[n]
-    for i in (1, l + 2):
-        profs = [_with_step(p, i, 0)
-                 if p.steps[i].point in conjugates else p for p in profs]
-    assert _failures(verify_cq1_inclusion(tw, profs)) == [
-        "cq1-image-inclusion"]
+def test_cq1_fault_is_a_record(monkeypatch, n):
+    # every first iterate equal to one element c of A = C_(q+1) & S_1 moved
+    # to 1/c = c^q, which is in A too and has the same image: only c goes
+    # uncovered.  The profiles keep their rows, as c and c^q have the same
+    # order and traces.
+    tw, walk = TOWERS[n], WALKS[n]
+    q = tw.q
+    s1 = set(walk.values[1:q * q + 1])
+    c = next(x for x in tw.double.subgroup(q + 1)[1:] if x in s1)
+    inv = tw.double.inv(c)
+    assert inv in s1 and inv != c
+    values = [inv if x == c else x for x in walk.values]
+    monkeypatch.setattr(order_dynamics, "seed_walk",
+                        lambda tower: dataclasses.replace(walk, values=values))
+    assert _failures(tw) == [
+        ("cq1-image-inclusion", f"1 elements uncovered, first bits {c:#x}")]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_cq1_level_orders_judge_each_vertex_once(monkeypatch, n):
-    # the greatest level mate of the last element of C_(q+1) reports order
-    # q-1, which does not divide q+1: the witness is the first element of
-    # C_(q+1) in that (component, level) class, and no vertex is asked twice
+    # a faulty graph puts 0, or inf, in the (component, level) class of the
+    # last element of C_(q+1): the witness is the first element of C_(q+1)
+    # in that class.  Membership in the walked C_(q+1) judges each vertex,
+    # and no vertex is asked its order.
     tw = TOWERS[n]
-    double, q = tw.double, tw.q
+    double = tw.double
+    cq1 = double.subgroup(tw.q + 1)[:-1]
     g = build_graph(double)
-    cq1 = double.powers(double.pow(double.gen, q - 1), q)[1:]
 
     def key(v):
         return g.comp_id[v], g.level[v]
 
-    bad = max(u for u in range(double.q) if key(u) == key(cq1[-1]))
-    witness = next(v for v in cq1 if key(v) == key(bad))
+    witness = next(v for v in cq1[1:] if key(v) == key(cq1[-1]))
     asked = []
-    true_order = FieldSpec.order
+    true_check = order_dynamics.verify_cq1_inclusion
 
-    def order(self, a):
-        if self.t == double.t:
-            asked.append(a)
-            if a == bad:
-                return q - 1
-        return true_order(self, a)
+    def check(*args):
+        with monkeypatch.context() as m:
+            m.setattr(FieldSpec, "order", lambda self, a: asked.append(a))
+            return true_check(*args)
 
-    monkeypatch.setattr(FieldSpec, "order", order)
-    rep = verify_cq1_inclusion(tw, PROFILES[n])
-    assert [(c.name, c.detail) for c in rep.failures()] == [
-        ("cq1-level-orders",
-         f"level mate of {witness:#x} has order not dividing q+1")]
-    assert bad in asked and len(asked) == len(set(asked))
+    monkeypatch.setattr(order_dynamics, "verify_cq1_inclusion", check)
+    for special in (0, double.q):
+        assert key(special) != key(cq1[-1])
+
+        def fault(g, special=special):
+            g.comp_id[special], g.level[special] = key(cq1[-1])
+
+        _patch_graph(monkeypatch, fault)
+        assert _failures(tw) == [
+            ("cq1-level-orders",
+             f"level mate of {witness:#x} has order not dividing q+1")]
+    assert asked == []
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_quadrant_fault_is_a_record(n):
-    # the first class-1 seed's index-2 iterate moved back to index 1,
-    # which lies in C_(q+1) and not in GF(q)
-    tw = TOWERS[n]
-    k = next(k for k, p in enumerate(PROFILES[n]) if p.case_id == 1)
-    profs = list(PROFILES[n])
-    profs[k] = _with_step(profs[k], 2, profs[k].steps[1].point)
-    rep = trace_quadrants(tw, profs)
-    assert _failures(rep.checks) == ["a11-image"]
+def test_quadrant_fault_is_a_record(monkeypatch, n):
+    # a faulty graph sends one x of A = C_(q+1) & S_1 to another y != 1 of
+    # C_(q+1) than 1/x, and y to 0.  f(A) gains y, while 1/x = x^q, in A
+    # too, keeps f(x).  Each image is closed under Frobenius, so 1/y = y^q
+    # keeps f(y) wherever y was, and the later images gain only 0 and inf.
+    tw, walk = TOWERS[n], WALKS[n]
+    double, q = tw.double, tw.q
+    cq1 = double.subgroup(q + 1)[:-1]
+    s1 = set(walk.values[1:q * q + 1])
+    x = next(x for x in cq1 if x in s1)
+    y = next(y for y in cq1[1:] if y not in (x, double.inv(x)))
+
+    def fault(g):
+        g.succ[x], g.succ[y] = y, 0
+
+    _patch_graph(monkeypatch, fault)
+    assert [name for name, _ in _failures(tw)] == ["a11-image"]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_permutation_fault_is_a_record(n):
-    # one seed's landing point replaced by an iterate x of a deep tree at
-    # an index up to l+2, on level 2 or more, so neither x nor its image is
-    # periodic; the set check reads x with its conjugates, so x is one with
-    # as many conjugates as its image, and the map stays one-to-one
+def test_permutation_fault_is_a_record(monkeypatch, n):
+    # a faulty graph sends inf to 0.  Every seed reaches inf, if at all,
+    # only at index l+4, from a leaf of its tree, so S_(l+4) keeps inf, but
+    # f(S_(l+4)) has 0 in its place; 0 is no landing point, so the map
+    # stays one-to-one on the landing set
     tw = TOWERS[n]
-    profs = list(PROFILES[n])
 
-    def conjugates(p, i):
-        return len(_conjugates(tw.double, [p.steps[i].point]))
+    def fault(g):
+        g.succ[tw.double.q] = 0
 
-    k, i = next((k, i) for k, p in enumerate(profs)
-                if case_table(p).flavor == "A"
-                for i in range(1, tw.l + 3)
-                if conjugates(p, i) == conjugates(p, i + 1))
-    profs[k] = _with_step(profs[k], tw.l + 4, profs[k].steps[i].point)
-    rep = verify_theta_permutation(tw, profs)
-    assert _failures(rep) == ["landing-set-closed"]
+    _patch_graph(monkeypatch, fault)
+    assert [name for name, _ in _failures(tw)] == ["landing-set-closed"]
 
 
 def test_permutation_landing_set_n1_is_infinity():
