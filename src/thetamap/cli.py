@@ -115,7 +115,10 @@ def _parse_values(text: str) -> list[int] | range:
 def build_config(args) -> RunConfig:
     """The run the arguments ask for, refused with ValueError when a degree
     lies beyond what the command's row of COMMANDS admits in the asked
-    format, or beyond THETA_MAX_T."""
+    format, or beyond THETA_MAX_T, or when --workers is below 1."""
+    workers = getattr(args, "workers", 1)
+    if workers < 1:
+        raise ValueError(f"--workers={workers} is below 1")
     command = COMMANDS[args.command]
     fmt = args.format or next(iter(command.largest))
     cap = min(command.largest[fmt], max_t_cap())
@@ -130,8 +133,8 @@ def build_config(args) -> RunConfig:
     for v in values:
         if not 1 <= v <= cap:
             raise ValueError(f"{flag}={v} outside [1, {cap}]")
-    return RunConfig(args.command, list(values), fmt, args.out,
-                     getattr(args, "workers", 1), getattr(args, "seed", 0))
+    return RunConfig(args.command, list(values), fmt, args.out, workers,
+                     getattr(args, "seed", 0))
 
 
 # -- jobs run in worker processes: plain ints in, plain dicts out ------------

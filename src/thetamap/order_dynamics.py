@@ -60,7 +60,7 @@ tables uniformly; at indices 1..l+2 a special point fails its case table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 
@@ -82,8 +82,6 @@ __all__ = [
     "ProfileStep",
     "OrderProfile",
     "CaseTable",
-    "SubcaseReport",
-    "QuadrantReport",
     "make_tower",
     "subgroup",
     "seed_walk",
@@ -386,35 +384,24 @@ def h_longform_flags(profile: OrderProfile) -> tuple[bool, bool, bool]:
 # ---------------------------------------------------------------------------
 # Forced trace rows and the three case tables
 
-def trace_profile_check(profile: OrderProfile) -> CheckReport:
-    """Forced trace rows: peak and tail for class 1, the swap for class 2."""
-    t = profile.tower
-    n, l = t.n, t.l
-    steps = profile.steps
-    rep = CheckReport(f"forced trace rows (class {profile.case_id}, n={n})")
+def trace_profile_check(profile: OrderProfile) -> bool:
+    """Whether the profile has its class's forced trace rows.
 
+    Class 1: the peak, index 2, lies in GF(q) with Tr_n pair (1, 1), and
+    the tail, indices 3..l+4, has every trace pair (0, 0).  Class 2: index
+    l+3 lies in GF(q) with pair (0, 1), and index l+4 with pair (1, 0).
+    Class 3 forces no rows beyond its case table.
+    """
+    n, l = profile.tower.n, profile.tower.l
+    steps = profile.steps
     if profile.h_class is HClass.H1:
-        s2 = steps[2]
-        rep.add("class1-peak-trace",
-                s2.subfield == n and s2.tr == 1 and s2.tr_inv == 1,
-                f"index 2: Tr_{s2.subfield} pair ({s2.tr},{s2.tr_inv})")
-        bad = [i for i in range(3, l + 5)
-               if not (steps[i].tr == 0 and steps[i].tr_inv == 0)]
-        rep.add("class1-tail-traces", not bad,
-                "" if not bad else f"nonzero trace at indices {bad}")
-    elif profile.h_class is HClass.H2:
-        s3 = steps[l + 3]
-        rep.add("class2-level1-traces",
-                s3.subfield == n and (s3.tr, s3.tr_inv) == (0, 1),
-                f"index {l + 3}: Tr_{s3.subfield} pair ({s3.tr},{s3.tr_inv})")
-        s4 = steps[l + 4]
-        rep.add("class2-level0-traces",
-                s4.subfield == n and (s4.tr, s4.tr_inv) == (1, 0),
-                f"index {l + 4}: Tr_{s4.subfield} pair ({s4.tr},{s4.tr_inv})")
-    else:
-        rep.add("class3-no-forced-rows", True,
-                "only classes 1 and 2 carry forced rows beyond the table")
-    return rep
+        return ((steps[2].subfield, steps[2].tr, steps[2].tr_inv) == (n, 1, 1)
+                and all(s.tr == 0 and s.tr_inv == 0 for s in steps[3:]))
+    if profile.h_class is HClass.H2:
+        s3, s4 = steps[l + 3], steps[l + 4]
+        return ((s3.subfield, s3.tr, s3.tr_inv) == (n, 0, 1)
+                and (s4.subfield, s4.tr, s4.tr_inv) == (n, 1, 0))
+    return True
 
 
 @dataclass
@@ -548,38 +535,28 @@ def case_table(profile: OrderProfile) -> CaseTable:
 # ---------------------------------------------------------------------------
 # Sub-cases of Case 1 (needs l >= 1, i.e. even n)
 
-@dataclass
-class SubcaseReport(CheckReport):
-    subcase: int = 0
+def case1_subcase(profile: OrderProfile) -> tuple[int, bool]:
+    """The sub-case of a Case-1 profile, split by whether d_2 divides
+    sqrt(q)+1, and whether it holds.
 
-
-def case1_subcase(tower: TowerSpec, profile: OrderProfile) -> SubcaseReport:
-    """Split a Case-1 profile by whether d_2 divides sqrt(q)+1."""
+    Sub-case 1 (d_2 does not divide sqrt(q)+1): no order at indices
+    2..l+1 divides sqrt(q)+1 or sqrt(q)-1.  Sub-case 2: every order at
+    indices 3..l+4 divides sqrt(q)-1, and the shifted parameters
+    q := sqrt(q), seed := g_1, l := l-1 satisfy Case 1: d_1 divides
+    sqrt(q)^2+1 (d_2 divides sqrt(q)+1 by the split).
+    """
+    tower = profile.tower
     if profile.case_id != 1:
         raise FieldError("sub-case split applies to Case-1 profiles only")
     if tower.l < 1:
         raise FieldError("sub-case split needs l >= 1")
     qt = 1 << (tower.n // 2)          # sqrt(q)
-    steps = profile.steps
-    l = tower.l
-    d2 = steps[2].order
-    if (qt + 1) % d2 != 0:
-        rep = SubcaseReport("case-1 sub-case 1", subcase=1)
-        bad = [i for i in range(2, l + 2)
-               if (qt + 1) % steps[i].order == 0 or (qt - 1) % steps[i].order == 0]
-        rep.add("subcase1-orders", not bad,
-                "" if not bad else f"order divides sqrt(q)+-1 at indices {bad}")
-    else:
-        rep = SubcaseReport("case-1 sub-case 2", subcase=2)
-        bad = [i for i in range(3, l + 5)
-               if (qt - 1) % steps[i].order != 0]
-        rep.add("subcase2-orders", not bad,
-                "" if not bad else f"order does not divide sqrt(q)-1 at {bad}")
-        reseed_ok = ((qt * qt + 1) % steps[1].order == 0
-                     and (qt + 1) % steps[2].order == 0)
-        rep.add("subcase2-reseed-case1", reseed_ok,
-                "shifted parameters q:=sqrt(q), seed:=g_1, l:=l-1 satisfy Case 1")
-    return rep
+    orders = [s.order for s in profile.steps]
+    if (qt + 1) % orders[2] != 0:
+        return 1, not any((qt + 1) % o == 0 or (qt - 1) % o == 0
+                          for o in orders[2:tower.l + 2])
+    return 2, ((qt * qt + 1) % orders[1] == 0
+               and all((qt - 1) % o == 0 for o in orders[3:]))
 
 
 # ---------------------------------------------------------------------------
@@ -623,62 +600,40 @@ def verify_cq1_inclusion(tower: TowerSpec, cq1: list[int], s1: set[int],
     return rep
 
 
-def check_order_bound(tower: TowerSpec, profile: OrderProfile) -> CheckReport:
-    """Iterate orders of class-2/3 seeds stay >= p1*p2 >= (1+2^(l+1))*p2."""
+def check_order_bound(profile: OrderProfile) -> bool:
+    """Whether the iterate orders of a class-2/3 seed stay >= p1*p2, where
+    p1 and p2 are the least primes of q+1 and q-1: at indices 1..l+1, and
+    in class 3 also at l+2..l+4.  Also that p1 >= 1+2^(l+1).  Vacuously
+    true at q = 2, where q-1 = 1 has no least prime.
+    """
+    tower = profile.tower
     q, l = tower.q, tower.l
-    rep = CheckReport(f"order lower bound (n={tower.n})")
     if q == 2:
-        rep.add("order-lower-bound", True,
-                "vacuous: q-1 = 1 has no least prime")
-        return rep
+        return True
     if profile.case_id == 1:
         raise FieldError("bound applies when |f(seed)| does not divide q+-1")
     p1 = tower.base.fact_plus.least_prime()
-    p2 = tower.base.fact_minus.least_prime()
-    rep.add("least-prime-congruence", p1 >= 1 + (1 << (l + 1)),
-            f"p1={p1} vs 1+2^(l+1)={1 + (1 << (l + 1))}")
-    bound = p1 * p2
-    indices = list(range(1, l + 2))
-    if profile.case_id == 3:
-        indices += list(range(l + 2, l + 5))
-    bad = [i for i in indices if profile.steps[i].order < bound]
-    rep.add("order-lower-bound", not bad,
-            f"bound {bound}" if not bad
-            else f"order below {bound} at indices {bad}")
-    return rep
+    bound = p1 * tower.base.fact_minus.least_prime()
+    last = l + 4 if profile.case_id == 3 else l + 1
+    return (p1 >= 1 + (1 << (l + 1))
+            and all(s.order >= bound for s in profile.steps[1:last + 1]))
 
 
-def _seed_verdicts(tower: TowerSpec, prof: OrderProfile) -> dict[str, bool]:
+def _seed_verdicts(prof: OrderProfile) -> dict[str, bool]:
     """Whether one profile passes each per-seed check, by check name."""
     flags = h_longform_flags(prof)
     return {
         "h-partition": sum(flags) == 1 and flags[prof.case_id - 1],
         "case-tables": case_table(prof).passed,
-        "forced-traces": trace_profile_check(prof).passed,
-        "case1-subcases": (prof.case_id != 1 or tower.l < 1
-                           or case1_subcase(tower, prof).passed),
-        "order-bound": (prof.case_id == 1
-                        or check_order_bound(tower, prof).passed),
+        "forced-traces": trace_profile_check(prof),
+        "case1-subcases": (prof.case_id != 1 or prof.tower.l < 1
+                           or case1_subcase(prof)[1]),
+        "order-bound": prof.case_id == 1 or check_order_bound(prof),
     }
 
 
-@dataclass
-class QuadrantReport:
-    """The four trace quadrants of GF(q)* and their image characterizations."""
-
-    a11: set[int]        # Tr(x) = Tr(1/x) = 1      (packed in GF(2^n))
-    a00: set[int]        # Tr(x) = Tr(1/x) = 0
-    b01: set[int]        # Tr(x) = 0, Tr(1/x) = 1
-    b10: set[int]        # Tr(x) = 1, Tr(1/x) = 0
-    checks: CheckReport = dfield(default_factory=lambda: CheckReport("quadrants"))
-
-    @property
-    def passed(self) -> bool:
-        return self.checks.passed
-
-
 def trace_quadrants(tower: TowerSpec, a_images: list[set[int]],
-                    b_images: list[set[int]]) -> QuadrantReport:
+                    b_images: list[set[int]]) -> CheckReport:
     """Quadrants by trace pairs versus their image-set characterizations.
 
     The quadrants split the tower's GF(q)* by trace pair.  The image sets
@@ -687,7 +642,10 @@ def trace_quadrants(tower: TowerSpec, a_images: list[set[int]],
     f^2(B)] for B = C_{q+1} & S_(l+2).  Their unit points must be A11, the
     union of the later images of A, B01 and B10: the trace-defined
     quadrants carried into GF(q^2) through the explicit subfield embedding.
-    A failing embedding fails each image check with its message.
+    The records: ``quadrant-partition``, that the four quadrants A11, A00,
+    B01 and B10 cover GF(q)*, then one ``<quadrant>-image`` per quadrant,
+    whose detail gives |by-trace| and |by-image|.  A failing embedding
+    fails each image check with its message.
     """
     spec_n = tower.base
     double = tower.double
@@ -718,7 +676,7 @@ def trace_quadrants(tower: TowerSpec, a_images: list[set[int]],
         else:
             rep.add(name, {emb[x] for x in trace_set} == img,
                     f"|by-trace|={len(trace_set)} |by-image|={len(img)}")
-    return QuadrantReport(a11, a00, b01, b10, rep)
+    return rep
 
 
 def verify_theta_permutation(tower: TowerSpec, landing: set[int],
@@ -768,7 +726,7 @@ def set_checks(walk: SeedWalk) -> CheckReport:
     rep.checks += verify_cq1_inclusion(tower, cq1, s1, s, g).checks
     del s1, g                              # succ stays, in image()
     b = image(s.intersection(cq1))
-    rep.checks += trace_quadrants(tower, a, [b, image(b)]).checks.checks
+    rep.checks += trace_quadrants(tower, a, [b, image(b)]).checks
     for _ in range(2):
         s = image(s)                       # S_(l+4)
     rep.checks += verify_theta_permutation(tower, s, image(s)).checks
@@ -817,7 +775,7 @@ def orders_report(tower: TowerSpec, records: bool = True) -> dict:
     failing: dict[str, list[int]] = {}
     for orbit, prof in zip(orbits, profiles):
         counts[prof.h_class.name] += len(orbit)
-        for name, ok in _seed_verdicts(tower, prof).items():
+        for name, ok in _seed_verdicts(prof).items():
             bad = failing.setdefault(name, [])
             if not ok:
                 bad += orbit

@@ -133,7 +133,7 @@ def pair_verdict_records(tower, profiles) -> list[dict]:
     big = tower.q ** 2 + 1
     failing: dict[str, list[int]] = {}
     for j in range(1, big // 2 + 1):
-        for name, ok in _seed_verdicts(tower, profiles[j - 1]).items():
+        for name, ok in _seed_verdicts(profiles[j - 1]).items():
             bad = failing.setdefault(name, [])
             if not ok:
                 bad += (j, big - j)
@@ -174,7 +174,7 @@ def mate_pair_report(tower) -> dict:
     cq1, quadrants, permutation = profile_set_inputs(tower, profiles)
     checks = CheckReport("")
     for sub in (verify_cq1_inclusion(*cq1),
-                trace_quadrants(*quadrants).checks,
+                trace_quadrants(*quadrants),
                 verify_theta_permutation(*permutation)):
         checks.checks.extend(sub.checks)
     return {

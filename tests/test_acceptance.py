@@ -132,7 +132,7 @@ def test_criterion_04_trace_tables():
     ok = True
     for profs in PROFILES.values():
         for p in profs:
-            ok = ok and case_table(p).passed and trace_profile_check(p).passed
+            ok = ok and case_table(p).passed and trace_profile_check(p)
     verdict(4, ok, "every profile's trace rows match its case table, n=1..4")
 
 

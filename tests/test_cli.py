@@ -594,6 +594,56 @@ def test_non_leader_recurrence_fault_is_a_record(monkeypatch, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("leader, case_id, index, field, value, failing", [
+    (23, 1, 3, "tr", 1, ["case-tables", "forced-traces"]),
+    (23, 1, 3, "order", 5, ["case1-subcases"]),
+    (1, 3, 1, "order", 17, ["h-partition", "case-tables", "order-bound"]),
+], ids=["forced-traces", "case1-subcases", "order-bound"])
+def test_per_seed_fault_fails_its_own_records(monkeypatch, capsys, leader,
+                                              case_id, index, field, value,
+                                              failing):
+    # n = 4: l = 2, sqrt(q) = 4 and p1 * p2 = 17 * 3.  In the class-1 tail
+    # of leader 23, Tr = 1 breaks the forced (0, 0) pair and its case-table
+    # row; order 5 still divides q-1, but not sqrt(q)-1, as its sub-case 2
+    # needs.  Order 17 at index 1 of the class-3 leader 1 is below 51, not
+    # mixed, and no order its row admits.  Every member of the orbit fails.
+    tower = make_tower(4)
+    orbit = next(o for o in order_dynamics.seed_orbits(tower)
+                 if o[0] == leader)
+    true_leaders = order_dynamics.leader_profiles
+
+    def broken(walk, orbits):
+        profiles = true_leaders(walk, orbits)
+        prof = next(p for p in profiles if p.exponent == leader)
+        assert prof.case_id == case_id
+        assert getattr(prof.steps[index], field) != value
+        setattr(prof.steps[index], field, value)
+        return profiles
+
+    monkeypatch.setattr(order_dynamics, "leader_profiles", broken)
+    assert main(["verify-orders", "--n", "4"]) == 1
+    captured = capsys.readouterr()
+    assert _failed_lines(captured.out) == [
+        f"FAIL [n=4] {name}  failing seed exponents {sorted(orbit)[:5]}"
+        for name in failing]
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("workers", ["0", "-4"])
+@pytest.mark.parametrize("command", ["verify-structure", "verify-orders",
+                                     "verify-dickson", "sweep"])
+def test_workers_below_one_is_refused_before_any_job(monkeypatch, capsys,
+                                                     command, workers):
+    def no_run(config):
+        raise AssertionError("a job ran")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    flag = cli.COMMANDS[command].flag
+    assert main([command, f"--{flag}", "3", "--workers", workers]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: --workers={workers} is below 1\n")
+
+
 @pytest.mark.parametrize("argv, err", [
     (["verify-orders", "--n", "10"], "n=10 outside [1, 9]"),
     (["verify-orders", "--n", "9", "--format", "json"], "n=9 outside [1, 8]"),

@@ -47,7 +47,7 @@ from thetamap.order_dynamics import (
     verify_cq1_inclusion,
     verify_theta_permutation,
 )
-from thetamap.report import json_text
+from thetamap.report import CheckReport, json_text
 from thetamap.theta_graph import build_graph, point_label, theta_index
 
 TOWERS = {n: make_tower(n) for n in (1, 2, 3, 4)}
@@ -392,12 +392,11 @@ def _per_seed_records(tower, profiles):
             out["h-partition"].append(exp)
         if not case_table(prof).passed:
             out["case-tables"].append(exp)
-        if not trace_profile_check(prof).passed:
+        if not trace_profile_check(prof):
             out["forced-traces"].append(exp)
-        if (prof.case_id == 1 and tower.l >= 1
-                and not case1_subcase(tower, prof).passed):
+        if prof.case_id == 1 and tower.l >= 1 and not case1_subcase(prof)[1]:
             out["case1-subcases"].append(exp)
-        if prof.case_id != 1 and not check_order_bound(tower, prof).passed:
+        if prof.case_id != 1 and not check_order_bound(prof):
             out["order-bound"].append(exp)
     return [{"name": name, "pass": not bad,
              "detail": "" if not bad else f"failing seed exponents {bad[:5]}"}
@@ -449,6 +448,22 @@ def test_pair_verdicts_under_broken_pairs(monkeypatch):
     assert per_seed == set(failing)
 
 
+@pytest.mark.parametrize("n", [4, 6])
+def test_every_check_record_is_a_printed_one(monkeypatch, n):
+    # the per-seed checks return verdicts, so each record the report adds
+    # is one of the records it returns
+    added = []
+    true_add = CheckReport.add
+
+    def counting(self, name, *args):
+        added.append(name)
+        return true_add(self, name, *args)
+
+    monkeypatch.setattr(CheckReport, "add", counting)
+    doc = orders_report(make_tower(n), False)
+    assert sorted(added) == sorted(c["name"] for c in doc["checks"])
+
+
 def test_orders_report_builds_no_ambient_table(monkeypatch):
     tabled = set()
     true_ensure = FieldSpec.ensure_tables
@@ -470,8 +485,7 @@ def test_orders_report_builds_no_ambient_table(monkeypatch):
 def test_forced_trace_rows_all_profiles():
     for profs in PROFILES.values():
         for p in profs:
-            rep = trace_profile_check(p)
-            assert rep.passed, str(rep)
+            assert trace_profile_check(p), p
 
 
 def test_case_tables_all_profiles():
@@ -536,10 +550,10 @@ def test_case1_subcase_partition():
     for p in PROFILES[2]:
         if p.case_id != 1:
             continue
-        rep = case1_subcase(tw, p)
-        assert rep.passed, str(rep)
-        seen.add(rep.subcase)
-        if rep.subcase == 2:
+        subcase, ok = case1_subcase(p)
+        assert ok, p
+        seen.add(subcase)
+        if subcase == 2:
             for i in range(3, tw.l + 5):
                 assert (qt - 1) % p.steps[i].order == 0
     assert seen <= {1, 2} and seen
@@ -547,10 +561,10 @@ def test_case1_subcase_partition():
 
 def test_case1_subcase_preconditions():
     with pytest.raises(FieldError):
-        case1_subcase(TOWERS[1], PROFILES[1][0])         # l = 0
+        case1_subcase(PROFILES[1][0])                    # l = 0
     h3 = next(p for p in PROFILES[2] if p.case_id == 3)
     with pytest.raises(FieldError):
-        case1_subcase(TOWERS[2], h3)
+        case1_subcase(h3)
 
 
 def test_case1_subcase_forced_at_small_sizes():
@@ -558,8 +572,7 @@ def test_case1_subcase_forced_at_small_sizes():
     # empirically the class-1 second iterates at n=4 all have order
     # dividing 5 = sqrt(q)+1 as well (sub-case 1 first fires at n=6)
     for n in (2, 4):
-        tw = TOWERS[n]
-        subcases = {case1_subcase(tw, p).subcase
+        subcases = {case1_subcase(p)[0]
                     for p in PROFILES[n] if p.case_id == 1}
         assert subcases == {2}
 
@@ -577,9 +590,12 @@ def test_cq1_inclusion(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_quadrants(n):
     rep = trace_quadrants(*profile_set_inputs(TOWERS[n], PROFILES[n])[1])
-    assert rep.passed, str(rep.checks)
-    total = len(rep.a11) + len(rep.a00) + len(rep.b01) + len(rep.b10)
-    assert total == (1 << n) - 1
+    assert rep.passed, str(rep)
+    assert rep.checks[0].name == "quadrant-partition"
+    # each image record's detail is "|by-trace|=<a> |by-image|=<b>"
+    by_trace = [int(c.detail.split()[0].partition("=")[2])
+                for c in rep.checks[1:]]
+    assert len(by_trace) == 4 and sum(by_trace) == (1 << n) - 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -782,8 +798,7 @@ def test_order_bound_holds(n):
     for p in PROFILES[n]:
         if p.case_id == 1:
             continue
-        rep = check_order_bound(tw, p)
-        assert rep.passed, str(rep)
+        assert check_order_bound(p), p
         for i in range(1, tw.l + 2):
             assert p.steps[i].order >= bound
         count += 1
@@ -791,15 +806,15 @@ def test_order_bound_holds(n):
 
 
 def test_order_bound_vacuous_at_n1():
-    rep = check_order_bound(TOWERS[1], PROFILES[1][0])
-    assert rep.passed
-    assert "vacuous" in rep.checks[0].detail
+    # q = 2: q-1 = 1 has no least prime, so the bound holds vacuously, even
+    # for the class-1 seeds (all seeds at n = 1) it refuses at larger q
+    assert all(check_order_bound(p) for p in PROFILES[1])
 
 
 def test_order_bound_rejects_class_one_seed():
     p1 = next(p for p in PROFILES[2] if p.case_id == 1)
     with pytest.raises(FieldError):
-        check_order_bound(TOWERS[2], p1)
+        check_order_bound(p1)
 
 
 def test_least_prime_congruence():
