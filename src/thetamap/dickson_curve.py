@@ -19,10 +19,10 @@ order-(q+1) subgroup of GF(q^2)*: the root-image check
 (``_theta_image_of_small_subgroup``) walks that subgroup, and
 ``theta_graph.theta_pullback`` reads the values in GF(q).
 
-Every evaluation takes and returns packed ints.  ``_root_bits`` runs the
-doubling ladder over every x on the log tables, ``_dickson_ladder`` runs it
-on the field's own products, and ``FieldSpec.dickson_values`` gives
-D_0..D_m by the recurrence; the tests hold all three against
+Every evaluation takes and returns packed ints.  ``_dickson_ladder`` is the
+one doubling ladder, on the field's own products; ``_root_bits`` runs it at
+one x per orbit of squaring, and ``FieldSpec.dickson_values`` gives
+D_0..D_m by the recurrence.  The tests hold all three against
 ``_dickson_bits``, the plain recurrence, and ``dickson_coeff_bits`` is the
 binomial closed form for ``FieldSpec.eval_poly``.
 
@@ -39,6 +39,7 @@ from math import comb
 from thetamap.gf2_arith import (
     FieldError,
     FieldSpec,
+    doubling_orbits,
     field_to_record,
     make_field,
 )
@@ -68,7 +69,7 @@ def _dickson_bits(spec: FieldSpec, m: int, x: int) -> int:
 
 
 def _dickson_ladder(spec: FieldSpec, m: int, x: int) -> int:
-    """D_m(x) by the doubling ladder of `_root_bits`, on packed ints.
+    """D_m(x) by the doubling ladder, on packed ints.
 
     Carries (D_k, D_(k+1)) over the bits of m below the leading one, with
     D_(2k) = D_k^2 and D_(2k+1) = D_k*D_(k+1) + x: about 2*log2(m) products
@@ -105,27 +106,17 @@ def dickson_coeff_bits(m: int) -> int:
 
 
 def _root_bits(spec: FieldSpec, m: int) -> set[int]:
-    """All units where D_m vanishes, by evaluating D_m at every x in GF(q)*.
-
-    Each value comes from the doubling ladder over the bits of m, which
-    carries (D_k, D_(k+1)) with D_(2k) = D_k^2 and D_(2k+1) = D_k*D_(k+1) + x
-    (characteristic 2, parameter 1): about 2*log2(m) products per x instead
-    of m.  The products read the log/exp tables, so fields beyond
-    TABLE_MAX_T are refused with FieldError.
+    """All units where D_m vanishes, by `_dickson_ladder` at 1 and at one
+    x per orbit of squaring.  D_m has coefficients in GF(2), so
+    D_m(x^2) = D_m(x)^2 and a root brings its orbit: the gen^j for j in one
+    orbit of j -> 2j mod q-1 (``doubling_orbits``).  The orbits are read in
+    logs, so fields beyond TABLE_MAX_T are refused with FieldError.
     """
-    exp, log = spec.tables()
-    ladder = bin(m)[3:]                   # the bits of m below the leading one
-    roots: set[int] = set()
-    for x in range(1, spec.q):
-        a, b = x, exp[2 * log[x]]         # (D_1, D_2)
-        for bit in ladder:
-            odd = exp[log[a] + log[b]] ^ x if a and b else x
-            if bit == "1":
-                a, b = odd, exp[2 * log[b]] if b else 0
-            else:
-                a, b = exp[2 * log[a]] if a else 0, odd
-        if a == 0:
-            roots.add(x)
+    exp, _ = spec.tables()
+    roots = {1} if _dickson_ladder(spec, m, 1) == 0 else set()
+    for orbit in doubling_orbits(spec.q - 1):
+        if _dickson_ladder(spec, m, exp[orbit[0]]) == 0:
+            roots.update(exp[j] for j in orbit)
     return roots
 
 

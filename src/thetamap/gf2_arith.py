@@ -24,7 +24,8 @@ tables from gen's), those of the order-k subgroup's generator from
 walk of every unit, which pairs it with its inverse and gives Tr(1/a), is
 ``theta_graph.unit_walk``; Tr(a) for every a at once comes from
 ``trace_bytes`` and needs no walk, and traces at every subfield level come
-from ``trace_mask``.
+from ``trace_mask``.  Squaring acts on logs as j -> 2j, and the orbits of
+that map modulo an odd k come from one sieve, ``doubling_orbits``.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
     "FieldSpec",
     "make_field",
     "subfield_embedding",
+    "doubling_orbits",
     "factorize",
     "field_to_record",
     "field_from_record",
@@ -668,6 +670,22 @@ def subfield_embedding(sub: FieldSpec, ambient: FieldSpec) -> list[int]:
             f"embedded generator {image:#x} of GF(2^{d}) has order {order} "
             f"in GF(2^{ambient.t}), not {sub_units}")
     return table
+
+
+def doubling_orbits(k: int):
+    """The orbits of j -> 2j mod an odd k on 1..k-1, each as [j, 2j, 4j, ...]
+    from its least member, the leader, in leader order: one sieve over the
+    exponents, where the next leader is the least one not yet seen."""
+    seen = bytearray(k)
+    j = seen.find(0, 1)                   # -1 at k = 1, which has no orbit
+    while j != -1:
+        orbit = []
+        while not seen[j]:
+            seen[j] = 1
+            orbit.append(j)
+            j = 2 * j % k
+        yield orbit
+        j = seen.find(0, orbit[0] + 1)
 
 
 def _coset_leader(k: int, d: int) -> bool:

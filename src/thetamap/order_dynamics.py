@@ -68,6 +68,7 @@ from thetamap.gf2_arith import (
     TABLE_MAX_T,
     FieldError,
     FieldSpec,
+    doubling_orbits,
     field_to_record,
     make_field,
     subfield_embedding,
@@ -187,25 +188,11 @@ def seed_walk(tower: TowerSpec) -> SeedWalk:
 
 def seed_orbits(tower: TowerSpec) -> list[list[int]]:
     """The orbits of j -> 2j mod q^2+1 on the seed exponents 1..q^2, each
-    as [j, 2j, 4j, ...] from its least member, the leader; in leader order.
-
-    The leaders are the cyclotomic-coset leaders of 2 modulo q^2+1: j is
-    one iff j*(q^2-1) is one modulo 2^(4n)-1 (``gf2_arith._coset_leader``).
-    Here one sieve over the exponents finds them all.
+    from its least member, the leader (``gf2_arith.doubling_orbits``).  The
+    leaders are the cyclotomic-coset leaders of 2 modulo q^2+1: j is one iff
+    j*(q^2-1) is one modulo 2^(4n)-1 (``gf2_arith._coset_leader``).
     """
-    big = tower.q ** 2 + 1
-    seen = bytearray(big)
-    orbits = []
-    j = 1
-    while j != -1:
-        orbit = []
-        while not seen[j]:
-            seen[j] = 1
-            orbit.append(j)
-            j = 2 * j % big
-        orbits.append(orbit)
-        j = seen.find(0, orbit[0] + 1)
-    return orbits
+    return list(doubling_orbits(tower.q ** 2 + 1))
 
 
 # ---------------------------------------------------------------------------

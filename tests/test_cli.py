@@ -806,6 +806,20 @@ def test_root_image_fault_is_a_record(monkeypatch, capsys, fault, witness):
     assert "Traceback" not in captured.err
 
 
+def test_wrong_ladder_value_at_a_leader_is_a_record(monkeypatch, capsys):
+    # D_17 is 1, not 0, at the leader 0x2 = gen^1 of GF(2^4): the root scan
+    # drops the orbit {0x2, 0x4, 0x3, 0x5}, which is all of T
+    true_ladder = dickson_curve._dickson_ladder
+    monkeypatch.setattr(
+        dickson_curve, "_dickson_ladder",
+        lambda spec, m, x: 1 if (m, x) == (17, 2) else true_ladder(spec, m, x))
+    assert main(["verify-dickson", "--n", "4"]) == 1
+    captured = capsys.readouterr()
+    assert [ln.split()[2] for ln in captured.out.splitlines()
+            if ln.startswith("FAIL")] == ["t-emptiness", "root-image-equality"]
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("degrees, names, witness", [
     ((4, 8), ["first-iterate-pullback"],
      "embedded generator 0xa of GF(2^4) has order 5 in GF(2^8), not 15"),

@@ -191,9 +191,11 @@ def test_ladder_matches_recurrence(field):
         assert _root_bits(f, m) == _roots_by_recurrence(f, m), m
 
 
-@pytest.mark.parametrize("n", [9, 10])
-def test_ladder_matches_recurrence_at_q_plus_1(n):
-    f = make_field(n)
+@pytest.mark.parametrize("t, modulus", [(9, None), (10, None), (10, 0x409)],
+                         ids=["9", "10", "10-0x409"])
+def test_ladder_matches_recurrence_at_q_plus_1(t, modulus):
+    # 0x409 is x^10 + x^3 + 1: irreducible, not Conway, beyond t = 8
+    f = make_field(t, modulus)
     assert _root_bits(f, f.q + 1) == _roots_by_recurrence(f, f.q + 1)
 
 

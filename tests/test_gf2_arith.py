@@ -583,6 +583,33 @@ def test_embedding_matches_linear_root_search(d, k):
                     == linear_search_embedding(sub, ambient)), (sub, ambient)
 
 
+ORBIT_MODULI = {
+    "odd-to-301": range(1, 302, 2),
+    "2^d-1": [(1 << d) - 1 for d in range(2, 13)],
+    "q^2+1": [(1 << 2 * n) + 1 for n in range(1, 5)],
+}
+
+
+@pytest.mark.parametrize("family", ORBIT_MODULI)
+def test_doubling_orbits_partition_the_exponents(family):
+    # each orbit is its leader doubled until the value returns; the orbits
+    # cover 1..k-1 once each (none at k = 1), leaders ascending; modulo
+    # 2^d-1 the leaders are the cyclotomic-coset leaders of the rotation
+    # oracle
+    for k in ORBIT_MODULI[family]:
+        orbits = list(gf2_arith.doubling_orbits(k))
+        for o in orbits:
+            assert o == [o[0] * pow(2, i, k) % k for i in range(len(o))], k
+            assert o[0] * pow(2, len(o), k) % k == o[0], k
+        assert sorted(j for o in orbits for j in o) == list(range(1, k)), k
+        leaders = [o[0] for o in orbits]
+        assert leaders == sorted(leaders), k
+        d = k.bit_length()
+        if k == (1 << d) - 1:
+            assert leaders == [j for j in range(1, k)
+                               if gf2_arith._coset_leader(j, d)], k
+
+
 def test_record_roundtrip():
     f = make_field(6)
     rec = field_to_record(f)
