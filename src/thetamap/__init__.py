@@ -4,6 +4,7 @@ Subpackages:
   gf2_arith      exact GF(2^t) arithmetic, orders, traces, factorization
   theta_graph    the functional graph over the projective line, decomposed
   order_dynamics order/trace classification of the subgroup of order q^2+1
+  orbit_records  its json records, kept per Frobenius orbit
   dickson_curve  Dickson root sets, Kloosterman sums, Koblitz point counts
   cli            command-line verification harness and exporters
 

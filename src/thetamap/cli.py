@@ -233,13 +233,23 @@ def run(config: RunConfig) -> int:
     return _emit(text, config.out, 0 if ok else 1)
 
 
+_SLICE = 1 << 16
+
+
+def _write(fh, text: str) -> None:
+    # in slices: a text stream encodes what it is given as one bytes object,
+    # which for the whole text would be a second full-size copy
+    for i in range(0, len(text), _SLICE):
+        fh.write(text[i:i + _SLICE])
+
+
 def _emit(text: str, out: str | None, code: int) -> int:
     if out is None:
-        sys.stdout.write(text)
+        _write(sys.stdout, text)
         return code
     try:
         with open(out, "w") as fh:
-            fh.write(text)
+            _write(fh, text)
     except OSError as exc:
         print(f"error: cannot write {out}: {exc}", file=sys.stderr)
         return 2

@@ -233,13 +233,6 @@ class Factorization:
     def least_prime(self) -> int | None:
         return self.primes[0][0] if self.primes else None
 
-    def divisors(self) -> list[int]:
-        """All positive divisors, ascending."""
-        divs = [1]
-        for p, e in self.primes:
-            divs = [d * p ** k for d in divs for k in range(e + 1)]
-        return sorted(divs)
-
 
 def factorize(n: int) -> Factorization:
     """Prime factorization of 1 <= n < 2^64."""
@@ -423,22 +416,11 @@ class FieldSpec:
         """Absolute trace Tr_t(a), always 0 or 1."""
         return (a & self.trace_mask(self.t)).bit_count() & 1
 
-    def subfield_trace(self, a: int, d: int) -> int:
-        """Absolute trace Tr_d(a) of an element of the subfield GF(2^d).
-
-        Raises unless d | t and a actually lies in GF(2^d); the trace at the
-        wrong level is a contract violation, never a silent coercion.
-        """
-        mask = self.trace_mask(d)
-        if not self.in_subfield(a, d):
-            raise FieldError(f"{a:#x} not in GF(2^{d})")
-        return (a & mask).bit_count() & 1
-
     def trace_mask(self, d: int) -> int:
         """Tr_d(a) = parity(a & mask) for a in GF(2^d), d | t; built once per d.
 
         Bit j is bit 0 of sum_{i<d} (x^j)^(2^i): inside GF(2^d) that sum is 0
-        or 1.  Only ``subfield_trace`` checks that a lies in GF(2^d).
+        or 1; nothing here checks that a lies in GF(2^d).
         """
         mask = self._trace_masks.get(d)
         if mask is None:
@@ -468,13 +450,6 @@ class FieldSpec:
         for k in range(self.t):
             tr += tr.translate(_FLIP) if mask >> k & 1 else tr
         return tr
-
-    def in_subfield(self, a: int, d: int) -> bool:
-        """True iff a is fixed by the d-th Frobenius power: a^(2^d) = a."""
-        v = a
-        for _ in range(d):
-            v = self.sqr(v)
-        return v == a
 
     def order(self, a: int) -> int:
         """Exact multiplicative order of a nonzero element."""

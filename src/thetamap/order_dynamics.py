@@ -38,7 +38,10 @@ orbit's least member, its leader (``seed_orbits``, ``leader_profiles``).
 As 2^(2n) = -1 mod q^2+1, each orbit also holds the mate q^2+1-j of each
 member, and its size divides 4n.  Every member takes its leader's rows,
 class and per-seed verdicts; its points and labels are the leader's with
-their logs doubled (``profile_records``).  The set checks read images
+their logs doubled.  So the json records are kept per orbit too
+(``profile_records``): the leader's rows and label logs, and each seed's
+orbit and shift; ``report.json_text`` renders one record per orbit and
+fills in each member's exponent and labels.  The set checks read images
 of sets through one graph over GF(q^2) instead (``set_checks``): a second
 derivation of the iterates.  One wrong step of the recurrence, even at a
 seed that is not a leader, carries on to D_(q^2+1)(b), which
@@ -49,7 +52,7 @@ iterate x of GF(q^2) by (q^2+1)*(k0 * log x mod q^2-1), where k0 inverts
 log(emb^-1(gen^(q^2+1))) modulo q^2-1; both read no ambient log table.
 Beyond TABLE_MAX_T the label is the hex of the ambient coordinates, as in
 the graph exports, and the seeds are walked in the ambient for it.
-`orders_report` builds the per-seed records only for json output.
+`orders_report` builds the records only for json output.
 
 Projective conventions (1/0 = 0, |0| = |inf| = 1, Tr = 0 on 0 and inf)
 make the degenerate tails of class-1 profiles (... -> 1 -> 0 -> inf, which
@@ -60,8 +63,10 @@ tables uniformly; at indices 1..l+2 a special point fails its case table.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import islice
 
 from thetamap.gf2_arith import (
@@ -73,7 +78,8 @@ from thetamap.gf2_arith import (
     make_field,
     subfield_embedding,
 )
-from thetamap.report import CheckReport
+from thetamap.orbit_records import ProfileRecords
+from thetamap.report import HOLE, CheckReport
 from thetamap.theta_graph import ThetaGraph, build_graph
 
 __all__ = [
@@ -284,25 +290,28 @@ def leader_profiles(walk: SeedWalk,
 
 def profile_records(walk: SeedWalk, orbits: list[list[int]],
                     profiles: list[OrderProfile]
-                    ) -> tuple[list[dict], tuple[str, str] | None]:
+                    ) -> tuple[ProfileRecords | list, tuple[str, str] | None]:
     """The json record of every seed, in exponent order, and the fault of
-    its labels' reads (the hex labels' ambient walk, or k0's preimage).
+    its labels' reads (the hex labels' ambient walk, or k0's preimage); on
+    a fault, no records.
 
     The member j = leader * 2^k of an orbit takes its leader's class, case
     and numeric rows.  Its seed is h^j, and each later point is the
     leader's raised to 2^k: a unit's log in GF(q^2), and so its label,
-    is the leader's times 2^k modulo q^2-1.
+    is the leader's times 2^k modulo q^2-1.  So the records hold one
+    leader's data per orbit (``ProfileRecords``).
     """
     tower, emb = walk.tower, walk.emb
     double = tower.double
     exp, log = double.tables()
     n2 = double.q - 1
     big = n2 + 2
-    hexed = tower.ambient.t > TABLE_MAX_T
-    if hexed:
+    hexed = None
+    if tower.ambient.t > TABLE_MAX_T:
         powers = subgroup(tower, big)
         if powers[big] != 1:
             return [], ("subgroup-closure", f"h^{big} = {powers[big]:#x}, not 1")
+        hexed, k0 = (powers, emb, exp), 1     # hex labels read logs as they are
     else:
         # gen^(q^2+1) generates the ambient's copy of GF(q^2)*
         a = tower.ambient.pow(tower.ambient.gen, big)
@@ -311,31 +320,19 @@ def profile_records(walk: SeedWalk, orbits: list[list[int]],
         except ValueError as exc:       # FieldError, or no unit mod q^2-1
             return [], ("first-iterate-pullback", f"gen^{big}: {exc}")
     special = {0: "'0'", double.q: "inf"}
-    records: list[dict] = [None] * (big - 1)
-    for orbit, prof in zip(orbits, profiles):
-        head = {"class": prof.h_class.name, "case": prof.case_id}
-        rows = [{"index": s.index, "point": None, "order": s.order,
-                 "d_part": s.d_part, "e_part": s.e_part,
-                 "subfield": s.subfield, "tr": s.tr, "tr_inv": s.tr_inv}
-                for s in prof.steps]
-        # a special point's label, else the log its labels are made from
-        tail = [special.get(s.point) or (log[s.point] if hexed
-                                         else k0 * log[s.point] % n2)
-                for s in prof.steps[1:]]
+    rows, logs = [], []
+    orbit_of, shift = array("I", [0]) * (big - 1), bytearray(big - 1)
+    for o, (orbit, prof) in enumerate(zip(orbits, profiles)):
+        rows.append([(s.index, special.get(s.point, HOLE) if s.index else HOLE,
+                      s.order, s.d_part, s.e_part, s.subfield, s.tr, s.tr_inv)
+                     for s in prof.steps])
+        # the logs the labels of the tail's units are made from
+        logs.append([k0 * log[s.point] % n2 for s in prof.steps[1:]
+                     if s.point not in special])
         for k, j in enumerate(orbit):
-            if hexed:
-                labels = [f"x{powers[j]:x}", *(
-                    e if isinstance(e, str) else f"x{emb[exp[(e << k) % n2]]:x}"
-                    for e in tail)]
-            else:
-                labels = [str(j * n2), *(
-                    e if isinstance(e, str) else str(big * ((e << k) % n2))
-                    for e in tail)]
-            records[j - 1] = {
-                "exponent": j, **head,
-                "steps": [{**row, "point": label}
-                          for row, label in zip(rows, labels)]}
-    return records, None
+            orbit_of[j - 1], shift[j - 1] = o, k
+    heads = [(prof.h_class.name, prof.case_id) for prof in profiles]
+    return ProfileRecords(n2, heads, rows, logs, orbit_of, shift, hexed), None
 
 
 def h_longform_flags(profile: OrderProfile) -> tuple[bool, bool, bool]:
@@ -440,9 +437,11 @@ class CaseTable:
         return "\n".join(lines)
 
 
+@lru_cache
 def _expected_rows(case_id: int, flavor: str, n: int,
-                   l: int) -> list[tuple[int, str, int, tuple[int, int]]]:
-    """(level, order tag, trace subfield, trace pair) for indices 0..l+4.
+                   l: int) -> tuple[tuple[int, str, int, tuple[int, int]], ...]:
+    """(level, order tag, trace subfield, trace pair) for indices 0..l+4,
+    built once per (case, flavor, n, l) and shared by every profile.
 
     Cases 1 and 2 descend a depth-(l+4) tree, one level per iterate.  So
     does Case 3 when the first iterate lands in the A class of the graph
@@ -475,7 +474,7 @@ def _expected_rows(case_id: int, flavor: str, n: int,
         rows = [(2, "q2+1", 4 * n, (0, 0)),
                 (1, "mixed", 2 * n, (0, 1))]
         rows += [(0, "mixed", 2 * n, (1, 0)) for _ in range(l + 3)]
-    return rows
+    return tuple(rows)
 
 
 def _order_tag_holds(tag: str, order: int, q: int) -> bool:

@@ -8,6 +8,7 @@ checks name the property verified and, on failure, a witness.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
@@ -52,8 +53,30 @@ class CheckReport:
         return "\n".join(lines)
 
 
+HOLE = "\0"                    # a template's stand-in for an item's own value
+_HOLE_TEXT = json.dumps(HOLE)  # as the encoder writes it: "\u0000"
+
+
+class TemplatedRecords(Sequence):
+    """A list of records that share a few shapes, written as a JSON list
+    without a dict per item.
+
+    ``templates()`` gives one record per shape, with HOLE where an item's
+    own values go; ``fills()`` gives, for each item in list order, the index
+    of its template and the JSON texts of those values, in the order of the
+    holes in the template's text.
+    """
+
+    def templates(self):
+        raise NotImplementedError
+
+    def fills(self):
+        raise NotImplementedError
+
+
 def json_text(obj) -> str:
-    """Exactly ``json.dumps(obj, indent=2) + "\n"``, built by the C encoder.
+    """Exactly ``json.dumps(obj, indent=2) + "\n"``, built by the C encoder,
+    with a ``TemplatedRecords`` written as the list of its items.
 
     ``indent`` makes ``json.dumps`` fall back to the pure-Python encoder,
     which yields a chunk per token and keeps them all until its join.  Here
@@ -68,6 +91,11 @@ def json_text(obj) -> str:
     keys and scalars are all written by the C encoder: one it cannot
     encode raises TypeError, as in ``json.dumps``.  ``obj`` must be a tree:
     no container in itself.
+
+    A ``TemplatedRecords`` renders each template once, at its items' depth,
+    and each item as that text with its fills in place of the holes: one
+    rendered record per shape (for the order battery, per Frobenius orbit),
+    one ``str.format`` per item.
     """
     pieces: list[str] = []
     _write_json(obj, 0, pieces, [])
@@ -75,7 +103,7 @@ def json_text(obj) -> str:
     return "".join(pieces)
 
 
-_CONTAINERS = (dict, list, tuple)
+_CONTAINERS = (dict, list, tuple, TemplatedRecords)
 
 
 def _encoder(sep: str):
@@ -113,6 +141,9 @@ def _write_json(value, depth: int, pieces: list[str], levels: list) -> None:
         sep = "," + close + "  "
         levels.append((_encoder(sep), sep, close))
     encode, sep, close = levels[depth]
+    if isinstance(value, TemplatedRecords):
+        _write_templated(value, depth, pieces, levels)
+        return
     if isinstance(value, dict):
         values = value.values()
     elif isinstance(value, (list, tuple)):
@@ -149,3 +180,29 @@ def _write_json(value, depth: int, pieces: list[str], levels: list) -> None:
             pieces.append(head + item)
         head = sep
     pieces.append(close + s[-1])
+
+
+def _write_templated(value: TemplatedRecords, depth: int, pieces: list[str],
+                     levels: list) -> None:
+    """Append the text of ``value`` at ``depth`` as the list branch of
+    ``_write_json`` writes a list of containers: each item's text at
+    depth+1, after the list's item separator, the first after "[" instead.
+
+    Each template is rendered once by ``_write_json`` and made a format
+    string: its braces doubled, each HOLE's text made a field.  A template's
+    strings other than HOLE hold no NUL, so no other text matches a hole.
+    """
+    if not len(value):
+        pieces.append("[]")
+        return
+    _, sep, close = levels[depth]
+    forms = []
+    for record in value.templates():
+        text: list[str] = []
+        _write_json(record, depth + 1, text, levels)
+        forms.append((sep + "".join(text)).replace("{", "{{").replace(
+            "}", "}}").replace(_HOLE_TEXT, "{}").format)
+    first = len(pieces)
+    pieces += (forms[i](*texts) for i, texts in value.fills())
+    pieces[first] = "[" + pieces[first][1:]
+    pieces.append(close + "]")

@@ -8,6 +8,7 @@ bounds are the stated runtime ceilings, asserted against wall-clock time.
 import random
 import time
 
+from field_oracle import divisors
 from graph_oracle import predecessor_slots, tree_levels
 from orders_oracle import profile_set_inputs, seed_profiles
 from thetamap.dickson_curve import (
@@ -192,7 +193,7 @@ def test_criterion_09_divisor_congruence():
         while tt % 2 == 0:
             r += 1
             tt //= 2
-        for d in factorize(2 ** t + 1).divisors():
+        for d in divisors(factorize(2 ** t + 1)):
             ok = ok and d % (1 << (r + 1)) == 1
     verdict(9, ok, "every divisor of 2^t+1 is 1 mod 2^(r+1) for t=1..20")
 

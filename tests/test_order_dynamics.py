@@ -1,10 +1,13 @@
 """Classification of the order-(q^2+1) subgroup and the set-level facts."""
 
 import dataclasses
+import functools
 import math
+import pickle
 
 import pytest
 
+from field_oracle import in_subfield, subfield_trace
 from orders_oracle import (
     ambient_point,
     ambient_walk,
@@ -47,6 +50,7 @@ from thetamap.order_dynamics import (
     verify_cq1_inclusion,
     verify_theta_permutation,
 )
+from thetamap.orbit_records import ProfileRecords
 from thetamap.report import CheckReport, json_text
 from thetamap.theta_graph import build_graph, point_label, theta_index
 
@@ -123,7 +127,7 @@ def test_subfield_degree_matches_frobenius_search(n):
                     else (tw.ambient, AMBIENT[n].seeds[p.exponent]))
             if 0 < a < f.q:
                 want = next(d for d in (n, 2 * n, 4 * n)
-                            if f.t % d == 0 and f.in_subfield(a, d))
+                            if f.t % d == 0 and in_subfield(f, a, d))
                 assert s.subfield == want, (p.exponent, s.index)
 
 
@@ -290,17 +294,83 @@ REPORT_TOWERS = [
 ]
 
 
-@pytest.mark.parametrize("make", [m for _, m in REPORT_TOWERS],
+@functools.cache
+def _reports(i: int) -> tuple[dict, dict]:
+    """``orders_report`` of ``REPORT_TOWERS[i]`` and the mate-pair oracle's
+    report of it, with one dict per seed; neither may be changed."""
+    make = REPORT_TOWERS[i][1]
+    return orders_report(make()), mate_pair_report(make())
+
+
+@pytest.mark.parametrize("i", range(len(REPORT_TOWERS)),
                          ids=[i for i, _ in REPORT_TOWERS])
-def test_orbit_report_matches_the_mate_pair_oracle(make):
+def test_orbit_report_matches_the_mate_pair_oracle(i):
     # every verdict, every set-check record and the json bytes; the text
     # report is the same without the records
-    doc = orders_report(make())
-    want = mate_pair_report(make())
+    doc, want = _reports(i)
     assert doc == want
     assert json_text(doc) == json_text(want)
-    del want["profiles"]
-    assert orders_report(make(), records=False) == want
+    assert orders_report(REPORT_TOWERS[i][1](), records=False) == {
+        key: value for key, value in want.items() if key != "profiles"}
+
+
+@pytest.mark.parametrize("i", range(len(REPORT_TOWERS)),
+                         ids=[i for i, _ in REPORT_TOWERS])
+def test_orbit_records_are_the_oracles_dicts(i):
+    # one record rendered per orbit, each member's exponent and labels
+    # filled in: the oracle's bytes at depth 1 (depth 2 is the document's,
+    # above; n = 6 is the first with hex labels), its dict at every index,
+    # and the same records after a pickle round trip
+    records, dicts = (doc["profiles"] for doc in _reports(i))
+    assert isinstance(records, ProfileRecords)
+    assert len(records) == len(dicts)
+    for j, rec in enumerate(dicts, 1):
+        assert records[j - 1] == rec
+    assert records[-1] == dicts[-1]
+    with pytest.raises(IndexError):
+        records[len(dicts)]
+    assert records == dicts and dicts == records
+    assert json_text(records) == json_text(dicts)
+    back = pickle.loads(pickle.dumps(records))
+    assert back == dicts and json_text(back) == json_text(dicts)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_orbit_records_pickle_small(n):
+    # what a pool worker sends back: per-orbit data, not a dict per seed
+    records = _reports(n - 1)[0]["profiles"]
+    assert REPORT_TOWERS[n - 1][0] == f"n{n}"
+    assert len(pickle.dumps(records)) * 5 < len(pickle.dumps(list(records)))
+
+
+def test_a_range_document_renders_its_records_at_depth_three():
+    # verify-orders --range writes a list of documents: the records sit at
+    # depth 3, with decimal labels at n = 5 and hex labels at n = 6
+    docs, want = zip(*(_reports(n - 1) for n in (5, 6)))
+    assert json_text(list(docs)) == json_text(list(want))
+
+
+def test_a_label_fault_leaves_no_records(monkeypatch):
+    # k0's preimage fails (the embedded generator of GF(q^2) flipped in
+    # GF(2^8)), which only the labels read: the json document carries the
+    # fault and an empty list of records
+    tower = make_tower(2)
+    gen = tower.double.gen
+    true_embedding = order_dynamics.subfield_embedding
+
+    def flipped(sub, ambient):
+        table = true_embedding(sub, ambient)
+        if (sub.t, ambient.t) == (4, 8):
+            table[gen] ^= 1
+        return table
+
+    monkeypatch.setattr(order_dynamics, "subfield_embedding", flipped)
+    assert all(c["pass"] for c in orders_report(tower, False)["checks"])
+    doc = orders_report(tower)
+    assert doc["profiles"] == []
+    assert [(c["name"], c["detail"][:8]) for c in doc["checks"]] == [
+        ("first-iterate-pullback", "gen^17: ")]
+    assert '\n  "profiles": [],\n' in json_text(doc)
 
 
 def _set_check_inputs(monkeypatch, walk) -> dict[str, tuple]:
@@ -840,7 +910,7 @@ def test_embedding_preserves_structure():
                 assert emb[a ^ b] == emb[a] ^ emb[b]
                 assert emb[sub.mul(a, b)] == amb.mul(emb[a], emb[b])
         for a in range(1, sub.q):
-            assert amb.subfield_trace(emb[a], d) == sub.trace(a)
+            assert subfield_trace(amb, emb[a], d) == sub.trace(a)
 
 
 def test_embedding_conway_fast_path():

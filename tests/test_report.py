@@ -104,6 +104,62 @@ def test_a_key_it_cannot_encode_fails_like_json_dumps(obj):
         json_text(obj)
 
 
+# two shapes of record with holes at several depths, strings that hold
+# braces, a format field and escapes, and empty containers
+SHAPES = [
+    {"i": report.HOLE, "s": "{}{0}\\\"\xe9", "rows": [
+        {"a": report.HOLE, "b": [1, {}]}, {"c": None, "d": report.HOLE}]},
+    {"i": report.HOLE, "t": [], "u": {"v": report.HOLE}},
+]
+
+
+def filled(obj, values):
+    """``obj`` with each HOLE replaced by the next of ``values``, in the
+    order of the text."""
+    if isinstance(obj, dict):
+        return {k: filled(v, values) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [filled(v, values) for v in obj]
+    return next(values) if obj == report.HOLE else obj
+
+
+class Shaped(report.TemplatedRecords):
+    """Items 0..n-1, item i of shape i % 2 with holes i, "x<i>", -i, ..."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+    def _values(self, i):
+        return [i, f"x{i:x}", -i, f"{{{i}}}"]
+
+    def __getitem__(self, i):
+        i = range(self.n)[i]
+        return filled(SHAPES[i % 2], iter(self._values(i)))
+
+    def templates(self):
+        return SHAPES
+
+    def fills(self):
+        for i in range(self.n):
+            yield i % 2, [json.dumps(v) for v in self._values(i)]
+
+
+@pytest.mark.parametrize("c_encoder", [True, False], ids=["c", "python"])
+@pytest.mark.parametrize("depth", range(4))
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_templated_records_are_written_as_their_items(n, depth, c_encoder):
+    obj = nest(Shaped(n), depth)
+    want = dumps(nest(list(Shaped(n)), depth))
+    with mock.patch.object(report, "c_make_encoder",
+                           report.c_make_encoder if c_encoder else None):
+        assert json_text(obj) == want
+        assert json_text([obj, {"k": obj}]) == dumps(
+            [json.loads(want), {"k": json.loads(want)}])
+
+
 @pytest.fixture(scope="module")
 def job_docs():
     return {
@@ -113,9 +169,17 @@ def job_docs():
     }
 
 
+def listed(doc: dict) -> dict:
+    """``doc`` with its per-seed records, if any, as a list of dicts, which
+    ``json.dumps`` can encode."""
+    if "profiles" not in doc:
+        return doc
+    return {**doc, "profiles": list(doc["profiles"])}
+
+
 @pytest.mark.parametrize("kind", ["structure", "orders", "dickson"])
 def test_every_job_doc_matches_json_dumps(job_docs, kind):
     docs = job_docs[kind]
     for doc in docs:
-        assert json_text(doc) == dumps(doc)
-    assert json_text(docs) == dumps(docs)
+        assert json_text(doc) == dumps(listed(doc))
+    assert json_text(docs) == dumps([listed(doc) for doc in docs])

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import graph_oracle
 import thetamap.gf2_arith as gf2_arith
+from field_oracle import in_subfield, subfield_trace
 from graph_oracle import (
     classify_AB,
     decompose,
@@ -375,7 +376,7 @@ def test_leaf_degree_law_breaks_exactly_on_the_half_field(t):
         d = f.degree(x)
         v = d >> f.r
         breaks = d != (v << f.r) or v % 2 == 0 or f.s % v != 0
-        assert breaks == (f.r >= 1 and f.in_subfield(x, t // 2)), x
+        assert breaks == (f.r >= 1 and in_subfield(f, x, t // 2)), x
 
 
 # ---------------------------------------------------------------------------
@@ -543,9 +544,9 @@ def test_leaf_iterate_degree_dichotomy(t):
                 assert f.degree(u) == d
             elif i >= f.r + 1:
                 assert u not in (0, f.q)
-                assert f.in_subfield(u, half)
-                assert (f.subfield_trace(u, half)
-                        != f.subfield_trace(f.inv(u), half))
+                assert in_subfield(f, u, half)
+                assert (subfield_trace(f, u, half)
+                        != subfield_trace(f, f.inv(u), half))
 
 
 def _walk(g, v, count):
@@ -573,11 +574,11 @@ def test_leaf_preimage_traces(t):
     preimg = {}
     for y in range(1, big.q):
         preimg.setdefault(y ^ big.inv(y), []).append(y)
-    sub_units = [b for b in range(1, big.q) if big.in_subfield(b, t)]
+    sub_units = [b for b in range(1, big.q) if in_subfield(big, b, t)]
     assert len(sub_units) == 2 ** t - 1
     for x in sub_units:
-        if (big.subfield_trace(x, t) != 1
-                or big.subfield_trace(big.inv(x), t) != 1):
+        if (subfield_trace(big, x, t) != 1
+                or subfield_trace(big, big.inv(x), t) != 1):
             continue
         assert preimg.get(x), f"A-leaf {x:#x} has no preimage upstairs"
         for y in preimg[x]:
@@ -595,7 +596,7 @@ def test_power_sums_of_small_subgroup_stay_in_base_field(t):
     fwd, bwd = beta, beta_inv
     for _ in range(1 << t):
         s = fwd ^ bwd
-        assert s != 0 and big.in_subfield(s, t)
+        assert s != 0 and in_subfield(big, s, t)
         fwd = big.mul(fwd, beta)
         bwd = big.mul(bwd, beta_inv)
 
