@@ -67,7 +67,7 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import islice
+from itertools import compress, islice
 
 from thetamap.gf2_arith import (
     TABLE_MAX_T,
@@ -558,7 +558,7 @@ def verify_cq1_inclusion(tower: TowerSpec, cq1: list[int], s1: set[int],
     GF(q^2), and checks that every vertex sharing that level of the same
     component lies in C_{q+1}: for a unit, that its order divides q+1; 0
     and inf never do.  Each such (component, level) class is judged once,
-    in one pass over the graph.
+    in one pass over the vertices on levels l+3 and 2.
     """
     l, n = tower.l, tower.n
     rep = CheckReport(f"order-(q+1) subgroup coverage (n={n})")
@@ -569,14 +569,20 @@ def verify_cq1_inclusion(tower: TowerSpec, cq1: list[int], s1: set[int],
             else f"{len(missing)} elements uncovered, first bits {missing[0]:#x}")
 
     comp_id, level = g.comp_id, g.level
+    levels = (l + 3, 2)
     bad_level = []
     placed = []
     for v in cq1[1:]:                  # the q nontrivial elements of C_{q+1}
-        (placed if level[v] in (l + 3, 2) else bad_level).append(v)
+        (placed if level[v] in levels else bad_level).append(v)
     classes = {(comp_id[v], level[v]) for v in placed}
     members = set(cq1)
-    bad_classes = {key for u, key in enumerate(zip(comp_id, level))
-                   if key in classes and u not in members}
+    # those vertices are picked by a mask of the level bytes, or of the
+    # levels one at a time where a faulty kernel widened them
+    on = (level.tobytes().translate(bytes(k in levels for k in range(256)))
+          if level.typecode == "B" else bytes(map(levels.__contains__, level)))
+    bad_classes = {key for u in compress(range(len(level)), on)
+                   if (key := (comp_id[u], level[u])) in classes
+                   and u not in members}
     bad_order = [v for v in placed if (comp_id[v], level[v]) in bad_classes]
     rep.add("cq1-levels", not bad_level,
             "" if not bad_level else f"bad level for bits {bad_level[0]:#x}")

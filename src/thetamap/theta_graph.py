@@ -7,7 +7,9 @@ densely (arrays indexed by the packed-element encoding, with the extra index
 q for the point at infinity) and decomposes it by peeling in-degrees: the
 leaves are removed, then every vertex whose last predecessor went, until
 only the cycles are left; the peel order reversed then places each tree
-vertex one level above its successor, in its successor's component.  It
+vertex one level above its successor, in its successor's component.  The
+peel counts down its own byte copy of the in-degrees, which then holds the
+levels, so the in-degrees are left as the walk counted them.  It
 classifies components by the trace condition Tr(x) = Tr(1/x), and verifies
 the structural facts the decomposition obeys: tree depths r+2 versus 1, the
 per-level counts, leaf traces, and leaf degrees.
@@ -26,18 +28,23 @@ projective conventions (1/0 = 0, 1/inf = inf, |0| = |inf| = 1, Tr(0) =
 Tr(inf) = 0) are applied inline where a raw index meets them: in
 ``theta_index``, ``unit_walk`` and order_dynamics' ``profile_tail`` and
 ``trace_quadrants``.  ``verify_structure`` makes no per-vertex field call
-and does not walk the unit group: its tree-shape checks read child counts
-from the in-degrees, its class-preservation and leaf-trace checks read
-Tr(x) and Tr(1/x) of every vertex from the graph's trace tables, a block of
-vertices at a time, where Tr(1/0) = 0 is stored, and inf, the index past
-both tables, counts as class A; its leaf-degree check walks the subfield
-GF(2^(t/2)) instead of every leaf.
+and does not walk the unit group.  It reads the vertices a block at a
+time, on byte lanes: each vertex's component kind (A, B or infinity's
+tree), gathered once from ``comp_id``, its level and its in-degree, both
+clamped to a byte, and its Tr(x) and Tr(1/x) from the graph's trace
+tables, where Tr(1/0) = 0 is stored, and inf, the index past both tables,
+counts as class A.  Class preservation and leaf traces are big-int
+operations on those lanes; the tree shapes are one ``translate`` of a key
+byte per vertex through a table of the per-vertex rules and one ``find``
+per kind.  Its leaf-degree check walks the subfield GF(2^(t/2)) instead of
+every leaf.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
-from itertools import compress
+from itertools import compress, repeat
 from operator import not_, xor
 from dataclasses import dataclass
 
@@ -140,9 +147,10 @@ class ThetaGraph:
     """The full graph over P^1(F_q), decomposed.
 
     Dense arrays indexed by point encoding: ``succ`` (the map itself),
-    ``level`` (0 on cycle vertices, else distance to the cycle; one signed
-    byte per vertex unless a tree grows deeper than 127 levels, which only
-    a faulty kernel makes), ``comp_id`` (position in ``components``) and
+    ``level`` (0 on cycle vertices, else distance to the cycle; one byte
+    per vertex, ``array('B')``, unless a tree grows deeper than 255 levels
+    or a vertex has 256 predecessors or more, which only a faulty kernel
+    makes: ``array('i')`` then), ``comp_id`` (position in ``components``) and
     ``indeg`` (the number of predecessors, the self-loop of inf included).
     ``succ``, ``comp_id`` and ``indeg`` are ``array('i')``, 4 bytes per
     vertex, which bounds t by GRAPH_MAX_T.  A tree vertex has ``indeg``
@@ -199,8 +207,8 @@ def unit_walk(spec: FieldSpec, scratch: array | None = None) -> UnitWalk:
     x + 1/x is the same at x and 1/x, so for i = 1..q/2-1 the walk writes
     gen^i + gen^-i at both gen^i and gen^-i, counting two predecessors for
     it; with gen^0 = 1 (sent to 0) that covers every unit.  gen's walk
-    stores gen^i in ``scratch`` (q/2 entries of -1, left at -1; ``None``
-    allocates them) on its first half, and on the second half pairs
+    stores gen^i in ``scratch`` (its first q/2 entries, left holding them;
+    ``None`` allocates them) on its first half, and on the second half pairs
     gen^(q-1-i) with the stored gen^i to fill Tr(1/x).  So Tr(1/x) never
     reads 1/gen's tables, and the map never reads the stored powers: a
     fault in 1/gen's tables, or in the map, still shows against Tr(1/x).
@@ -234,11 +242,9 @@ def unit_walk(spec: FieldSpec, scratch: array | None = None) -> UnitWalk:
     fwd = lo[fwd & mask] ^ hi[fwd >> h]
     if fwd != bwd:
         raise FieldError("generator order mismatch")
-    scratch[0] = -1
     tr_inv[1] = tr[1]
     for i in range(half - 1, 0, -1):         # fwd = gen^(q-1-i)
         x = scratch[i]
-        scratch[i] = -1
         tr_inv[fwd] = tr[x]
         tr_inv[x] = tr[fwd]
         fwd = lo[fwd & mask] ^ hi[fwd >> h]
@@ -246,6 +252,31 @@ def unit_walk(spec: FieldSpec, scratch: array | None = None) -> UnitWalk:
         raise FieldError("generator order mismatch")
     tr = _bits(tr)                           # frees the bytes before the next
     return UnitWalk(succ, indeg, tr, _bits(tr_inv))
+
+
+def _byte_lanes(a: array, start: int, stop: int) -> bytes:
+    """Entries start..stop-1 of the integer array ``a`` as one byte each,
+    read from the machine layout: the least significant byte of each entry,
+    which ``sys.byteorder`` places first or last.  OverflowError when an
+    entry lies outside 0..255, that is, when any other byte is not 0."""
+    size = a.itemsize
+    raw = memoryview(a)[start:stop].tobytes()
+    low = size - 1 if sys.byteorder == "big" else 0
+    zero = bytes(len(raw) // size)
+    if any(raw[k::size] != zero for k in range(size) if k != low):
+        raise OverflowError("entry outside 0..255")
+    return raw[low::size]
+
+
+def _clamped(a: array, start: int, stop: int, cap: int) -> bytes:
+    """min(entry, cap) for entries start..stop-1 of the integer array
+    ``a``, one byte each: by one ``translate`` of the byte lanes, or one
+    entry at a time where an entry lies outside 0..255."""
+    try:
+        return _byte_lanes(a, start, stop).translate(
+            bytes(min(k, cap) for k in range(256)))
+    except OverflowError:
+        return bytes(map(min, a[start:stop], repeat(cap)))
 
 
 def build_graph(spec: FieldSpec) -> ThetaGraph:
@@ -260,41 +291,54 @@ def build_graph(spec: FieldSpec) -> ThetaGraph:
     inf = q
     nverts = q + 1
 
-    # the walk borrows comp_id's first q/2 entries and leaves them at -1
+    # the walk borrows comp_id's first q/2 entries; the decomposition then
+    # writes every entry
     comp_id = array("i", [-1]) * nverts
     walk = unit_walk(spec, comp_id)
     succ, indeg = walk.succ, walk.indeg
 
     # Peel the leaves, then each vertex whose last predecessor was peeled;
-    # the queue grows while it is read.  Each successor's count drops once
-    # per peeled predecessor, so only the cycle vertices keep a count (their
-    # cycle predecessor), and every tree vertex is peeled before its
-    # successor.
+    # the queue grows while it is read.  The peel counts down its own copy
+    # of the in-degrees, one byte per vertex unless a faulty kernel gives a
+    # vertex 256 predecessors or more; the copy is made 4096 vertices at a
+    # time, so that its temporaries stay small.  Each successor's count
+    # drops once per peeled predecessor, so only the cycle vertices keep a
+    # count (their cycle predecessor), and every tree vertex is peeled
+    # before its successor.
+    try:
+        count = array("B", bytes(nverts))
+        with memoryview(count) as view:
+            for a in range(0, nverts, 1 << 12):
+                b = min(a + (1 << 12), nverts)
+                view[a:b] = _byte_lanes(indeg, a, b)
+    except OverflowError:
+        count = array("i", indeg)
     peeled = array("i", compress(range(nverts), map(not_, indeg)))
     for v in peeled:
         c = succ[v]
-        indeg[c] -= 1
-        if not indeg[c]:
+        count[c] -= 1
+        if not count[c]:
             peeled.append(c)
 
     # An ascending scan meets each cycle first at its least vertex, so the
-    # cycles come out rotated and in component order.
+    # cycles come out rotated and in component order.  The scan zeroes the
+    # counts of each cycle it walks, so it meets no cycle twice, and leaves
+    # every count at 0: the counts become the levels, 0 on the cycles.
     cycles: list[array] = []
-    for v in compress(range(nverts), indeg):
-        if comp_id[v] < 0:
-            cid = len(cycles)
-            cyc = array("i")
-            u = v
-            while comp_id[u] < 0:
-                comp_id[u] = cid
-                cyc.append(u)
-                u = succ[u]
-            cycles.append(cyc)
+    for v in compress(range(nverts), count):
+        cid = len(cycles)
+        cyc = array("i")
+        u = v
+        while count[u]:
+            count[u] = 0
+            comp_id[u] = cid
+            cyc.append(u)
+            u = succ[u]
+        cycles.append(cyc)
 
     # Unpeel: in reverse, each vertex's successor is placed before it, so a
-    # tree vertex lies one level above its successor, in its component; the
-    # decrements are added back, leaving indeg the in-degree.
-    level = array("b", bytes(nverts))
+    # tree vertex lies one level above its successor, in its component.
+    level = count
     depth = [0] * len(cycles)
     for v in reversed(peeled):
         c = succ[v]
@@ -302,11 +346,10 @@ def build_graph(spec: FieldSpec) -> ThetaGraph:
         cid = comp_id[c]
         if k > depth[cid]:
             depth[cid] = k
-            if k == 128:               # only a faulty kernel grows this deep
+            if k == 256:               # only a faulty kernel grows this deep
                 level = array("i", level)
         level[v] = k
         comp_id[v] = cid
-        indeg[c] += 1
 
     components: list[Component] = []
     for cid, cyc in enumerate(cycles):
@@ -343,10 +386,11 @@ def _least_set_byte(x: int, first: int) -> int | None:
 def verify_structure(g: ThetaGraph) -> CheckReport:
     """Run the six structural checks; failures become report entries.
 
-    The three tree-shape checks are one pass of per-vertex rules on the
-    number of children, read from ``level``, the component's class and
-    ``indeg``: a tree vertex's children are all of its predecessors, a cycle
-    vertex's are all but its cycle predecessor.  With d = r+2:
+    The three tree-shape checks are per-vertex rules on the number of
+    children, read on byte lanes from ``level``, the component's kind and
+    ``indeg``, and judged by one table lookup per vertex: a tree vertex's
+    children are all of its predecessors, a cycle vertex's are all but its
+    cycle predecessor.  With d = r+2:
 
     - A-tree (root != inf): the root has 1 child, levels 1..d-1 have 2
       each, level d has none, and nothing lies deeper;
@@ -378,51 +422,80 @@ def verify_structure(g: ThetaGraph) -> CheckReport:
     #     class byte Tr(x) ^ Tr(1/x) (1 for B) equals its component's, in_b.
     #     Tr(1/x) comes from gen's walk alone, not from succ, which 1/gen's
     #     tables gave (``unit_walk``), so a wrong edge shows here.
+    # (2)-(4) the tree shapes, by the rules above: a vertex's key byte is
+    #     kind << 6 | level << 2 | in-degree, and the table ``bad`` sends a
+    #     key that breaks its kind's rule to that kind's flag, 1 for A, 2
+    #     for B and 3 for infinity's tree.  The kind is 0 for A, 1 for B,
+    #     and 2 plus the class bit for infinity's tree, so its low bit is
+    #     in_b.  It is gathered once per vertex from comp_id: by translating
+    #     comp_id's bytes where a block holds no component id past 255,
+    #     else by one lookup per vertex.  Levels past d break every rule,
+    #     so the level is clamped to d+1 (at most 7 for t <= GRAPH_MAX_T);
+    #     no rule allows more than two children, and a root's "at least
+    #     one" counts one fewer, so the in-degree is clamped to 3.  Levels
+    #     and in-degrees past 255, which only a faulty kernel makes, are
+    #     clamped one vertex at a time (``_clamped``).
     # (5) leaf traces: A-leaves have Tr(x) = Tr(1/x) = 1, B-leaves (0, 1);
     #     a leaf passes where Tr(1/x) = 1 and Tr(x) = 1 exactly off B.
-    # Both read the vertices in blocks of ``step``, so that each big-int
+    # All read the vertices in blocks of ``step``, so that each big-int
     # temporary is one block long; the first witness of each is kept.
     tr, tr_inv = g.tr, g.tr_inv
     classes = [comp.trace_class for comp in g.components]
-    comp_b = bytes(cls == "B" for cls in classes)
+    inf_cid = g.comp_id[inf]
+    kind = bytearray(cls == "B" for cls in classes).ljust(256, b"\0")
+    kind[inf_cid] |= 2
+    # the child counts allowed on levels 0, 1, ..., by flag
+    one, two, none, some = (1,), (2,), (0,), (1, 2)
+    shapes = {1: [one] + [two] * (d - 1) + [none],
+              2: [some, none],
+              3: [one, one] + [two] * (d - 2) + [none]}
+
+    def broken(key: int) -> int:
+        flag = (1, 2, 3, 3)[key >> 6]
+        rule, k = shapes[flag], key >> 2 & 15
+        children = (key & 3) - (k == 0)
+        return flag if k >= len(rule) or children not in rule[k] else 0
+
+    bad = bytes(map(broken, range(256)))
+    is_zero = bytes([1]) + bytes(255)
     bad_class = bad_leaf = None
+    first_bad: dict[int, int] = {}
     step = max(q >> 4, 1 << 12)
     for a in range(0, q + 1, step):
         b = min(a + step, q + 1)
         mask = (1 << 8 * (b - a)) - 1
         x = tr >> 8 * a & mask
         y = tr_inv >> 8 * a & mask
-        in_b = _bits(bytes(map(comp_b.__getitem__, g.comp_id[a:b])))
-        is_leaf = _bits(bytes(map(not_, g.indeg[a:b])))
+        try:
+            kinds = _byte_lanes(g.comp_id, a, b).translate(kind[:256])
+        except OverflowError:
+            kinds = bytes(map(kind.__getitem__, g.comp_id[a:b]))
+        kinds = _bits(kinds)
+        in_b = kinds & mask // 0xFF
+        degs = _clamped(g.indeg, a, b, 3)
+        flags = (kinds << 6 | _bits(_clamped(g.level, a, b, d + 1)) << 2
+                 | _bits(degs)).to_bytes(b - a, "little").translate(bad)
+        for flag in {1, 2, 3} - first_bad.keys():
+            if (i := flags.find(flag)) >= 0:
+                first_bad[flag] = a + i
         if bad_class is None:
             bad_class = _least_set_byte(x ^ y ^ in_b, a)
         if bad_leaf is None:
+            is_leaf = _bits(degs.translate(is_zero))
             bad_leaf = _least_set_byte(is_leaf & ~(y & (x ^ in_b)), a)
     rep.add("class-preservation", bad_class is None,
             "" if bad_class is None else f"witness {lab(bad_class)}")
 
-    # (2)-(4) the tree shapes: the child counts allowed on levels 0, 1, ...
-    inf_cid = g.comp_id[inf]
-    one, two, none, some = (1,), (2,), (0,), range(1, q + 2)
-    shapes = {"A": [one] + [two] * (d - 1) + [none],
-              "B": [some, none],
-              "inf": [one, one] + [two] * (d - 2) + [none]}
-    kinds = classes[:]
-    kinds[inf_cid] = "inf"
-    rules = [shapes[kind] for kind in kinds]
-    heights = [len(rule) for rule in rules]
-    first_bad: dict[str, tuple[int, int, int]] = {}
-    for v, (k, cid, n) in enumerate(zip(g.level, g.comp_id, g.indeg)):
-        children = n - (k == 0)
-        if k >= heights[cid] or children not in rules[cid][k]:
-            first_bad.setdefault(kinds[cid], (v, k, children))
-    details = {kind: f"vertex {lab(v)} on level {k} has {children} children"
-               for kind, (v, k, children) in first_bad.items()}
+    details = {}
+    for flag, v in first_bad.items():
+        k = g.level[v]
+        details[flag] = (f"vertex {lab(v)} on level {k} has "
+                         f"{g.indeg[v] - (k == 0)} children")
     if list(g.components[inf_cid].cycle) != [inf]:
-        details["inf"] = "infinity is not a fixed point"
-    for kind, name in (("A", "a-tree-shape"), ("B", "b-tree-depth"),
-                       ("inf", "inf-tree-shape")):
-        rep.add(name, kind not in details, details.get(kind, ""))
+        details[3] = "infinity is not a fixed point"
+    for flag, name in ((1, "a-tree-shape"), (2, "b-tree-depth"),
+                       (3, "inf-tree-shape")):
+        rep.add(name, flag not in details, details.get(flag, ""))
 
     # (5), read above
     rep.add("leaf-traces", bad_leaf is None, "" if bad_leaf is None else

@@ -8,7 +8,9 @@ dict, the cycles as the stable image of the map, levels and components from
 the per-root ``tree_levels`` walk, classes by ``classify_AB``, leaf traces
 by ``trace`` and ``inv`` (Tr(0) = Tr(inf) = 0, 1/0 = 0) and leaf degrees by
 ``degree``, one leaf at a time.  ``decompose`` takes any successor list, so
-a test can hand it the map of a faulty kernel.  ``unit_pairs`` and
+a test can hand it the map of a faulty kernel.  ``oracle_shape_checks``
+applies ``verify_structure``'s tree-shape rules one vertex at a time, as
+that function did before it read them on byte lanes.  ``unit_pairs`` and
 ``trace_tables`` are the full walks of the generator that
 ``theta_graph.unit_walk`` replaced: both gen^i and gen^-i in full, and
 Tr(1/x) from two more walks of gen^i.
@@ -175,6 +177,10 @@ def table_records(g: ThetaGraph) -> list[dict]:
             if r["name"] in TABLE_CHECKS]
 
 
+def _record(name: str, detail: str) -> dict:
+    return {"name": name, "pass": not detail, "detail": detail}
+
+
 def oracle_checks(g: ThetaGraph) -> list[dict]:
     """The TABLE_CHECKS records of ``verify_structure``, one vertex at a time."""
     spec = g.field
@@ -183,13 +189,10 @@ def oracle_checks(g: ThetaGraph) -> list[dict]:
     def lab(v: int) -> str:
         return point_label(spec, v)
 
-    def record(name: str, detail: str) -> dict:
-        return {"name": name, "pass": not detail, "detail": detail}
-
     bad = next((v for v, cid in enumerate(g.comp_id)
                 if classify_AB(spec, v) != classes[cid]), None)
-    out = [record("class-preservation",
-                  "" if bad is None else f"witness {lab(bad)}")]
+    out = [_record("class-preservation",
+                   "" if bad is None else f"witness {lab(bad)}")]
 
     detail = ""
     for v in g.leaf_indices():
@@ -199,7 +202,7 @@ def oracle_checks(g: ThetaGraph) -> list[dict]:
         if pair != ((1, 1) if cls == "A" else (0, 1)):
             detail = f"{cls}-leaf {lab(v)} has traces {pair}"
             break
-    out.append(record("leaf-traces", detail))
+    out.append(_record("leaf-traces", detail))
 
     detail = ""
     for v in g.leaf_indices():
@@ -208,8 +211,46 @@ def oracle_checks(g: ThetaGraph) -> list[dict]:
         if dv != (vodd << spec.r) or vodd % 2 == 0 or spec.s % vodd != 0:
             detail = f"leaf {lab(v)} has degree {dv}"
             break
-    out.append(record("leaf-degree", detail))
+    out.append(_record("leaf-degree", detail))
     return out
+
+
+def oracle_shape_checks(g: ThetaGraph) -> list[dict]:
+    """The three tree-shape records of ``verify_structure``, one vertex at
+    a time: each vertex's children (its in-degree, less its cycle
+    predecessor on level 0) against the counts its kind of tree allows on
+    its level, with d = r+2."""
+    spec = g.field
+    q = inf = spec.q
+    d = spec.r + 2
+    inf_cid = g.comp_id[inf]
+    one, two, none, some = (1,), (2,), (0,), range(1, q + 2)
+    shapes = {"A": [one] + [two] * (d - 1) + [none],
+              "B": [some, none],
+              "inf": [one, one] + [two] * (d - 2) + [none]}
+    kinds = [comp.trace_class for comp in g.components]
+    kinds[inf_cid] = "inf"
+    first_bad: dict[str, tuple[int, int, int]] = {}
+    for v, (k, cid, n) in enumerate(zip(g.level, g.comp_id, g.indeg)):
+        rule = shapes[kinds[cid]]
+        children = n - (k == 0)
+        if k >= len(rule) or children not in rule[k]:
+            first_bad.setdefault(kinds[cid], (v, k, children))
+    details = {kind: f"vertex {point_label(spec, v)} on level {k} has "
+                     f"{children} children"
+               for kind, (v, k, children) in first_bad.items()}
+    if list(g.components[inf_cid].cycle) != [inf]:
+        details["inf"] = "infinity is not a fixed point"
+    return [_record(name, details.get(kind, ""))
+            for kind, name in (("A", "a-tree-shape"), ("B", "b-tree-depth"),
+                               ("inf", "inf-tree-shape"))]
+
+
+def oracle_records(g: ThetaGraph) -> list[dict]:
+    """All six records of ``verify_structure(g)``, in its order, one vertex
+    at a time."""
+    classes, traces, degrees = oracle_checks(g)
+    return [classes, *oracle_shape_checks(g), traces, degrees]
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +316,17 @@ def wrong_inverse_at(x0: int, t: int):
         edited_walk(t, edit)(patch)
 
     return install
+
+
+def crowded_b_root(t: int, count: int):
+    """The unit walk of GF(2^t) re-aims the ``count`` least tree vertices
+    at the least vertex on a B-cycle, which gets an in-degree of at least
+    ``count``: past one byte from 256 on.  The cycles stay as they were."""
+    g = theta_graph.build_graph(make_field(t))
+    root = min(v for comp in g.components if comp.trace_class == "B"
+               for v in comp.cycle)
+    units = [x for x in range(1, 1 << t) if g.level[x]][:count]
+    return reaimed_walk(t, dict.fromkeys(units, root))
 
 
 def subfield_leaves(t: int, targets: list[int]):

@@ -360,6 +360,25 @@ def test_subfield_leaf_fails_leaf_degree(monkeypatch, capsys):
         assert "Traceback" not in err
 
 
+def test_wide_fault_exits_one(monkeypatch, capsys):
+    # 300 tree vertices of GF(2^9) aimed at one B-root: an in-degree past
+    # one byte is a fault like any other, with the oracle's records
+    args = (9, 300)
+    graph_oracle.crowded_b_root(*args)(monkeypatch.setattr)
+    g = theta_graph.build_graph(make_field(9))
+    assert max(g.indeg) > 300
+    want = graph_oracle.oracle_records(g)
+    assert theta_graph.verify_structure(g).records() == want
+    monkeypatch.undo()
+    lines = [f"FAIL [t=9] {r['name']}  {r['detail']}" for r in want
+             if not r["pass"]]
+    for code, out, err in _fault_runs(monkeypatch, capsys, "crowded_b_root",
+                                      args, ["verify-structure", "--t", "9"]):
+        assert code == 1
+        assert _failed_lines(out) == lines
+        assert "Traceback" not in err
+
+
 def test_leaf_degree_of_a_squaring_that_never_returns_is_a_record(
         monkeypatch, capsys, tmp_path):
     # a unit of GF(2^4) loses its predecessors, and once the graph is built

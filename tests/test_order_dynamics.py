@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import math
 import pickle
+from array import array
 
 import pytest
 
@@ -806,6 +807,30 @@ def test_cq1_level_orders_judge_each_vertex_once(monkeypatch, n):
             ("cq1-level-orders",
              f"level mate of {witness:#x} has order not dividing q+1")]
     assert asked == []
+
+
+@pytest.mark.parametrize("special", [None, 0])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cq1_level_orders_read_widened_levels(monkeypatch, n, special):
+    # levels widened to array('i'), as a faulty kernel's deep tree leaves
+    # them, are read one vertex at a time: no failure on the true graph,
+    # and 0 put in the class of the last element of C_(q+1) is named as on
+    # byte levels
+    tw = TOWERS[n]
+    cq1 = tw.double.subgroup(tw.q + 1)[:-1]
+    g = build_graph(tw.double)
+    key = g.comp_id[cq1[-1]], g.level[cq1[-1]]
+    witness = next(v for v in cq1[1:] if (g.comp_id[v], g.level[v]) == key)
+
+    def fault(g):
+        g.level = array("i", g.level)
+        if special is not None:
+            g.comp_id[special], g.level[special] = key
+
+    _patch_graph(monkeypatch, fault)
+    assert _failures(tw) == ([] if special is None else [
+        ("cq1-level-orders",
+         f"level mate of {witness:#x} has order not dividing q+1")])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

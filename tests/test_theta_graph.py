@@ -1,6 +1,8 @@
 """Graph construction, decomposition, classification, and the leaf laws."""
 
 import json
+import sys
+from array import array
 from collections import Counter
 from types import SimpleNamespace
 
@@ -16,6 +18,7 @@ from graph_oracle import (
     edited_walk,
     oracle_checks,
     oracle_graph,
+    oracle_records,
     predecessor_slots,
     reaimed_walk,
     table_records,
@@ -26,6 +29,7 @@ from graph_oracle import (
 from thetamap.gf2_arith import FieldError, FieldSpec, field_from_record, make_field
 from thetamap.theta_graph import (
     GRAPH_MAX_T,
+    _byte_lanes,
     build_graph,
     point_label,
     theta_index,
@@ -327,7 +331,7 @@ def test_trace_checks_read_every_block(monkeypatch, where):
 
 def test_deep_faulty_tree_keeps_its_levels(monkeypatch):
     # a faulty kernel sending each unit x to x - 1 hangs all of GF(2^8) on
-    # one path into infinity, 256 levels deep: past one signed byte
+    # one path into infinity, 256 levels deep: past one byte
     f = make_field(8)
     reaimed_walk(8, {x: x - 1 for x in range(1, f.q)})(monkeypatch.setattr)
     g = build_graph(f)
@@ -336,6 +340,64 @@ def test_deep_faulty_tree_keeps_its_levels(monkeypatch):
     _assert_decomposed_as(g, decompose(f, list(g.succ)))
     assert "inf-tree-shape" in {c.name for c in verify_structure(g).failures()}
     assert table_records(g) == oracle_checks(g)
+    assert verify_structure(g).records() == oracle_records(g)
+
+
+@pytest.mark.parametrize("order", ["little", "big"])
+def test_byte_lanes_follow_the_byte_order(monkeypatch, order):
+    # each entry's least significant byte is read where the byte order
+    # puts it: an array byte-swapped into the other order reads the same
+    # under that order, and an entry outside 0..255 is refused in both
+    values = [0, 1, 2, 255, 3]
+    wide = array("i", values + [256, -1])
+    if order != sys.byteorder:
+        wide.byteswap()
+        monkeypatch.setattr(sys, "byteorder", order)
+    assert _byte_lanes(wide, 0, 5) == bytes(values)
+    assert _byte_lanes(wide, 1, 4) == bytes(values[1:4])
+    for stop in (6, 7):
+        with pytest.raises(OverflowError):
+            _byte_lanes(wide, stop - 1, stop)
+
+
+@pytest.mark.parametrize("wide", ["level", "indeg"])
+def test_entries_past_a_byte_are_clamped_one_vertex_at_a_time(wide):
+    # levels widened to array('i'), as a tree deeper than 255 levels leaves
+    # them, and a level or an in-degree of 300 at the end of the first
+    # block of GF(2^14): that block's lane is clamped one vertex at a time,
+    # the other blocks' on byte lanes, and every vertex, level d's leaves
+    # included, is judged as the per-vertex oracle judges it
+    g = build_graph(make_field(14))
+    g.level = array("i", g.level)
+    getattr(g, wide)[4095] = 300
+    assert verify_structure(g).records() == oracle_records(g)
+
+
+def test_wide_fault_keeps_its_in_degrees(monkeypatch):
+    # a faulty kernel aims 300 tree vertices of GF(2^9) at one B-root: an
+    # in-degree past one byte, which the peel counts down in array('i'),
+    # and which the tree-shape rules read one vertex at a time
+    f = make_field(9)
+    graph_oracle.crowded_b_root(9, 300)(monkeypatch.setattr)
+    g = build_graph(f)
+    assert max(g.indeg) > 300
+    _assert_decomposed_as(g, decompose(f, list(g.succ)))
+    records = verify_structure(g).records()
+    assert records == oracle_records(g)
+    assert {r["name"] for r in records if not r["pass"]} >= {
+        "class-preservation", "b-tree-depth"}
+
+
+def test_many_components_keep_their_kinds(monkeypatch):
+    # a faulty kernel fixing 300 units of GF(2^9) makes as many components
+    # more: component ids past one byte, infinity's among them, whose kinds
+    # are gathered one vertex at a time
+    f = make_field(9)
+    reaimed_walk(9, {x: x for x in range(2, 302)})(monkeypatch.setattr)
+    g = build_graph(f)
+    assert g.comp_id[f.q] > 255
+    _assert_decomposed_as(g, decompose(f, list(g.succ)))
+    assert verify_structure(g).records() == oracle_records(g)
 
 
 @settings(max_examples=200, deadline=None)
@@ -352,6 +414,7 @@ def test_peel_matches_the_oracle_on_any_map(case):
         g = build_graph(f)
     assert list(g.succ) == [f.q] + targets + [f.q]
     _assert_decomposed_as(g, decompose(f, list(g.succ)))
+    assert verify_structure(g).records() == oracle_records(g)
 
 
 def test_zero_leaf_is_named_by_the_table_checks(monkeypatch):
@@ -492,6 +555,17 @@ def test_verify_structure_passes(t):
     g = build_graph(make_field(t))
     rep = verify_structure(g)
     assert rep.passed, str(rep)
+
+
+@pytest.mark.parametrize("moduli", ["conway", "greatest"])
+@pytest.mark.parametrize("t", range(1, 13))
+def test_structure_records_match_the_oracle(t, moduli):
+    # every record, the tree shapes judged one vertex at a time, under the
+    # Conway modulus and under the greatest irreducible one
+    f = (make_field(t) if moduli == "conway"
+         else make_field(t, _greatest_irreducible(t)))
+    g = build_graph(f)
+    assert verify_structure(g).records() == oracle_records(g)
 
 
 @pytest.mark.parametrize("t", range(1, 13))
