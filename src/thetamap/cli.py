@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from thetamap.dickson_curve import dickson_report
@@ -87,8 +86,7 @@ def max_t_cap() -> int:
     return cap
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     values: list[int]          # field degrees to process, ascending
     format: str

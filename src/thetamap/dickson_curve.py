@@ -33,8 +33,8 @@ count cross-check validates that normalization at every field size.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from thetamap.gf2_arith import (
     FieldError,
@@ -200,8 +200,7 @@ IDENTITY_EXHAUSTIVE_MAX_Q = 16
 IDENTITY_RANDOM_TRIALS = 40
 
 
-@dataclass
-class RootSetReport:
+class RootSetReport(NamedTuple):
     """Everything about D_(q+1) over one field, with the checks that tie it."""
 
     q: int

@@ -31,8 +31,8 @@ that map modulo an odd k come from one sieve, ``doubling_orbits``.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
-from dataclasses import dataclass
 
 __all__ = [
     "FieldError",
@@ -212,23 +212,23 @@ def _brent_rho(n: int) -> int:
     raise ArithmeticError(f"rho failed on {n}")
 
 
-@dataclass(frozen=True)
 class Factorization:
     """Complete prime factorization: strictly increasing (prime, exponent)."""
 
-    primes: tuple[tuple[int, int], ...]
-    value: int
+    __slots__ = ("primes", "value")
 
-    def __post_init__(self) -> None:
+    def __init__(self, primes: tuple[tuple[int, int], ...], value: int):
         prod = 1
         last = 1
-        for p, e in self.primes:
+        for p, e in primes:
             if p <= last or e < 1:
-                raise FieldError(f"malformed factorization of {self.value}")
+                raise FieldError(f"malformed factorization of {value}")
             last = p
             prod *= p ** e
-        if prod != self.value:
-            raise FieldError(f"factorization does not reconstruct {self.value}")
+        if prod != value:
+            raise FieldError(f"factorization does not reconstruct {value}")
+        self.primes = primes
+        self.value = value
 
     def least_prime(self) -> int | None:
         return self.primes[0][0] if self.primes else None
@@ -473,16 +473,19 @@ class FieldSpec:
     # -- log/exp tables -------------------------------------------------------
 
     def ensure_tables(self) -> None:
-        """Build log/exp tables (doubled exp to skip the mod) if t allows."""
+        """Build log/exp tables (doubled exp to skip the mod) if t allows.
+
+        Both are ``array('i')``, 4 bytes an entry, walked into place with
+        no list of the powers on the way."""
         if self._log is not None:
             return
         if self.t > TABLE_MAX_T:
             raise FieldError(f"log tables refused for t={self.t} > {TABLE_MAX_T}")
         n = self.q - 1
-        exp = self.powers(self.gen, n)
+        exp = self._walk(self.gen, array("i", [1]) * (n + 1))
         if exp.pop() != 1:
             raise FieldError("generator order mismatch")
-        log = [0] * self.q
+        log = array("i", [0]) * self.q
         deque(map(log.__setitem__, exp, range(n)), maxlen=0)
         exp *= 2
         self._exp = exp
@@ -517,11 +520,15 @@ class FieldSpec:
     def powers(self, c: int, k: int) -> list[int]:
         """[c^0, ..., c^k], each from the one before by the split tables of
         v -> v*c (``step_tables``); a caller expecting c^k = 1 checks it."""
+        return self._walk(c, [1] * (k + 1))
+
+    def _walk(self, c: int, out):
+        """``out`` (a list or an array that holds 1 at 0) with c^i written
+        at each index i >= 1, as ``powers`` describes."""
         lo, hi, h = self.step_tables(c)
         mask = len(lo) - 1
-        out = [1] * (k + 1)
         v = 1
-        for i in range(1, k + 1):
+        for i in range(1, len(out)):
             v = lo[v & mask] ^ hi[v >> h]
             out[i] = v
         return out
@@ -546,8 +553,8 @@ class FieldSpec:
             raise FieldError(f"{k} does not divide 2^{self.t}-1")
         return self.powers(self.pow(self.gen, (self.q - 1) // k), k)
 
-    def tables(self) -> tuple[list[int], list[int]]:
-        """The (exp, log) tables, built on first use.
+    def tables(self) -> tuple[array, array]:
+        """The (exp, log) tables, ``array('i')`` each, built on first use.
 
         exp is doubled (exp[i + q-1] = exp[i]), so exp[log[a] + log[b]] needs
         no reduction.  Refused with FieldError beyond TABLE_MAX_T.

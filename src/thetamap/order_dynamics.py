@@ -64,10 +64,11 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from collections import Counter
 from enum import Enum
 from functools import lru_cache
 from itertools import compress, islice
+from typing import NamedTuple
 
 from thetamap.gf2_arith import (
     TABLE_MAX_T,
@@ -116,8 +117,7 @@ class HClass(Enum):
     H3 = 3
 
 
-@dataclass(frozen=True)
-class TowerSpec:
+class TowerSpec(NamedTuple):
     """GF(2^n) inside GF(2^(2n)) inside the ambient GF(2^(4n))."""
 
     n: int
@@ -150,8 +150,7 @@ def subgroup(tower: TowerSpec, k: int) -> list[int]:
     return tower.ambient.subgroup(k)
 
 
-@dataclass(frozen=True)
-class SeedWalk:
+class SeedWalk(NamedTuple):
     """``values[j]`` = f(h^j) in GF(q^2) for the seeds h^j, h = gen^(q^2-1),
     j = 0..q^2+1; ``emb`` embeds GF(q^2) in the ambient; ``fault`` is None
     or the (check name, witness) that leaves no profile to trust."""
@@ -204,8 +203,7 @@ def seed_orbits(tower: TowerSpec) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 # Seed profiles
 
-@dataclass
-class ProfileStep:
+class ProfileStep(NamedTuple):
     index: int
     point: int           # the seed's exponent j at index 0; after it an
                          # index of GF(q^2), where q^2 is inf
@@ -217,8 +215,7 @@ class ProfileStep:
     tr_inv: int
 
 
-@dataclass
-class OrderProfile:
+class OrderProfile(NamedTuple):
     tower: TowerSpec
     exponent: int        # the seed is h^exponent
     steps: list[ProfileStep]
@@ -388,8 +385,7 @@ def trace_profile_check(profile: OrderProfile) -> bool:
     return True
 
 
-@dataclass
-class CaseRow:
+class CaseRow(NamedTuple):
     level: int
     index: int
     order: int
@@ -400,8 +396,7 @@ class CaseRow:
     ok: bool
 
 
-@dataclass
-class CaseTable:
+class CaseTable(NamedTuple):
     case_id: int
     flavor: str          # middle-graph class of the first iterate: "A" or "B"
     n: int
@@ -558,7 +553,8 @@ def verify_cq1_inclusion(tower: TowerSpec, cq1: list[int], s1: set[int],
     GF(q^2), and checks that every vertex sharing that level of the same
     component lies in C_{q+1}: for a unit, that its order divides q+1; 0
     and inf never do.  Each such (component, level) class is judged once,
-    in one pass over the vertices on levels l+3 and 2.
+    by its size: it lies in C_{q+1} iff it has as many vertices as members
+    of C_{q+1}.
     """
     l, n = tower.l, tower.n
     rep = CheckReport(f"order-(q+1) subgroup coverage (n={n})")
@@ -574,15 +570,17 @@ def verify_cq1_inclusion(tower: TowerSpec, cq1: list[int], s1: set[int],
     placed = []
     for v in cq1[1:]:                  # the q nontrivial elements of C_{q+1}
         (placed if level[v] in levels else bad_level).append(v)
-    classes = {(comp_id[v], level[v]) for v in placed}
-    members = set(cq1)
-    # those vertices are picked by a mask of the level bytes, or of the
-    # levels one at a time where a faulty kernel widened them
-    on = (level.tobytes().translate(bytes(k in levels for k in range(256)))
-          if level.typecode == "B" else bytes(map(levels.__contains__, level)))
-    bad_classes = {key for u in compress(range(len(level)), on)
-                   if (key := (comp_id[u], level[u])) in classes
-                   and u not in members}
+    members = Counter((comp_id[u], level[u]) for u in set(cq1)
+                      if level[u] in levels)
+    bad_classes = set()
+    for k in levels:
+        # the vertices of level k are picked by a mask of the level bytes,
+        # or of the levels one at a time where a faulty kernel widened them
+        on = (level.tobytes().translate(bytes(i == k for i in range(256)))
+              if level.typecode == "B" else bytes(map(k.__eq__, level)))
+        sizes = Counter(compress(comp_id, on))
+        bad_classes.update(key for key, count in members.items()
+                           if key[1] == k and sizes[key[0]] != count)
     bad_order = [v for v in placed if (comp_id[v], level[v]) in bad_classes]
     rep.add("cq1-levels", not bad_level,
             "" if not bad_level else f"bad level for bits {bad_level[0]:#x}")

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from itertools import chain, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from typing import NamedTuple
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -25,10 +24,12 @@ class Check:
         return f"{mark} {self.name}" + (f": {self.detail}" if self.detail else "")
 
 
-@dataclass
 class CheckReport:
-    title: str
-    checks: list[Check] = field(default_factory=list)
+    __slots__ = ("title", "checks")
+
+    def __init__(self, title: str):
+        self.title = title
+        self.checks: list[Check] = []
 
     def add(self, name: str, passed: bool, detail: str = "") -> Check:
         c = Check(name, passed, detail)

@@ -46,7 +46,6 @@ import sys
 from array import array
 from itertools import compress, repeat
 from operator import not_, xor
-from dataclasses import dataclass
 
 from thetamap.gf2_arith import (
     FieldError,
@@ -127,7 +126,6 @@ def theta_pullback(sub: FieldSpec, ambient: FieldSpec,
     return values, fault
 
 
-@dataclass
 class Component:
     """One connected component: its cycle, tree depth and trace class.
 
@@ -136,11 +134,21 @@ class Component:
     (infinity encodes greatest).  ``depth`` is the deepest level of any
     in-tree (0 when no cycle vertex roots a tree).
     The tree vertices live in the graph's ``level`` and ``comp_id`` arrays.
+    Two components are equal when all three fields are.
     """
 
-    cycle: array
-    depth: int
-    trace_class: str
+    __slots__ = ("cycle", "depth", "trace_class")
+
+    def __init__(self, cycle: array, depth: int, trace_class: str):
+        self.cycle = cycle
+        self.depth = depth
+        self.trace_class = trace_class
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Component):
+            return NotImplemented
+        return ((self.cycle, self.depth, self.trace_class)
+                == (other.cycle, other.depth, other.trace_class))
 
 
 class ThetaGraph:
@@ -184,7 +192,6 @@ class ThetaGraph:
                 f"components={len(self.components)})")
 
 
-@dataclass
 class UnitWalk:
     """The map and the trace tables from one walk of the generator.
 
@@ -194,10 +201,13 @@ class UnitWalk:
     every packed x < q in ``_bits`` form, with Tr(1/0) = 0.
     """
 
-    succ: array
-    indeg: array
-    tr: int
-    tr_inv: int
+    __slots__ = ("succ", "indeg", "tr", "tr_inv")
+
+    def __init__(self, succ: array, indeg: array, tr: int, tr_inv: int):
+        self.succ = succ
+        self.indeg = indeg
+        self.tr = tr
+        self.tr_inv = tr_inv
 
 
 def unit_walk(spec: FieldSpec, scratch: array | None = None) -> UnitWalk:

@@ -636,7 +636,7 @@ def test_per_seed_fault_fails_its_own_records(monkeypatch, capsys, leader,
         prof = next(p for p in profiles if p.exponent == leader)
         assert prof.case_id == case_id
         assert getattr(prof.steps[index], field) != value
-        setattr(prof.steps[index], field, value)
+        prof.steps[index] = prof.steps[index]._replace(**{field: value})
         return profiles
 
     monkeypatch.setattr(order_dynamics, "leader_profiles", broken)
@@ -996,6 +996,24 @@ def test_one_worker_run_imports_no_pool():
             "print(sorted(m for m in sys.modules\n"
             "             if m.startswith(('multiprocessing',\n"
             "                              'concurrent.futures.process'))))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().splitlines()[-1] == "[]"
+
+
+def test_cold_start_loads_no_dataclasses_or_inspect():
+    # `dataclasses` pulls in `inspect`, and with it `ast`, `dis` and
+    # `tokenize`, which no command needs.  pytest loads `inspect` itself,
+    # so the run is a fresh interpreter
+    src = str(Path(thetamap.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys\n"
+            "from thetamap.cli import main\n"
+            "assert main(['verify-structure', '--t', '4']) == 0\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr.decode()

@@ -271,13 +271,16 @@ def frobenius_degree(f, a):
 @pytest.mark.parametrize("t", range(1, 19))
 def test_split_tables_match_the_generator_walk(t):
     f = make_field(t)
-    assert f.tables() == walked_tables(f)
+    exp, log = f.tables()
+    assert (list(exp), list(log)) == walked_tables(f)
+    assert (exp.typecode, log.typecode) == ("i", "i")
 
 
 def test_split_tables_match_the_walk_for_a_non_conway_modulus():
     f = field_from_record(NON_CONWAY_RECORD)
     assert f.gen != 2
-    assert f.tables() == walked_tables(f)
+    exp, log = f.tables()
+    assert (list(exp), list(log)) == walked_tables(f)
 
 
 def test_walks_refuse_split_tables_that_start_off_their_multiplier(
@@ -458,6 +461,20 @@ def test_factorize_reconstructs_and_sorts():
         assert prod == n
     big = factorize((2 ** 31 - 1) * (2 ** 31 - 1))   # square of a large prime
     assert big.primes == ((2 ** 31 - 1, 2),)
+
+
+@pytest.mark.parametrize("primes, value, why", [
+    (((3, 1), (2, 1)), 6, "malformed factorization of 6"),
+    (((2, 1), (2, 1)), 4, "malformed factorization of 4"),
+    (((5, 0),), 1, "malformed factorization of 1"),
+    (((2, 1), (3, 1)), 12, "factorization does not reconstruct 12"),
+])
+def test_factorization_refuses_what_it_cannot_be(primes, value, why):
+    with pytest.raises(FieldError, match=f"^{why}$"):
+        gf2_arith.Factorization(primes, value)
+    fac = gf2_arith.Factorization(((2, 2), (3, 1)), 12)
+    assert (fac.primes, fac.value, fac.least_prime()) == (((2, 2), (3, 1)),
+                                                           12, 2)
 
 
 def test_factorize_range():

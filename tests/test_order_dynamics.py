@@ -1,6 +1,5 @@
 """Classification of the order-(q^2+1) subgroup and the set-level facts."""
 
-import dataclasses
 import functools
 import math
 import pickle
@@ -244,7 +243,7 @@ def test_seed_row_closed_form(n):
 
 @pytest.mark.parametrize("tower", [
     *(make_tower(n) for n in range(1, 6)),
-    *(dataclasses.replace(make_tower(n), ambient=amb)
+    *(make_tower(n)._replace(ambient=amb)
       for n, amb, _ in NON_DEFAULT),
 ], ids=[f"n{n}" for n in range(1, 6)] + [
     f"n{n}-{field_to_record(amb).split()[1]}" for n, amb, _ in NON_DEFAULT])
@@ -290,7 +289,7 @@ def test_seed_orbits_are_the_coset_leaders(n):
 REPORT_TOWERS = [
     *((f"n{n}", lambda n=n: make_tower(n)) for n in range(1, 7)),
     *((f"n{n}-{field_to_record(amb).split()[1]}",
-       lambda n=n, amb=amb: dataclasses.replace(make_tower(n), ambient=amb))
+       lambda n=n, amb=amb: make_tower(n)._replace(ambient=amb))
       for n, amb, _ in NON_DEFAULT),
 ]
 
@@ -390,7 +389,7 @@ def _set_check_inputs(monkeypatch, walk) -> dict[str, tuple]:
 
 @pytest.mark.parametrize("tower", [
     *(make_tower(n) for n in range(1, 7)),
-    *(dataclasses.replace(make_tower(n), ambient=amb)
+    *(make_tower(n)._replace(ambient=amb)
       for n, amb, _ in NON_DEFAULT),
 ], ids=[f"{n}" for n in range(1, 7)] + [
     f"{n}-{field_to_record(amb).split()[1]}" for n, amb, _ in NON_DEFAULT])
@@ -413,8 +412,8 @@ def test_image_sets_are_every_seeds_points(monkeypatch, tower):
     orbits = seed_orbits(tower)
     leaders = leader_profiles(walk, orbits)
     for p, lead in zip(profiles, member_profiles(orbits, leaders)):
-        assert [dataclasses.astuple(s)[2:] for s in p.steps] == [
-            dataclasses.astuple(s)[2:] for s in lead.steps]
+        assert [tuple(s)[2:] for s in p.steps] == [
+            tuple(s)[2:] for s in lead.steps]
         assert (p.h_class, p.case_id) == (lead.h_class, lead.case_id)
 
 
@@ -500,7 +499,7 @@ def test_pair_verdicts_under_broken_pairs(monkeypatch):
         profiles = true_leaders(walk, orbits)
         for prof in profiles:
             if prof.exponent in (3, 5):
-                prof.steps[2].tr ^= 1
+                prof.steps[2] = prof.steps[2]._replace(tr=prof.steps[2].tr ^ 1)
         return profiles
 
     monkeypatch.setattr(order_dynamics, "leader_profiles", broken)
@@ -595,10 +594,10 @@ def test_special_point_before_l_plus_3_is_a_mismatch():
     tw = TOWERS[2]
     p = next(p for p in PROFILES[2] if p.case_id == 1)
     steps = list(p.steps)
-    steps[3] = dataclasses.replace(
-        steps[3], point=0, order=1, d_part=1,
+    steps[3] = steps[3]._replace(
+        point=0, order=1, d_part=1,
         e_part=1, subfield=tw.n, tr=0, tr_inv=0)
-    tab = case_table(dataclasses.replace(p, steps=steps))
+    tab = case_table(p._replace(steps=steps))
     assert [r.index for r in tab.rows if not r.ok] == [3]
 
 
@@ -724,7 +723,7 @@ def test_recurrence_matches_the_ambient_pullback(n, ambient):
     # the embedding, under Conway and non-default ambients
     tower = make_tower(n)
     if ambient is not None:
-        tower = dataclasses.replace(tower, ambient=ambient)
+        tower = tower._replace(ambient=ambient)
     walk = seed_walk(tower)
     amb = ambient_walk(walk)
     big = tower.q ** 2 + 1
@@ -767,7 +766,7 @@ def test_cq1_fault_is_a_record(monkeypatch, n):
     assert inv in s1 and inv != c
     values = [inv if x == c else x for x in walk.values]
     monkeypatch.setattr(order_dynamics, "seed_walk",
-                        lambda tower: dataclasses.replace(walk, values=values))
+                        lambda tower: walk._replace(values=values))
     assert _failures(tw) == [
         ("cq1-image-inclusion", f"1 elements uncovered, first bits {c:#x}")]
 
@@ -973,7 +972,7 @@ def test_orders_report_schema_and_determinism():
 def test_orders_report_non_default_ambient(n, ambient, counts):
     # the theorems do not depend on the modulus: every check passes, and the
     # class counts are those of the default tower
-    tw = dataclasses.replace(make_tower(n), ambient=ambient)
+    tw = make_tower(n)._replace(ambient=ambient)
     rep = orders_report(tw)
     assert rep["field"] == field_to_record(ambient)
     assert rep["counts"] == counts
