@@ -16,8 +16,8 @@ characterizes the x-coordinates of the rational points of the curve
 y^2 + xy = x^3 + 1, so its point count cross-validates everything.
 By the identity the roots are also the values y + 1/y, y != 1, on the
 order-(q+1) subgroup of GF(q^2)*: the root-image check
-(``_theta_image_of_small_subgroup``) walks that subgroup, and
-``theta_graph.theta_pullback`` reads the values in GF(q).
+(``_theta_image_of_small_subgroup``) reads them as D_k(h + 1/h), h of order
+q+1, by ``theta_graph.norm_one_dickson``, and walks no subgroup.
 
 Every evaluation takes and returns packed ints.  ``_dickson_ladder`` is the
 one doubling ladder, on the field's own products; ``_root_bits`` runs it at
@@ -44,7 +44,12 @@ from thetamap.gf2_arith import (
     make_field,
 )
 from thetamap.report import CheckReport
-from thetamap.theta_graph import ThetaGraph, UnitWalk, theta_pullback, unit_walk
+from thetamap.theta_graph import (
+    ThetaGraph,
+    UnitWalk,
+    norm_one_dickson,
+    unit_walk,
+)
 
 __all__ = [
     "RootSetReport",
@@ -127,12 +132,12 @@ def _split_roots(spec: FieldSpec, roots: set[int]) -> tuple[set[int], set[int]]:
 
 def _theta_image_of_small_subgroup(spec: FieldSpec, ambient: FieldSpec,
                                    m: int) -> tuple[set[int], str | None]:
-    """{ y + 1/y : y in GF(q^2)*, |y| divides m, y != 1 }, pulled back to GF(q)
-    by ``theta_pullback`` from ``ambient`` = GF(2^(2n)), with its first
-    fault's witness, or None.  ``perfbench/tracer.py`` times this step by
-    name."""
-    values, fault = theta_pullback(spec, ambient, ambient.subgroup(m))
-    return set(values[1:]) - {None}, fault
+    """{ y + 1/y : y in GF(q^2)*, |y| divides m, y != 1 } = {D_k(b) :
+    k = 1..m-1}, read in GF(q) by ``theta_graph.norm_one_dickson`` from
+    ``ambient`` = GF(2^(2n)), with its first fault's witness, or None.
+    ``perfbench/tracer.py`` times this step by name."""
+    values, _, fault = norm_one_dickson(spec, ambient, m)
+    return set(values[1:m]), None if fault is None else fault[1]
 
 
 def _trace_flips(spec: FieldSpec, walk: UnitWalk | None) -> int:

@@ -22,9 +22,10 @@ The reduction to GF(q^2).  Since 1/g = g^(q^2), f(g) = g + g^(q^2) is the
 relative trace of g into GF(q^2).  For the seeds h^j, h = gen^(q^2-1),
 f(h^j) = D_j(b), b = f(h), with the Dickson recurrence D_(j+1) =
 b*D_j + D_(j-1) (Lidl, Mullen and Turnwald, *Dickson Polynomials*, 1993):
-``seed_walk`` pulls b back from the ambient GF(2^(4n)) and gives every first
-iterate in GF(q^2), where every later iterate is profiled from the log
-tables.  The seed's own row has a closed form: point j, order
+``seed_walk`` pulls b back from the ambient GF(2^(4n)) once, by the helper
+of the Dickson battery too (``theta_graph.norm_one_dickson``), and gives
+every first iterate in GF(q^2), where every later iterate is profiled from
+the log tables.  The seed's own row has a closed form: point j, order
 (q^2+1)/gcd(j, q^2+1), trivial gcd-split, subfield 4n (a seed inside
 GF(q^2) would have order dividing q^2-1 and q^2+1, so it would be 1), and
 Tr_4n(g) = Tr_4n(1/g) = Tr_2n(f(g)).
@@ -81,7 +82,12 @@ from thetamap.gf2_arith import (
 )
 from thetamap.orbit_records import ProfileRecords
 from thetamap.report import HOLE, CheckReport
-from thetamap.theta_graph import ThetaGraph, build_graph
+from thetamap.theta_graph import (
+    ThetaGraph,
+    _preimage,
+    build_graph,
+    norm_one_dickson,
+)
 
 __all__ = [
     "TowerSpec",
@@ -161,34 +167,12 @@ class SeedWalk(NamedTuple):
     fault: tuple[str, str] | None
 
 
-def _preimage(tower: TowerSpec, emb: list[int], a: int) -> int:
-    """emb^-1(a) in GF(q^2); FieldError for an ``a`` outside its image."""
-    try:
-        return emb.index(a)
-    except ValueError:
-        raise FieldError(f"witness {a:#x} of GF(2^{tower.ambient.t}) "
-                         f"outside GF(2^{tower.double.t})") from None
-
-
 def seed_walk(tower: TowerSpec) -> SeedWalk:
-    """Every seed's first iterate D_j(b), b = f(h), from one ``pow``, one
-    ``inv`` and one preimage.  h has order q^2+1 iff D_(q^2+1)(b) = 0 and
-    D_((q^2+1)/p)(b) != 0 for each prime p | q^2+1, as D_k(b) = h^k + h^-k.
-    """
-    ambient, double = tower.ambient, tower.double
-    big = double.q + 1
-    try:
-        emb = subfield_embedding(double, ambient)
-        h = ambient.pow(ambient.gen, double.q - 1)
-        b = _preimage(tower, emb, h ^ ambient.inv(h))
-    except FieldError as exc:
-        return SeedWalk(tower, [], [], ("first-iterate-pullback", str(exc)))
-    values = double.dickson_values(b, big)
-    for k in (big, *(big // p for p, _ in double.fact_plus.primes)):
-        if (values[k] == 0) != (k == big):
-            return SeedWalk(tower, values, emb, ("subgroup-closure",
-                f"h has not order {big}: D_{k}(f(h)) = {values[k]:#x}"))
-    return SeedWalk(tower, values, emb, None)
+    """Every seed's first iterate D_j(b), b = f(h), with the order test of
+    h: ``theta_graph.norm_one_dickson`` of GF(q^2) in the ambient."""
+    double = tower.double
+    return SeedWalk(tower, *norm_one_dickson(double, tower.ambient,
+                                             double.q + 1))
 
 
 def seed_orbits(tower: TowerSpec) -> list[list[int]]:
@@ -313,7 +297,7 @@ def profile_records(walk: SeedWalk, orbits: list[list[int]],
         # gen^(q^2+1) generates the ambient's copy of GF(q^2)*
         a = tower.ambient.pow(tower.ambient.gen, big)
         try:
-            k0 = pow(log[_preimage(tower, emb, a)], -1, n2)
+            k0 = pow(log[_preimage(double, tower.ambient, emb, a)], -1, n2)
         except ValueError as exc:       # FieldError, or no unit mod q^2-1
             return [], ("first-iterate-pullback", f"gen^{big}: {exc}")
     special = {0: "'0'", double.q: "inf"}

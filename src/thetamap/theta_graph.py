@@ -45,7 +45,7 @@ from __future__ import annotations
 import sys
 from array import array
 from itertools import compress, repeat
-from operator import not_, xor
+from operator import not_
 
 from thetamap.gf2_arith import (
     FieldError,
@@ -60,7 +60,7 @@ __all__ = [
     "Component",
     "ThetaGraph",
     "theta_index",
-    "theta_pullback",
+    "norm_one_dickson",
     "UnitWalk",
     "unit_walk",
     "build_graph",
@@ -99,31 +99,36 @@ def theta_index(field: FieldSpec, idx: int) -> int:
     return idx ^ field.inv(idx)
 
 
-def theta_pullback(sub: FieldSpec, ambient: FieldSpec,
-                   powers: list[int]) -> tuple[list[int | None], str | None]:
-    """x + 1/x on the walk ``powers`` = [h^0, ..., h^m] of the order-m
-    subgroup of ``ambient``, read in ``sub`` = GF(Q): (values, fault), with
-    values[k] = emb^-1(h^k + h^(m-k)) for k < m (None off the image).
+def _preimage(sub: FieldSpec, ambient: FieldSpec, emb: list[int],
+              a: int) -> int:
+    """emb^-1(a) in ``sub``; FieldError for an ``a`` outside its image."""
+    try:
+        return emb.index(a)
+    except ValueError:
+        raise FieldError(f"witness {a:#x} of GF(2^{ambient.t}) "
+                         f"outside GF(2^{sub.t})") from None
 
-    For m | Q+1, 1/y = y^Q, so y + 1/y is the relative trace of y into GF(Q).
-    Never raises on a faulty kernel: ``fault`` names the first of a walk
-    that does not close (h^m != 1), a failing embedding and a sum outside
-    the embedded GF(Q)."""
-    m = len(powers) - 1
-    if powers[m] != 1:
-        return [], f"h^{m} = {powers[m]:#x}, not 1"
+
+def norm_one_dickson(sub: FieldSpec, ambient: FieldSpec, m: int
+                     ) -> tuple[list[int], list[int], tuple[str, str] | None]:
+    """x + 1/x on the order-m subgroup of ``ambient`` = GF(Q^2), m | Q+1, in
+    ``sub`` = GF(Q): (values, emb, fault), values[k] = D_k(b) = h^k + h^-k
+    for k = 0..m, h = gen^((Q^2-1)/m), b = h + 1/h pulled back once through
+    emb = ``subfield_embedding(sub, ambient)``.  h has order m iff D_m(b) = 0
+    and D_(m/p)(b) != 0 for each prime p | m.  Never raises on a faulty
+    kernel: ``fault`` is None or (check name, witness)."""
     try:
         emb = subfield_embedding(sub, ambient)
+        h = ambient.pow(ambient.gen, (ambient.q - 1) // m)
+        b = _preimage(sub, ambient, emb, h ^ ambient.inv(h))
     except FieldError as exc:
-        return [], str(exc)
-    back = {v: x for x, v in enumerate(emb)}
-    values = list(map(back.get, map(xor, powers[:m], reversed(powers[1:]))))
-    fault = None
-    if None in values:
-        k = values.index(None)
-        fault = (f"witness {powers[k] ^ powers[m - k]:#x} of "
-                 f"GF(2^{ambient.t}) outside GF(2^{sub.t})")
-    return values, fault
+        return [], [], ("first-iterate-pullback", str(exc))
+    values = sub.dickson_values(b, m)
+    for k in (m, *(m // p for p, _ in sub.fact_plus.primes if m % p == 0)):
+        if (values[k] == 0) != (k == m):
+            return values, emb, ("subgroup-closure",
+                f"h has not order {m}: D_{k}(f(h)) = {values[k]:#x}")
+    return values, emb, None
 
 
 class Component:

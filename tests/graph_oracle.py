@@ -13,7 +13,10 @@ applies ``verify_structure``'s tree-shape rules one vertex at a time, as
 that function did before it read them on byte lanes.  ``unit_pairs`` and
 ``trace_tables`` are the full walks of the generator that
 ``theta_graph.unit_walk`` replaced: both gen^i and gen^-i in full, and
-Tr(1/x) from two more walks of gen^i.
+Tr(1/x) from two more walks of gen^i.  ``theta_pullback`` reads x + 1/x on
+a walk of a norm-one subgroup (``FieldSpec.subgroup``) and pulls every sum
+back through the embedding, where ``theta_graph.norm_one_dickson`` pulls
+back one sum and runs the Dickson recurrence.
 
 The fault factories at the end return installers taking a ``setattr``-like
 callable, so a test can apply them with ``monkeypatch.setattr`` in-process
@@ -23,9 +26,15 @@ or with ``setattr`` in a child interpreter.
 from __future__ import annotations
 
 from array import array
+from operator import xor
 
 import thetamap.theta_graph as theta_graph
-from thetamap.gf2_arith import FieldError, FieldSpec, make_field
+from thetamap.gf2_arith import (
+    FieldError,
+    FieldSpec,
+    make_field,
+    subfield_embedding,
+)
 from thetamap.theta_graph import (
     Component,
     ThetaGraph,
@@ -86,6 +95,33 @@ def trace_tables(spec: FieldSpec) -> tuple[bytes, bytes]:
         v = lo[v & low] ^ hi[v >> h]
         tr_inv[v] = b
     return tr, bytes(tr_inv)
+
+
+def theta_pullback(sub: FieldSpec, ambient: FieldSpec,
+                   powers: list[int]) -> tuple[list[int | None], str | None]:
+    """x + 1/x on the walk ``powers`` = [h^0, ..., h^m] of the order-m
+    subgroup of ``ambient``, read in ``sub`` = GF(Q): (values, fault), with
+    values[k] = emb^-1(h^k + h^(m-k)) for k < m (None off the image).
+
+    For m | Q+1, 1/y = y^Q, so y + 1/y is the relative trace of y into GF(Q).
+    Never raises on a faulty kernel: ``fault`` names the first of a walk
+    that does not close (h^m != 1), a failing embedding and a sum outside
+    the embedded GF(Q)."""
+    m = len(powers) - 1
+    if powers[m] != 1:
+        return [], f"h^{m} = {powers[m]:#x}, not 1"
+    try:
+        emb = subfield_embedding(sub, ambient)
+    except FieldError as exc:
+        return [], str(exc)
+    back = {v: x for x, v in enumerate(emb)}
+    values = list(map(back.get, map(xor, powers[:m], reversed(powers[1:]))))
+    fault = None
+    if None in values:
+        k = values.index(None)
+        fault = (f"witness {powers[k] ^ powers[m - k]:#x} of "
+                 f"GF(2^{ambient.t}) outside GF(2^{sub.t})")
+    return values, fault
 
 
 def predecessor_slots(succ) -> tuple[array, array, dict[int, list[int]]]:
@@ -335,3 +371,43 @@ def subfield_leaves(t: int, targets: list[int]):
     succ = theta_graph.unit_walk(make_field(t)).succ
     return reaimed_walk(t, {x: 1 for x in range(1, 1 << t)
                             if succ[x] in targets})
+
+
+# ---------------------------------------------------------------------------
+# Faults on the norm-one Dickson path (``theta_graph.norm_one_dickson``)
+
+def seed_generator(t: int, k: int, e: int):
+    """gen^e in place of gen^k in GF(2^t): the one ``pow`` that makes the
+    generator h = gen^k of a norm-one subgroup gives another element.  A
+    field under construction has no generator yet, and its order test keeps
+    its own powers."""
+    true_pow = FieldSpec.pow
+
+    def pow_(self, a, n):
+        if (self.t, n) == (t, k) and a == getattr(self, "gen", None):
+            n = e
+        return true_pow(self, a, n)
+
+    def install(patch) -> None:
+        patch(FieldSpec, "pow", pow_)
+
+    return install
+
+
+def wrong_dickson_step(t: int, m: int, k: int):
+    """[D_0(x), ..., D_m(x)] in GF(2^t) with D_k one bit off and the
+    recurrence run on from there; other lengths are left alone."""
+    true_values = FieldSpec.dickson_values
+
+    def dickson_values(self, x, n):
+        values = true_values(self, x, n)
+        if (self.t, n) == (t, m):
+            values[k] ^= 1
+            for j in range(k + 1, n + 1):
+                values[j] = self.mul(x, values[j - 1]) ^ values[j - 2]
+        return values
+
+    def install(patch) -> None:
+        patch(FieldSpec, "dickson_values", dickson_values)
+
+    return install

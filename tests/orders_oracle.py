@@ -14,6 +14,7 @@ must give the same document and the same json bytes.
 
 from dataclasses import dataclass
 
+from graph_oracle import theta_pullback
 from thetamap.gf2_arith import TABLE_MAX_T, field_to_record
 from thetamap.order_dynamics import (
     SeedWalk,
@@ -26,7 +27,7 @@ from thetamap.order_dynamics import (
     verify_theta_permutation,
 )
 from thetamap.report import CheckReport
-from thetamap.theta_graph import build_graph, theta_index, theta_pullback
+from thetamap.theta_graph import build_graph, theta_index
 
 
 @dataclass(frozen=True)

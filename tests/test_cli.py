@@ -467,15 +467,8 @@ def test_special_point_before_l_plus_3_is_a_record(monkeypatch, capsys):
 def _seed_generator(monkeypatch, tower, e):
     """h = gen^e in place of gen^(q^2-1): the one ``pow`` of the seed walk
     in the tower's ambient gives another element."""
-    ambient = tower.ambient
-    true_pow = FieldSpec.pow
-
-    def pow_(self, a, k):
-        if (self.t, a, k) == (ambient.t, ambient.gen, tower.q ** 2 - 1):
-            k = e
-        return true_pow(self, a, k)
-
-    monkeypatch.setattr(FieldSpec, "pow", pow_)
+    graph_oracle.seed_generator(tower.ambient.t, tower.q ** 2 - 1, e)(
+        monkeypatch.setattr)
 
 
 def test_subgroup_closure_fault_is_a_record(monkeypatch, capsys):
@@ -528,8 +521,9 @@ def test_label_walk_closure_fault_is_a_record(monkeypatch, capsys):
 
 def test_first_iterate_pullback_fault_is_a_record(monkeypatch, capsys):
     # one bit flipped in the embedding of GF(q^2), at the first iterate of
-    # the seed h^1: f(h) no longer pulls back
-    true_embedding = order_dynamics.subfield_embedding
+    # the seed h^1: f(h) no longer pulls back.  The seed walk asks
+    # theta_graph's norm-one Dickson helper for the embedding
+    true_embedding = theta_graph.subfield_embedding
     first = profile_tail(seed_walk(make_tower(2)), 1)[0].point
 
     def flipped(sub, ambient):
@@ -538,7 +532,7 @@ def test_first_iterate_pullback_fault_is_a_record(monkeypatch, capsys):
             table[first] ^= 1
         return table
 
-    monkeypatch.setattr(order_dynamics, "subfield_embedding", flipped)
+    monkeypatch.setattr(theta_graph, "subfield_embedding", flipped)
     assert main(["verify-orders", "--n", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ("FAIL [n=2] first-iterate-pullback  witness 0xa "
@@ -556,12 +550,13 @@ def test_label_pullback_fault_is_a_record(monkeypatch, capsys, swap, detail):
     # for k0 (n = 2).  One bit flipped at that image leaves gen^17 outside
     # the table; swapped with the image of gen^5, gen^17 pulls back to an
     # element of order 3, whose log 5 has no inverse modulo 15.  f(h) still
-    # pulls back, so the text output passes
+    # pulls back, so the text output passes.  The labels read the table the
+    # seed walk got from theta_graph's norm-one Dickson helper
     tower = make_tower(2)
     gen = tower.double.gen
     fifth = tower.double.pow(gen, 5)
     assert seed_walk(tower).values[1] not in (gen, gen ^ 1, fifth)
-    true_embedding = order_dynamics.subfield_embedding
+    true_embedding = theta_graph.subfield_embedding
 
     def corrupted(sub, ambient):
         table = true_embedding(sub, ambient)
@@ -572,7 +567,7 @@ def test_label_pullback_fault_is_a_record(monkeypatch, capsys, swap, detail):
                 table[gen] ^= 1
         return table
 
-    monkeypatch.setattr(order_dynamics, "subfield_embedding", corrupted)
+    monkeypatch.setattr(theta_graph, "subfield_embedding", corrupted)
     assert main(["verify-orders", "--n", "2"]) == 0
     capsys.readouterr()
     assert main(["verify-orders", "--n", "2", "--format", "json"]) == 1
@@ -749,8 +744,13 @@ def test_dickson_bound_failures_are_records(monkeypatch, capsys):
 
 
 def _flip_embedded_root(monkeypatch):
+    # the one entry the root image reads: that of b, the preimage of
+    # f(h) = h + 1/h, h = gen^15 of order 17 in GF(2^8)
     true_embedding = theta_graph.subfield_embedding
-    root = min(dickson_curve._root_bits(make_field(4), 17))
+    double = make_field(8)
+    h = double.pow(double.gen, 15)
+    root = true_embedding(make_field(4), double).index(h ^ double.inv(h))
+    assert root in dickson_curve._root_bits(make_field(4), 17)
 
     def flipped(sub, ambient):
         table = true_embedding(sub, ambient)
@@ -793,21 +793,29 @@ def _generator_of_order_five(monkeypatch):
                      lambda bad: setattr(bad, "gen", bad.pow(bad.gen, 3)))
 
 
-def _unclosed_walk(monkeypatch):
-    # the walk h^0, ..., h^17 of the order-17 subgroup ends one bit from 1
-    true_subgroup = FieldSpec.subgroup
+# the root image of GF(2^4) at m = 17: h = gen^255 = 1 in place of gen^15,
+# so b = f(h) = 0 and D_1(b) = 0 as well as D_17(b); one bit flipped at D_2
+# of GF(2^4), which the recurrence carries on to D_17(b)
+ROOT_IMAGE_FAULTS = {
+    "seed_generator": ((8, 15, 255), "h has not order 17: D_1(f(h)) = 0x0"),
+    "wrong_dickson_step": ((4, 17, 2), "h has not order 17: D_17(f(h)) = 0x1"),
+}
 
-    def unclosed(self, k):
-        out = true_subgroup(self, k)
-        out[k] ^= 2
-        return out
 
-    monkeypatch.setattr(FieldSpec, "subgroup", unclosed)
+def _lower_order_generator(monkeypatch):
+    args, _ = ROOT_IMAGE_FAULTS["seed_generator"]
+    graph_oracle.seed_generator(*args)(monkeypatch.setattr)
+
+
+def _wrong_dickson_step(monkeypatch):
+    args, _ = ROOT_IMAGE_FAULTS["wrong_dickson_step"]
+    graph_oracle.wrong_dickson_step(*args)(monkeypatch.setattr)
 
 
 @pytest.mark.parametrize("fault, witness", [
-    (_flip_embedded_root, "witness 0x98 of GF(2^8) outside GF(2^4)"),
-    (_unclosed_walk, "h^17 = 0x3, not 1"),
+    (_flip_embedded_root, "witness 0xa of GF(2^8) outside GF(2^4)"),
+    (_lower_order_generator, ROOT_IMAGE_FAULTS["seed_generator"][1]),
+    (_wrong_dickson_step, ROOT_IMAGE_FAULTS["wrong_dickson_step"][1]),
     (_drop_least_root, "witness bits 0x2"),
     (_rootless_modulus, "modulus 0x16 of GF(2^4) has no root among the "
                         "powers of 0x98 in GF(2^8)"),
@@ -825,6 +833,21 @@ def test_root_image_fault_is_a_record(monkeypatch, capsys, fault, witness):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("fault", list(ROOT_IMAGE_FAULTS))
+def test_root_image_fault_is_a_record_under_python_O(monkeypatch, capsys,
+                                                     fault):
+    # the two faults the norm-one Dickson path can meet past the embedding,
+    # in-process and in a child under `python -O`: one failed record, exit 1
+    args, witness = ROOT_IMAGE_FAULTS[fault]
+    for code, out, err in _fault_runs(monkeypatch, capsys, fault, args,
+                                      ["verify-dickson", "--n", "4"]):
+        assert code == 1
+        [line] = _failed_lines(out)
+        assert line.startswith("FAIL [n=4] root-image-equality  |roots|=8 ")
+        assert line.endswith(f" {witness}")
+        assert "Traceback" not in err
+
+
 def test_wrong_ladder_value_at_a_leader_is_a_record(monkeypatch, capsys):
     # D_17 is 1, not 0, at the leader 0x2 = gen^1 of GF(2^4): the root scan
     # drops the orbit {0x2, 0x4, 0x3, 0x5}, which is all of T
@@ -839,21 +862,23 @@ def test_wrong_ladder_value_at_a_leader_is_a_record(monkeypatch, capsys):
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("degrees, names, witness", [
-    ((4, 8), ["first-iterate-pullback"],
+@pytest.mark.parametrize("module, degrees, names, witness", [
+    (theta_graph, (4, 8), ["first-iterate-pullback"],
      "embedded generator 0xa of GF(2^4) has order 5 in GF(2^8), not 15"),
-    ((2, 4), ["a11-image", "a00-image", "b01-image", "b10-image"],
+    (order_dynamics, (2, 4), ["a11-image", "a00-image", "b01-image",
+                              "b10-image"],
      "embedded generator 0x1 of GF(2^2) has order 1 in GF(2^4), not 3"),
 ], ids=["double-in-ambient", "base-in-double"])
-def test_orders_embedding_fault_is_a_record(monkeypatch, capsys, degrees,
-                                            names, witness):
+def test_orders_embedding_fault_is_a_record(monkeypatch, capsys, module,
+                                            degrees, names, witness):
     # verify-orders --n 2 embeds GF(2^4) in GF(2^8) for the seeds' first
-    # iterates and GF(2^2) in GF(2^4) for the trace quadrants, both asked
-    # for by order_dynamics; each is asked for its field with the
-    # generator cubed (order 5, resp. 1)
+    # iterates, asked for by theta_graph's norm-one Dickson helper, and
+    # GF(2^2) in GF(2^4) for the trace quadrants, asked for by
+    # order_dynamics; each is asked for its field with the generator cubed
+    # (order 5, resp. 1)
     _faulty_subfield(monkeypatch,
                      lambda bad: setattr(bad, "gen", bad.pow(bad.gen, 3)),
-                     order_dynamics, degrees)
+                     module, degrees)
     assert main(["verify-orders", "--n", "2"]) == 1
     captured = capsys.readouterr()
     assert [ln for ln in captured.out.splitlines() if ln.startswith("FAIL")] \
@@ -889,14 +914,18 @@ def test_identity_fault_is_a_record(monkeypatch, capsys, n):
         f = true_make_field(t, **kwargs)
         return _WrongInverse(f.t, f.modulus, f.gen)
 
-    # dickson_curve builds only the double field GF(2^(2n)) itself
+    # dickson_curve builds only the double field GF(2^(2n)) itself.  The
+    # root image reads b = h + 1/h with that field's inverse: b is one off,
+    # so the root image fails with the identity
     monkeypatch.setattr(dickson_curve, "make_field", wrong_inverse_field)
     assert not dickson_curve._identity_check(
         make_field(n), dickson_curve.make_field(2 * n), random.Random(0))
     checks = dickson_curve.root_set_report(make_field(n)).checks
-    assert [c.name for c in checks.failures()] == ["identity-on-double-field"]
+    assert [c.name for c in checks.failures()] == [
+        "root-image-equality", "identity-on-double-field"]
     assert main(["verify-dickson", "--n", str(n)]) == 1
     captured = capsys.readouterr()
+    assert f"FAIL [n={n}] root-image-equality" in captured.out
     assert f"FAIL [n={n}] identity-on-double-field" in captured.out
     assert "Traceback" not in captured.err
 

@@ -19,7 +19,7 @@ from orders_oracle import (
     seed_label,
     seed_profiles,
 )
-from thetamap import order_dynamics
+from thetamap import order_dynamics, theta_graph
 from thetamap.gf2_arith import (
     FieldError,
     FieldSpec,
@@ -352,11 +352,12 @@ def test_a_range_document_renders_its_records_at_depth_three():
 
 def test_a_label_fault_leaves_no_records(monkeypatch):
     # k0's preimage fails (the embedded generator of GF(q^2) flipped in
-    # GF(2^8)), which only the labels read: the json document carries the
-    # fault and an empty list of records
+    # GF(2^8), the table the seed walk got from theta_graph's norm-one
+    # Dickson helper), which only the labels read: the json document
+    # carries the fault and an empty list of records
     tower = make_tower(2)
     gen = tower.double.gen
-    true_embedding = order_dynamics.subfield_embedding
+    true_embedding = theta_graph.subfield_embedding
 
     def flipped(sub, ambient):
         table = true_embedding(sub, ambient)
@@ -364,7 +365,7 @@ def test_a_label_fault_leaves_no_records(monkeypatch):
             table[gen] ^= 1
         return table
 
-    monkeypatch.setattr(order_dynamics, "subfield_embedding", flipped)
+    monkeypatch.setattr(theta_graph, "subfield_embedding", flipped)
     assert all(c["pass"] for c in orders_report(tower, False)["checks"])
     doc = orders_report(tower)
     assert doc["profiles"] == []

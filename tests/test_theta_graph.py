@@ -22,18 +22,21 @@ from graph_oracle import (
     predecessor_slots,
     reaimed_walk,
     table_records,
+    theta_pullback,
     trace_tables,
     tree_levels,
     unit_pairs,
 )
+from thetamap.dickson_curve import root_set_report
 from thetamap.gf2_arith import FieldError, FieldSpec, field_from_record, make_field
+from thetamap.order_dynamics import make_tower, seed_walk
 from thetamap.theta_graph import (
     GRAPH_MAX_T,
     _byte_lanes,
     build_graph,
+    norm_one_dickson,
     point_label,
     theta_index,
-    theta_pullback,
     to_dot,
     to_json,
     unit_walk,
@@ -517,17 +520,22 @@ def _greatest_irreducible(t):
                 if gf2_arith.is_irreducible(f))
 
 
+def _field_pair(d, moduli):
+    """GF(2^d) and GF(2^(2d)), by default (Conway) or greatest moduli."""
+    if moduli == "conway":
+        return make_field(d), make_field(2 * d)
+    return (make_field(d, _greatest_irreducible(d)),
+            make_field(2 * d, _greatest_irreducible(2 * d)))
+
+
 @pytest.mark.parametrize("moduli", ["conway", "greatest"])
 @pytest.mark.parametrize("d", range(1, 7))
 def test_pullback_matches_the_norm_form(d, moduli):
     # the second derivation: GF(Q^2) = GF(Q)[z]/(z^2 + z + c) with
     # Tr(c) = 1, where a + bz has norm a^2 + ab + cb^2 and, on norm one,
-    # x + 1/x = (a + bz) + (a + b + bz) = b
-    if moduli == "conway":
-        sub, ambient = make_field(d), make_field(2 * d)
-    else:
-        sub = make_field(d, _greatest_irreducible(d))
-        ambient = make_field(2 * d, _greatest_irreducible(2 * d))
+    # x + 1/x = (a + bz) + (a + b + bz) = b; the norm-one Dickson values
+    # of the order-(Q+1) subgroup give the same multiset
+    sub, ambient = _field_pair(d, moduli)
     c = next(c for c in range(sub.q) if sub.trace(c))
     want = Counter(b for a in range(sub.q) for b in range(1, sub.q)
                    if sub.mul(a, a ^ b) ^ sub.mul(c, sub.mul(b, b)) == 1)
@@ -535,6 +543,43 @@ def test_pullback_matches_the_norm_form(d, moduli):
     assert fault is None
     assert Counter(values[1:]) == want
     assert sum(want.values()) == sub.q
+    dickson, _, fault = norm_one_dickson(sub, ambient, sub.q + 1)
+    assert fault is None
+    assert Counter(dickson[1:sub.q + 1]) == want
+
+
+@pytest.mark.parametrize("moduli", ["conway", "greatest"])
+@pytest.mark.parametrize("d", range(1, 11))
+def test_norm_one_dickson_matches_the_subgroup_walk(d, moduli):
+    # for every m | Q+1, h^k + h^-k read by the recurrence from b = h + 1/h
+    # is the oracle's pull-back of h^k + h^(m-k) on the walk of the order-m
+    # subgroup, entry by entry (and so set by set), with D_m(b) = 0 and
+    # the embedding the oracle reads
+    sub, ambient = _field_pair(d, moduli)
+    emb = gf2_arith.subfield_embedding(sub, ambient)
+    for m in (m for m in range(1, sub.q + 2) if (sub.q + 1) % m == 0):
+        want, want_fault = theta_pullback(sub, ambient, ambient.subgroup(m))
+        values, got_emb, fault = norm_one_dickson(sub, ambient, m)
+        assert want_fault is None and fault is None
+        assert got_emb == emb
+        assert len(values) == m + 1 and values[m] == 0
+        assert values[:m] == want
+        assert set(values[1:m]) == set(want[1:])
+
+
+def test_no_dickson_or_seed_path_walks_a_subgroup(monkeypatch):
+    # the root image and the seeds' first iterates read one preimage and
+    # run the recurrence: neither walks a subgroup nor any powers
+    def walked(self, *args):
+        raise AssertionError(f"GF(2^{self.t}) walked {args}")
+
+    monkeypatch.setattr(FieldSpec, "subgroup", walked)
+    monkeypatch.setattr(FieldSpec, "powers", walked)
+    for n in range(1, 11):
+        assert root_set_report(make_field(n)).checks.passed
+    for n in range(1, 6):
+        walk = seed_walk(make_tower(n))
+        assert walk.fault is None and len(walk.values) == 4 ** n + 2
 
 
 @pytest.mark.parametrize("t", range(1, 13))
