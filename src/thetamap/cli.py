@@ -33,7 +33,7 @@ from typing import NamedTuple
 from thetamap.dickson_curve import dickson_report
 from thetamap.gf2_arith import FieldError, field_to_record, make_field
 from thetamap.order_dynamics import make_tower, orders_report
-from thetamap.report import json_text
+from thetamap.report import json_pieces
 from thetamap.theta_graph import (
     GRAPH_MAX_T,
     build_graph,
@@ -55,8 +55,8 @@ class Command(NamedTuple):
 
 
 # A graph's 4-byte index arrays hold t <= GRAPH_MAX_T under any THETA_MAX_T.
-# verify-orders json writes every seed's record, 120 MB at n = 8 and four
-# times more per n; its text at n = 10 is past the README budget.
+# verify-orders json writes every seed's record, 120 MB at n = 8 and 313 MB
+# at n = 9; n = 9 json and n = 10 text take about the README's 5 s.
 COMMANDS = {
     "graph": Command("build one graph and export it", "t",
                      {"dot": GRAPH_MAX_T, "json": GRAPH_MAX_T}),
@@ -183,75 +183,76 @@ def _checks_passed(doc: dict) -> bool:
     return all(c["pass"] for c in doc.get("checks", []))
 
 
-def _text_lines(docs: list[dict], scope_key: str, ok: bool) -> list[str]:
-    lines = []
+def _text_pieces(docs: list[dict], scope_key: str, ok: bool):
     for doc in docs:
         scope = f"{scope_key}={doc[scope_key]}"
         for c in doc["checks"]:
             mark = "PASS" if c["pass"] else "FAIL"
             detail = f"  {c['detail']}" if c["detail"] else ""
-            lines.append(f"{mark} [{scope}] {c['name']}{detail}")
-    lines.append(f"result: {'all checks passed' if ok else 'FAILURES present'}")
-    return lines
+            yield f"{mark} [{scope}] {c['name']}{detail}\n"
+    yield f"result: {'all checks passed' if ok else 'FAILURES present'}\n"
+
+
+def _csv_pieces(docs: list[dict]):
+    cols = ["n", "q", "m", "K", "N_pred", "S_size", "T_size", "E_count",
+            "passed"]
+    yield ",".join(cols) + "\n"
+    for d in docs:
+        yield ",".join(str(d[c]).lower() if c == "passed" else str(d[c])
+                       for c in cols) + "\n"
 
 
 def run(config: RunConfig) -> int:
-    """Execute one command; returns the process exit code."""
+    """Execute one command; returns the process exit code.
+
+    The output is written a piece at a time, as it is rendered, to stdout
+    or to --out, which is opened once every job is done.
+    """
     if config.command == "graph":
         g = build_graph(make_field(config.values[0]))
-        text = to_dot(g) if config.format == "dot" else to_json(g)
-        return _emit(text, config.out, 0)
-
-    # the jobs are looked up here, at call time, so a caller can wrap them
-    if config.command == "verify-structure":
-        docs = _map_jobs(_structure_job, config.values, config.workers)
-    elif config.command == "verify-orders":
-        docs = _map_jobs(_orders_job,
-                         [(n, config.format == "json") for n in config.values],
-                         config.workers)
-    else:                                  # verify-dickson and sweep
-        docs = _map_jobs(_dickson_job,
-                         [(n, config.seed) for n in config.values],
-                         config.workers)
-
-    ok = all(_checks_passed(d) for d in docs)
-    if config.format == "json":
-        text = json_text(docs if len(docs) > 1 else docs[0])
-    elif config.format == "csv":
-        cols = ["n", "q", "m", "K", "N_pred", "S_size", "T_size",
-                "E_count", "passed"]
-        rows = [",".join(cols)]
-        for d in docs:
-            rows.append(",".join(str(d[c]).lower() if c == "passed"
-                                 else str(d[c]) for c in cols))
-        text = "\n".join(rows) + "\n"
+        pieces = to_dot(g) if config.format == "dot" else to_json(g)
+        code = 0
     else:
-        text = "\n".join(_text_lines(docs, COMMANDS[config.command].flag,
-                                      ok)) + "\n"
-    return _emit(text, config.out, 0 if ok else 1)
+        # the jobs are looked up here, at call time, so a caller can wrap them
+        if config.command == "verify-structure":
+            docs = _map_jobs(_structure_job, config.values, config.workers)
+        elif config.command == "verify-orders":
+            docs = _map_jobs(_orders_job, [(n, config.format == "json")
+                                           for n in config.values],
+                             config.workers)
+        else:                              # verify-dickson and sweep
+            docs = _map_jobs(_dickson_job,
+                             [(n, config.seed) for n in config.values],
+                             config.workers)
+        ok = all(_checks_passed(d) for d in docs)
+        code = 0 if ok else 1
+        if config.format == "json":
+            pieces = json_pieces(docs if len(docs) > 1 else docs[0])
+        elif config.format == "csv":
+            pieces = _csv_pieces(docs)
+        else:
+            pieces = _text_pieces(docs, COMMANDS[config.command].flag, ok)
 
-
-_SLICE = 1 << 16
-
-
-def _write(fh, text: str) -> None:
-    # in slices: a text stream encodes what it is given as one bytes object,
-    # which for the whole text would be a second full-size copy
-    for i in range(0, len(text), _SLICE):
-        fh.write(text[i:i + _SLICE])
-
-
-def _emit(text: str, out: str | None, code: int) -> int:
-    if out is None:
-        _write(sys.stdout, text)
-        return code
+    out = config.out
     try:
-        with open(out, "w") as fh:
-            _write(fh, text)
+        fh = sys.stdout if out is None else open(out, "w")
+        try:
+            for piece in pieces:
+                _emit(piece, fh)
+        finally:
+            if out is not None:
+                fh.close()
     except OSError as exc:
+        if out is None:
+            raise
         print(f"error: cannot write {out}: {exc}", file=sys.stderr)
         return 2
     return code
+
+
+def _emit(piece: str, fh) -> None:
+    # every piece of output passes here: perfbench/tracer.py counts its bytes
+    fh.write(piece)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -22,8 +22,8 @@ q+1, by ``theta_graph.norm_one_dickson``, and walks no subgroup.
 Every evaluation takes and returns packed ints.  ``_dickson_ladder`` is the
 one doubling ladder, on the field's own products; ``_root_bits`` runs it at
 one x per orbit of squaring, and ``FieldSpec.dickson_values`` gives
-D_0..D_m by the recurrence.  The tests hold all three against
-``_dickson_bits``, the plain recurrence, and ``dickson_coeff_bits`` is the
+D_0..D_m by the recurrence.  The tests hold all three against the plain
+recurrence (``tests/field_oracle.py``), and ``dickson_coeff_bits`` is the
 binomial closed form for ``FieldSpec.eval_poly``.
 
 The additive character here is the canonical one, x -> (-1)^Tr(x); the
@@ -62,23 +62,12 @@ __all__ = [
 ]
 
 
-def _dickson_bits(spec: FieldSpec, m: int, x: int) -> int:
-    """D_m(x) by the linear recurrence, on packed ints: the oracle the tests
-    hold the fast evaluations against."""
-    if m < 1:
-        raise FieldError(f"Dickson degree m={m} must be positive")
-    d0, d1 = 0, x
-    for _ in range(m - 1):
-        d0, d1 = d1, spec.mul(x, d1) ^ d0
-    return d1
-
-
 def _dickson_ladder(spec: FieldSpec, m: int, x: int) -> int:
     """D_m(x) by the doubling ladder, on packed ints.
 
     Carries (D_k, D_(k+1)) over the bits of m below the leading one, with
     D_(2k) = D_k^2 and D_(2k+1) = D_k*D_(k+1) + x: about 2*log2(m) products
-    by ``spec.mul`` and ``spec.sqr`` instead of the m of `_dickson_bits`.
+    by ``spec.mul`` and ``spec.sqr`` instead of the m of the plain recurrence.
     """
     if m < 1:
         raise FieldError(f"Dickson degree m={m} must be positive")

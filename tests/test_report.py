@@ -9,11 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 from thetamap import report
 from thetamap.cli import _dickson_job, _orders_job, _structure_job
-from thetamap.report import json_text
+from thetamap.report import json_pieces
 
 
 def dumps(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
+
+
+def json_text(obj) -> str:
+    return "".join(json_pieces(obj))
 
 
 # quotes, backslashes, control characters, DEL and non-ASCII (BMP and
@@ -158,6 +162,42 @@ def test_templated_records_are_written_as_their_items(n, depth, c_encoder):
         assert json_text(obj) == want
         assert json_text([obj, {"k": obj}]) == dumps(
             [json.loads(want), {"k": json.loads(want)}])
+
+
+@pytest.mark.parametrize("piece", [1, 300, 1 << 16])
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_templated_records_are_yielded_in_batches(n, piece):
+    # PIECE 1 yields each item alone and leaves no item for the last batch
+    with mock.patch.object(report, "PIECE", piece):
+        pieces = list(json_pieces(Shaped(n)))
+    assert "".join(pieces) == dumps(list(Shaped(n)))
+    *batches, close, newline = pieces
+    assert (close, newline) == ("\n]", "\n")
+    assert all(len(b) >= piece for b in batches[:-1])
+    longest = max(len(dumps([item])) for item in Shaped(n))
+    assert all(len(b) < piece + longest for b in batches)
+    if piece == 1:
+        assert len(batches) == n
+
+
+def streamed(obj):
+    """``obj`` with every list, at every depth, made an iterator."""
+    if isinstance(obj, dict):
+        return {k: streamed(v) for k, v in obj.items()}
+    if isinstance(obj, tuple):
+        return tuple(map(streamed, obj))
+    if isinstance(obj, list):
+        return iter(list(map(streamed, obj)))
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(scalars, containers, max_leaves=30) | record_docs)
+def test_iterators_are_written_as_lists(obj):
+    pieces = list(json_pieces(streamed(obj)))
+    assert "".join(pieces) == dumps(obj)
+    if isinstance(obj, list):       # a piece per item, then "]" and "\n"
+        assert len(pieces) == len(obj) + 2
 
 
 @pytest.fixture(scope="module")

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import graph_oracle
 import thetamap.gf2_arith as gf2_arith
-from field_oracle import in_subfield, subfield_trace
+from field_oracle import field_from_record, in_subfield, subfield_trace
 from graph_oracle import (
     classify_AB,
     decompose,
@@ -28,7 +28,7 @@ from graph_oracle import (
     unit_pairs,
 )
 from thetamap.dickson_curve import root_set_report
-from thetamap.gf2_arith import FieldError, FieldSpec, field_from_record, make_field
+from thetamap.gf2_arith import FieldError, FieldSpec, make_field
 from thetamap.order_dynamics import make_tower, seed_walk
 from thetamap.theta_graph import (
     GRAPH_MAX_T,
@@ -563,7 +563,7 @@ def test_norm_one_dickson_matches_the_subgroup_walk(d, moduli):
         assert want_fault is None and fault is None
         assert got_emb == emb
         assert len(values) == m + 1 and values[m] == 0
-        assert values[:m] == want
+        assert list(values[:m]) == want
         assert set(values[1:m]) == set(want[1:])
 
 
@@ -725,18 +725,24 @@ def test_power_sums_of_small_subgroup_stay_in_base_field(t):
 
 
 def test_dot_export():
-    dot = to_dot(G6)
-    assert dot.count("digraph") == 4
+    pieces = list(to_dot(G6))                    # one per component
+    assert [p.split(" ", 2)[1] for p in pieces] == [
+        f"component_{i}" for i in range(4)]
+    assert all(p.endswith("}\n") for p in pieces)
+    dot = "".join(pieces)
     assert '"45" -> "27";' in dot
     assert '"21" -> "0";' in dot                 # exponent 21 feeds the unit 1
     assert '"0" -> "\'0\'";' in dot              # unit 1 feeds the zero
     assert "\"'0'\" -> \"inf\";" in dot
     assert '"inf" -> "inf";' in dot
-    assert dot == to_dot(build_graph(make_field(6)))
+    assert dot == "".join(to_dot(build_graph(make_field(6))))
 
 
 def test_json_export():
-    doc = json.loads(to_json(G6))
+    pieces = list(to_json(G6))
+    # the components are streamed, one piece each
+    assert [p.count('"cycle"') for p in pieces if '"cycle"' in p] == [1] * 4
+    doc = json.loads("".join(pieces))
     assert doc["t"] == 6 and doc["modulus"] == "5b"
     assert len(doc["components"]) == 4
     klass = {tuple(c["cycle"]): c["class"] for c in doc["components"]}
