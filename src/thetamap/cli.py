@@ -54,7 +54,7 @@ class Command(NamedTuple):
                                 # THETA_MAX_T; the default format first
 
 
-# A graph's 4-byte index arrays hold t <= GRAPH_MAX_T under any THETA_MAX_T.
+# The graph's 4-byte successors hold t <= GRAPH_MAX_T under any THETA_MAX_T.
 # verify-orders json writes every seed's record, 120 MB at n = 8 and 313 MB
 # at n = 9; n = 9 json and n = 10 text take about the README's 5 s.
 COMMANDS = {

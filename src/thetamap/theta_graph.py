@@ -8,10 +8,12 @@ q for the point at infinity) and decomposes it by peeling in-degrees: the
 leaves are removed, then every vertex whose last predecessor went, until
 only the cycles are left; the peel order reversed then places each tree
 vertex one level above its successor, in its successor's component.  The
-peel counts down its own byte copy of the in-degrees, which then holds the
-levels, so the in-degrees are left as the walk counted them.  It
-classifies components by the trace condition Tr(x) = Tr(1/x), and verifies
-the structural facts the decomposition obeys: tree depths r+2 versus 1, the
+peel counts down its own copy of the in-degrees, which then holds the
+levels, so the in-degrees are left as the walk counted them.  In-degrees
+and levels are ``array('B')``, component ids ``array('H')``, widened to
+``array('i')`` only past 255 or past 65 536 components.  It classifies
+components by the trace condition Tr(x) = Tr(1/x), and verifies the
+structural facts the decomposition obeys: tree depths r+2 versus 1, the
 per-level counts, leaf traces, and leaf degrees.
 
 One walk of the unit group gives the map and the trace tables
@@ -70,8 +72,8 @@ __all__ = [
     "to_json",
 ]
 
-# The graph's index arrays are array('i'), 4 bytes per entry: they hold the
-# vertex encodings 0..2^t for t up to 30.
+# succ is array('i'): it holds the encodings 0..2^t for t up to 30.  indeg
+# and level are array('B'), comp_id array('H'), until widened (ThetaGraph).
 GRAPH_MAX_T = 30
 
 
@@ -159,14 +161,13 @@ class Component:
 class ThetaGraph:
     """The full graph over P^1(F_q), decomposed.
 
-    Dense arrays indexed by point encoding: ``succ`` (the map itself),
-    ``level`` (0 on cycle vertices, else distance to the cycle; one byte
-    per vertex, ``array('B')``, unless a tree grows deeper than 255 levels
-    or a vertex has 256 predecessors or more, which only a faulty kernel
-    makes: ``array('i')`` then), ``comp_id`` (position in ``components``) and
-    ``indeg`` (the number of predecessors, the self-loop of inf included).
-    ``succ``, ``comp_id`` and ``indeg`` are ``array('i')``, 4 bytes per
-    vertex, which bounds t by GRAPH_MAX_T.  A tree vertex has ``indeg``
+    Dense arrays indexed by point encoding: ``succ`` (the map itself,
+    ``array('i')``, which bounds t by GRAPH_MAX_T), ``level`` (0 on cycle
+    vertices, else distance to the cycle) and ``indeg`` (the number of
+    predecessors, the self-loop of inf included), both ``array('B')``, and
+    ``comp_id`` (position in ``components``), ``array('H')``.  Each widens
+    to ``array('i')`` past 255 predecessors or levels, which only a faulty
+    kernel makes, or past 65 536 components.  A tree vertex has ``indeg``
     children and a cycle vertex one fewer, its cycle predecessor aside.
     x + 1/x = c is a quadratic in x, so no vertex has in-degree above 2
     unless the kernel is faulty.  ``tr`` and ``tr_inv`` are the unit walk's
@@ -200,10 +201,11 @@ class ThetaGraph:
 class UnitWalk:
     """The map and the trace tables from one walk of the generator.
 
-    ``succ`` is the map on the point encodings (0 and inf go to inf) and
-    ``indeg`` the number of predecessors of each point, both ``array('i')``
-    with q+1 entries.  ``tr`` and ``tr_inv`` hold Tr(x) and Tr(1/x) for
-    every packed x < q in ``_bits`` form, with Tr(1/0) = 0.
+    ``succ`` is the map on the point encodings (0 and inf go to inf),
+    ``array('i')``, and ``indeg`` the number of predecessors of each point,
+    ``array('B')`` (``array('i')`` once a faulty kernel counts past 255).
+    ``tr`` and ``tr_inv`` hold Tr(x) and Tr(1/x) for every packed x < q in
+    ``_bits`` form, with Tr(1/0) = 0.
     """
 
     __slots__ = ("succ", "indeg", "tr", "tr_inv")
@@ -215,18 +217,17 @@ class UnitWalk:
         self.tr_inv = tr_inv
 
 
-def unit_walk(spec: FieldSpec, scratch: array | None = None) -> UnitWalk:
+def unit_walk(spec: FieldSpec) -> UnitWalk:
     """Every unit with its inverse, by one walk of gen and half a walk of
     1/gen, each by its split tables (``FieldSpec.step_tables``).
 
     x + 1/x is the same at x and 1/x, so for i = 1..q/2-1 the walk writes
     gen^i + gen^-i at both gen^i and gen^-i, counting two predecessors for
     it; with gen^0 = 1 (sent to 0) that covers every unit.  gen's walk
-    stores gen^i in ``scratch`` (its first q/2 entries, left holding them;
-    ``None`` allocates them) on its first half, and on the second half pairs
-    gen^(q-1-i) with the stored gen^i to fill Tr(1/x).  So Tr(1/x) never
-    reads 1/gen's tables, and the map never reads the stored powers: a
-    fault in 1/gen's tables, or in the map, still shows against Tr(1/x).
+    stores gen^i, i < q/2, on its first half, and on the second half pairs
+    gen^(q-1-i) with them to fill Tr(1/x).  So Tr(1/x) never reads 1/gen's
+    tables, and the map never reads the stored powers: a fault in 1/gen's
+    tables, or in the map, still shows against Tr(1/x).
 
     Refused with FieldError: split tables whose image of 1 is not gen (or
     the inverse of gen by the Euclidean algorithm), a half walk of 1/gen
@@ -235,31 +236,34 @@ def unit_walk(spec: FieldSpec, scratch: array | None = None) -> UnitWalk:
     """
     q = spec.q
     half = q // 2
-    if scratch is None:
-        scratch = array("i", [-1]) * half
+    stash = array("i", [0]) * half
     lo, hi, h = spec.step_tables(spec.gen)
     ilo, ihi, _ = spec.step_tables(_pinvmod(spec.gen, spec.modulus))
     mask = len(lo) - 1
     tr = spec.trace_bytes()
     tr_inv = bytearray(q)
     succ = array("i", [q]) * (q + 1)         # 0 and inf go to inf
-    indeg = array("i", [0]) * (q + 1)
+    indeg = array("B", [0]) * (q + 1)
     succ[1] = 0
     indeg[0] = 1
     indeg[q] = 2
-    scratch[0] = fwd = bwd = 1
+    stash[0] = fwd = bwd = 1
     for i in range(1, half):
         fwd = lo[fwd & mask] ^ hi[fwd >> h]
         bwd = ilo[bwd & mask] ^ ihi[bwd >> h]
-        scratch[i] = fwd
+        stash[i] = fwd
         succ[fwd] = succ[bwd] = c = fwd ^ bwd
-        indeg[c] += 2
+        try:
+            indeg[c] += 2
+        except OverflowError:          # only a faulty kernel counts past 255
+            indeg = array("i", indeg)
+            indeg[c] += 2
     fwd = lo[fwd & mask] ^ hi[fwd >> h]
     if fwd != bwd:
         raise FieldError("generator order mismatch")
     tr_inv[1] = tr[1]
     for i in range(half - 1, 0, -1):         # fwd = gen^(q-1-i)
-        x = scratch[i]
+        x = stash[i]
         tr_inv[fwd] = tr[x]
         tr_inv[x] = tr[fwd]
         fwd = lo[fwd & mask] ^ hi[fwd >> h]
@@ -306,29 +310,21 @@ def build_graph(spec: FieldSpec) -> ThetaGraph:
     inf = q
     nverts = q + 1
 
-    # the walk borrows comp_id's first q/2 entries; the decomposition then
-    # writes every entry
-    comp_id = array("i", [-1]) * nverts
-    walk = unit_walk(spec, comp_id)
+    walk = unit_walk(spec)
     succ, indeg = walk.succ, walk.indeg
 
     # Peel the leaves, then each vertex whose last predecessor was peeled;
     # the queue grows while it is read.  The peel counts down its own copy
     # of the in-degrees, one byte per vertex unless a faulty kernel gives a
-    # vertex 256 predecessors or more; the copy is made 4096 vertices at a
-    # time, so that its temporaries stay small.  Each successor's count
-    # drops once per peeled predecessor, so only the cycle vertices keep a
-    # count (their cycle predecessor), and every tree vertex is peeled
-    # before its successor.
+    # vertex 256 predecessors or more.  Each successor's count drops once
+    # per peeled predecessor, so only the cycle vertices keep a count
+    # (their cycle predecessor), and every tree vertex is peeled before its
+    # successor.
     try:
-        count = array("B", bytes(nverts))
-        with memoryview(count) as view:
-            for a in range(0, nverts, 1 << 12):
-                b = min(a + (1 << 12), nverts)
-                view[a:b] = _byte_lanes(indeg, a, b)
+        count = array("B", indeg)
     except OverflowError:
         count = array("i", indeg)
-    peeled = array("i", compress(range(nverts), map(not_, indeg)))
+    peeled = array("i", compress(range(nverts), map(not_, count)))
     for v in peeled:
         c = succ[v]
         count[c] -= 1
@@ -339,9 +335,12 @@ def build_graph(spec: FieldSpec) -> ThetaGraph:
     # cycles come out rotated and in component order.  The scan zeroes the
     # counts of each cycle it walks, so it meets no cycle twice, and leaves
     # every count at 0: the counts become the levels, 0 on the cycles.
+    comp_id = array("H", [0]) * nverts
     cycles: list[array] = []
     for v in compress(range(nverts), count):
         cid = len(cycles)
+        if cid == 1 << 16:
+            comp_id = array("i", comp_id)
         cyc = array("i")
         u = v
         while count[u]:
@@ -582,14 +581,20 @@ def _tree_levels(g: ThetaGraph):
 
 def to_dot(g: ThetaGraph):
     """One digraph per component, deterministic order, exponent labels;
-    yielded a component at a time."""
+    yielded a component at a time.  Each vertex is labelled once; the
+    labels of one cycle and of one root's tree are kept for the targets."""
     tree_levels = _tree_levels(g)
+    succ = g.succ
     for cid, comp in enumerate(g.components):
+        cyc = {v: point_label(g.field, v) for v in comp.cycle}
         out = [f"digraph component_{cid} {{"]
-        tree = [v for root in comp.cycle for vs in tree_levels(root) for v in vs]
-        for v in (*comp.cycle, *tree):
-            out.append(f'    "{point_label(g.field, v)}" -> '
-                       f'"{point_label(g.field, g.succ[v])}";')
+        out += [f'    "{a}" -> "{cyc[succ[v]]}";' for v, a in cyc.items()]
+        for root in comp.cycle:
+            label = {root: cyc[root]}
+            for vs in tree_levels(root):
+                for v in vs:
+                    label[v] = a = point_label(g.field, v)
+                    out.append(f'    "{a}" -> "{label[succ[v]]}";')
         out.append("}\n")
         yield "\n".join(out)
 

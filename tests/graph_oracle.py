@@ -16,7 +16,9 @@ that function did before it read them on byte lanes.  ``unit_pairs`` and
 Tr(1/x) from two more walks of gen^i.  ``theta_pullback`` reads x + 1/x on
 a walk of a norm-one subgroup (``FieldSpec.subgroup``) and pulls every sum
 back through the embedding, where ``theta_graph.norm_one_dickson`` pulls
-back one sum and runs the Dickson recurrence.
+back one sum and runs the Dickson recurrence.  ``oracle_dot`` renders the
+DOT export one edge at a time, labelling both ends of every edge, as
+``theta_graph.to_dot`` did before it labelled each vertex once.
 
 The fault factories at the end return installers taking a ``setattr``-like
 callable, so a test can apply them with ``monkeypatch.setattr`` in-process
@@ -175,13 +177,15 @@ def decompose(spec: FieldSpec, succ: list[int]) -> ThetaGraph:
     while (image := {succ[v] for v in periodic}) != periodic:
         periodic = image
     cycles = []
+    placed = set()
     for v in sorted(periodic):
-        if any(v in cyc for cyc in cycles):
+        if v in placed:
             continue
         cyc = array("i", [v])          # v is the least vertex of its cycle
         while succ[cyc[-1]] != v:
             cyc.append(succ[cyc[-1]])
         cycles.append(cyc)
+        placed.update(cyc)
 
     level = [0 if v in periodic else -1 for v in range(nverts)]
     comp_id = array("i", [0]) * nverts
@@ -282,6 +286,22 @@ def oracle_shape_checks(g: ThetaGraph) -> list[dict]:
                                ("inf", "inf-tree-shape"))]
 
 
+def oracle_dot(g: ThetaGraph):
+    """``theta_graph.to_dot``'s pieces, one per component, labelled per
+    edge: each edge's source and target by their own ``point_label`` call,
+    the trees read from the predecessor slots."""
+    slots = predecessor_slots(g.succ)
+    for cid, comp in enumerate(g.components):
+        out = [f"digraph component_{cid} {{"]
+        tree = [v for root in comp.cycle
+                for vs in tree_levels(slots, g.level, root) for v in vs]
+        for v in (*comp.cycle, *tree):
+            out.append(f'    "{point_label(g.field, v)}" -> '
+                       f'"{point_label(g.field, g.succ[v])}";')
+        out.append("}\n")
+        yield "\n".join(out)
+
+
 def oracle_records(g: ThetaGraph) -> list[dict]:
     """All six records of ``verify_structure(g)``, in its order, one vertex
     at a time."""
@@ -307,8 +327,8 @@ def edited_walk(t: int, edit):
     again, and ``walk.tr_inv``."""
     true_walk = theta_graph.unit_walk
 
-    def unit_walk(spec, scratch=None):
-        walk = true_walk(spec, scratch)
+    def unit_walk(spec):
+        walk = true_walk(spec)
         if spec.t == t:
             edit(walk)
             walk.indeg = array("i", [0]) * len(walk.succ)
@@ -330,6 +350,16 @@ def reaimed_walk(t: int, edges: dict[int, int]):
             walk.succ[x] = c
 
     return edited_walk(t, edit)
+
+
+def self_inverse_generator():
+    """The unit walk steps gen's split tables for 1/gen's too, so every
+    gen^i + gen^-i reads 0: the walk counts q-1 predecessors of 0, past one
+    byte from t = 9 on, and its half walk of 1/gen misses gen's."""
+    def install(patch) -> None:
+        patch(theta_graph, "_pinvmod", lambda a, m: a)
+
+    return install
 
 
 def wrong_inverse_at(x0: int, t: int):

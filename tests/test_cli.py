@@ -23,7 +23,12 @@ import thetamap.dickson_curve as dickson_curve
 import thetamap.order_dynamics as order_dynamics
 import thetamap.theta_graph as theta_graph
 from thetamap.cli import main
-from thetamap.gf2_arith import FieldSpec, make_field, subfield_embedding
+from thetamap.gf2_arith import (
+    FieldError,
+    FieldSpec,
+    make_field,
+    subfield_embedding,
+)
 from thetamap.order_dynamics import make_tower, profile_tail, seed_walk
 
 
@@ -427,6 +432,21 @@ def test_wide_fault_exits_one(monkeypatch, capsys):
         assert code == 1
         assert _failed_lines(out) == lines
         assert "Traceback" not in err
+
+
+def test_walk_counting_past_a_byte_is_refused_cleanly(monkeypatch, capsys):
+    # 1/gen's split tables are gen's: the walk of GF(2^9) sends every unit
+    # to 0 and counts 511 predecessors of it, which widens its one-byte
+    # counts instead of raising OverflowError; then its closure check
+    # refuses the half walk that missed gen's, and the run exits 2
+    graph_oracle.self_inverse_generator()(monkeypatch.setattr)
+    with pytest.raises(FieldError, match="^generator order mismatch$"):
+        theta_graph.unit_walk(make_field(9))
+    monkeypatch.undo()
+    for code, out, err in _fault_runs(monkeypatch, capsys,
+                                      "self_inverse_generator", (),
+                                      ["verify-structure", "--t", "9"]):
+        assert (code, out, err) == (2, "", "error: generator order mismatch\n")
 
 
 def test_leaf_degree_of_a_squaring_that_never_returns_is_a_record(

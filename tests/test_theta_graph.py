@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import graph_oracle
 import thetamap.gf2_arith as gf2_arith
+import thetamap.theta_graph as theta_graph
 from field_oracle import field_from_record, in_subfield, subfield_trace
 from graph_oracle import (
     classify_AB,
@@ -365,13 +366,15 @@ def test_byte_lanes_follow_the_byte_order(monkeypatch, order):
 
 @pytest.mark.parametrize("wide", ["level", "indeg"])
 def test_entries_past_a_byte_are_clamped_one_vertex_at_a_time(wide):
-    # levels widened to array('i'), as a tree deeper than 255 levels leaves
-    # them, and a level or an in-degree of 300 at the end of the first
-    # block of GF(2^14): that block's lane is clamped one vertex at a time,
-    # the other blocks' on byte lanes, and every vertex, level d's leaves
-    # included, is judged as the per-vertex oracle judges it
+    # levels and in-degrees widened to array('i'), as a tree deeper than
+    # 255 levels or a vertex with 256 predecessors leaves them, and a level
+    # or an in-degree of 300 at the end of the first block of GF(2^14):
+    # that block's lane is clamped one vertex at a time, the other blocks'
+    # on byte lanes, and every vertex, level d's leaves included, is judged
+    # as the per-vertex oracle judges it
     g = build_graph(make_field(14))
     g.level = array("i", g.level)
+    g.indeg = array("i", g.indeg)
     getattr(g, wide)[4095] = 300
     assert verify_structure(g).records() == oracle_records(g)
 
@@ -389,6 +392,28 @@ def test_wide_fault_keeps_its_in_degrees(monkeypatch):
     assert records == oracle_records(g)
     assert {r["name"] for r in records if not r["pass"]} >= {
         "class-preservation", "b-tree-depth"}
+
+
+def test_lanes_are_as_wide_as_their_values():
+    # succ holds encodings up to 2^t; in-degrees and levels fit a byte and
+    # component ids two bytes, unless a faulty kernel makes more
+    g = build_graph(make_field(12))
+    assert [a.typecode for a in (g.succ, g.indeg, g.level, g.comp_id)] == [
+        "i", "B", "B", "H"]
+
+
+@pytest.mark.parametrize("t, typecode", [(16, "H"), (17, "i")])
+def test_component_ids_widen_past_two_bytes(monkeypatch, t, typecode):
+    # a faulty kernel fixing every unit makes q components, infinity's
+    # last: at t = 16 their ids end at 65 535 and fit two bytes, at t = 17
+    # they pass it and comp_id widens to array('i'); both decompose and
+    # are judged as the per-vertex oracle does it
+    f = make_field(t)
+    reaimed_walk(t, {x: x for x in range(1, f.q)})(monkeypatch.setattr)
+    g = build_graph(f)
+    assert (g.comp_id.typecode, g.comp_id[f.q]) == (typecode, f.q - 1)
+    _assert_decomposed_as(g, decompose(f, list(g.succ)))
+    assert verify_structure(g).records() == oracle_records(g)
 
 
 def test_many_components_keep_their_kinds(monkeypatch):
@@ -736,6 +761,31 @@ def test_dot_export():
     assert "\"'0'\" -> \"inf\";" in dot
     assert '"inf" -> "inf";' in dot
     assert dot == "".join(to_dot(build_graph(make_field(6))))
+
+
+@pytest.mark.parametrize("labels", ["log", "hex"])
+def test_dot_labels_each_vertex_once(monkeypatch, labels):
+    # the export labels each vertex once and reuses the labels for the
+    # edge targets; its pieces are the per-edge oracle's, with discrete-log
+    # labels and with the hex labels of fields past the log tables
+    if labels == "hex":
+        monkeypatch.setattr(gf2_arith, "TABLE_MAX_T", 0)
+    true_label = theta_graph.point_label
+    calls = Counter()
+
+    def point_label(field, v):
+        calls[v] += 1
+        return true_label(field, v)
+
+    for t in (1, 2, 5, 8, 11):
+        g = build_graph(make_field(t))
+        want = list(graph_oracle.oracle_dot(g))
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(theta_graph, "point_label", point_label)
+            assert list(to_dot(g)) == want, t
+        assert calls == Counter(range(g.field.q + 1)), t
+        assert ('"x1"' in "".join(want)) == (labels == "hex"), t
 
 
 def test_json_export():
