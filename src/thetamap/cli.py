@@ -16,11 +16,13 @@ library's constructors (`make_field`, `make_tower`) take any degree and
 read no environment.
 
 Exit status: 0 when every check passes, 1 when at least one verification
-fails (the report is still written), 2 on usage or configuration errors.
+fails (the report is still written), 2 on usage or configuration errors,
+and 2 when a forked worker dies before its jobs are done (one `error:`
+line names its pid and the signal or status, and nothing is written).
 
 Identical arguments and seed produce byte-identical output regardless of
-the worker count: jobs are distributed per field size and reassembled in
-submission order.
+the worker count: jobs are distributed per field size over forked workers
+and reassembled in submission order.
 """
 
 from __future__ import annotations
@@ -162,19 +164,85 @@ def _dickson_job(args: tuple[int, int]) -> dict:
 
 
 def _map_jobs(fn, inputs, workers: int) -> list[dict]:
-    # A fork-started pool forks all its workers at the first submit, so
-    # never ask for more than there are jobs or usable CPUs.  CPython has
-    # no sched_getaffinity on macOS or Windows.
+    # Never fork more workers than there are jobs or usable CPUs.  CPython
+    # has no sched_getaffinity on macOS or Windows, and no fork on Windows.
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     workers = min(workers, len(inputs), cpus)
-    if workers <= 1:
+    if workers <= 1 or not hasattr(os, "fork"):
         return [fn(x) for x in inputs]
-    # imported here: the pool module loads multiprocessing, which a
-    # one-worker run never uses
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, inputs))
+    # imported here: a one-worker run never needs them
+    import pickle
+    import select
+    import signal
+    # one byte per job index: bytes() refuses an index past 255, and the
+    # degree caps keep every run under 31 jobs
+    jobs, w = os.pipe()
+    os.write(w, bytes(range(len(inputs))))
+    os.close(w)
+    pipes = {}                  # result pipe -> (its worker's pid, unread bytes)
+    results = [None] * len(inputs)      # (ok, value or exception) per job
+    try:
+        for _ in range(workers):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _serve(fn, inputs, jobs, w)
+            os.close(w)
+            pipes[r] = pid, bytearray()
+        while pipes:
+            for r in select.select(list(pipes), [], [])[0]:
+                pid, buf = pipes[r]
+                if chunk := os.read(r, 1 << 16):
+                    buf += chunk
+                    while len(buf) >= 8 and len(buf) >= (
+                            end := 8 + int.from_bytes(buf[:8], "little")):
+                        index, ok, value = pickle.loads(buf[8:end])
+                        results[index] = ok, value
+                        del buf[:end]
+                    continue
+                # the pipe's only writer has closed it: the worker is gone
+                os.close(r)
+                del pipes[r]
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                if code:
+                    how = (f"ended by signal {-code}" if code < 0 else
+                           f"exited with status {code}")
+                    raise ChildProcessError(f"worker process {pid} {how}")
+    finally:
+        os.close(jobs)
+        for r, (pid, _) in pipes.items():
+            os.close(r)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for ok, value in results:
+        if not ok:
+            raise value             # the first failed job in submission order
+    return [value for _, value in results]
+
+
+def _serve(fn, inputs, jobs: int, out: int) -> None:
+    """A forked worker's life: run the job of each index it reads from
+    `jobs`, write `(index, ok, value or exception)` to `out` as a pickle
+    after its 8-byte length, and leave through os._exit, never returning
+    into the caller's stack."""
+    code = 1
+    try:
+        import pickle
+        with open(out, "wb") as fh:
+            while index := os.read(jobs, 1):
+                i = index[0]
+                try:
+                    frame = (i, True, fn(inputs[i]))
+                except Exception as exc:
+                    frame = (i, False, exc)
+                data = pickle.dumps(frame, pickle.HIGHEST_PROTOCOL)
+                fh.write(len(data).to_bytes(8, "little"))
+                fh.write(data)
+                fh.flush()
+        code = 0
+    finally:
+        os._exit(code)
 
 
 # -- assembly -----------------------------------------------------------------
@@ -286,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return run(config)
-    except FieldError as exc:
+    except (FieldError, ChildProcessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,12 +1,13 @@
 """Exit codes, formats, determinism, and failure paths of the CLI."""
 
-import concurrent.futures
 import contextlib
 import hashlib
 import json
 import math
 import os
 import random
+import re
+import signal
 import subprocess
 import sys
 import time
@@ -1029,27 +1030,28 @@ def test_third_predecessor_is_kept(monkeypatch, capsys):
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """The pool sizes `cli` asks for while the test runs."""
+    """The number of workers forked by each `cli._map_jobs` call that forks
+    any, while the test runs."""
     sizes = []
+    real_fork, real_map = os.fork, cli._map_jobs
 
-    class RecordingPool:
-        """Records the requested size and maps in-process; forks nothing."""
+    def fork():
+        pid = real_fork()
+        if pid:
+            sizes[-1] += 1
+        return pid
 
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def map_jobs(*args):
+        sizes.append(0)
+        try:
+            return real_map(*args)
+        finally:
+            if not sizes[-1]:
+                sizes.pop()
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, inputs):
-            return map(fn, inputs)
-
-    # `cli._map_jobs` imports the pool class at call time, from here
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        RecordingPool)
+    monkeypatch.setattr(os, "fork", fork)
+    # `cli.run` looks the function up at call time
+    monkeypatch.setattr(cli, "_map_jobs", map_jobs)
     return sizes
 
 
@@ -1057,7 +1059,7 @@ def pool_sizes(monkeypatch):
     ("1000000", 4, [3]),       # capped by the three jobs
     ("1000000", 2, [2]),       # capped by the usable CPUs
     ("2", 4, [2]),
-    ("1000000", 1, []),        # one CPU: no pool at all
+    ("1000000", 1, []),        # one CPU: no fork at all
 ])
 def test_pool_size_is_capped(monkeypatch, capsys, pool_sizes, workers, cpus,
                              want):
@@ -1082,23 +1084,132 @@ def test_pool_size_without_sched_getaffinity(monkeypatch, capsys, pool_sizes,
     capsys.readouterr()
 
 
-def test_one_worker_run_imports_no_pool():
-    # the pool module pulls in multiprocessing; a run on one worker never
-    # needs it, so `cli` imports it only for a pool
+def test_no_run_loads_a_pool_or_threads():
+    # the workers are forked by `cli` itself: no run, on one worker or two,
+    # loads multiprocessing, concurrent.futures or threading, so no thread
+    # is running when a worker is forked
     src = str(Path(thetamap.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys\n"
+    code = ("import os, sys\n"
+            "before = set(sys.modules)\n"
             "from thetamap.cli import main\n"
-            "assert main(['verify-dickson', '--range', '1..3']) == 0\n"
-            "print(sorted(m for m in sys.modules\n"
-            "             if m.startswith(('multiprocessing',\n"
-            "                              'concurrent.futures.process'))))\n")
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "forks, real_fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(1) or real_fork()\n"
+            "for workers in '1', '2':\n"
+            "    assert main(['verify-dickson', '--range', '1..3',\n"
+            "                 '--workers', workers]) == 0\n"
+            "print(len(forks), sorted(\n"
+            "    m for m in set(sys.modules) - before if m.split('.')[0] in\n"
+            "    ('multiprocessing', 'concurrent', 'threading')))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout.decode().splitlines()[-1] == "[]"
+    assert proc.stdout.decode().splitlines()[-1] == "2 []"
+
+
+@pytest.fixture
+def two_workers(monkeypatch, pool_sizes):
+    """Two usable CPUs and a 60 s alarm for the test.  Afterwards no child
+    process is left and no descriptor is left open."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    fds = sorted(os.listdir("/dev/fd"))
+
+    def timeout(signum, frame):
+        raise TimeoutError("the run took over 60 s")
+
+    handler = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(60)
+    try:
+        yield pool_sizes
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(os.listdir("/dev/fd")) == fds
+
+
+def test_a_job_error_exits_two_on_two_workers_as_on_one(monkeypatch, capsys,
+                                                        two_workers):
+    true_job = cli._dickson_job
+
+    def job(args):
+        if args[0] == 2:
+            raise FieldError("no field today")
+        return true_job(args)
+
+    monkeypatch.setattr(cli, "_dickson_job", job)
+    seen = []
+    for workers in ("1", "2"):
+        assert main(["verify-dickson", "--range", "1..3",
+                     "--workers", workers]) == 2
+        seen.append(capsys.readouterr())
+    assert seen[0] == seen[1] == ("", "error: no field today\n")
+    assert two_workers == [2]
+
+
+def test_a_killed_worker_exits_two_without_traceback(monkeypatch, capsys,
+                                                     two_workers):
+    true_job, parent = cli._dickson_job, os.getpid()
+
+    def job(args):
+        if args[0] == 2 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return true_job(args)
+
+    monkeypatch.setattr(cli, "_dickson_job", job)
+    assert main(["verify-dickson", "--range", "1..3", "--workers", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"error: worker process \d+ ended by signal "
+                        rf"{int(signal.SIGKILL)}\n", err)
+    assert two_workers == [2]
+
+
+def test_a_kernel_fault_fails_the_same_on_two_workers(monkeypatch, capsys,
+                                                      two_workers):
+    # patched before the fork, so every worker inherits it
+    true_k = dickson_curve.kloosterman
+    monkeypatch.setattr(dickson_curve, "kloosterman",
+                        lambda spec, walk=None: true_k(spec, walk) + 4)
+    seen = []
+    for workers in ("1", "2"):
+        assert main(["verify-dickson", "--range", "1..4",
+                     "--workers", workers]) == 1
+        seen.append(capsys.readouterr())
+    assert seen[0] == seen[1]
+    assert "FAIL [n=4] kloosterman-count" in seen[0].out
+    assert seen[0].err == ""
+    assert two_workers == [2]
+
+
+def test_an_interrupted_run_leaves_no_worker(monkeypatch, capsys,
+                                            two_workers):
+    # the parent is interrupted while a worker sleeps: it must kill that
+    # worker before the interrupt leaves `_map_jobs`
+    true_job, parent = cli._dickson_job, os.getpid()
+
+    def job(args):
+        if args[0] == 3 and os.getpid() != parent:
+            time.sleep(60)
+        return true_job(args)
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_dickson_job", job)
+    signal.signal(signal.SIGALRM, interrupt)    # `two_workers` restores it
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        main(["verify-dickson", "--range", "1..4", "--workers", "2"])
+    assert time.monotonic() - start < 30
+    assert capsys.readouterr().out == ""
+    assert two_workers == [2]
 
 
 def test_cold_start_loads_no_dataclasses_or_inspect():
