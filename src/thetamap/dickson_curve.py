@@ -47,6 +47,7 @@ from thetamap.report import CheckReport
 from thetamap.theta_graph import (
     ThetaGraph,
     UnitWalk,
+    _bits,
     norm_one_dickson,
     unit_walk,
 )
@@ -134,7 +135,7 @@ def _trace_flips(spec: FieldSpec, walk: UnitWalk | None) -> int:
     ``walk``, a ``unit_walk`` of spec (walked here when None)."""
     if walk is None:
         walk = unit_walk(spec)
-    return (walk.tr ^ walk.tr_inv).bit_count()
+    return (_bits(walk.tr) ^ _bits(walk.tr_inv)).bit_count()
 
 
 def kloosterman(spec: FieldSpec, walk: UnitWalk | None = None) -> int:

@@ -6,15 +6,19 @@ root in-trees of non-periodic predecessors.  This module builds the graph
 densely (arrays indexed by the packed-element encoding, with the extra index
 q for the point at infinity) and decomposes it by peeling in-degrees: the
 leaves are removed, then every vertex whose last predecessor went, until
-only the cycles are left; the peel order reversed then places each tree
-vertex one level above its successor, in its successor's component.  The
-peel counts down its own copy of the in-degrees, which then holds the
-levels, so the in-degrees are left as the walk counted them.  In-degrees
-and levels are ``array('B')``, component ids ``array('H')``, widened to
-``array('i')`` only past 255 or past 65 536 components.  It classifies
-components by the trace condition Tr(x) = Tr(1/x), and verifies the
-structural facts the decomposition obeys: tree depths r+2 versus 1, the
-per-level counts, leaf traces, and leaf degrees.
+only the cycles are left.  The leaves are read from the in-degrees, twice,
+and only the vertices the peel frees are queued; that queue reversed, then
+the leaves, places each tree vertex one level above its successor, in its
+successor's component.  The peel counts down its own copy of the
+in-degrees, which then holds the levels, so the in-degrees are left as the
+walk counted them.  In-degrees, levels and component ids are
+``array('B')``; a faulty kernel's in-degrees or levels past 255 widen to
+``array('i')``, and component ids widen to ``array('H')`` past 256
+components and to ``array('i')`` past 65 536.  So the arrays built are the
+arrays kept, and ``build_graph`` peaks at about the size of the graph it
+returns.  It classifies components by the trace condition Tr(x) = Tr(1/x),
+and verifies the structural facts the decomposition obeys: tree depths r+2
+versus 1, the per-level counts, leaf traces, and leaf degrees.
 
 One walk of the unit group gives the map and the trace tables
 (``unit_walk``).  x + 1/x takes the same value at x and 1/x, so gen's split
@@ -23,7 +27,7 @@ with gen^-i; the in-degrees are counted as the map is written.  Tr(1/x) is
 read from gen's walk alone, pairing its second half with its first: it never
 reads 1/gen's tables nor the map, so a fault in either still shows against
 it in class-preservation.  ``build_graph`` keeps the map as ``succ`` and the
-trace tables as ints.
+trace tables as they were walked, one byte per packed x.
 
 A point is its raw index: the packed element, or q for infinity.  The
 projective conventions (1/0 = 0, 1/inf = inf, |0| = |inf| = 1, Tr(0) =
@@ -34,19 +38,19 @@ and does not walk the unit group.  It reads the vertices a block at a
 time, on byte lanes: each vertex's component kind (A, B or infinity's
 tree), gathered once from ``comp_id``, its level and its in-degree, both
 clamped to a byte, and its Tr(x) and Tr(1/x) from the graph's trace
-tables, where Tr(1/0) = 0 is stored, and inf, the index past both tables,
-counts as class A.  Class preservation and leaf traces are big-int
-operations on those lanes; the tree shapes are one ``translate`` of a key
-byte per vertex through a table of the per-vertex rules and one ``find``
-per kind.  Its leaf-degree check walks the subfield GF(2^(t/2)) instead of
-every leaf.
+tables, sliced a block at a time, where Tr(1/0) = 0 is stored, and inf,
+the index past both tables, counts as class A.  Class preservation and leaf
+traces are big-int operations on those lanes, each one block long; the
+tree shapes are one ``translate`` of a key byte per vertex through a table
+of the per-vertex rules and one ``find`` per kind.  Its leaf-degree check
+walks the subfield GF(2^(t/2)) instead of every leaf.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import not_
 
 from thetamap.gf2_arith import (
@@ -72,8 +76,8 @@ __all__ = [
     "to_json",
 ]
 
-# succ is array('i'): it holds the encodings 0..2^t for t up to 30.  indeg
-# and level are array('B'), comp_id array('H'), until widened (ThetaGraph).
+# succ is array('i'): it holds the encodings 0..2^t for t up to 30.  indeg,
+# level and comp_id are array('B'), until widened (ThetaGraph).
 GRAPH_MAX_T = 30
 
 
@@ -164,19 +168,21 @@ class ThetaGraph:
     Dense arrays indexed by point encoding: ``succ`` (the map itself,
     ``array('i')``, which bounds t by GRAPH_MAX_T), ``level`` (0 on cycle
     vertices, else distance to the cycle) and ``indeg`` (the number of
-    predecessors, the self-loop of inf included), both ``array('B')``, and
-    ``comp_id`` (position in ``components``), ``array('H')``.  Each widens
-    to ``array('i')`` past 255 predecessors or levels, which only a faulty
-    kernel makes, or past 65 536 components.  A tree vertex has ``indeg``
-    children and a cycle vertex one fewer, its cycle predecessor aside.
-    x + 1/x = c is a quadratic in x, so no vertex has in-degree above 2
-    unless the kernel is faulty.  ``tr`` and ``tr_inv`` are the unit walk's
-    Tr(x) and Tr(1/x) in ``_bits`` form (``UnitWalk``).
+    predecessors, the self-loop of inf included), and ``comp_id`` (position
+    in ``components``), all three ``array('B')``.  ``level`` and ``indeg``
+    widen to ``array('i')`` past 255 levels or predecessors, which only a
+    faulty kernel makes; ``comp_id`` widens to ``array('H')`` past 256
+    components and to ``array('i')`` past 65 536.  A tree vertex has
+    ``indeg`` children and a cycle vertex one fewer, its cycle predecessor
+    aside.  x + 1/x = c is a quadratic in x, so no vertex has in-degree
+    above 2 unless the kernel is faulty.  ``tr`` and ``tr_inv`` are the
+    unit walk's Tr(x) and Tr(1/x) tables, one byte per packed x
+    (``UnitWalk``).
     """
 
     def __init__(self, field: FieldSpec, succ: array, level: array,
                  comp_id: array, components: list[Component], indeg: array,
-                 tr: int, tr_inv: int):
+                 tr: bytes, tr_inv: bytes):
         self.field = field
         self.succ = succ
         self.level = level
@@ -191,7 +197,7 @@ class ThetaGraph:
 
         Infinity is never among them: its self-loop counts.
         """
-        return compress(range(len(self.indeg)), map(not_, self.indeg))
+        return _leaves(self.indeg)
 
     def __repr__(self) -> str:
         return (f"ThetaGraph(t={self.field.t}, vertices={len(self.succ)}, "
@@ -204,13 +210,14 @@ class UnitWalk:
     ``succ`` is the map on the point encodings (0 and inf go to inf),
     ``array('i')``, and ``indeg`` the number of predecessors of each point,
     ``array('B')`` (``array('i')`` once a faulty kernel counts past 255).
-    ``tr`` and ``tr_inv`` hold Tr(x) and Tr(1/x) for every packed x < q in
-    ``_bits`` form, with Tr(1/0) = 0.
+    ``tr`` and ``tr_inv`` hold Tr(x) and Tr(1/x) for every packed x < q,
+    one byte each (``bytes`` and ``bytearray``), with Tr(1/0) = 0.
     """
 
     __slots__ = ("succ", "indeg", "tr", "tr_inv")
 
-    def __init__(self, succ: array, indeg: array, tr: int, tr_inv: int):
+    def __init__(self, succ: array, indeg: array, tr: bytes,
+                 tr_inv: bytearray):
         self.succ = succ
         self.indeg = indeg
         self.tr = tr
@@ -269,8 +276,13 @@ def unit_walk(spec: FieldSpec) -> UnitWalk:
         fwd = lo[fwd & mask] ^ hi[fwd >> h]
     if fwd != 1:
         raise FieldError("generator order mismatch")
-    tr = _bits(tr)                           # frees the bytes before the next
-    return UnitWalk(succ, indeg, tr, _bits(tr_inv))
+    return UnitWalk(succ, indeg, tr, tr_inv)
+
+
+def _leaves(indeg: array):
+    """The indices of the zero entries of ``indeg``, ascending, read as
+    they are iterated."""
+    return compress(range(len(indeg)), map(not_, indeg))
 
 
 def _byte_lanes(a: array, start: int, stop: int) -> bytes:
@@ -287,15 +299,21 @@ def _byte_lanes(a: array, start: int, stop: int) -> bytes:
     return raw[low::size]
 
 
-def _clamped(a: array, start: int, stop: int, cap: int) -> bytes:
+def _clamp_table(cap: int) -> bytes:
+    """min(k, cap) for every byte k: the table ``_clamped`` translates by,
+    whose last byte is the cap."""
+    return bytes(min(k, cap) for k in range(256))
+
+
+def _clamped(a: array, start: int, stop: int, table: bytes) -> bytes:
     """min(entry, cap) for entries start..stop-1 of the integer array
-    ``a``, one byte each: by one ``translate`` of the byte lanes, or one
-    entry at a time where an entry lies outside 0..255."""
+    ``a``, one byte each, ``table`` being ``_clamp_table(cap)``: by one
+    ``translate`` of the byte lanes, or one entry at a time where an entry
+    lies outside 0..255."""
     try:
-        return _byte_lanes(a, start, stop).translate(
-            bytes(min(k, cap) for k in range(256)))
+        return _byte_lanes(a, start, stop).translate(table)
     except OverflowError:
-        return bytes(map(min, a[start:stop], repeat(cap)))
+        return bytes(map(min, a[start:stop], repeat(table[-1])))
 
 
 def build_graph(spec: FieldSpec) -> ThetaGraph:
@@ -313,9 +331,10 @@ def build_graph(spec: FieldSpec) -> ThetaGraph:
     walk = unit_walk(spec)
     succ, indeg = walk.succ, walk.indeg
 
-    # Peel the leaves, then each vertex whose last predecessor was peeled;
-    # the queue grows while it is read.  The peel counts down its own copy
-    # of the in-degrees, one byte per vertex unless a faulty kernel gives a
+    # Peel the leaves, read from the walk's in-degrees, then each vertex
+    # whose last predecessor was peeled; only those are queued, and the
+    # queue grows while it is read.  The peel counts down its own copy of
+    # the in-degrees, one byte per vertex unless a faulty kernel gives a
     # vertex 256 predecessors or more.  Each successor's count drops once
     # per peeled predecessor, so only the cycle vertices keep a count
     # (their cycle predecessor), and every tree vertex is peeled before its
@@ -324,22 +343,24 @@ def build_graph(spec: FieldSpec) -> ThetaGraph:
         count = array("B", indeg)
     except OverflowError:
         count = array("i", indeg)
-    peeled = array("i", compress(range(nverts), map(not_, count)))
-    for v in peeled:
+    freed = array("i")
+    for v in chain(_leaves(indeg), freed):
         c = succ[v]
         count[c] -= 1
         if not count[c]:
-            peeled.append(c)
+            freed.append(c)
 
     # An ascending scan meets each cycle first at its least vertex, so the
     # cycles come out rotated and in component order.  The scan zeroes the
     # counts of each cycle it walks, so it meets no cycle twice, and leaves
     # every count at 0: the counts become the levels, 0 on the cycles.
-    comp_id = array("H", [0]) * nverts
+    comp_id = array("B", [0]) * nverts
     cycles: list[array] = []
     for v in compress(range(nverts), count):
         cid = len(cycles)
-        if cid == 1 << 16:
+        if cid == 1 << 8:
+            comp_id = array("H", comp_id)
+        elif cid == 1 << 16:
             comp_id = array("i", comp_id)
         cyc = array("i")
         u = v
@@ -350,11 +371,13 @@ def build_graph(spec: FieldSpec) -> ThetaGraph:
             u = succ[u]
         cycles.append(cyc)
 
-    # Unpeel: in reverse, each vertex's successor is placed before it, so a
-    # tree vertex lies one level above its successor, in its component.
+    # Unpeel: the freed vertices in reverse, then the leaves again, so each
+    # vertex's successor is placed before it (a leaf's is freed or on a
+    # cycle), and a tree vertex lies one level above its successor, in its
+    # component.
     level = count
     depth = [0] * len(cycles)
-    for v in reversed(peeled):
+    for v in chain(reversed(freed), _leaves(indeg)):
         c = succ[v]
         k = level[c] + 1
         cid = comp_id[c]
@@ -384,11 +407,6 @@ def build_graph(spec: FieldSpec) -> ThetaGraph:
 def _bits(table: bytes) -> int:
     """A byte table as one int, byte v at bits 8v..8v+7."""
     return int.from_bytes(table, "little")
-
-
-def _byte(x: int, v: int) -> int:
-    """Byte v of ``_bits`` form."""
-    return x >> 8 * v & 0xFF
 
 
 def _least_set_byte(x: int, first: int) -> int | None:
@@ -451,8 +469,9 @@ def verify_structure(g: ThetaGraph) -> CheckReport:
     #     clamped one vertex at a time (``_clamped``).
     # (5) leaf traces: A-leaves have Tr(x) = Tr(1/x) = 1, B-leaves (0, 1);
     #     a leaf passes where Tr(1/x) = 1 and Tr(x) = 1 exactly off B.
-    # All read the vertices in blocks of ``step``, so that each big-int
-    # temporary is one block long; the first witness of each is kept.
+    # All read the vertices in blocks of ``step``, each lane sliced or
+    # gathered for the block alone, so that each big-int temporary is one
+    # block long; the first witness of each is kept.
     tr, tr_inv = g.tr, g.tr_inv
     classes = [comp.trace_class for comp in g.components]
     inf_cid = g.comp_id[inf]
@@ -472,22 +491,23 @@ def verify_structure(g: ThetaGraph) -> CheckReport:
 
     bad = bytes(map(broken, range(256)))
     is_zero = bytes([1]) + bytes(255)
+    deg_cap, level_cap = _clamp_table(3), _clamp_table(d + 1)
     bad_class = bad_leaf = None
     first_bad: dict[int, int] = {}
     step = max(q >> 4, 1 << 12)
     for a in range(0, q + 1, step):
         b = min(a + step, q + 1)
         mask = (1 << 8 * (b - a)) - 1
-        x = tr >> 8 * a & mask
-        y = tr_inv >> 8 * a & mask
+        x = _bits(tr[a:b])                   # inf, past both tables: 0
+        y = _bits(tr_inv[a:b])
         try:
             kinds = _byte_lanes(g.comp_id, a, b).translate(kind[:256])
         except OverflowError:
             kinds = bytes(map(kind.__getitem__, g.comp_id[a:b]))
         kinds = _bits(kinds)
         in_b = kinds & mask // 0xFF
-        degs = _clamped(g.indeg, a, b, 3)
-        flags = (kinds << 6 | _bits(_clamped(g.level, a, b, d + 1)) << 2
+        degs = _clamped(g.indeg, a, b, deg_cap)
+        flags = (kinds << 6 | _bits(_clamped(g.level, a, b, level_cap)) << 2
                  | _bits(degs)).to_bytes(b - a, "little").translate(bad)
         for flag in {1, 2, 3} - first_bad.keys():
             if (i := flags.find(flag)) >= 0:
@@ -514,7 +534,7 @@ def verify_structure(g: ThetaGraph) -> CheckReport:
     # (5), read above
     rep.add("leaf-traces", bad_leaf is None, "" if bad_leaf is None else
             f"{classes[g.comp_id[bad_leaf]]}-leaf {lab(bad_leaf)} has traces "
-            f"{(_byte(tr, bad_leaf), _byte(tr_inv, bad_leaf))}")
+            f"{(tr[bad_leaf], tr_inv[bad_leaf]) if bad_leaf < q else (0, 0)}")
 
     # (6) every leaf degree is 2^r * v with v odd dividing s.  Every degree
     #     divides t = 2^r * s, so only the degrees dividing t/2 break the

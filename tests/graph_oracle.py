@@ -40,7 +40,6 @@ from thetamap.gf2_arith import (
 from thetamap.theta_graph import (
     Component,
     ThetaGraph,
-    _bits,
     point_label,
     theta_index,
     verify_structure,
@@ -190,7 +189,7 @@ def decompose(spec: FieldSpec, succ: list[int]) -> ThetaGraph:
     level = [0 if v in periodic else -1 for v in range(nverts)]
     comp_id = array("i", [0]) * nverts
     indeg = array("i", (len(predecessors(slots, v)) for v in range(nverts)))
-    tr, tr_inv = map(_bits, trace_tables(spec))
+    tr, tr_inv = trace_tables(spec)
     g = ThetaGraph(spec, succ, level, comp_id, [], indeg, tr, tr_inv)
     for cid, cyc in enumerate(cycles):
         depth = 0
@@ -375,7 +374,7 @@ def wrong_inverse_at(x0: int, t: int):
         return y
 
     def edit(walk) -> None:
-        walk.tr_inv ^= 1 << 8 * x0
+        walk.tr_inv[x0] ^= 1
 
     def install(patch) -> None:
         patch(FieldSpec, "inv", inv)

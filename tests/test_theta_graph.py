@@ -2,6 +2,7 @@
 
 import json
 import sys
+import tracemalloc
 from array import array
 from collections import Counter
 from types import SimpleNamespace
@@ -256,8 +257,8 @@ def test_unit_walk_matches_the_full_walks(monkeypatch, t, modulus, tables):
     counts = Counter(succ)
     assert list(walk.indeg) == [counts[v] for v in range(f.q + 1)]
     tr, tr_inv = trace_tables(f)
-    assert walk.tr.to_bytes(f.q, "little") == tr
-    assert walk.tr_inv.to_bytes(f.q, "little") == tr_inv
+    assert walk.tr == tr
+    assert walk.tr_inv == tr_inv
 
 
 @pytest.mark.parametrize("tables", [True, False], ids=["log", "shiftxor"])
@@ -395,19 +396,45 @@ def test_wide_fault_keeps_its_in_degrees(monkeypatch):
 
 
 def test_lanes_are_as_wide_as_their_values():
-    # succ holds encodings up to 2^t; in-degrees and levels fit a byte and
-    # component ids two bytes, unless a faulty kernel makes more
+    # succ holds encodings up to 2^t; in-degrees, levels and the ids of the
+    # 101 components fit a byte, unless a faulty kernel makes more
     g = build_graph(make_field(12))
     assert [a.typecode for a in (g.succ, g.indeg, g.level, g.comp_id)] == [
-        "i", "B", "B", "H"]
+        "i", "B", "B", "B"]
 
 
-@pytest.mark.parametrize("t, typecode", [(16, "H"), (17, "i")])
+@pytest.mark.parametrize("t", [14, 16])
+def test_build_graph_peaks_at_the_size_it_keeps(t):
+    # traced by tracemalloc, build_graph allocates at most 1.5 bytes a
+    # vertex beyond the graph it returns: its peak is the queue of the
+    # vertices the peel frees (0.8-1.0 bytes a vertex), which does not hold
+    # the leaves (2 bytes a vertex more)
+    f = make_field(t)
+    f.ensure_tables()
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        g = build_graph(f)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert len(g.succ) == f.q + 1 and kept > base
+    assert peak - kept <= 1.5 * (f.q + 1)
+
+
+@pytest.mark.parametrize("t, typecode",
+                         [(8, "B"), (9, "H"), (16, "H"), (17, "i")])
 def test_component_ids_widen_past_two_bytes(monkeypatch, t, typecode):
     # a faulty kernel fixing every unit makes q components, infinity's
-    # last: at t = 16 their ids end at 65 535 and fit two bytes, at t = 17
-    # they pass it and comp_id widens to array('i'); both decompose and
-    # are judged as the per-vertex oracle does it
+    # last: at t = 8 their ids end at 255 and fit a byte, at t = 9 they
+    # pass it and comp_id widens to array('H'), at t = 16 they end at
+    # 65 535 and fit two bytes, at t = 17 they pass it and comp_id widens
+    # to array('i'); each decomposes and is judged as the per-vertex oracle
+    # does it
     f = make_field(t)
     reaimed_walk(t, {x: x for x in range(1, f.q)})(monkeypatch.setattr)
     g = build_graph(f)
@@ -426,6 +453,25 @@ def test_many_components_keep_their_kinds(monkeypatch):
     assert g.comp_id[f.q] > 255
     _assert_decomposed_as(g, decompose(f, list(g.succ)))
     assert verify_structure(g).records() == oracle_records(g)
+
+
+def test_infinity_as_a_leaf_reads_its_traces_as_zero(monkeypatch):
+    # a faulty walk sends 0 and inf to 1, so inf has no predecessor: a
+    # leaf past both trace tables, whose witness reads Tr(inf) =
+    # Tr(1/inf) = 0 as the per-vertex oracle does, not a byte of a table
+    f = make_field(6)
+
+    def edit(walk):
+        walk.succ[0] = walk.succ[f.q] = 1
+
+    edited_walk(6, edit)(monkeypatch.setattr)
+    g = build_graph(f)
+    assert g.indeg[f.q] == 0
+    records = {r["name"]: r for r in verify_structure(g).records()}
+    assert records["leaf-traces"] == {
+        "name": "leaf-traces", "pass": False,
+        "detail": "A-leaf inf has traces (0, 0)"}
+    assert not records["inf-tree-shape"]["pass"]
 
 
 @settings(max_examples=200, deadline=None)
@@ -521,7 +567,7 @@ def test_edges_preserve_class():
 def test_omega_sizes(t):
     f = make_field(t)
     # the units split by Tr(1/x), read from the unit walk
-    tr_inv = unit_walk(f).tr_inv.to_bytes(f.q, "little")
+    tr_inv = unit_walk(f).tr_inv
     om = {x for x in range(1, f.q) if not tr_inv[x]}
     om_bar = {x for x in range(1, f.q) if tr_inv[x]}
     assert len(om) == 2 ** (t - 1) - 1
@@ -532,7 +578,7 @@ def test_omega_sizes(t):
 @pytest.mark.parametrize("t", range(1, 7))
 def test_omega_bar_is_image_of_small_subgroup(t):
     f = make_field(t)
-    tr_inv = unit_walk(f).tr_inv.to_bytes(f.q, "little")
+    tr_inv = unit_walk(f).tr_inv
     om_bar = {x for x in range(1, f.q) if tr_inv[x]}
     double = make_field(2 * t)
     values, fault = theta_pullback(f, double, double.subgroup(f.q + 1))
@@ -611,7 +657,7 @@ def test_no_dickson_or_seed_path_walks_a_subgroup(monkeypatch):
 def test_leaves_are_omega_bar(t):
     f = make_field(t)
     g = build_graph(f)
-    tr_inv = unit_walk(f).tr_inv.to_bytes(f.q, "little")
+    tr_inv = unit_walk(f).tr_inv
     om_bar = {x for x in range(1, f.q) if tr_inv[x]}
     assert set(g.leaf_indices()) == om_bar
 
