@@ -33,8 +33,8 @@ count cross-check validates that normalization at every field size.
 from __future__ import annotations
 
 import random
+from itertools import islice
 from math import comb
-from typing import NamedTuple
 
 from thetamap.gf2_arith import (
     FieldError,
@@ -46,20 +46,18 @@ from thetamap.gf2_arith import (
 from thetamap.report import CheckReport
 from thetamap.theta_graph import (
     ThetaGraph,
-    UnitWalk,
     _bits,
     norm_one_dickson,
     unit_walk,
 )
 
 __all__ = [
-    "RootSetReport",
     "dickson_coeff_bits",
     "kloosterman",
     "curve_point_count",
     "curve_point_count_naive",
     "leaf_set_equalities",
-    "root_set_report",
+    "dickson_report",
 ]
 
 
@@ -127,29 +125,28 @@ def _theta_image_of_small_subgroup(spec: FieldSpec, ambient: FieldSpec,
     ``ambient`` = GF(2^(2n)), with its first fault's witness, or None.
     ``perfbench/tracer.py`` times this step by name."""
     values, _, fault = norm_one_dickson(spec, ambient, m)
-    return set(values[1:m]), None if fault is None else fault[1]
+    return set(islice(values, 1, m)), None if fault is None else fault[1]
 
 
-def _trace_flips(spec: FieldSpec, walk: UnitWalk | None) -> int:
+def _trace_flips(spec: FieldSpec) -> int:
     """#{x : Tr(x + 1/x) = Tr(x) ^ Tr(1/x) = 1}, from the trace tables of
-    ``walk``, a ``unit_walk`` of spec (walked here when None)."""
-    if walk is None:
-        walk = unit_walk(spec)
+    a ``unit_walk`` of spec."""
+    walk = unit_walk(spec)
     return (_bits(walk.tr) ^ _bits(walk.tr_inv)).bit_count()
 
 
-def kloosterman(spec: FieldSpec, walk: UnitWalk | None = None) -> int:
+def kloosterman(spec: FieldSpec) -> int:
     """K = sum over units of (-1)^Tr(x + 1/x), an exact signed integer."""
-    return (spec.q - 1) - 2 * _trace_flips(spec, walk)
+    return (spec.q - 1) - 2 * _trace_flips(spec)
 
 
-def curve_point_count(spec: FieldSpec, walk: UnitWalk | None = None) -> int:
+def curve_point_count(spec: FieldSpec) -> int:
     """|E(GF(q))| for y^2 + xy = x^3 + 1 via the x-coordinate criterion.
 
     Two points per unit x with Tr(x) = Tr(1/x), one point (0, 1), one point
     at infinity.
     """
-    return 2 * (spec.q - 1 - _trace_flips(spec, walk)) + 2
+    return 2 * (spec.q - 1 - _trace_flips(spec)) + 2
 
 
 def curve_point_count_naive(spec: FieldSpec) -> int:
@@ -169,7 +166,7 @@ def leaf_set_equalities(g: ThetaGraph) -> CheckReport:
     over the field of ``g``."""
     spec = g.field
     n = spec.t
-    rep = CheckReport(f"leaf sets versus Dickson root sets (n={n})")
+    rep = CheckReport()
     roots = _root_bits(spec, spec.q + 1)
     s, t = _split_roots(spec, roots)
     a_leaves: set[int] = set()
@@ -195,29 +192,9 @@ IDENTITY_EXHAUSTIVE_MAX_Q = 16
 IDENTITY_RANDOM_TRIALS = 40
 
 
-class RootSetReport(NamedTuple):
-    """Everything about D_(q+1) over one field, with the checks that tie it."""
-
-    q: int
-    m: int
-    S: frozenset[int]
-    T: frozenset[int]
-    K: int
-    N_pred: int
-    E_count: int
-    checks: CheckReport
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.q.bit_length() - 1, "q": self.q, "m": self.m,
-            "K": self.K, "N_pred": self.N_pred,
-            "S_size": len(self.S), "T_size": len(self.T),
-            "E_count": self.E_count,
-        }
-
-
-def root_set_report(spec: FieldSpec, seed: int = 0) -> RootSetReport:
-    """The D_(q+1) battery over one field; a violated identity is a failed check.
+def dickson_report(spec: FieldSpec, seed: int = 0) -> dict:
+    """The D_(q+1) battery over one field, as a JSON-ready dict with the
+    field and its checks; a violated identity is a failed check.
 
     Randomized spot checks (the functional identity in large fields, the
     closed-form comparison) draw from a generator seeded with `seed`, so
@@ -227,12 +204,11 @@ def root_set_report(spec: FieldSpec, seed: int = 0) -> RootSetReport:
     n = spec.t
     m = q + 1
     rng = random.Random(seed)
-    rep = CheckReport(f"Dickson root sets and counts over GF(2^{n})")
+    rep = CheckReport()
 
     roots = _root_bits(spec, m)
     s, t = _split_roots(spec, roots)
-    walk = unit_walk(spec)              # its trace tables serve K and |E|
-    k = kloosterman(spec, walk)
+    k = kloosterman(spec)
     rep.add("weil-bound", k * k <= 4 * q, f"K={k}")      # |K| <= 2 sqrt(q)
     rep.add("count-divisibility", (q + 1 + k) % 4 == 0, f"q+1+K={q + 1 + k}")
     n_pred = (q + 1 + k) // 4
@@ -257,7 +233,9 @@ def root_set_report(spec: FieldSpec, seed: int = 0) -> RootSetReport:
         detail += f" witness bits {min(image ^ roots):#x}"
     rep.add("root-image-equality", witness is None and image == roots, detail)
 
-    e_count = curve_point_count(spec, walk)
+    # |E| = 2 * #{unit x : Tr(x) = Tr(1/x)} + 2 = q + 1 + K (Lachaud and
+    # Wolfmann, 1990): the trace flips that gave K are not counted again
+    e_count = q + 1 + k
     # | |E| - (q+1) | <= 2 sqrt(q), exactly in integers
     rep.add("hasse-bound", (e_count - (q + 1)) ** 2 <= 4 * q,
             f"|E|={e_count}")
@@ -269,18 +247,10 @@ def root_set_report(spec: FieldSpec, seed: int = 0) -> RootSetReport:
     rep.add("identity-on-double-field", _identity_check(spec, double, rng),
             "D_m(y+1/y) = y^m + y^(-m) over GF(q^2)*")
     rep.add("closed-form-equivalence", *_closed_form_check(spec, rng))
-    return RootSetReport(q, m, frozenset(s), frozenset(t), k, n_pred,
-                         e_count, rep)
-
-
-def dickson_report(spec: FieldSpec, seed: int = 0) -> dict:
-    """`root_set_report` as a JSON-ready dict with the field and its checks."""
-    rep = root_set_report(spec, seed)
-    doc = rep.to_dict()
-    doc["field"] = field_to_record(spec)
-    doc["checks"] = rep.checks.records()
-    doc["passed"] = rep.checks.passed
-    return doc
+    return {"n": n, "q": q, "m": m, "K": k, "N_pred": n_pred,
+            "S_size": len(s), "T_size": len(t), "E_count": e_count,
+            "field": field_to_record(spec), "checks": rep.records(),
+            "passed": rep.passed}
 
 
 def _identity_check(spec: FieldSpec, double: FieldSpec, rng) -> bool:

@@ -16,7 +16,7 @@ subfield levels containing it.  The seed is then classified:
                                 dividing both q+1 and q-1)
 
 The three classes partition the subgroup minus 1, and each forces a rigid
-level/order/trace table that `case_table` renders and checks row by row.
+level/order/trace table that `case_table` checks row by row.
 
 The reduction to GF(q^2).  Since 1/g = g^(q^2), f(g) = g + g^(q^2) is the
 relative trace of g into GF(q^2).  For the seeds h^j, h = gen^(q^2-1),
@@ -95,7 +95,6 @@ __all__ = [
     "HClass",
     "ProfileStep",
     "OrderProfile",
-    "CaseTable",
     "make_tower",
     "subgroup",
     "seed_walk",
@@ -204,7 +203,6 @@ class OrderProfile(NamedTuple):
     exponent: int        # the seed is h^exponent
     steps: list[ProfileStep]
     h_class: HClass
-    case_id: int
 
 
 def profile_tail(walk: SeedWalk, j: int) -> list[ProfileStep]:
@@ -259,7 +257,7 @@ def classify_H(walk: SeedWalk, j: int, tail: list[ProfileStep]) -> OrderProfile:
         h = HClass.H2
     else:
         h = HClass.H3
-    return OrderProfile(tower, j, steps, h, h.value)
+    return OrderProfile(tower, j, steps, h)
 
 
 def leader_profiles(walk: SeedWalk,
@@ -312,7 +310,7 @@ def profile_records(walk: SeedWalk, orbits: list[list[int]],
                      if s.point not in special])
         for k, j in enumerate(orbit):
             orbit_of[j - 1], shift[j - 1] = o, k
-    heads = [(prof.h_class.name, prof.case_id) for prof in profiles]
+    heads = [(prof.h_class.name, prof.h_class.value) for prof in profiles]
     return ProfileRecords(n2, heads, rows, logs, orbit_of, shift, hexed), None
 
 
@@ -369,53 +367,6 @@ def trace_profile_check(profile: OrderProfile) -> bool:
     return True
 
 
-class CaseRow(NamedTuple):
-    level: int
-    index: int
-    order: int
-    order_tag: str       # one of "q2+1", "q+1", "q-1", "mixed"
-    subfield: int
-    tr: int
-    tr_inv: int
-    ok: bool
-
-
-class CaseTable(NamedTuple):
-    case_id: int
-    flavor: str          # middle-graph class of the first iterate: "A" or "B"
-    n: int
-    l: int
-    q: int
-    rows: list[CaseRow]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.ok for r in self.rows)
-
-    def render(self) -> str:
-        heads = {
-            1: "Case 1: d_1 | (q+1)",
-            2: "Case 2: d_1 - (q+1), d_{l+2} | (q+1)",
-            3: "Case 3: d_1 - (q+1), d_{l+2} - (q+1)",
-        }
-        tags = {"q2+1": "| (q^2+1)", "q+1": "| (q+1)", "q-1": "| (q-1)",
-                "mixed": "| (q^2-1), - (q+-1)"}
-        head = heads[self.case_id]
-        if self.case_id == 3:
-            head += f", first iterate in class {self.flavor}"
-        lines = [f"{head}   [n={self.n}, q={self.q}, l={self.l}]",
-                 f"{'level':>5}  {'order':<26}  trace"]
-        for r in self.rows:
-            dname = "d" if r.index == 0 else f"d_{r.index}"
-            order_cell = f"{dname}={r.order} {tags[r.order_tag]}"
-            g = "g" if r.index == 0 else f"g_{r.index}"
-            trace_cell = (f"Tr_{r.subfield}({g})={r.tr}, "
-                          f"Tr_{r.subfield}(1/{g})={r.tr_inv}")
-            mark = "" if r.ok else "   <- MISMATCH"
-            lines.append(f"{r.level:>5}  {order_cell:<26}  {trace_cell}{mark}")
-        return "\n".join(lines)
-
-
 @lru_cache
 def _expected_rows(case_id: int, flavor: str, n: int,
                    l: int) -> tuple[tuple[int, str, int, tuple[int, int]], ...]:
@@ -467,34 +418,30 @@ def _order_tag_holds(tag: str, order: int, q: int) -> bool:
             and (q + 1) % order != 0 and (q - 1) % order != 0)
 
 
-def case_table(profile: OrderProfile) -> CaseTable:
-    """The level/order/trace table of the profile, checked row by row.
+def case_table(profile: OrderProfile) -> bool:
+    """Whether the profile matches its level/order/trace table row by row
+    (``_expected_rows``).
 
     The case is the class `classify_H` assigned from the divisibility
     pattern (d_1 | q+1, d_{l+2} | q+1); Case 3 is further split by the
-    middle-graph class of the first iterate.  Levels refer to the graph over
-    GF(q^4).
+    middle-graph class of the first iterate: "B" when its traces differ.
+    Levels refer to the graph over GF(q^4).
     """
     t = profile.tower
     n, l, q = t.n, t.l, t.q
     steps = profile.steps
-    case_id = profile.case_id
     flavor = "B" if steps[1].tr != steps[1].tr_inv else "A"
-    expected = _expected_rows(case_id, flavor, n, l)
-    rows = []
-    for i, (level, tag, sub_exp, pair_exp) in enumerate(expected):
-        s = steps[i]
-        # Special points carry order 1, subfield n and zero traces, which is
-        # exactly what the degenerate class-1 tails must satisfy; at indices
-        # 1..l+2 they are a mismatch even where a class-1 row fits them.
-        # The seed's point at index 0 is its exponent, never one of them.
-        ok = ((not 0 < i <= l + 2 or 0 < s.point < t.double.q)
-              and _order_tag_holds(tag, s.order, q)
-              and s.subfield == sub_exp
-              and (s.tr, s.tr_inv) == pair_exp)
-        rows.append(CaseRow(level, i, s.order, tag, s.subfield,
-                            s.tr, s.tr_inv, ok))
-    return CaseTable(case_id, flavor, n, l, q, rows)
+    expected = _expected_rows(profile.h_class.value, flavor, n, l)
+    # Special points carry order 1, subfield n and zero traces, which is
+    # exactly what the degenerate class-1 tails must satisfy; at indices
+    # 1..l+2 they are a mismatch even where a class-1 row fits them.  The
+    # seed's point at index 0 is its exponent, never one of them.
+    return all((not 0 < i <= l + 2 or 0 < s.point < t.double.q)
+               and _order_tag_holds(tag, s.order, q)
+               and s.subfield == sub_exp
+               and (s.tr, s.tr_inv) == pair_exp
+               for i, (s, (_, tag, sub_exp, pair_exp))
+               in enumerate(zip(steps, expected)))
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +458,7 @@ def case1_subcase(profile: OrderProfile) -> tuple[int, bool]:
     sqrt(q)^2+1 (d_2 divides sqrt(q)+1 by the split).
     """
     tower = profile.tower
-    if profile.case_id != 1:
+    if profile.h_class is not HClass.H1:
         raise FieldError("sub-case split applies to Case-1 profiles only")
     if tower.l < 1:
         raise FieldError("sub-case split needs l >= 1")
@@ -540,8 +487,8 @@ def verify_cq1_inclusion(tower: TowerSpec, cq1: list[int], s1: set[int],
     by its size: it lies in C_{q+1} iff it has as many vertices as members
     of C_{q+1}.
     """
-    l, n = tower.l, tower.n
-    rep = CheckReport(f"order-(q+1) subgroup coverage (n={n})")
+    l = tower.l
+    rep = CheckReport()
 
     missing = [b for b in cq1 if b not in s1 and b not in s_l2]
     rep.add("cq1-image-inclusion", not missing,
@@ -584,11 +531,11 @@ def check_order_bound(profile: OrderProfile) -> bool:
     q, l = tower.q, tower.l
     if q == 2:
         return True
-    if profile.case_id == 1:
+    if profile.h_class is HClass.H1:
         raise FieldError("bound applies when |f(seed)| does not divide q+-1")
     p1 = tower.base.fact_plus.least_prime()
     bound = p1 * tower.base.fact_minus.least_prime()
-    last = l + 4 if profile.case_id == 3 else l + 1
+    last = l + 4 if profile.h_class is HClass.H3 else l + 1
     return (p1 >= 1 + (1 << (l + 1))
             and all(s.order >= bound for s in profile.steps[1:last + 1]))
 
@@ -596,13 +543,14 @@ def check_order_bound(profile: OrderProfile) -> bool:
 def _seed_verdicts(prof: OrderProfile) -> dict[str, bool]:
     """Whether one profile passes each per-seed check, by check name."""
     flags = h_longform_flags(prof)
+    case1 = prof.h_class is HClass.H1
     return {
-        "h-partition": sum(flags) == 1 and flags[prof.case_id - 1],
-        "case-tables": case_table(prof).passed,
+        "h-partition": sum(flags) == 1 and flags[prof.h_class.value - 1],
+        "case-tables": case_table(prof),
         "forced-traces": trace_profile_check(prof),
-        "case1-subcases": (prof.case_id != 1 or prof.tower.l < 1
+        "case1-subcases": (not case1 or prof.tower.l < 1
                            or case1_subcase(prof)[1]),
-        "order-bound": prof.case_id == 1 or check_order_bound(prof),
+        "order-bound": case1 or check_order_bound(prof),
     }
 
 
@@ -637,7 +585,7 @@ def trace_quadrants(tower: TowerSpec, a_images: list[set[int]],
     def units(*images):
         return {x for img in images for x in img if 0 < x < double.q}
 
-    rep = CheckReport(f"trace quadrants (n={tower.n})")
+    rep = CheckReport()
     rep.add("quadrant-partition",
             len(a11) + len(a00) + len(b01) + len(b10) == spec_n.q - 1)
     for name, trace_set, img in (
@@ -659,7 +607,7 @@ def verify_theta_permutation(tower: TowerSpec, landing: set[int],
 
     ``landing`` is S_(l+4) and ``image`` is f(S_(l+4)) (``set_checks``).
     """
-    rep = CheckReport(f"permutation on the landing set (n={tower.n})")
+    rep = CheckReport()
     rep.add("landing-set-closed", image == landing,
             f"|set|={len(landing)} |image|={len(image)}")
     rep.add("injective-on-landing-set", len(image) == len(landing))
@@ -677,7 +625,7 @@ def set_checks(walk: SeedWalk) -> CheckReport:
     tower = walk.tower
     double = tower.double
     q, l = tower.q, tower.l
-    rep = CheckReport(f"image sets over GF(2^{double.t})")
+    rep = CheckReport()
     cq1 = double.subgroup(q + 1)           # C_{q+1} in GF(q^2), then h^(q+1)
     end = cq1.pop()
     if end != 1:
@@ -726,7 +674,7 @@ def orders_report(tower: TowerSpec, records: bool = True) -> dict:
     """
     q, l, n = tower.q, tower.l, tower.n
     counts = {"H1": 0, "H2": 0, "H3": 0}
-    checks = CheckReport(f"order dynamics over GF(2^{4 * n})")
+    checks = CheckReport()
     doc = {
         "n": n, "l": l, "m": tower.m, "q": q,
         "field": field_to_record(tower.ambient),

@@ -19,16 +19,11 @@ class Check(NamedTuple):
     passed: bool
     detail: str = ""
 
-    def __str__(self) -> str:
-        mark = "PASS" if self.passed else "FAIL"
-        return f"{mark} {self.name}" + (f": {self.detail}" if self.detail else "")
-
 
 class CheckReport:
-    __slots__ = ("title", "checks")
+    __slots__ = ("checks",)
 
-    def __init__(self, title: str):
-        self.title = title
+    def __init__(self):
         self.checks: list[Check] = []
 
     def add(self, name: str, passed: bool, detail: str = "") -> Check:
@@ -47,11 +42,6 @@ class CheckReport:
         """The checks as JSON-ready {"name", "pass", "detail"} records."""
         return [{"name": c.name, "pass": c.passed, "detail": c.detail}
                 for c in self.checks]
-
-    def __str__(self) -> str:
-        lines = [f"== {self.title} =="]
-        lines += [str(c) for c in self.checks]
-        return "\n".join(lines)
 
 
 HOLE = "\0"                    # a template's stand-in for an item's own value

@@ -445,7 +445,7 @@ def verify_structure(g: ThetaGraph) -> CheckReport:
     spec = g.field
     q = inf = spec.q
     d = spec.r + 2
-    rep = CheckReport(f"structure of the map graph over GF(2^{spec.t})")
+    rep = CheckReport()
 
     def lab(v: int) -> str:
         return point_label(spec, v)

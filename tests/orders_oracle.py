@@ -160,7 +160,7 @@ def mate_pair_report(tower) -> dict:
         records.append({
             "exponent": prof.exponent,
             "class": prof.h_class.name,
-            "case": prof.case_id,
+            "case": prof.h_class.value,
             "steps": [{
                 "index": s.index,
                 "point": lab,
@@ -173,7 +173,7 @@ def mate_pair_report(tower) -> dict:
             } for s, lab in zip(prof.steps, labels)],
         })
     cq1, quadrants, permutation = profile_set_inputs(tower, profiles)
-    checks = CheckReport("")
+    checks = CheckReport()
     for sub in (verify_cq1_inclusion(*cq1),
                 trace_quadrants(*quadrants),
                 verify_theta_permutation(*permutation)):

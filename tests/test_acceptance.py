@@ -121,7 +121,7 @@ def test_criterion_03_h_partition():
         assert len(profs) == TOWERS[n].q ** 2
         for p in profs:
             flags = h_longform_flags(p)
-            ok = ok and sum(flags) == 1 and flags[p.case_id - 1]
+            ok = ok and sum(flags) == 1 and flags[p.h_class.value - 1]
     elapsed = time.time() - t0
     ok = ok and elapsed < 30.0
     verdict(3, ok, f"every seed for n=1..4 falls in exactly one class and "
@@ -132,7 +132,7 @@ def test_criterion_04_trace_tables():
     ok = True
     for profs in PROFILES.values():
         for p in profs:
-            ok = ok and case_table(p).passed and trace_profile_check(p)
+            ok = ok and case_table(p) and trace_profile_check(p)
     verdict(4, ok, "every profile's trace rows match its case table, n=1..4")
 
 

@@ -700,7 +700,7 @@ def test_per_seed_fault_fails_its_own_records(monkeypatch, capsys, leader,
     def broken(walk, orbits):
         profiles = true_leaders(walk, orbits)
         prof = next(p for p in profiles if p.exponent == leader)
-        assert prof.case_id == case_id
+        assert prof.h_class.value == case_id
         assert getattr(prof.steps[index], field) != value
         prof.steps[index] = prof.steps[index]._replace(**{field: value})
         return profiles
@@ -764,7 +764,7 @@ def test_library_constructors_ignore_the_degree_cap(monkeypatch):
     monkeypatch.setenv("THETA_MAX_T", "3")
     assert make_field(25).t == 25
     assert make_tower(2).ambient.t == 8
-    assert dickson_curve.root_set_report(make_field(4)).checks.passed
+    assert dickson_curve.dickson_report(make_field(4))["passed"]
 
 
 def test_degree_cap_applies_to_the_named_field_only(monkeypatch, capsys):
@@ -785,19 +785,22 @@ def test_degree_cap_applies_to_the_named_field_only(monkeypatch, capsys):
 def test_dickson_failure_exits_one(monkeypatch, capsys):
     true_k = dickson_curve.kloosterman
     monkeypatch.setattr(dickson_curve, "kloosterman",
-                        lambda spec, walk=None: true_k(spec, walk) + 4)
+                        lambda spec: true_k(spec) + 4)
     assert main(["verify-dickson", "--n", "4"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "kloosterman-count" in out
 
 
 def test_kloosterman_fault_is_a_record(monkeypatch, capsys):
-    # K+4 keeps q+1+K divisible by 4, so only the count against |S| fails
+    # K+4 keeps q+1+K divisible by 4 and |K| within the Weil and Hasse
+    # bounds, so only the count against |S| fails, and |E| = q+1+K against
+    # the enumeration of the curve
     true_k = dickson_curve.kloosterman
     monkeypatch.setattr(dickson_curve, "kloosterman",
-                        lambda spec, walk=None: true_k(spec, walk) + 4)
-    checks = dickson_curve.root_set_report(make_field(6)).checks
-    assert [c.name for c in checks.failures()] == ["kloosterman-count"]
+                        lambda spec: true_k(spec) + 4)
+    doc = dickson_curve.dickson_report(make_field(6))
+    assert [c["name"] for c in doc["checks"] if not c["pass"]] == [
+        "kloosterman-count", "curve-count-oracle"]
     assert main(["verify-dickson", "--n", "6"]) == 1
     captured = capsys.readouterr()
     assert "FAIL [n=6] kloosterman-count" in captured.out
@@ -961,8 +964,9 @@ def test_closed_form_integrality_fault_is_a_record(monkeypatch, capsys):
     # C(m-i, i) + 1 breaks m/(m-i) * C(m-i, i) first at m = 3, i = 1
     monkeypatch.setattr(dickson_curve, "comb",
                         lambda a, b: math.comb(a, b) + 1)
-    checks = dickson_curve.root_set_report(make_field(4)).checks
-    assert [c.name for c in checks.failures()] == ["closed-form-equivalence"]
+    doc = dickson_curve.dickson_report(make_field(4))
+    assert [c["name"] for c in doc["checks"] if not c["pass"]] == [
+        "closed-form-equivalence"]
     assert main(["verify-dickson", "--n", "4"]) == 1
     captured = capsys.readouterr()
     assert ("FAIL [n=4] closed-form-equivalence  m=3: the binomial "
@@ -991,8 +995,8 @@ def test_identity_fault_is_a_record(monkeypatch, capsys, n):
     monkeypatch.setattr(dickson_curve, "make_field", wrong_inverse_field)
     assert not dickson_curve._identity_check(
         make_field(n), dickson_curve.make_field(2 * n), random.Random(0))
-    checks = dickson_curve.root_set_report(make_field(n)).checks
-    assert [c.name for c in checks.failures()] == [
+    doc = dickson_curve.dickson_report(make_field(n))
+    assert [c["name"] for c in doc["checks"] if not c["pass"]] == [
         "root-image-equality", "identity-on-double-field"]
     assert main(["verify-dickson", "--n", str(n)]) == 1
     captured = capsys.readouterr()
@@ -1175,7 +1179,7 @@ def test_a_kernel_fault_fails_the_same_on_two_workers(monkeypatch, capsys,
     # patched before the fork, so every worker inherits it
     true_k = dickson_curve.kloosterman
     monkeypatch.setattr(dickson_curve, "kloosterman",
-                        lambda spec, walk=None: true_k(spec, walk) + 4)
+                        lambda spec: true_k(spec) + 4)
     seen = []
     for workers in ("1", "2"):
         assert main(["verify-dickson", "--range", "1..4",

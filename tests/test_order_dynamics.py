@@ -187,7 +187,7 @@ def test_partition_longform_exactly_one():
         for p in profs:
             flags = h_longform_flags(p)
             assert sum(flags) == 1, (n, p.exponent, flags)
-            assert flags[p.case_id - 1]
+            assert flags[p.h_class.value - 1]
 
 
 def test_class_one_second_iterate_in_base_field():
@@ -416,7 +416,7 @@ def test_image_sets_are_every_seeds_points(monkeypatch, tower):
     for p, lead in zip(profiles, member_profiles(orbits, leaders)):
         assert [tuple(s)[2:] for s in p.steps] == [
             tuple(s)[2:] for s in lead.steps]
-        assert (p.h_class, p.case_id) == (lead.h_class, lead.case_id)
+        assert p.h_class == lead.h_class
 
 
 @pytest.mark.parametrize("records", [False, True])
@@ -460,15 +460,16 @@ def _per_seed_records(tower, profiles):
     out = {name: [] for name in SEED_CHECKS}
     for exp, prof in enumerate(profiles, 1):
         flags = h_longform_flags(prof)
-        if sum(flags) != 1 or not flags[prof.case_id - 1]:
+        if sum(flags) != 1 or not flags[prof.h_class.value - 1]:
             out["h-partition"].append(exp)
-        if not case_table(prof).passed:
+        if not case_table(prof):
             out["case-tables"].append(exp)
         if not trace_profile_check(prof):
             out["forced-traces"].append(exp)
-        if prof.case_id == 1 and tower.l >= 1 and not case1_subcase(prof)[1]:
+        case1 = prof.h_class is HClass.H1
+        if case1 and tower.l >= 1 and not case1_subcase(prof)[1]:
             out["case1-subcases"].append(exp)
-        if prof.case_id != 1 and not check_order_bound(prof):
+        if not case1 and not check_order_bound(prof):
             out["order-bound"].append(exp)
     return [{"name": name, "pass": not bad,
              "detail": "" if not bad else f"failing seed exponents {bad[:5]}"}
@@ -516,7 +517,7 @@ def test_pair_verdicts_under_broken_pairs(monkeypatch):
     assert got == pair_verdict_records(tower, profiles)
     assert {"name": "case-tables", "pass": False,
             "detail": "failing seed exponents [3, 5, 6, 10, 12]"} in got
-    per_seed = {j for j, p in enumerate(profiles, 1) if not case_table(p).passed}
+    per_seed = {j for j, p in enumerate(profiles, 1) if not case_table(p)}
     assert per_seed == set(failing)
 
 
@@ -563,16 +564,20 @@ def test_forced_trace_rows_all_profiles():
 def test_case_tables_all_profiles():
     for profs in PROFILES.values():
         for p in profs:
-            tab = case_table(p)
-            assert tab.case_id == p.case_id
-            assert tab.passed, tab.render()
+            assert case_table(p), p
+
+
+def _flavor(p):
+    """The middle-graph class of the first iterate, as ``case_table``
+    reads it: "B" when its traces differ."""
+    return "B" if p.steps[1].tr != p.steps[1].tr_inv else "A"
 
 
 def test_case_three_flavors():
-    flavors = {case_table(p).flavor for p in PROFILES[2] if p.case_id == 3}
+    flavors = {_flavor(p) for p in PROFILES[2] if p.h_class.value == 3}
     assert flavors == {"B"}                   # no deep class-3 seeds at n=2
-    assert all(case_table(p).flavor == "A"
-               for p in PROFILES[2] if p.case_id in (1, 2))
+    assert all(_flavor(p) == "A"
+               for p in PROFILES[2] if p.h_class.value in (1, 2))
 
 
 @pytest.mark.parametrize("case_id, flavor",
@@ -586,29 +591,37 @@ def test_expected_rows_cover_indices_0_to_l_plus_4(case_id, flavor):
 def test_case_table_levels_match_graph(n):
     g = build_graph(TOWERS[n].ambient)
     for p in PROFILES[n]:
-        for row, idx in zip(case_table(p).rows, _ambient_indices(AMBIENT[n], p)):
-            assert g.level[idx] == row.level, (n, p.exponent, row.index)
+        rows = _expected_rows(p.h_class.value, _flavor(p), n, TOWERS[n].l)
+        for i, ((level, *_), idx) in enumerate(
+                zip(rows, _ambient_indices(AMBIENT[n], p))):
+            assert g.level[idx] == level, (n, p.exponent, i)
+
+
+def _with_special_point(index):
+    """A class-1 profile (n=2, l=1) with the special point 0 at ``index``:
+    order 1, subfield n and traces (0, 0), all of which the class-1 rows at
+    indices 3..l+4 accept."""
+    tw = TOWERS[2]
+    p = next(p for p in PROFILES[2] if p.h_class.value == 1)
+    assert case_table(p)
+    steps = list(p.steps)
+    steps[index] = steps[index]._replace(
+        point=0, order=1, d_part=1,
+        e_part=1, subfield=tw.n, tr=0, tr_inv=0)
+    return p._replace(steps=steps)
 
 
 def test_special_point_before_l_plus_3_is_a_mismatch():
-    # a special point at index 3 = l+2 of a class-1 profile (n=2) carries
-    # order 1, subfield n and traces (0, 0), all of which its row accepts
-    tw = TOWERS[2]
-    p = next(p for p in PROFILES[2] if p.case_id == 1)
-    steps = list(p.steps)
-    steps[3] = steps[3]._replace(
-        point=0, order=1, d_part=1,
-        e_part=1, subfield=tw.n, tr=0, tr_inv=0)
-    tab = case_table(p._replace(steps=steps))
-    assert [r.index for r in tab.rows if not r.ok] == [3]
+    # index 3 = l+2: a special point there fails the table, though its row
+    # accepts the point's order, subfield and traces
+    _, tag, subfield, pair = _expected_rows(1, "A", 2, TOWERS[2].l)[3]
+    assert (tag, subfield, pair) == ("q-1", 2, (0, 0))
+    assert not case_table(_with_special_point(3))
 
 
-def test_case_table_render_shape():
-    tab = case_table(PROFILES[2][0])
-    text = tab.render()
-    assert "level" in text and "trace" in text
-    assert len(text.splitlines()) == len(tab.rows) + 2
-    assert "MISMATCH" not in text
+def test_special_point_from_l_plus_3_on_fits_its_row():
+    # index 4 = l+3: the degenerate class-1 tail the table admits
+    assert case_table(_with_special_point(TOWERS[2].l + 3))
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +633,7 @@ def test_case1_subcase_partition():
     qt = 1 << (tw.n // 2)
     seen = set()
     for p in PROFILES[2]:
-        if p.case_id != 1:
+        if p.h_class.value != 1:
             continue
         subcase, ok = case1_subcase(p)
         assert ok, p
@@ -634,7 +647,7 @@ def test_case1_subcase_partition():
 def test_case1_subcase_preconditions():
     with pytest.raises(FieldError):
         case1_subcase(PROFILES[1][0])                    # l = 0
-    h3 = next(p for p in PROFILES[2] if p.case_id == 3)
+    h3 = next(p for p in PROFILES[2] if p.h_class.value == 3)
     with pytest.raises(FieldError):
         case1_subcase(h3)
 
@@ -645,7 +658,7 @@ def test_case1_subcase_forced_at_small_sizes():
     # dividing 5 = sqrt(q)+1 as well (sub-case 1 first fires at n=6)
     for n in (2, 4):
         subcases = {case1_subcase(p)[0]
-                    for p in PROFILES[n] if p.case_id == 1}
+                    for p in PROFILES[n] if p.h_class.value == 1}
         assert subcases == {2}
 
 
@@ -656,13 +669,13 @@ def test_case1_subcase_forced_at_small_sizes():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_cq1_inclusion(n):
     rep = verify_cq1_inclusion(*profile_set_inputs(TOWERS[n], PROFILES[n])[0])
-    assert rep.passed, str(rep)
+    assert rep.passed, rep.failures()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_quadrants(n):
     rep = trace_quadrants(*profile_set_inputs(TOWERS[n], PROFILES[n])[1])
-    assert rep.passed, str(rep)
+    assert rep.passed, rep.failures()
     assert rep.checks[0].name == "quadrant-partition"
     # each image record's detail is "|by-trace|=<a> |by-image|=<b>"
     by_trace = [int(c.detail.split()[0].partition("=")[2])
@@ -674,7 +687,7 @@ def test_quadrants(n):
 def test_theta_permutation(n):
     rep = verify_theta_permutation(
         *profile_set_inputs(TOWERS[n], PROFILES[n])[2])
-    assert rep.passed, str(rep)
+    assert rep.passed, rep.failures()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -892,7 +905,7 @@ def test_order_bound_holds(n):
     bound = tw.base.fact_plus.least_prime() * tw.base.fact_minus.least_prime()
     count = 0
     for p in PROFILES[n]:
-        if p.case_id == 1:
+        if p.h_class.value == 1:
             continue
         assert check_order_bound(p), p
         for i in range(1, tw.l + 2):
@@ -908,7 +921,7 @@ def test_order_bound_vacuous_at_n1():
 
 
 def test_order_bound_rejects_class_one_seed():
-    p1 = next(p for p in PROFILES[2] if p.case_id == 1)
+    p1 = next(p for p in PROFILES[2] if p.h_class.value == 1)
     with pytest.raises(FieldError):
         check_order_bound(p1)
 

@@ -1,7 +1,9 @@
 """The package as a reader meets it: the README's library example runs as
-written, and every module's exports and imports are live."""
+written, every module's exports and imports are live, and every function
+the benchmark's tracer times by name exists."""
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -24,9 +26,9 @@ def test_readme_quickstart_runs_as_written(capsys):
     code = _quickstart()
     ns: dict = {}
     exec(compile(code, "README.md", "exec"), ns)
-    rep = ns["rep"]
-    assert (rep.q, len(rep.S), len(rep.T), rep.K, rep.E_count) == (
-        64, 14, 18, -9, 56)
+    doc = ns["doc"]
+    assert (doc["q"], doc["S_size"], doc["T_size"], doc["K"],
+            doc["E_count"]) == (64, 14, 18, -9, 56)
     # the figures the README states beside the call are the report's
     stated = re.search(r"\|S\|=(\d+), \|T\|=(\d+), K=(-?\d+), \|E\|=(\d+)",
                        code)
@@ -66,3 +68,18 @@ def test_exports_exist_and_imports_are_used(path):
                 and getattr(node, "module", None) != "__future__"
                 for name in _bound_names(node)}
     assert sorted(imported - loaded - set(exports)) == []
+
+
+def test_every_tracer_target_resolves(tmp_path):
+    # perfbench/tracer.py wraps its TARGETS by name, as Tracer.__enter__
+    # resolves them here; a renamed one would be skipped, and the metrics
+    # of its layer would read 0
+    path = ROOT / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    tracer = tracer_module.Tracer(str(tmp_path))
+    with tracer:
+        pass
+    assert tracer.missing == []
+    assert tracer.leftovers() == []
