@@ -635,6 +635,7 @@ def subfield_embedding(sub: FieldSpec, ambient: FieldSpec) -> list[int]:
                 root = cand
                 break
             cand = lo[cand & mask] ^ hi[cand >> h]
+        del lo, hi                        # not live beside the dense table
         if root is None:
             raise FieldError(
                 f"modulus {sub.modulus:#x} of GF(2^{d}) has no root among "

@@ -7,9 +7,9 @@ j -> 2j mod q^2+1 share their leader's class, case and numeric rows, and
 each label of a unit is made from the leader's log in GF(q^2) times 2^k
 (``order_dynamics``).  So ``ProfileRecords`` holds data of one leader per
 orbit, and two arrays that place each seed in its orbit;
-``order_dynamics.profile_records`` builds it, and ``report.json_pieces``
-renders one record per orbit and fills in each member's exponent and
-labels.
+``order_dynamics.orders_report`` adds each orbit as it profiles its leader,
+and ``report.json_pieces`` renders one record per orbit and fills in each
+member's exponent and labels.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ _STEP_KEYS = ("index", "point", "order", "d_part", "e_part", "subfield", "tr",
 
 class ProfileRecords(TemplatedRecords):
     """The json record of every seed, in exponent order, kept as data of one
-    leader per orbit: its class and case, its rows (HOLE for each point but
-    a special one), and the logs its tail's point labels are made from;
-    ``orbit_of[j-1]`` and ``shift[j-1]`` give the orbit of seed j and its k,
-    with j = leader * 2^k.
+    leader per orbit (``add``): its class and case, its rows (HOLE for each
+    point but a special one), and the logs its tail's point labels are made
+    from, k0 times their logs in GF(q^2); ``orbit_of[j-1]`` and
+    ``shift[j-1]`` give the orbit of seed j and its k, with j = leader * 2^k.
 
     ``hexed`` is None, or the seeds of the ambient walk, the embedding of
     GF(q^2) and GF(q^2)'s exp table, from which the hex labels are read.
@@ -39,12 +39,27 @@ class ProfileRecords(TemplatedRecords):
     orbit and fills in each seed's exponent and labels (``fills``).
     """
 
-    def __init__(self, n2: int, heads: list[tuple[str, int]],
-                 rows: list[list[tuple]], logs: list[list[int]],
-                 orbit_of: array, shift: bytearray,
+    def __init__(self, n2: int, k0: int,
                  hexed: tuple[list[int], list[int], list[int]] | None):
-        self.n2, self.heads, self.rows, self.logs = n2, heads, rows, logs
-        self.orbit_of, self.shift, self.hexed = orbit_of, shift, hexed
+        self.n2, self.k0, self.hexed = n2, k0, hexed
+        self.heads, self.rows, self.logs = [], [], []
+        self.orbit_of, self.shift = array("I", [0]) * (n2 + 1), bytearray(n2 + 1)
+
+    def add(self, orbit: list[int], prof) -> None:
+        """Add ``orbit`` from its leader's ``order_dynamics.OrderProfile``:
+        each member j = leader * 2^k takes its class, case and numeric rows,
+        and each later point of h^j is the leader's raised to 2^k."""
+        n2, k0 = self.n2, self.k0
+        _, log = prof.tower.double.tables()
+        special = {0: "'0'", n2 + 1: "inf"}
+        o = len(self.heads)
+        self.heads.append((prof.h_class.name, prof.h_class.value))
+        self.rows.append([(s.index, special.get(s.point, HOLE) if s.index
+                           else HOLE, *s[2:]) for s in prof.steps])
+        self.logs.append([k0 * log[s.point] % n2 for s in prof.steps[1:]
+                          if s.point not in special])
+        for k, j in enumerate(orbit):
+            self.orbit_of[j - 1], self.shift[j - 1] = o, k
 
     def __len__(self) -> int:
         return len(self.shift)

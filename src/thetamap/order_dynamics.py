@@ -35,18 +35,19 @@ keeps the order, the subfield and the traces of every iterate: the seeds
 h^j and h^(2j) have the same numeric rows and the same class, and each
 iterate of h^(2j) is the square of that of h^j, its log in GF(q^2)
 doubled.  So one seed per orbit of j -> 2j mod q^2+1 is profiled, the
-orbit's least member, its leader (``seed_orbits``, ``leader_profiles``).
-As 2^(2n) = -1 mod q^2+1, each orbit also holds the mate q^2+1-j of each
+orbit's least member, its leader (``gf2_arith.doubling_orbits``).  As
+2^(2n) = -1 mod q^2+1, each orbit also holds the mate q^2+1-j of each
 member, and its size divides 4n.  Every member takes its leader's rows,
 class and per-seed verdicts; its points and labels are the leader's with
-their logs doubled.  So the json records are kept per orbit too
-(``profile_records``): the leader's rows and label logs, and each seed's
-orbit and shift; ``report.json_pieces`` renders one record per orbit and
-fills in each member's exponent and labels.  The set checks read images
-of sets through one graph over GF(q^2) instead (``set_checks``): a second
-derivation of the iterates.  One wrong step of the recurrence, even at a
-seed that is not a leader, carries on to D_(q^2+1)(b), which
-``seed_walk`` checks.
+their logs doubled.  ``orders_report`` makes one pass over the orbits: it
+profiles each leader, counts and judges the orbit, and, for json output,
+adds the leader's rows and label logs and each member's orbit and shift to
+the records (``orbit_records.ProfileRecords``), then drops the profile;
+``report.json_pieces`` renders one record per orbit and fills in each
+member's exponent and labels.  The set checks read images of sets through
+one graph over GF(q^2) instead (``set_checks``): a second derivation of
+the iterates.  One wrong step of the recurrence, even at a seed that is not
+a leader, carries on to D_(q^2+1)(b), which ``seed_walk`` checks.
 
 Labels are those of the ambient field: a seed is labelled j*(q^2-1), an
 iterate x of GF(q^2) by (q^2+1)*(k0 * log x mod q^2-1), where k0 inverts
@@ -81,7 +82,7 @@ from thetamap.gf2_arith import (
     subfield_embedding,
 )
 from thetamap.orbit_records import ProfileRecords
-from thetamap.report import HOLE, CheckReport
+from thetamap.report import CheckReport
 from thetamap.theta_graph import (
     ThetaGraph,
     _preimage,
@@ -98,10 +99,8 @@ __all__ = [
     "make_tower",
     "subgroup",
     "seed_walk",
-    "seed_orbits",
     "profile_tail",
     "classify_H",
-    "leader_profiles",
     "profile_records",
     "h_longform_flags",
     "trace_profile_check",
@@ -172,15 +171,6 @@ def seed_walk(tower: TowerSpec) -> SeedWalk:
     double = tower.double
     return SeedWalk(tower, *norm_one_dickson(double, tower.ambient,
                                              double.q + 1))
-
-
-def seed_orbits(tower: TowerSpec) -> list[list[int]]:
-    """The orbits of j -> 2j mod q^2+1 on the seed exponents 1..q^2, each
-    from its least member, the leader (``gf2_arith.doubling_orbits``).  The
-    leaders are the cyclotomic-coset leaders of 2 modulo q^2+1: j is one iff
-    j*(q^2-1) is one modulo 2^(4n)-1 (``gf2_arith._coset_leader``).
-    """
-    return list(doubling_orbits(tower.q ** 2 + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -260,25 +250,12 @@ def classify_H(walk: SeedWalk, j: int, tail: list[ProfileStep]) -> OrderProfile:
     return OrderProfile(tower, j, steps, h)
 
 
-def leader_profiles(walk: SeedWalk,
-                    orbits: list[list[int]]) -> list[OrderProfile]:
-    """The profile of each orbit's leader, in the order of ``orbits``."""
-    return [classify_H(walk, orbit[0], profile_tail(walk, orbit[0]))
-            for orbit in orbits]
-
-
-def profile_records(walk: SeedWalk, orbits: list[list[int]],
-                    profiles: list[OrderProfile]
+def profile_records(walk: SeedWalk
                     ) -> tuple[ProfileRecords | list, tuple[str, str] | None]:
-    """The json record of every seed, in exponent order, and the fault of
-    its labels' reads (the hex labels' ambient walk, or k0's preimage); on
-    a fault, no records.
-
-    The member j = leader * 2^k of an orbit takes its leader's class, case
-    and numeric rows.  Its seed is h^j, and each later point is the
-    leader's raised to 2^k: a unit's log in GF(q^2), and so its label,
-    is the leader's times 2^k modulo q^2-1.  So the records hold one
-    leader's data per orbit (``ProfileRecords``).
+    """The json records of the seeds, empty until ``orders_report`` adds
+    each orbit (``ProfileRecords.add``), and the fault of its labels' reads
+    (the hex labels' ambient walk, or k0's preimage); on a fault, no
+    records.
     """
     tower, emb = walk.tower, walk.emb
     double = tower.double
@@ -298,20 +275,7 @@ def profile_records(walk: SeedWalk, orbits: list[list[int]],
             k0 = pow(log[_preimage(double, tower.ambient, emb, a)], -1, n2)
         except ValueError as exc:       # FieldError, or no unit mod q^2-1
             return [], ("first-iterate-pullback", f"gen^{big}: {exc}")
-    special = {0: "'0'", double.q: "inf"}
-    rows, logs = [], []
-    orbit_of, shift = array("I", [0]) * (big - 1), bytearray(big - 1)
-    for o, (orbit, prof) in enumerate(zip(orbits, profiles)):
-        rows.append([(s.index, special.get(s.point, HOLE) if s.index else HOLE,
-                      s.order, s.d_part, s.e_part, s.subfield, s.tr, s.tr_inv)
-                     for s in prof.steps])
-        # the logs the labels of the tail's units are made from
-        logs.append([k0 * log[s.point] % n2 for s in prof.steps[1:]
-                     if s.point not in special])
-        for k, j in enumerate(orbit):
-            orbit_of[j - 1], shift[j - 1] = o, k
-    heads = [(prof.h_class.name, prof.h_class.value) for prof in profiles]
-    return ProfileRecords(n2, heads, rows, logs, orbit_of, shift, hexed), None
+    return ProfileRecords(n2, k0, hexed), None
 
 
 def h_longform_flags(profile: OrderProfile) -> tuple[bool, bool, bool]:
@@ -663,14 +627,15 @@ def orders_report(tower: TowerSpec, records: bool = True) -> dict:
     ``records``: json output reads them, text output does not), and every
     check.
 
-    The per-seed checks run once per orbit, on its leader, and a verdict
-    counts for every member.  The set checks read no profile
-    (``set_checks``); they run first, so that their sets are gone before
-    the profiles are built.  If the seed walk or the labels carry a fault
-    (the embedding of GF(q^2) fails, f(h) or gen^(q^2+1) misses the
-    embedded GF(q^2), h does not have order q^2+1, the ambient walk of the
-    hex labels does not close), no record can be trusted: the report
-    carries that one failed check with its witness.
+    One pass over the orbits profiles each leader, and its per-seed
+    verdicts count for every member of its orbit; the profile is dropped
+    once its orbit is counted, judged and, for json, recorded.  The set
+    checks read no profile (``set_checks``); they run first, so that their
+    sets are gone before the profiles are built.  If the seed walk or the
+    labels carry a fault (the embedding of GF(q^2) fails, f(h) or
+    gen^(q^2+1) misses the embedded GF(q^2), h does not have order q^2+1,
+    the ambient walk of the hex labels does not close), no record can be
+    trusted: the report carries that one failed check with its witness.
     """
     q, l, n = tower.q, tower.l, tower.n
     counts = {"H1": 0, "H2": 0, "H3": 0}
@@ -686,10 +651,8 @@ def orders_report(tower: TowerSpec, records: bool = True) -> dict:
     fault = walk.fault
     if fault is None:
         image_checks = set_checks(walk)
-        orbits = seed_orbits(tower)
-        profiles = leader_profiles(walk, orbits)
         if records:
-            doc["profiles"], fault = profile_records(walk, orbits, profiles)
+            doc["profiles"], fault = profile_records(walk)
     if fault is not None:
         if records:
             doc["profiles"] = []
@@ -697,12 +660,15 @@ def orders_report(tower: TowerSpec, records: bool = True) -> dict:
         doc["checks"] = checks.records()
         return doc
     failing: dict[str, list[int]] = {}
-    for orbit, prof in zip(orbits, profiles):
+    for orbit in doubling_orbits(q * q + 1):
+        prof = classify_H(walk, orbit[0], profile_tail(walk, orbit[0]))
         counts[prof.h_class.name] += len(orbit)
         for name, ok in _seed_verdicts(prof).items():
             bad = failing.setdefault(name, [])
             if not ok:
                 bad += orbit
+        if records:
+            doc["profiles"].add(orbit, prof)
 
     for name, bad in failing.items():
         bad.sort()

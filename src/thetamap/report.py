@@ -35,9 +35,6 @@ class CheckReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failures(self) -> list[Check]:
-        return [c for c in self.checks if not c.passed]
-
     def records(self) -> list[dict]:
         """The checks as JSON-ready {"name", "pass", "detail"} records."""
         return [{"name": c.name, "pass": c.passed, "detail": c.detail}

@@ -27,9 +27,11 @@ from thetamap.cli import main
 from thetamap.gf2_arith import (
     FieldError,
     FieldSpec,
+    doubling_orbits,
     make_field,
     subfield_embedding,
 )
+from thetamap.orbit_records import ProfileRecords
 from thetamap.order_dynamics import make_tower, profile_tail, seed_walk
 
 
@@ -655,7 +657,7 @@ def test_non_leader_recurrence_fault_is_a_record(monkeypatch, capsys):
     # orbit of seed 1, so no profile reads its first iterate, but the error
     # carries on to D_65(f(h))
     tower = make_tower(3)
-    assert order_dynamics.seed_orbits(tower)[0][:2] == [1, 2]
+    assert next(doubling_orbits(tower.q ** 2 + 1))[:2] == [1, 2]
     true_values = FieldSpec.dickson_values
     got = []
 
@@ -693,25 +695,61 @@ def test_per_seed_fault_fails_its_own_records(monkeypatch, capsys, leader,
     # needs.  Order 17 at index 1 of the class-3 leader 1 is below 51, not
     # mixed, and no order its row admits.  Every member of the orbit fails.
     tower = make_tower(4)
-    orbit = next(o for o in order_dynamics.seed_orbits(tower)
+    orbit = next(o for o in doubling_orbits(tower.q ** 2 + 1)
                  if o[0] == leader)
-    true_leaders = order_dynamics.leader_profiles
+    true_classify = order_dynamics.classify_H
 
-    def broken(walk, orbits):
-        profiles = true_leaders(walk, orbits)
-        prof = next(p for p in profiles if p.exponent == leader)
-        assert prof.h_class.value == case_id
-        assert getattr(prof.steps[index], field) != value
-        prof.steps[index] = prof.steps[index]._replace(**{field: value})
-        return profiles
+    def broken(walk, j, tail):
+        prof = true_classify(walk, j, tail)
+        if j == leader:
+            assert prof.h_class.value == case_id
+            assert getattr(prof.steps[index], field) != value
+            prof.steps[index] = prof.steps[index]._replace(**{field: value})
+        return prof
 
-    monkeypatch.setattr(order_dynamics, "leader_profiles", broken)
+    monkeypatch.setattr(order_dynamics, "classify_H", broken)
     assert main(["verify-orders", "--n", "4"]) == 1
     captured = capsys.readouterr()
     assert _failed_lines(captured.out) == [
         f"FAIL [n=4] {name}  failing seed exponents {sorted(orbit)[:5]}"
         for name in failing]
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_each_leader_is_judged_before_the_next_is_profiled(monkeypatch,
+                                                           capsys, fmt):
+    # one pass over the Frobenius orbits: each leader is profiled, judged
+    # and, for json, recorded before the next leader's profile is built
+    events = []
+    true_classify = order_dynamics.classify_H
+    true_verdicts = order_dynamics._seed_verdicts
+
+    def classify(walk, j, tail):
+        events.append(("profile", j))
+        return true_classify(walk, j, tail)
+
+    def verdicts(prof):
+        events.append(("judge", prof.exponent))
+        return true_verdicts(prof)
+
+    monkeypatch.setattr(order_dynamics, "classify_H", classify)
+    monkeypatch.setattr(order_dynamics, "_seed_verdicts", verdicts)
+    steps = ["profile", "judge"]
+    if fmt == "json":
+        true_add = ProfileRecords.add
+
+        def add(self, orbit, prof):
+            events.append(("record", prof.exponent))
+            true_add(self, orbit, prof)
+
+        monkeypatch.setattr(ProfileRecords, "add", add)
+        steps.append("record")
+    assert main(["verify-orders", "--n", "4", "--format", fmt]) == 0
+    capsys.readouterr()
+    leaders = [orbit[0] for orbit in doubling_orbits(257)]
+    assert len(leaders) == 16
+    assert events == [(step, j) for j in leaders for step in steps]
 
 
 @pytest.mark.parametrize("workers", ["0", "-4"])

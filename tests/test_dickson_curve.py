@@ -279,7 +279,7 @@ def test_curve_count_lower_bound():
 def test_leaf_set_equalities(n):
     f = make_field(n)
     rep = leaf_set_equalities(build_graph(f))
-    assert rep.passed, rep.failures()
+    assert rep.passed, rep.records()
 
 
 @pytest.mark.parametrize("n", range(3, 13))

@@ -24,6 +24,7 @@ from thetamap.gf2_arith import (
     FieldError,
     FieldSpec,
     _coset_leader,
+    doubling_orbits,
     factorize,
     field_to_record,
     make_field,
@@ -37,11 +38,9 @@ from thetamap.order_dynamics import (
     check_order_bound,
     classify_H,
     h_longform_flags,
-    leader_profiles,
     make_tower,
     orders_report,
     profile_tail,
-    seed_orbits,
     seed_walk,
     set_checks,
     trace_profile_check,
@@ -275,7 +274,7 @@ def test_seed_orbits_are_the_coset_leaders(n):
     # dividing 4n
     tower = TOWERS[n] if n in TOWERS else make_tower(n)
     big = tower.q ** 2 + 1
-    orbits = seed_orbits(tower)
+    orbits = list(doubling_orbits(big))
     assert [o[0] for o in orbits] == [
         j for j in range(1, big) if _coset_leader(j * (big - 2), 4 * n)]
     assert sorted(j for o in orbits for j in o) == list(range(1, big))
@@ -411,8 +410,9 @@ def test_image_sets_are_every_seeds_points(monkeypatch, tower):
     assert landing == {p.steps[l + 4].point for p in profiles}
     assert image == {theta_index(tower.double, x) for x in landing}
     # and each seed's rows and class are its leader's
-    orbits = seed_orbits(tower)
-    leaders = leader_profiles(walk, orbits)
+    orbits = list(doubling_orbits(tower.q ** 2 + 1))
+    leaders = [classify_H(walk, o[0], profile_tail(walk, o[0]))
+               for o in orbits]
     for p, lead in zip(profiles, member_profiles(orbits, leaders)):
         assert [tuple(s)[2:] for s in p.steps] == [
             tuple(s)[2:] for s in lead.steps]
@@ -438,7 +438,7 @@ def test_seed_pairs_share_one_tail(monkeypatch, n):
                         lambda walk, j: tails.append(j) or true_tail(walk, j))
     records = orders_report(TOWERS[n])["profiles"]
     big = TOWERS[n].q ** 2 + 1
-    orbits = seed_orbits(TOWERS[n])
+    orbits = list(doubling_orbits(big))
     assert tails == [o[0] for o in orbits] == sorted(set(tails))
     for orbit in orbits:
         lead = records[orbit[0] - 1]["steps"]
@@ -496,18 +496,19 @@ def test_pair_verdicts_under_broken_pairs(monkeypatch):
     # under their own exponents, ascending, as seed-by-seed evaluation and
     # the mate pairs find
     tower = make_tower(3)
-    true_leaders = order_dynamics.leader_profiles
+    true_classify = order_dynamics.classify_H
 
-    def broken(walk, orbits):
-        profiles = true_leaders(walk, orbits)
-        for prof in profiles:
-            if prof.exponent in (3, 5):
-                prof.steps[2] = prof.steps[2]._replace(tr=prof.steps[2].tr ^ 1)
-        return profiles
+    def broken(walk, j, tail):
+        prof = true_classify(walk, j, tail)
+        if j in (3, 5):
+            prof.steps[2] = prof.steps[2]._replace(tr=prof.steps[2].tr ^ 1)
+        return prof
 
-    monkeypatch.setattr(order_dynamics, "leader_profiles", broken)
-    orbits = seed_orbits(tower)
-    profiles = member_profiles(orbits, broken(seed_walk(tower), orbits))
+    monkeypatch.setattr(order_dynamics, "classify_H", broken)
+    walk = seed_walk(tower)
+    orbits = list(doubling_orbits(tower.q ** 2 + 1))
+    profiles = member_profiles(orbits, [
+        broken(walk, o[0], profile_tail(walk, o[0])) for o in orbits])
     for j in (3, 5, 60, 62):
         assert profiles[j - 1].steps[2].tr != PROFILES[3][j - 1].steps[2].tr
     failing = sorted(j for o in orbits if o[0] in (3, 5) for j in o)
@@ -669,13 +670,13 @@ def test_case1_subcase_forced_at_small_sizes():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_cq1_inclusion(n):
     rep = verify_cq1_inclusion(*profile_set_inputs(TOWERS[n], PROFILES[n])[0])
-    assert rep.passed, rep.failures()
+    assert rep.passed, rep.records()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_quadrants(n):
     rep = trace_quadrants(*profile_set_inputs(TOWERS[n], PROFILES[n])[1])
-    assert rep.passed, rep.failures()
+    assert rep.passed, rep.records()
     assert rep.checks[0].name == "quadrant-partition"
     # each image record's detail is "|by-trace|=<a> |by-image|=<b>"
     by_trace = [int(c.detail.split()[0].partition("=")[2])
@@ -687,7 +688,7 @@ def test_quadrants(n):
 def test_theta_permutation(n):
     rep = verify_theta_permutation(
         *profile_set_inputs(TOWERS[n], PROFILES[n])[2])
-    assert rep.passed, rep.failures()
+    assert rep.passed, rep.records()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
