@@ -124,7 +124,7 @@ def _pgcd(a: int, b: int) -> int:
 _FLIP = bytes((1, 0)) + bytes(range(2, 256))
 
 
-def _span_table(basis: list[int]) -> list[int]:
+def span_table(basis: list[int]) -> list[int]:
     """Entry j is the XOR of basis[i] over the set bits i of j."""
     tab = [0]
     for b in basis:
@@ -505,7 +505,7 @@ class FieldSpec:
             v <<= 1
             if v >> self.t:
                 v ^= self.modulus
-        return _span_table(cols[:h]), _span_table(cols[h:]), h
+        return span_table(cols[:h]), span_table(cols[h:]), h
 
     def step_tables(self, c: int) -> tuple[list[int], list[int], int]:
         """``mul_tables(c)``, refused with FieldError unless their image of 1
@@ -601,7 +601,7 @@ def make_field(t: int, modulus: int | None = None) -> FieldSpec:
 # Explicit subfield embeddings (never implicit coercions)
 
 def subfield_embedding(sub: FieldSpec, ambient: FieldSpec) -> list[int]:
-    """Dense table mapping packed elements of `sub` into `ambient`.
+    """`sub`'s polynomial basis in `ambient`: [rho^0, ..., rho^(d-1)].
 
     Finds the least power ghat^k of the canonical order-(2^d-1) generator
     ghat of the ambient subfield that is a root of `sub`'s modulus (with
@@ -613,7 +613,7 @@ def subfield_embedding(sub: FieldSpec, ambient: FieldSpec) -> list[int]:
     needs no root: its one basis power is 1, whatever the modulus (the root
     of x is 0, which no unit power reaches).
 
-    A modulus without a root among the walked powers, or a table that sends
+    A modulus without a root among the walked powers, or a basis that sends
     `sub`'s generator to an element of another order, is a faulty kernel;
     both raise FieldError naming the witness.
     """
@@ -621,38 +621,48 @@ def subfield_embedding(sub: FieldSpec, ambient: FieldSpec) -> list[int]:
     if ambient.t % d != 0:
         raise FieldError(f"GF(2^{d}) does not embed in GF(2^{ambient.t})")
     sub_units = (1 << d) - 1
-    rho_pow = [1] * d
+    rho_pow, image = [1] * d, sub.gen
     if d > 1:
         ghat = ambient.pow(ambient.gen, (ambient.q - 1) // sub_units)
         cofactor = sub_units // sub.order(2)
         lo, hi, h = ambient.mul_tables(ghat)
         mask = len(lo) - 1
-        root = None
         cand = ghat
         for k in range(1, sub_units + 1):
             if (math.gcd(k, sub_units) == cofactor and _coset_leader(k, d)
                     and ambient.eval_poly(sub.modulus, cand) == 0):
-                root = cand
                 break
             cand = lo[cand & mask] ^ hi[cand >> h]
-        del lo, hi                        # not live beside the dense table
-        if root is None:
+        else:
             raise FieldError(
                 f"modulus {sub.modulus:#x} of GF(2^{d}) has no root among "
                 f"the powers of {ghat:#x} in GF(2^{ambient.t})")
         for j in range(1, d):
-            rho_pow[j] = ambient.mul(rho_pow[j - 1], root)
-    table = [0] * (1 << d)
-    for bits in range(1, 1 << d):
-        low = bits & -bits
-        table[bits] = table[bits ^ low] ^ rho_pow[low.bit_length() - 1]
-    image = table[sub.gen]
+            rho_pow[j] = ambient.mul(rho_pow[j - 1], cand)
+        image = ambient.eval_poly(sub.gen, cand)    # cand is the root
     order = ambient.order(image) if image else 0
     if order != sub_units:
         raise FieldError(
             f"embedded generator {image:#x} of GF(2^{d}) has order {order} "
             f"in GF(2^{ambient.t}), not {sub_units}")
-    return table
+    return rho_pow
+
+
+def preimage(sub: FieldSpec, ambient: FieldSpec, basis: list[int],
+             a: int) -> int:
+    """The x of `sub` that ``basis`` maps to a, by elimination over GF(2) on
+    rows image << d | preimage bits, keyed by their leading bits; a is
+    reduced as one more row.  FieldError for an a outside their span."""
+    d, rows = sub.t, {}
+    for v in [*(b << d | 1 << i for i, b in enumerate(basis)), a << d]:
+        while v >> d and v.bit_length() in rows:
+            v ^= rows[v.bit_length()]
+        if v >> d:
+            rows[v.bit_length()] = v
+    if v >> d:
+        raise FieldError(f"witness {a:#x} of GF(2^{ambient.t}) "
+                         f"outside GF(2^{d})")
+    return v
 
 
 def doubling_orbits(k: int):

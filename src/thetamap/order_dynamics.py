@@ -79,13 +79,14 @@ from thetamap.gf2_arith import (
     doubling_orbits,
     field_to_record,
     make_field,
+    preimage,
+    span_table,
     subfield_embedding,
 )
 from thetamap.orbit_records import ProfileRecords
 from thetamap.report import CheckReport
 from thetamap.theta_graph import (
     ThetaGraph,
-    _preimage,
     build_graph,
     norm_one_dickson,
 )
@@ -156,8 +157,8 @@ def subgroup(tower: TowerSpec, k: int) -> list[int]:
 
 class SeedWalk(NamedTuple):
     """``values[j]`` = f(h^j) in GF(q^2) for the seeds h^j, h = gen^(q^2-1),
-    j = 0..q^2+1; ``emb`` embeds GF(q^2) in the ambient; ``fault`` is None
-    or the (check name, witness) that leaves no profile to trust."""
+    j = 0..q^2+1; ``emb``, d basis images, embeds GF(q^2) in the ambient;
+    ``fault`` is None or the (check name, witness) of an untrusted walk."""
 
     tower: TowerSpec
     values: array
@@ -267,12 +268,12 @@ def profile_records(walk: SeedWalk
         powers = subgroup(tower, big)
         if powers[big] != 1:
             return [], ("subgroup-closure", f"h^{big} = {powers[big]:#x}, not 1")
-        hexed, k0 = (powers, emb, exp), 1     # hex labels read logs as they are
+        hexed, k0 = (powers, span_table(emb), exp), 1   # logs as they are
     else:
         # gen^(q^2+1) generates the ambient's copy of GF(q^2)*
         a = tower.ambient.pow(tower.ambient.gen, big)
         try:
-            k0 = pow(log[_preimage(double, tower.ambient, emb, a)], -1, n2)
+            k0 = pow(log[preimage(double, tower.ambient, emb, a)], -1, n2)
         except ValueError as exc:       # FieldError, or no unit mod q^2-1
             return [], ("first-iterate-pullback", f"gen^{big}: {exc}")
     return ProfileRecords(n2, k0, hexed), None
@@ -542,7 +543,7 @@ def trace_quadrants(tower: TowerSpec, a_images: list[set[int]],
         {(1, 1): a11, (0, 0): a00, (0, 1): b01, (1, 0): b10}[pair].add(x)
 
     try:
-        emb, fault = subfield_embedding(spec_n, double), None
+        emb, fault = span_table(subfield_embedding(spec_n, double)), None
     except FieldError as exc:
         fault = str(exc)
 
@@ -646,8 +647,6 @@ def orders_report(tower: TowerSpec, records: bool = True) -> dict:
         "counts": counts,
     }
     walk = seed_walk(tower)
-    if not records:
-        walk = walk._replace(emb=[])       # only the records read it, for k0
     fault = walk.fault
     if fault is None:
         image_checks = set_checks(walk)

@@ -57,6 +57,7 @@ from thetamap.gf2_arith import (
     FieldError,
     FieldSpec,
     _pinvmod,
+    preimage,
     subfield_embedding,
 )
 from thetamap.report import CheckReport, json_pieces
@@ -105,28 +106,18 @@ def theta_index(field: FieldSpec, idx: int) -> int:
     return idx ^ field.inv(idx)
 
 
-def _preimage(sub: FieldSpec, ambient: FieldSpec, emb: list[int],
-              a: int) -> int:
-    """emb^-1(a) in ``sub``; FieldError for an ``a`` outside its image."""
-    try:
-        return emb.index(a)
-    except ValueError:
-        raise FieldError(f"witness {a:#x} of GF(2^{ambient.t}) "
-                         f"outside GF(2^{sub.t})") from None
-
-
 def norm_one_dickson(sub: FieldSpec, ambient: FieldSpec, m: int
                      ) -> tuple[array, list[int], tuple[str, str] | None]:
     """x + 1/x on the order-m subgroup of ``ambient`` = GF(Q^2), m | Q+1, in
     ``sub`` = GF(Q): (values, emb, fault), values[k] = D_k(b) = h^k + h^-k
-    for k = 0..m, h = gen^((Q^2-1)/m), b = h + 1/h pulled back once through
-    emb = ``subfield_embedding(sub, ambient)``.  h has order m iff D_m(b) = 0
-    and D_(m/p)(b) != 0 for each prime p | m.  Never raises on a faulty
-    kernel: ``fault`` is None or (check name, witness)."""
+    for k = 0..m, h = gen^((Q^2-1)/m), b = h + 1/h pulled back once by
+    ``preimage`` through emb = ``subfield_embedding(sub, ambient)``.  h has
+    order m iff D_m(b) = 0 and D_(m/p)(b) != 0 for each prime p | m.  Never
+    raises on a faulty kernel: ``fault`` is None or (check name, witness)."""
     try:
         emb = subfield_embedding(sub, ambient)
         h = ambient.pow(ambient.gen, (ambient.q - 1) // m)
-        b = _preimage(sub, ambient, emb, h ^ ambient.inv(h))
+        b = preimage(sub, ambient, emb, h ^ ambient.inv(h))
     except FieldError as exc:
         return array("i"), [], ("first-iterate-pullback", str(exc))
     values = sub.dickson_values(b, m)

@@ -35,6 +35,7 @@ from thetamap.gf2_arith import (
     FieldError,
     FieldSpec,
     make_field,
+    span_table,
     subfield_embedding,
 )
 from thetamap.theta_graph import (
@@ -112,7 +113,7 @@ def theta_pullback(sub: FieldSpec, ambient: FieldSpec,
     if powers[m] != 1:
         return [], f"h^{m} = {powers[m]:#x}, not 1"
     try:
-        emb = subfield_embedding(sub, ambient)
+        emb = span_table(subfield_embedding(sub, ambient))
     except FieldError as exc:
         return [], str(exc)
     back = {v: x for x, v in enumerate(emb)}
@@ -438,5 +439,37 @@ def wrong_dickson_step(t: int, m: int, k: int):
 
     def install(patch) -> None:
         patch(FieldSpec, "dickson_values", dickson_values)
+
+    return install
+
+
+def parity_mask(d: int, ones=(), zeros=()) -> int:
+    """The least c < 2^d with parity(c & y) = 1 for each y in ``ones`` and
+    0 for each y in ``zeros``."""
+    return next(c for c in range(1 << d)
+                if all((c & y).bit_count() & 1 for y in ones)
+                and not any((c & y).bit_count() & 1 for y in zeros))
+
+
+def skewed_embedding(d: int, t: int, mask: int, e: int):
+    """The embedding of GF(2^d) in GF(2^t) that ``theta_graph`` asks for,
+    with e added to the image of each basis bit set in ``mask``: the true
+    embedding plus y -> parity(y & mask) * e, other degrees left alone.
+
+    For an e outside the embedded GF(2^d) the sum is still injective, and
+    its image holds emb(z) iff parity(z & mask) = 0.  For e = emb(w) with
+    parity(w & mask) = 0 it is emb after the involution of GF(2^d) that
+    adds w to each z with parity(z & mask) = 1: the same image, other
+    preimages."""
+    true_embedding = theta_graph.subfield_embedding
+
+    def embedding(sub, ambient):
+        basis = true_embedding(sub, ambient)
+        if (sub.t, ambient.t) != (d, t):
+            return basis
+        return [v ^ e if mask >> i & 1 else v for i, v in enumerate(basis)]
+
+    def install(patch) -> None:
+        patch(theta_graph, "subfield_embedding", embedding)
 
     return install

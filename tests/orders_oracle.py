@@ -15,7 +15,7 @@ must give the same document and the same json bytes.
 from dataclasses import dataclass
 
 from graph_oracle import theta_pullback
-from thetamap.gf2_arith import TABLE_MAX_T, field_to_record
+from thetamap.gf2_arith import TABLE_MAX_T, field_to_record, span_table
 from thetamap.order_dynamics import (
     SeedWalk,
     _seed_verdicts,
@@ -35,12 +35,14 @@ class AmbientWalk:
     """The seeds of ``walk`` walked in the ambient: ``seeds[j]`` = h^j for
     j = 0..q^2+1, h = gen^(q^2-1); ``values``, ``fault``: their first
     iterates pulled back to GF(q^2) by ``theta_pullback``, values[j] for
-    j <= q^2; and k0 with emb(gen_2n) = (gen^(q^2+1))^k0."""
+    j <= q^2; ``emb``, the image of every x of GF(q^2) (``span_table`` of
+    the walk's basis); and k0 with emb(gen_2n) = (gen^(q^2+1))^k0."""
 
     walk: SeedWalk
     seeds: list[int]
     values: list[int | None]
     fault: str | None
+    emb: list[int]
     k0: int
 
 
@@ -52,14 +54,15 @@ def ambient_walk(walk: SeedWalk) -> AmbientWalk:
     seeds = ambient.subgroup(big)
     values, fault = theta_pullback(tower.double, ambient, seeds)
     ghat = ambient.pow(ambient.gen, big)
-    k0 = ambient.powers(ghat, big - 3).index(walk.emb[tower.double.gen])
-    return AmbientWalk(walk, seeds, values, fault, k0)
+    emb = span_table(walk.emb)
+    k0 = ambient.powers(ghat, big - 3).index(emb[tower.double.gen])
+    return AmbientWalk(walk, seeds, values, fault, emb, k0)
 
 
 def ambient_point(amb: AmbientWalk, x: int) -> int:
     """A point of GF(q^2) (index q^2 is inf) as an ambient index."""
     tower = amb.walk.tower
-    return tower.ambient.q if x == tower.double.q else amb.walk.emb[x]
+    return tower.ambient.q if x == tower.double.q else amb.emb[x]
 
 
 def label(amb: AmbientWalk, x: int) -> str:

@@ -29,6 +29,7 @@ from thetamap.gf2_arith import (
     FieldSpec,
     doubling_orbits,
     make_field,
+    span_table,
     subfield_embedding,
 )
 from thetamap.orbit_records import ProfileRecords
@@ -550,7 +551,7 @@ def test_subgroup_closure_fault_is_a_record(monkeypatch, capsys):
     tower = make_tower(2)
     ambient = tower.ambient
     z = ambient.pow(ambient.gen, 17 * 17)
-    emb = subfield_embedding(tower.double, ambient)
+    emb = span_table(subfield_embedding(tower.double, ambient))
     value = emb.index(z ^ ambient.inv(z))
     assert value != 0
     _seed_generator(monkeypatch, tower, 17)
@@ -593,19 +594,15 @@ def test_label_walk_closure_fault_is_a_record(monkeypatch, capsys):
 
 
 def test_first_iterate_pullback_fault_is_a_record(monkeypatch, capsys):
-    # one bit flipped in the embedding of GF(q^2), at the first iterate of
-    # the seed h^1: f(h) no longer pulls back.  The seed walk asks
+    # the embedding of GF(q^2) skewed off the subfield at the first iterate
+    # of the seed h^1, by the ambient generator on one basis image that
+    # iterate has: f(h) no longer pulls back.  The seed walk asks
     # theta_graph's norm-one Dickson helper for the embedding
-    true_embedding = theta_graph.subfield_embedding
-    first = profile_tail(seed_walk(make_tower(2)), 1)[0].point
-
-    def flipped(sub, ambient):
-        table = true_embedding(sub, ambient)
-        if (sub.t, ambient.t) == (4, 8):
-            table[first] ^= 1
-        return table
-
-    monkeypatch.setattr(theta_graph, "subfield_embedding", flipped)
+    tower = make_tower(2)
+    first = profile_tail(seed_walk(tower), 1)[0].point
+    graph_oracle.skewed_embedding(
+        4, 8, graph_oracle.parity_mask(4, ones=[first]), tower.ambient.gen)(
+        monkeypatch.setattr)
     assert main(["verify-orders", "--n", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ("FAIL [n=2] first-iterate-pullback  witness 0xa "
@@ -620,27 +617,24 @@ def test_first_iterate_pullback_fault_is_a_record(monkeypatch, capsys):
 ], ids=["outside", "no-unit"])
 def test_label_pullback_fault_is_a_record(monkeypatch, capsys, swap, detail):
     # the json labels pull gen^17, the image of GF(q^2)'s generator, back
-    # for k0 (n = 2).  One bit flipped at that image leaves gen^17 outside
-    # the table; swapped with the image of gen^5, gen^17 pulls back to an
-    # element of order 3, whose log 5 has no inverse modulo 15.  f(h) still
-    # pulls back, so the text output passes.  The labels read the table the
-    # seed walk got from theta_graph's norm-one Dickson helper
+    # for k0 (n = 2).  A mask c with parity(c & gen) = parity(c & gen^5) = 1
+    # and parity(c & b) = 0, b the preimage of f(h), picks the basis images
+    # that gain e.  With e the ambient generator, outside GF(q^2), gen^17
+    # leaves their span.  With e the image of gen + gen^5, the embedding is
+    # the true one after the involution that swaps gen and gen^5, so gen^17
+    # pulls back to gen^5, of order 3, whose log 5 has no inverse modulo
+    # 15.  f(h) still pulls back to b, so the text output passes.  The
+    # labels read the basis the seed walk got from theta_graph's norm-one
+    # Dickson helper
     tower = make_tower(2)
     gen = tower.double.gen
     fifth = tower.double.pow(gen, 5)
-    assert seed_walk(tower).values[1] not in (gen, gen ^ 1, fifth)
-    true_embedding = theta_graph.subfield_embedding
-
-    def corrupted(sub, ambient):
-        table = true_embedding(sub, ambient)
-        if (sub.t, ambient.t) == (4, 8):
-            if swap:
-                table[gen], table[fifth] = table[fifth], table[gen]
-            else:
-                table[gen] ^= 1
-        return table
-
-    monkeypatch.setattr(theta_graph, "subfield_embedding", corrupted)
+    b = seed_walk(tower).values[1]
+    assert b not in (gen, gen ^ 1, fifth)
+    emb = span_table(subfield_embedding(tower.double, tower.ambient))
+    graph_oracle.skewed_embedding(
+        4, 8, graph_oracle.parity_mask(4, ones=[gen, fifth], zeros=[b]),
+        emb[gen ^ fifth] if swap else tower.ambient.gen)(monkeypatch.setattr)
     assert main(["verify-orders", "--n", "2"]) == 0
     capsys.readouterr()
     assert main(["verify-orders", "--n", "2", "--format", "json"]) == 1
@@ -856,20 +850,17 @@ def test_dickson_bound_failures_are_records(monkeypatch, capsys):
 
 
 def _flip_embedded_root(monkeypatch):
-    # the one entry the root image reads: that of b, the preimage of
-    # f(h) = h + 1/h, h = gen^15 of order 17 in GF(2^8)
-    true_embedding = theta_graph.subfield_embedding
+    # the one preimage the root image reads: b, of f(h) = h + 1/h, h =
+    # gen^15 of order 17 in GF(2^8); the ambient generator added to one
+    # basis image that b has skews the embedding off the subfield at b
     double = make_field(8)
     h = double.pow(double.gen, 15)
-    root = true_embedding(make_field(4), double).index(h ^ double.inv(h))
+    root = span_table(subfield_embedding(make_field(4), double)).index(
+        h ^ double.inv(h))
     assert root in dickson_curve._root_bits(make_field(4), 17)
-
-    def flipped(sub, ambient):
-        table = true_embedding(sub, ambient)
-        table[root] ^= 1                 # one bit of one image element
-        return table
-
-    monkeypatch.setattr(theta_graph, "subfield_embedding", flipped)
+    graph_oracle.skewed_embedding(
+        4, 8, graph_oracle.parity_mask(4, ones=[root]), double.gen)(
+        monkeypatch.setattr)
 
 
 def _drop_least_root(monkeypatch):

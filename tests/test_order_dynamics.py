@@ -1,12 +1,15 @@
 """Classification of the order-(q^2+1) subgroup and the set-level facts."""
 
 import functools
+import itertools
 import math
 import pickle
 from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import graph_oracle
 from field_oracle import field_from_record, in_subfield, subfield_trace
 from orders_oracle import (
     ambient_point,
@@ -19,7 +22,7 @@ from orders_oracle import (
     seed_label,
     seed_profiles,
 )
-from thetamap import order_dynamics, theta_graph
+from thetamap import order_dynamics
 from thetamap.gf2_arith import (
     FieldError,
     FieldSpec,
@@ -27,7 +30,10 @@ from thetamap.gf2_arith import (
     doubling_orbits,
     factorize,
     field_to_record,
+    is_irreducible,
     make_field,
+    preimage,
+    span_table,
     subfield_embedding,
 )
 from thetamap.order_dynamics import (
@@ -351,21 +357,17 @@ def test_a_range_document_renders_its_records_at_depth_three():
 
 
 def test_a_label_fault_leaves_no_records(monkeypatch):
-    # k0's preimage fails (the embedded generator of GF(q^2) flipped in
-    # GF(2^8), the table the seed walk got from theta_graph's norm-one
-    # Dickson helper), which only the labels read: the json document
-    # carries the fault and an empty list of records
+    # k0's preimage fails (the embedded generator of GF(q^2) skewed off
+    # the subfield in GF(2^8), in the basis the seed walk got from
+    # theta_graph's norm-one Dickson helper, while f(h) still pulls back),
+    # which only the labels read: the json document carries the fault and
+    # an empty list of records
     tower = make_tower(2)
     gen = tower.double.gen
-    true_embedding = theta_graph.subfield_embedding
-
-    def flipped(sub, ambient):
-        table = true_embedding(sub, ambient)
-        if (sub.t, ambient.t) == (4, 8):
-            table[gen] ^= 1
-        return table
-
-    monkeypatch.setattr(theta_graph, "subfield_embedding", flipped)
+    mask = graph_oracle.parity_mask(
+        4, ones=[gen], zeros=[seed_walk(tower).values[1]])
+    graph_oracle.skewed_embedding(4, 8, mask, tower.ambient.gen)(
+        monkeypatch.setattr)
     assert all(c["pass"] for c in orders_report(tower, False)["checks"])
     doc = orders_report(tower)
     assert doc["profiles"] == []
@@ -943,7 +945,7 @@ def test_embedding_preserves_structure():
     # GF(2) also modulo x, whose root 0 is no power of a unit
     for sub in (make_field(1, 0b10), *(make_field(d) for d in (1, 2, 3, 6))):
         d = sub.t
-        emb = subfield_embedding(sub, amb)
+        emb = span_table(subfield_embedding(sub, amb))
         assert emb[0] == 0 and emb[1] == 1
         for a in range(sub.q):
             for b in range(sub.q):
@@ -957,12 +959,97 @@ def test_embedding_conway_fast_path():
     amb = make_field(8)
     sub = make_field(2)
     ghat = amb.pow(amb.gen, (amb.q - 1) // 3)
-    assert subfield_embedding(sub, amb)[sub.gen] == ghat
+    assert span_table(subfield_embedding(sub, amb))[sub.gen] == ghat
 
 
 def test_embedding_rejects_non_subfield():
     with pytest.raises(FieldError):
         subfield_embedding(make_field(3), make_field(8))
+
+
+def _image(basis, x):
+    """The XOR of the basis images over the set bits of x."""
+    image = 0
+    for i, v in enumerate(basis):
+        if x >> i & 1:
+            image ^= v
+    return image
+
+
+def _least_and_greatest(d):
+    """GF(2^d) under its least and greatest irreducible moduli; for d = 1
+    those are x and x + 1."""
+    irreducible = [m for m in range(1 << d, 2 << d) if is_irreducible(m)]
+    return [make_field(d, m) for m in (irreducible[0], irreducible[-1])]
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_preimage_inverts_the_embedding(d):
+    # every x of GF(2^d), under its Conway, least and greatest moduli, comes
+    # back from its image in GF(2^(2d)), under the default and the greatest
+    # moduli
+    for sub in (make_field(d), *_least_and_greatest(d)):
+        for amb in (make_field(2 * d), _least_and_greatest(2 * d)[1]):
+            basis = subfield_embedding(sub, amb)
+            assert len(basis) == d
+            assert ([preimage(sub, amb, basis, a) for a in span_table(basis)]
+                    == list(range(sub.q))), (sub, amb)
+
+
+@pytest.mark.parametrize("n, ambient, counts", NON_DEFAULT, ids=[
+    f"n{n}-{field_to_record(amb).split()[1]}" for n, amb, _ in NON_DEFAULT])
+def test_preimage_inverts_the_embedding_in_non_default_ambients(
+        n, ambient, counts):
+    for sub in (make_field(n), make_field(2 * n)):
+        basis = subfield_embedding(sub, ambient)
+        assert ([preimage(sub, ambient, basis, a) for a in span_table(basis)]
+                == list(range(sub.q)))
+
+
+def _irreducible_from(m):
+    """The least irreducible modulus of m's degree at or above m, wrapping
+    round to the least one of that degree."""
+    t = m.bit_length() - 1
+    moduli = itertools.chain(range(m, 2 << t), range(1 << t, m))
+    return next(f for f in moduli if is_irreducible(f))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda d: st.tuples(
+    st.just(d), st.integers(2, 3), st.integers(1 << d, (2 << d) - 1),
+    st.integers(0, (1 << d) - 1), st.integers(0, (1 << 3 * d) - 1))),
+    st.integers(0, (1 << 48) - 1))
+def test_preimage_under_any_moduli(case, ambient_bits):
+    # for random irreducible moduli of GF(2^d) and GF(2^(kd)): any x comes
+    # back from its image, and an ambient a pulls back to an element with
+    # image a exactly when it lies in the subfield
+    d, k, sub_bits, x, a = case
+    t = k * d
+    sub = make_field(d, _irreducible_from(sub_bits))
+    amb = make_field(t, _irreducible_from(1 << t | ambient_bits % (1 << t)))
+    basis = subfield_embedding(sub, amb)
+    assert preimage(sub, amb, basis, _image(basis, x)) == x
+    a %= amb.q
+    if in_subfield(amb, a, d):
+        assert _image(basis, preimage(sub, amb, basis, a)) == a
+    else:
+        with pytest.raises(FieldError) as exc:
+            preimage(sub, amb, basis, a)
+        assert str(exc.value) == (
+            f"witness {a:#x} of GF(2^{t}) outside GF(2^{d})")
+
+
+def test_preimage_names_the_witness_outside_the_subfield():
+    sub, amb = make_field(4), make_field(8)
+    basis = subfield_embedding(sub, amb)
+    with pytest.raises(FieldError) as exc:
+        preimage(sub, amb, basis, 2)
+    assert str(exc.value) == "witness 0x2 of GF(2^8) outside GF(2^4)"
+    inside = set(span_table(basis))
+    for a in set(range(amb.q)) - inside:
+        with pytest.raises(FieldError) as exc:
+            preimage(sub, amb, basis, a)
+        assert str(exc.value) == f"witness {a:#x} of GF(2^8) outside GF(2^4)"
 
 
 # ---------------------------------------------------------------------------

@@ -639,6 +639,33 @@ def test_norm_one_dickson_matches_the_subgroup_walk(d, moduli):
         assert set(values[1:m]) == set(want[1:])
 
 
+def test_norm_one_dickson_keeps_the_basis_not_a_dense_table():
+    # the result holds its values and the embedding's d basis images: apart
+    # from the values, it keeps under a tenth of what a 2^12-entry list of
+    # GF(2^24) elements takes, where a dense embedding table would keep all
+    # of it.  The seed walk keeps the same basis, 2n images at n
+    sub, ambient = make_field(12), make_field(24)
+    norm_one_dickson(sub, ambient, 4097)      # caches filled untraced
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = norm_one_dickson(sub, ambient, 4097)
+        kept = tracemalloc.get_traced_memory()[0] - base
+        base = tracemalloc.get_traced_memory()[0]
+        dense = list(range(ambient.q - sub.q, ambient.q))
+        dense_size = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    values, emb, fault = result
+    assert fault is None and len(dense) == sub.q
+    assert kept - sys.getsizeof(values) < dense_size / 10
+    assert len(emb) == 12
+    assert len(seed_walk(make_tower(5)).emb) == 10
+
+
 def test_no_dickson_or_seed_path_walks_a_subgroup(monkeypatch):
     # the root image and the seeds' first iterates read one preimage and
     # run the recurrence: neither walks a subgroup nor any powers
