@@ -1,8 +1,8 @@
 """Order and trace dynamics of the subgroup of order q^2+1 inside GF(q^4)*.
 
-Fix n = 2^l * m with m odd and q = 2^n.  `TowerSpec` owns the three fields
-GF(2^n), GF(2^(2n)) and GF(2^(4n)), built once; every stage reads them from
-it.
+Fix n = 2^l * m with m odd and q = 2^n.  `TowerSpec` owns the two fields
+GF(2^(2n)) and GF(2^(4n)), built once; every stage reads them from it.
+GF(q)* is read as C_(q-1), the order-(q-1) subgroup of GF(2^(2n))*.
 
 For a seed g in the order-(q^2+1) subgroup (g != 1) the l+5 iterates
 g, f(g), f^2(g), ..., f^(l+4)(g) of the map f: x -> x + 1/x are profiled:
@@ -77,11 +77,11 @@ from thetamap.gf2_arith import (
     FieldError,
     FieldSpec,
     doubling_orbits,
+    factorize,
     field_to_record,
     make_field,
     preimage,
     span_table,
-    subfield_embedding,
 )
 from thetamap.orbit_records import ProfileRecords
 from thetamap.report import CheckReport
@@ -123,20 +123,19 @@ class HClass(Enum):
 
 
 class TowerSpec(NamedTuple):
-    """GF(2^n) inside GF(2^(2n)) inside the ambient GF(2^(4n))."""
+    """GF(2^(2n)), with GF(q)* as C_(q-1), in the ambient GF(2^(4n))."""
 
     n: int
     l: int
     m: int
     q: int
-    base: FieldSpec
     double: FieldSpec
     ambient: FieldSpec
 
 
 def make_tower(n: int) -> TowerSpec:
-    """The tower GF(2^n) < GF(2^(2n)) < GF(2^(4n)) for any n >= 1; which n
-    a command admits is decided by the command line."""
+    """The tower GF(2^(2n)) < GF(2^(4n)) for any n >= 1; which n a command
+    admits is decided by the command line."""
     if n < 1:
         raise FieldError(f"tower degree n={n} must be positive")
     l, m = 0, n
@@ -144,8 +143,7 @@ def make_tower(n: int) -> TowerSpec:
         l += 1
         m //= 2
     q = 1 << n
-    return TowerSpec(n, l, m, q, make_field(n), make_field(2 * n),
-                     make_field(4 * n))
+    return TowerSpec(n, l, m, q, make_field(2 * n), make_field(4 * n))
 
 
 def subgroup(tower: TowerSpec, k: int) -> list[int]:
@@ -486,6 +484,12 @@ def verify_cq1_inclusion(tower: TowerSpec, cq1: list[int], s1: set[int],
     return rep
 
 
+@lru_cache
+def _least_primes(q: int) -> tuple[int, int]:
+    """The least primes of q+1 and q-1, q > 2, factored once per q."""
+    return factorize(q + 1).least_prime(), factorize(q - 1).least_prime()
+
+
 def check_order_bound(profile: OrderProfile) -> bool:
     """Whether the iterate orders of a class-2/3 seed stay >= p1*p2, where
     p1 and p2 are the least primes of q+1 and q-1: at indices 1..l+1, and
@@ -498,8 +502,8 @@ def check_order_bound(profile: OrderProfile) -> bool:
         return True
     if profile.h_class is HClass.H1:
         raise FieldError("bound applies when |f(seed)| does not divide q+-1")
-    p1 = tower.base.fact_plus.least_prime()
-    bound = p1 * tower.base.fact_minus.least_prime()
+    p1, p2 = _least_primes(q)
+    bound = p1 * p2
     last = l + 4 if profile.h_class is HClass.H3 else l + 1
     return (p1 >= 1 + (1 << (l + 1))
             and all(s.order >= bound for s in profile.steps[1:last + 1]))
@@ -519,50 +523,42 @@ def _seed_verdicts(prof: OrderProfile) -> dict[str, bool]:
     }
 
 
-def trace_quadrants(tower: TowerSpec, a_images: list[set[int]],
+def trace_quadrants(tower: TowerSpec, cqm: list[int],
+                    a_images: list[set[int]],
                     b_images: list[set[int]]) -> CheckReport:
     """Quadrants by trace pairs versus their image-set characterizations.
 
-    The quadrants split the tower's GF(q)* by trace pair.  The image sets
-    are points of GF(q^2) (``set_checks``): ``a_images`` = [f(A), f^2(A),
-    ..., f^(l+3)(A)] for A = C_{q+1} & S_1, and ``b_images`` = [f(B),
-    f^2(B)] for B = C_{q+1} & S_(l+2).  Their unit points must be A11, the
-    union of the later images of A, B01 and B10: the trace-defined
-    quadrants carried into GF(q^2) through the explicit subfield embedding.
-    The records: ``quadrant-partition``, that the four quadrants A11, A00,
-    B01 and B10 cover GF(q)*, then one ``<quadrant>-image`` per quadrant,
-    whose detail gives |by-trace| and |by-image|.  A failing embedding
-    fails each image check with its message.
+    The quadrants split GF(q)* = C_(q-1), which ``cqm`` walks in GF(q^2)
+    from h^0 = 1 (``set_checks``), by (Tr_n(x), Tr_n(1/x)), 1/h^i =
+    h^(q-1-i).  The image sets are points of GF(q^2) too: ``a_images`` =
+    [f(A), f^2(A), ..., f^(l+3)(A)] for A = C_{q+1} & S_1, and ``b_images``
+    = [f(B), f^2(B)] for B = C_{q+1} & S_(l+2).  Their unit points must be
+    A11, the union of the later images of A, B01 and B10.  The records:
+    ``quadrant-partition``, that the four quadrants A11, A00, B01 and B10
+    cover GF(q)*, then one ``<quadrant>-image`` per quadrant, whose detail
+    gives |by-trace| and |by-image|.
     """
-    spec_n = tower.base
     double = tower.double
+    mask = double.trace_mask(tower.n)
 
     a11, a00, b01, b10 = set(), set(), set(), set()
-    for x in range(1, spec_n.q):
-        pair = (spec_n.trace(x), spec_n.trace(spec_n.inv(x)))
+    for i, x in enumerate(cqm):
+        pair = ((x & mask).bit_count() & 1, (cqm[-i] & mask).bit_count() & 1)
         {(1, 1): a11, (0, 0): a00, (0, 1): b01, (1, 0): b10}[pair].add(x)
-
-    try:
-        emb, fault = span_table(subfield_embedding(spec_n, double)), None
-    except FieldError as exc:
-        fault = str(exc)
 
     def units(*images):
         return {x for img in images for x in img if 0 < x < double.q}
 
     rep = CheckReport()
     rep.add("quadrant-partition",
-            len(a11) + len(a00) + len(b01) + len(b10) == spec_n.q - 1)
+            len(a11) + len(a00) + len(b01) + len(b10) == tower.q - 1)
     for name, trace_set, img in (
             ("a11-image", a11, units(a_images[0])),
             ("a00-image", a00, units(*a_images[1:])),
             ("b01-image", b01, units(b_images[0])),
             ("b10-image", b10, units(b_images[1]))):
-        if fault is not None:
-            rep.add(name, False, fault)
-        else:
-            rep.add(name, {emb[x] for x in trace_set} == img,
-                    f"|by-trace|={len(trace_set)} |by-image|={len(img)}")
+        rep.add(name, trace_set == img,
+                f"|by-trace|={len(trace_set)} |by-image|={len(img)}")
     return rep
 
 
@@ -585,18 +581,21 @@ def set_checks(walk: SeedWalk) -> CheckReport:
     S_(k+1) = f(S_k), A = C_{q+1} & S_1, B = C_{q+1} & S_(l+2) and their
     images read through ``succ`` of one graph over GF(q^2).  Each S_k is
     dropped once the next is built, S_1 and the graph's other arrays after
-    the levels.  A walk of C_{q+1} that does not close is the one failure.
+    the levels.  A walk of C_{q+1} or of C_{q-1} = GF(q)* in GF(q^2) that
+    does not close is the one failure.
     """
     tower = walk.tower
     double = tower.double
     q, l = tower.q, tower.l
     rep = CheckReport()
     cq1 = double.subgroup(q + 1)           # C_{q+1} in GF(q^2), then h^(q+1)
-    end = cq1.pop()
-    if end != 1:
-        rep.add("subgroup-closure", False,
-                f"C_(q+1) walk: h^{q + 1} = {end:#x}, not 1")
-        return rep
+    cqm = double.subgroup(q - 1)           # GF(q)* in GF(q^2), then h^(q-1)
+    for name, k, powers in (("C_(q+1)", q + 1, cq1), ("C_(q-1)", q - 1, cqm)):
+        end = powers.pop()
+        if end != 1:
+            rep.add("subgroup-closure", False,
+                    f"{name} walk: h^{k} = {end:#x}, not 1")
+            return rep
     g = build_graph(double)
     succ = g.succ
 
@@ -613,7 +612,7 @@ def set_checks(walk: SeedWalk) -> CheckReport:
     rep.checks += verify_cq1_inclusion(tower, cq1, s1, s, g).checks
     del s1, g                              # succ stays, in image()
     b = image(s.intersection(cq1))
-    rep.checks += trace_quadrants(tower, a, [b, image(b)]).checks
+    rep.checks += trace_quadrants(tower, cqm, a, [b, image(b)]).checks
     for _ in range(2):
         s = image(s)                       # S_(l+4)
     rep.checks += verify_theta_permutation(tower, s, image(s)).checks

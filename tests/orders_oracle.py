@@ -7,7 +7,10 @@ recorded under both exponents.  Labels are read point by point from
 GF(q^2)'s log table, and the seeds and k0 from the ambient walk of this
 module (``ambient_walk``), which the battery makes only for hex labels.
 The set checks read their sets from the profiles (``profile_set_inputs``),
-where the battery reads images of sets through a graph.
+where the battery reads images of sets through a graph.  The trace
+quadrants are also made in GF(q) built as its own field and carried into
+GF(q^2) by its embedding (``embedded_quadrants``), where the battery walks
+GF(q)* as the order-(q-1) subgroup of GF(q^2)*.
 ``mate_pair_report`` builds the whole report this way, so ``orders_report``
 must give the same document and the same json bytes.
 """
@@ -15,7 +18,13 @@ must give the same document and the same json bytes.
 from dataclasses import dataclass
 
 from graph_oracle import theta_pullback
-from thetamap.gf2_arith import TABLE_MAX_T, field_to_record, span_table
+from thetamap.gf2_arith import (
+    TABLE_MAX_T,
+    field_to_record,
+    make_field,
+    span_table,
+    subfield_embedding,
+)
 from thetamap.order_dynamics import (
     SeedWalk,
     _seed_verdicts,
@@ -108,7 +117,8 @@ def seed_profiles(walk):
 
 def profile_set_inputs(tower, profiles) -> tuple[tuple, tuple, tuple]:
     """The arguments of ``verify_cq1_inclusion``, ``trace_quadrants`` and
-    ``verify_theta_permutation``, read from every seed's profile.
+    ``verify_theta_permutation``, read from every seed's profile, apart from
+    the walks of C_(q+1) and C_(q-1) in GF(q^2).
 
     S_1, S_(l+2) and S_(l+4) are the points at indices 1, l+2 and l+4.  The
     images of A = C_(q+1) & S_1 are the later points of the seeds whose
@@ -127,9 +137,39 @@ def profile_set_inputs(tower, profiles) -> tuple[tuple, tuple, tuple]:
     landing = points(l + 4)
     return ((tower, double.subgroup(q + 1)[:-1], points(1), points(l + 2),
              build_graph(double)),
-            (tower, [points(i, in_a) for i in range(2, l + 5)],
+            (tower, double.subgroup(q - 1)[:-1],
+             [points(i, in_a) for i in range(2, l + 5)],
              [points(l + 3, in_b), points(l + 4, in_b)]),
             (tower, landing, {theta_index(double, x) for x in landing}))
+
+
+def embedded_quadrants(tower, a_images, b_images) -> list[dict]:
+    """The records of ``trace_quadrants`` for these image sets, with GF(q)
+    built as its own field: each unit x of GF(2^n) is put in its quadrant
+    by (Tr(x), Tr(1/x)) there, and the quadrant is carried into GF(q^2)
+    point by point through ``subfield_embedding`` expanded by
+    ``span_table``."""
+    base, double = make_field(tower.n), tower.double
+    quadrants = {(1, 1): set(), (0, 0): set(), (0, 1): set(), (1, 0): set()}
+    for x in range(1, base.q):
+        quadrants[base.trace(x), base.trace(base.inv(x))].add(x)
+    emb = span_table(subfield_embedding(base, double))
+
+    def units(*images):
+        return {x for img in images for x in img if 0 < x < double.q}
+
+    records = [{"name": "quadrant-partition",
+                "pass": sum(map(len, quadrants.values())) == base.q - 1,
+                "detail": ""}]
+    for name, pair, img in (("a11-image", (1, 1), units(a_images[0])),
+                            ("a00-image", (0, 0), units(*a_images[1:])),
+                            ("b01-image", (0, 1), units(b_images[0])),
+                            ("b10-image", (1, 0), units(b_images[1]))):
+        by_trace = {emb[x] for x in quadrants[pair]}
+        records.append({"name": name, "pass": by_trace == img,
+                        "detail": f"|by-trace|={len(by_trace)} "
+                                  f"|by-image|={len(img)}"})
+    return records
 
 
 def pair_verdict_records(tower, profiles) -> list[dict]:

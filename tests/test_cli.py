@@ -517,6 +517,18 @@ def test_cq1_walk_closure_fault_is_a_record(monkeypatch, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_cqm_walk_closure_fault_is_a_record(monkeypatch, capsys):
+    # the walk h^0, ..., h^3 of GF(q)* = C_(q-1) in GF(q^2) (n = 2) does not
+    # close: the trace quadrants have no GF(q)* to split, the per-seed
+    # checks pass
+    _unclosed_powers(monkeypatch, 4, 3)
+    assert main(["verify-orders", "--n", "2"]) == 1
+    captured = capsys.readouterr()
+    assert _failed_lines(captured.out) == [
+        "FAIL [n=2] subgroup-closure  C_(q-1) walk: h^3 = 0x3, not 1"]
+    assert "Traceback" not in captured.err
+
+
 def test_orders_failure_exits_one(monkeypatch, capsys):
     # every trace mask empty: every trace, at every level, reads 0
     monkeypatch.setattr(FieldSpec, "trace_mask", lambda self, d: 0)
@@ -968,17 +980,12 @@ def test_wrong_ladder_value_at_a_leader_is_a_record(monkeypatch, capsys):
 @pytest.mark.parametrize("module, degrees, names, witness", [
     (theta_graph, (4, 8), ["first-iterate-pullback"],
      "embedded generator 0xa of GF(2^4) has order 5 in GF(2^8), not 15"),
-    (order_dynamics, (2, 4), ["a11-image", "a00-image", "b01-image",
-                              "b10-image"],
-     "embedded generator 0x1 of GF(2^2) has order 1 in GF(2^4), not 3"),
-], ids=["double-in-ambient", "base-in-double"])
+], ids=["double-in-ambient"])
 def test_orders_embedding_fault_is_a_record(monkeypatch, capsys, module,
                                             degrees, names, witness):
     # verify-orders --n 2 embeds GF(2^4) in GF(2^8) for the seeds' first
-    # iterates, asked for by theta_graph's norm-one Dickson helper, and
-    # GF(2^2) in GF(2^4) for the trace quadrants, asked for by
-    # order_dynamics; each is asked for its field with the generator cubed
-    # (order 5, resp. 1)
+    # iterates, asked for by theta_graph's norm-one Dickson helper, once:
+    # it is asked for its field with the generator cubed (order 5)
     _faulty_subfield(monkeypatch,
                      lambda bad: setattr(bad, "gen", bad.pow(bad.gen, 3)),
                      module, degrees)

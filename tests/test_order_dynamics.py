@@ -14,6 +14,7 @@ from field_oracle import field_from_record, in_subfield, subfield_trace
 from orders_oracle import (
     ambient_point,
     ambient_walk,
+    embedded_quadrants,
     label,
     mate_pair_report,
     member_profiles,
@@ -118,6 +119,23 @@ def test_make_tower_parameters():
     assert make_tower(9).ambient.t == 36      # no cap beyond n >= 1
     with pytest.raises(FieldError):
         make_tower(0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_make_tower_builds_two_fields(monkeypatch, n):
+    # GF(q)* is read as a subgroup of GF(q^2)*: no GF(2^n) is constructed
+    # beside GF(2^(2n)) and the ambient (perfbench/setup_fields.py replays
+    # make_tower, so a third field would come back as set-up time)
+    built = []
+    true_init = FieldSpec.__init__
+
+    def counting(self, t, *args, **kwargs):
+        built.append(t)
+        true_init(self, t, *args, **kwargs)
+
+    monkeypatch.setattr(FieldSpec, "__init__", counting)
+    make_tower(n)
+    assert built == [2 * n, 4 * n]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -686,6 +704,38 @@ def test_quadrants(n):
     assert len(by_trace) == 4 and sum(by_trace) == (1 << n) - 1
 
 
+def test_quadrant_partition_fails_on_a_repeating_walk():
+    # a walk of GF(q)* from h^3, of order 5, not 15 (n = 4), closes at its
+    # 15th power but repeats its points: the quadrants cover 5 of the 15
+    # units.  A11 lies in C_5, so only its image check still passes
+    tw = TOWERS[4]
+    _, cqm, a, b = profile_set_inputs(tw, PROFILES[4])[1]
+    rep = trace_quadrants(tw, [cqm[3 * i % 15] for i in range(15)], a, b)
+    assert [c.name for c in rep.checks if not c.passed] == [
+        "quadrant-partition", "a00-image", "b01-image", "b10-image"]
+
+
+@pytest.mark.parametrize("n, modulus", [
+    *((n, None) for n in range(1, 9)),
+    *((n, k) for n in range(1, 7) for k in (0, 1)),
+], ids=[f"n{n}" for n in range(1, 9)] + [
+    f"n{n}-{side}" for n in range(1, 7) for side in ("least", "greatest")])
+def test_quadrants_match_the_embedded_oracle(monkeypatch, n, modulus):
+    # GF(q)* walked as C_(q-1) in GF(q^2), and GF(q) built as its own field
+    # and embedded, split into the same quadrants: the same records on the
+    # image sets of set_checks, which pass, and on those sets reversed,
+    # which fail; also under the least and the greatest moduli of GF(q^2)
+    tower = make_tower(n)
+    if modulus is not None:
+        tower = tower._replace(double=_least_and_greatest(2 * n)[modulus])
+    walk = seed_walk(tower)
+    _, cqm, a, b = _set_check_inputs(monkeypatch, walk)["trace_quadrants"]
+    assert cqm == tower.double.subgroup(tower.q - 1)[:-1]
+    for a_images, b_images in ((a, b), (a[::-1], b[::-1])):
+        assert (trace_quadrants(tower, cqm, a_images, b_images).records()
+                == embedded_quadrants(tower, a_images, b_images))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_theta_permutation(n):
     rep = verify_theta_permutation(
@@ -896,16 +946,17 @@ def test_permutation_landing_set_n1_is_infinity():
 
 
 def test_order_bound_parameters():
-    assert TOWERS[2].base.fact_plus.least_prime() == 5
-    assert TOWERS[2].base.fact_minus.least_prime() == 3
-    assert TOWERS[3].base.fact_plus.least_prime() == 3
-    assert TOWERS[3].base.fact_minus.least_prime() == 7
+    assert factorize(TOWERS[2].q + 1).least_prime() == 5
+    assert factorize(TOWERS[2].q - 1).least_prime() == 3
+    assert factorize(TOWERS[3].q + 1).least_prime() == 3
+    assert factorize(TOWERS[3].q - 1).least_prime() == 7
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_order_bound_holds(n):
     tw = TOWERS[n]
-    bound = tw.base.fact_plus.least_prime() * tw.base.fact_minus.least_prime()
+    bound = (factorize(tw.q + 1).least_prime()
+             * factorize(tw.q - 1).least_prime())
     count = 0
     for p in PROFILES[n]:
         if p.h_class.value == 1:
